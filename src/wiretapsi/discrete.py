@@ -23,9 +23,12 @@ from typing import Iterator
 
 import numpy as np
 
+from . import probability
 from .errors import UsageError
-from .probability import (JointPmf, TransitionKernel, compose, marginalize,
-                          mutual_information, _entropy_bits)
+# marginalize is unused here; the benchmark's tracer wraps it in this namespace
+from .probability import (JointPmf, TransitionKernel, compose, marginalize,  # noqa: F401
+                          mutual_information, _check_stack, _clamp_mi,
+                          _entropy_bits_batch)
 
 U_CARD_SLACK = 4           # auxiliary alphabet may exceed |x||v1||v2| by this much
 GRID_POLICY_CAP = 300_000  # refuse grids that would enumerate more policies
@@ -172,33 +175,13 @@ def _policy_card_check(model: DiscreteWiretapModel, policy: AuxiliaryPolicy) -> 
         raise UsageError("policy x cardinality does not match the model")
 
 
-def _mi_profile(joint: JointPmf) -> tuple[float, float, float, float]:
-    """(I(u;y), I(u;v1,v2), I(u;z), I(u;v1)) from one composed joint."""
-    mi_uy = mutual_information(joint, ("u",), ("y",))
-    mi_uv = mutual_information(joint, ("u",), ("v1", "v2"))
-    mi_uz = mutual_information(joint, ("u",), ("z",))
-    uv = marginalize(joint, ("u", "v1", "v2"))
-    h_uv1 = _entropy_bits(uv.table.sum(axis=2))
-    h_u = _entropy_bits(uv.table.sum(axis=(1, 2)))
-    h_v1 = _entropy_bits(uv.table.sum(axis=(0, 2)))
-    mi_uv1 = h_u + h_v1 - h_uv1
-    if -1e-10 <= mi_uv1 < 0.0:
-        mi_uv1 = 0.0
-    return mi_uy, mi_uv, mi_uz, mi_uv1
-
-
 def _triplet_from_profile(mi_uy: float, mi_uv: float, mi_uz: float) -> RateTriplet:
     r_u1 = mi_uy - max(mi_uv, mi_uz)
     r_u2 = mi_uy - mi_uv
     # differences below the rate floor are float noise, e.g. z a copy of y
-    if abs(r_u1) <= RATE_FLOOR:
-        r_u1 = 0.0
-    if abs(r_u2) <= RATE_FLOOR:
-        r_u2 = 0.0
-    if r_u2 > RATE_FLOOR:
-        d_u2 = min(1.0, max(0.0, r_u1 / r_u2))
-    else:
-        d_u2 = 1.0
+    r_u1 = 0.0 if abs(r_u1) <= RATE_FLOOR else r_u1
+    r_u2 = 0.0 if abs(r_u2) <= RATE_FLOOR else r_u2
+    d_u2 = min(1.0, max(0.0, r_u1 / r_u2)) if r_u2 > RATE_FLOOR else 1.0
     return RateTriplet(r_u1, r_u2, d_u2, mi_uy, mi_uv, mi_uz)
 
 
@@ -207,96 +190,128 @@ def rate_triplet(model: DiscreteWiretapModel, policy: AuxiliaryPolicy) -> RateTr
     _check_policy_bound(model, policy)
     _policy_card_check(model, policy)
     joint = compose(model.state_pmf, policy.table, model.main_kernel, model.wiretap_kernel)
-    mi_uy, mi_uv, mi_uz, _ = _mi_profile(joint)
-    return _triplet_from_profile(mi_uy, mi_uv, mi_uz)
+    return _triplet_from_profile(mutual_information(joint, ("u",), ("y",)),
+                                 mutual_information(joint, ("u",), ("v1", "v2")),
+                                 mutual_information(joint, ("u",), ("z",)))
 
 
-def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    # All nonnegative integer tuples of length `parts` summing to `total`.
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
+def _simplex_grid(steps: int, outcomes: int) -> np.ndarray:
+    """Every pmf over `outcomes` with entries in multiples of 1/steps, in
+    lexicographic order: stars and bars, one bar position per row."""
+    bars = np.array(list(itertools.combinations(range(steps + outcomes - 1), outcomes - 1)),
+                    dtype=int, ndmin=2)
+    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, steps + outcomes - 1))
+    return (np.diff(edges, axis=1) - 1) / steps
 
 
-def _grid_cell_count(steps: int, outcomes: int) -> int:
-    return math.comb(steps + outcomes - 1, outcomes - 1)
-
-
-def _policy_from_cells(model: DiscreteWiretapModel, u_card: int, mode: str,
-                       cells: list[np.ndarray]) -> AuxiliaryPolicy:
-    c_v1, c_v2, c_x = model.card_v1, model.card_v2, model.card_x
-    table = np.empty((c_v1, c_v2, u_card, c_x))
-    if mode == "v1":
-        for i in range(c_v1):
-            block = cells[i].reshape(u_card, c_x)
-            for j in range(c_v2):
-                table[i, j] = block
-    else:
-        k = 0
-        for i in range(c_v1):
-            for j in range(c_v2):
-                table[i, j] = cells[k].reshape(u_card, c_x)
-                k += 1
-    kernel = TransitionKernel((("v1", c_v1), ("v2", c_v2)),
-                              (("u", u_card), ("x", c_x)), table)
-    return AuxiliaryPolicy(u_card, kernel)
-
-
-def iter_policies(model: DiscreteWiretapModel,
-                  search: SearchConfig) -> Iterator[AuxiliaryPolicy]:
-    """Deterministic policy stream: grid block first, then seeded random draws.
-
-    Random draw i depends only on (seed, i), so growing n_random extends the
-    stream without disturbing earlier policies.
-    """
+def _policy_chunks(model: DiscreteWiretapModel,
+                   search: SearchConfig) -> Iterator[np.ndarray]:
+    """The policy stream as (B, v1, v2, u, x) stacks: grid block first, then
+    seeded random draws, draw i from (seed, i) alone so that growing n_random
+    only extends the stream.  A stack composes to at most MAX_TABLE_ENTRIES
+    joint entries, the cap a single joint obeys."""
     if search.u_card > model.u_card_bound:
         raise UsageError(
             f"u_card {search.u_card} exceeds the bound {model.u_card_bound}")
-    n_cells = model.card_v1 * (model.card_v2 if search.mode == "v1v2" else 1)
+    c_v1, c_v2 = model.card_v1, model.card_v2
+    cell_v2 = c_v2 if search.mode == "v1v2" else 1   # mode 'v1' broadcasts over v2
+    n_cells = c_v1 * cell_v2
     outcomes = search.u_card * model.card_x
     grid_total = 0
     if search.grid_steps > 0:
-        per_cell = _grid_cell_count(search.grid_steps, outcomes)
-        grid_total = per_cell ** n_cells
+        grid_total = math.comb(search.grid_steps + outcomes - 1, outcomes - 1) ** n_cells
         if grid_total > GRID_POLICY_CAP:
             raise UsageError(
                 f"grid of {grid_total} policies exceeds the {GRID_POLICY_CAP} cap; "
                 f"lower grid_steps or use random sampling")
     if grid_total + search.n_random == 0:
         raise UsageError("search budget is zero: set n_random or grid_steps")
+    cap = probability.MAX_TABLE_ENTRIES
+    joint_entries = outcomes * c_v1 * c_v2 * model.card_y * model.card_z
+    if joint_entries > cap:
+        raise UsageError(f"composed joint would hold {joint_entries} entries, "
+                         f"above the {cap}-entry cap")
+    size = cap // joint_entries
 
-    if search.grid_steps > 0:
-        cell_points = [np.asarray(c, dtype=float) / search.grid_steps
-                       for c in _compositions(search.grid_steps, outcomes)]
-        for combo in itertools.product(cell_points, repeat=n_cells):
-            yield _policy_from_cells(model, search.u_card, search.mode, list(combo))
+    def stack(cells: np.ndarray) -> np.ndarray:
+        tables = cells.reshape(len(cells), c_v1, cell_v2, search.u_card, model.card_x)
+        return np.repeat(tables, c_v2 // cell_v2, axis=2)
+
+    if grid_total:
+        points = _simplex_grid(search.grid_steps, outcomes)
+        for start in range(0, grid_total, size):
+            # one grid point per cell, the last cell varying fastest
+            cells = np.unravel_index(np.arange(start, min(start + size, grid_total)),
+                                     (len(points),) * n_cells)
+            yield stack(points[np.stack(cells, axis=1)])
 
     alpha = np.ones(outcomes)
-    for i in range(search.n_random):
-        rng = np.random.default_rng([search.seed, i])
-        cells = [rng.dirichlet(alpha) for _ in range(n_cells)]
-        yield _policy_from_cells(model, search.u_card, search.mode, cells)
+    for start in range(0, search.n_random, size):
+        yield stack(np.array([np.random.default_rng([search.seed, i]).dirichlet(alpha, n_cells)
+                              for i in range(start, min(start + size, search.n_random))]))
 
 
-def _sweep(model: DiscreteWiretapModel, search: SearchConfig):
-    """Yield (policy_id, policy, triplet, mi_uv1) over the search stream."""
-    for pid, policy in enumerate(iter_policies(model, search)):
-        joint = compose(model.state_pmf, policy.table, model.main_kernel,
-                        model.wiretap_kernel)
-        mi_uy, mi_uv, mi_uz, mi_uv1 = _mi_profile(joint)
-        yield pid, policy, _triplet_from_profile(mi_uy, mi_uv, mi_uz), mi_uv1
+def _policy(model: DiscreteWiretapModel, table: np.ndarray) -> AuxiliaryPolicy:
+    u_card, c_x = table.shape[2:]
+    return AuxiliaryPolicy(u_card, TransitionKernel(
+        (("v1", model.card_v1), ("v2", model.card_v2)), (("u", u_card), ("x", c_x)), table))
+
+
+def iter_policies(model: DiscreteWiretapModel,
+                  search: SearchConfig) -> Iterator[AuxiliaryPolicy]:
+    """The policy stream of a search, one validated policy at a time."""
+    for tables in _policy_chunks(model, search):
+        for table in tables:
+            yield _policy(model, table)
+
+
+def _mi_profiles(model: DiscreteWiretapModel, tables: np.ndarray) -> np.ndarray:
+    """(I(u;y), I(u;v1,v2), I(u;z), I(u;v1)) per policy of a stack.
+
+    Composes and reduces exactly as compose, marginalize and
+    mutual_information do for one policy, with a leading policy axis, so
+    every row equals the validated single-policy path bit for bit.
+    """
+    _check_stack(tables, (3, 4), "policy table")
+    joint = np.ascontiguousarray(np.einsum(
+        "ab,Nabux,xay,xbz->Nuxabyz", model.state_pmf.table, tables,
+        model.main_kernel.table, model.wiretap_kernel.table, optimize=True))
+    _check_stack(joint, (1, 2, 3, 4, 5, 6), "composed joint")
+    h = _entropy_bits_batch
+
+    def mi(sub: np.ndarray, a_axes: tuple[int, ...], b_axes: tuple[int, ...]) -> np.ndarray:
+        # I(A;B) from the (N, A..., B...) marginal: sum out B, then A
+        return _clamp_mi(h(sub.sum(axis=b_axes)) + h(sub.sum(axis=a_axes)) - h(sub))
+
+    uv = joint.sum(axis=(2, 5, 6))                                   # (N, u, v1, v2)
+    mi_uv1 = _clamp_mi(h(uv.sum(axis=(2, 3))) + h(uv.sum(axis=(1, 3))) - h(uv.sum(axis=3)))
+    return np.stack([mi(joint.sum(axis=(2, 3, 4, 6)), (1,), (2,)),
+                     mi(uv, (1,), (2, 3)),
+                     mi(joint.sum(axis=(2, 3, 4, 5)), (1,), (2,)),
+                     mi_uv1], axis=1)
+
+
+def _sweep(model: DiscreteWiretapModel,
+           search: SearchConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each policy stack of the stream with its (mi_uy, mi_uv, mi_uz, mi_uv1) rows."""
+    for tables in _policy_chunks(model, search):
+        yield tables, _mi_profiles(model, tables)
+
+
+def _profiles(model: DiscreteWiretapModel, search: SearchConfig) -> np.ndarray:
+    return np.concatenate([mi for _, mi in _sweep(model, search)])
+
+
+def _best(values) -> tuple[float, int]:
+    """Largest value and its first policy id, or (0.0, -1) if none is positive."""
+    pid = int(np.argmax(values))
+    return (float(values[pid]), pid) if values[pid] > 0.0 else (0.0, -1)
 
 
 def secrecy_rate(model: DiscreteWiretapModel, search: SearchConfig) -> float:
     """Largest max(r_u1, 0) over the searched policies."""
-    best = 0.0
-    for _, _, triplet, _ in _sweep(model, search):
-        if triplet.r_u1 > best:
-            best = triplet.r_u1
-    return best
+    return _best([_triplet_from_profile(*row[:3]).r_u1
+                  for row in _profiles(model, search).tolist()])[0]
 
 
 def secrecy_upper_bound(model: DiscreteWiretapModel, search: SearchConfig) -> float:
@@ -306,12 +321,8 @@ def secrecy_upper_bound(model: DiscreteWiretapModel, search: SearchConfig) -> fl
     on each, belongs to every search space even when sampling misses it.
     This keeps secrecy_rate <= secrecy_upper_bound for any matched budget.
     """
-    against_state = 0.0
-    against_tap = 0.0
-    for _, _, triplet, mi_uv1 in _sweep(model, search):
-        against_state = max(against_state, triplet.mi_uy - mi_uv1)
-        against_tap = max(against_tap, triplet.mi_uy - triplet.mi_uz)
-    return min(against_state, against_tap)
+    mi = _profiles(model, search)
+    return min(_best(mi[:, 0] - mi[:, 3])[0], _best(mi[:, 0] - mi[:, 2])[0])
 
 
 def main_channel_capacity(model: DiscreteWiretapModel, search: SearchConfig) -> float:
@@ -320,35 +331,22 @@ def main_channel_capacity(model: DiscreteWiretapModel, search: SearchConfig) -> 
     The conditioning is forced to the encoder-visible state regardless of
     search.mode, matching the interference-cancellation capacity target.
     """
-    restricted = dataclasses.replace(search, mode="v1")
-    best = 0.0
-    for _, _, triplet, mi_uv1 in _sweep(model, restricted):
-        best = max(best, triplet.mi_uy - mi_uv1)
-    return best
+    mi = _profiles(model, dataclasses.replace(search, mode="v1"))
+    return _best(mi[:, 0] - mi[:, 3])[0]
 
 
 def search_summary(model: DiscreteWiretapModel, search: SearchConfig) -> dict:
-    """One-pass summary for reporting: rates, bound, capacity, best ids.
+    """Summary for reporting: rates, bound, capacity, best ids.
 
     Ties break to the first policy in iteration order so identical seeds
     give identical ids.
     """
-    best_rate, best_rate_id = 0.0, -1
-    against_state, against_state_id = 0.0, -1
-    against_tap, against_tap_id = 0.0, -1
-    for pid, _, triplet, mi_uv1 in _sweep(model, search):
-        if triplet.r_u1 > best_rate:
-            best_rate, best_rate_id = triplet.r_u1, pid
-        if triplet.mi_uy - mi_uv1 > against_state:
-            against_state, against_state_id = triplet.mi_uy - mi_uv1, pid
-        if triplet.mi_uy - triplet.mi_uz > against_tap:
-            against_tap, against_tap_id = triplet.mi_uy - triplet.mi_uz, pid
-
-    capacity, capacity_id = 0.0, -1
-    for pid, _, triplet, mi_uv1 in _sweep(model, dataclasses.replace(search, mode="v1")):
-        if triplet.mi_uy - mi_uv1 > capacity:
-            capacity, capacity_id = triplet.mi_uy - mi_uv1, pid
-
+    mi = _profiles(model, search)
+    mi_v1 = mi if search.mode == "v1" else _profiles(model, dataclasses.replace(search, mode="v1"))
+    best_rate, best_rate_id = _best([_triplet_from_profile(*row[:3]).r_u1 for row in mi.tolist()])
+    against_state, against_state_id = _best(mi[:, 0] - mi[:, 3])
+    against_tap, against_tap_id = _best(mi[:, 0] - mi[:, 2])
+    capacity, capacity_id = _best(mi_v1[:, 0] - mi_v1[:, 3])
     return {
         "secrecy_rate": best_rate,
         "secrecy_upper_bound": min(against_state, against_tap),
@@ -369,16 +367,17 @@ def achievable_points(model: DiscreteWiretapModel,
     Policies with negative r_u1 are excluded; (0, 1) is always present so the
     trivial point survives even when every sampled policy leaks.
     """
+    tables, mi = (np.concatenate(part) for part in zip(*_sweep(model, search)))
     points: list[RegionPoint] = [RegionPoint(0.0, 1.0, -1)]
     kept: dict[int, AuxiliaryPolicy] = {}
     max_r_u1 = 0.0
-    for pid, policy, triplet, _ in _sweep(model, search):
+    for pid, triplet in enumerate(_triplet_from_profile(*row[:3]) for row in mi.tolist()):
         r1 = triplet.r_u1
         if r1 < -RATE_FLOOR:
             continue
         r1 = max(r1, 0.0)
         r2 = max(triplet.r_u2, r1)
-        kept[pid] = policy
+        kept[pid] = _policy(model, tables[pid])
         max_r_u1 = max(max_r_u1, r1)
         points.append(RegionPoint(r1, 1.0, pid))
         if r2 <= r1 + RATE_FLOOR:

@@ -22,11 +22,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateGeometryError, UsageError, ValidationError
+from .probability import _clamp_mi
 
 AXES = ("u", "v1", "v2", "y", "z")
 
 LN2 = math.log(2.0)
-MI_CLAMP = 1e-10
 EIG_REL_TOL = 1e-12
 DET_SAFE_REL = 1e-9      # fast determinant path only when dets clear this
 ROOT_ALPHA_CAP = 1e3
@@ -146,10 +146,6 @@ def _indices(group: Sequence[str]) -> list[int]:
     return out
 
 
-def _clamp(mi: float) -> float:
-    return 0.0 if -MI_CLAMP <= mi < 0.0 else mi
-
-
 def oracle_mi(cov: np.ndarray, group_a: Sequence[str], group_b: Sequence[str]) -> float:
     """MI in bits from determinant ratios; +inf marks a singular joint.
 
@@ -162,15 +158,15 @@ def oracle_mi(cov: np.ndarray, group_a: Sequence[str], group_b: Sequence[str]) -
         raise UsageError("groups must be disjoint")
     if not ia or not ib:
         return 0.0
-    sig_a = cov[np.ix_(ia, ia)]
-    sig_b = cov[np.ix_(ib, ib)]
-    joint = cov[np.ix_(ia + ib, ia + ib)]
+    joint = cov[ia + ib][:, ia + ib]
+    sig_a = joint[: len(ia), : len(ia)]
+    sig_b = joint[len(ia):, len(ia):]
 
-    scale = max(1.0, float(np.max(np.diag(joint))))
+    scale = max(1.0, float(joint.diagonal().max()))
     det_a, det_b, det_j = (float(np.linalg.det(m)) for m in (sig_a, sig_b, joint))
     safe = DET_SAFE_REL * scale
     if det_a > safe ** len(ia) and det_b > safe ** len(ib) and det_j > safe ** len(ia + ib):
-        return _clamp(0.5 * (math.log(det_a) + math.log(det_b) - math.log(det_j)) / LN2)
+        return _clamp_mi(0.5 * (math.log(det_a) + math.log(det_b) - math.log(det_j)) / LN2)
 
     def reduce(mat: np.ndarray) -> tuple[np.ndarray, float]:
         w, vec = np.linalg.eigh(mat)
@@ -188,7 +184,7 @@ def oracle_mi(cov: np.ndarray, group_a: Sequence[str], group_b: Sequence[str]) -
     w = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
     if float(w.min()) <= EIG_REL_TOL * max(1.0, float(w.max(initial=0.0))):
         return math.inf
-    return _clamp(0.5 * (logdet_a + logdet_b - float(np.log(w).sum())) / LN2)
+    return _clamp_mi(0.5 * (logdet_a + logdet_b - float(np.log(w).sum())) / LN2)
 
 
 def _mi(params: GaussianWiretapParams, alpha: float, group_b: Sequence[str]) -> float:

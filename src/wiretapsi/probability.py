@@ -37,12 +37,60 @@ def _entropy_bits(table: np.ndarray) -> float:
     return float(-(pos * np.log2(pos)).sum())
 
 
-def _clamp_mi(value: float) -> float:
-    # Tiny negative values are rounding noise; anything below the clamp
-    # band is left visible so broken inputs fail loudly in tests.
-    if -MI_CLAMP <= value < 0.0:
-        return 0.0
-    return value
+def _entropy_bits_batch(tables: np.ndarray) -> np.ndarray:
+    """_entropy_bits of each table along the leading axis, bit for bit.
+
+    Each row's positive terms are packed to its front and summed over
+    exactly their count, so numpy's pairwise summation groups them as it
+    does for the filtered vector in _entropy_bits.
+    """
+    flat = tables.reshape(len(tables), -1)
+    pos = flat > 0.0
+    terms = np.zeros_like(flat)
+    np.log2(flat, out=terms, where=pos)
+    terms *= flat
+    counts = pos.sum(axis=1)
+    if not pos.all():
+        order = np.argsort(~pos, axis=1, kind="stable")
+        terms = np.take_along_axis(terms, order, axis=1)
+    out = np.zeros(len(flat))
+    for count in np.unique(counts[counts > 0]):
+        rows = counts == count
+        out[rows] = -terms[rows, :count].sum(axis=1)
+    return out
+
+
+def _clamp_mi(value):
+    """Zero a mutual information in [-MI_CLAMP, 0): rounding noise.
+
+    Anything further below is left visible so broken inputs fail loudly in
+    tests.  Scalars and arrays alike.
+    """
+    if np.ndim(value):
+        return np.where((value >= -MI_CLAMP) & (value < 0.0), 0.0, value)
+    return 0.0 if -MI_CLAMP <= value < 0.0 else value
+
+
+def _check_stack(table: np.ndarray, mass_axes: tuple[int, ...], what: str) -> None:
+    """The table checks of the constructors, over every mass at once.
+
+    Entries must be finite and nonnegative, and the sum over `mass_axes`
+    must be 1 within MASS_TOL wherever it is taken.  Written so that NaN
+    fails every test rather than passing it.
+    """
+    if not np.isfinite(table).all():
+        raise ValidationError(f"{what} has a non-finite entry")
+    if np.any(table < 0.0):
+        raise ValidationError(f"{what} has a negative entry")
+    mass = table.sum(axis=mass_axes)
+    off = np.abs(mass - 1.0)
+    if not (off <= MASS_TOL).all():
+        if mass.ndim == 0:
+            raise ValidationError(f"{what} mass {float(mass)!r} is not 1 within {MASS_TOL}")
+        cell = np.unravel_index(int(off.argmax()), mass.shape)
+        raise ValidationError(
+            f"{what} rows must sum to 1: conditional cell {cell} is off by "
+            f"{float(off.max()):.3e}")
 
 
 @dataclass(frozen=True)
@@ -58,11 +106,7 @@ class Pmf:
             raise ValidationError(f"pmf '{self.label}' must be a vector, got shape {probs.shape}")
         if probs.size == 0:
             raise ValidationError(f"pmf '{self.label}' is empty")
-        if np.any(probs < 0.0):
-            raise ValidationError(f"pmf '{self.label}' has a negative entry")
-        mass = float(probs.sum())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValidationError(f"pmf '{self.label}' mass {mass!r} is not 1 within {MASS_TOL}")
+        _check_stack(probs, (0,), f"pmf '{self.label}'")
         object.__setattr__(self, "probs", _freeze(probs))
 
     @property
@@ -92,11 +136,7 @@ class JointPmf:
         table = np.asarray(self.table, dtype=float)
         if table.shape != expected:
             raise ValidationError(f"table shape {table.shape} does not match axes {axes}")
-        if np.any(table < 0.0):
-            raise ValidationError("joint table has a negative entry")
-        mass = float(table.sum())
-        if abs(mass - 1.0) > MASS_TOL:
-            raise ValidationError(f"joint mass {mass!r} is not 1 within {MASS_TOL}")
+        _check_stack(table, tuple(range(table.ndim)), "joint table")
         object.__setattr__(self, "axes", axes)
         object.__setattr__(self, "table", _freeze(table))
 
@@ -137,14 +177,7 @@ class TransitionKernel:
         if table.shape != expected:
             raise ValidationError(
                 f"kernel shape {table.shape} does not match axes {inputs} -> {outputs}")
-        if np.any(table < 0.0):
-            raise ValidationError("kernel has a negative entry")
-        sums = table.sum(axis=tuple(range(len(inputs), len(inputs) + len(outputs))))
-        worst = float(np.abs(sums - 1.0).max()) if sums.size else 0.0
-        if worst > MASS_TOL:
-            cell = np.unravel_index(int(np.abs(sums - 1.0).argmax()), sums.shape)
-            raise ValidationError(
-                f"kernel rows must sum to 1: conditional cell {cell} is off by {worst:.3e}")
+        _check_stack(table, tuple(range(len(inputs), table.ndim)), "kernel")
         object.__setattr__(self, "input_axes", inputs)
         object.__setattr__(self, "output_axes", outputs)
         object.__setattr__(self, "table", _freeze(table))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .discrete import (AuxiliaryPolicy, DiscreteWiretapModel, RateTriplet,
                        _check_policy_bound, _policy_card_check, rate_triplet)
@@ -281,6 +280,24 @@ def _check_enum_cap(config: SimConfig) -> None:
             f"got {config.n * math.log2(product):.3f}")
 
 
+def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) per row; -inf for a row with no finite entry.
+
+    Each row is shifted by its maximum; the entries at the maximum are
+    counted and the rest enter through log1p, which keeps precision when
+    one entry dominates.
+    """
+    out = np.full(len(rows), -np.inf)
+    live = np.isfinite(rows).any(axis=1)
+    rows = rows[live]
+    peak = rows.max(axis=1, keepdims=True)
+    at_peak = rows == peak
+    rest = np.exp(np.where(at_peak, -np.inf, rows) - peak).sum(axis=1, keepdims=True)
+    count = at_peak.sum(axis=1, keepdims=True)
+    out[live] = (np.log1p(rest / count) + np.log(count) + peak)[:, 0]
+    return out
+
+
 def _posterior(tables: _Tables, config: SimConfig, v1_all: np.ndarray,
                u_selected: np.ndarray, z_seq: np.ndarray) -> Pmf:
     if z_seq.shape != (config.n,):
@@ -289,7 +306,7 @@ def _posterior(tables: _Tables, config: SimConfig, v1_all: np.ndarray,
     per_coord = tables.log_weight[z_seq]              # (n, card_u, card_v1)
     loglik = per_coord[coords[None, None, :], u_selected,
                        v1_all[None, :, :]].sum(axis=2)
-    log_posts = logsumexp(loglik, axis=1)
+    log_posts = _log_sum_exp(loglik)
     if not np.isfinite(log_posts).any():
         raise UsageError("observed z sequence has zero probability under the model")
     shifted = np.exp(log_posts - log_posts.max())

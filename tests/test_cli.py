@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +155,14 @@ def test_validate_subcommand(tmp_path, capsys):
     assert read(first / "validation.json") == read(second / "validation.json")
 
 
+def test_validate_redraws_a_uniform_posterior_codebook(tmp_path):
+    # the first codebook at seed 22 gives a uniform posterior for every z
+    assert main(["validate", "--seed", "22", "--out", str(tmp_path / "v")]) == 0
+    checks = json.loads((tmp_path / "v" / "validation.json").read_text())["checks"]
+    posterior = next(c for c in checks if c["name"] == "posterior_matches_brute_force")
+    assert posterior["passed"] and "codebook seed" in posterior["detail"]
+
+
 def test_validate_exit_one_on_failure(tmp_path, monkeypatch, capsys):
     import wiretapsi.cli as cli
     import wiretapsi.validate as validate
@@ -204,6 +214,28 @@ def test_missing_model_is_usage_error(tmp_path, capsys):
     assert main(["discrete-region", "--model", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path / "o2")]) == 2
     assert "absent.json" in capsys.readouterr().err
+
+
+def test_nan_in_model_is_usage_error(tmp_path, model_file, capsys):
+    doc = json.loads(model_file.read_text())
+    doc["main_kernel"][0][0][0] = float("nan")
+    model_file.write_text(json.dumps(doc))          # writes a NaN literal
+    assert "NaN" in model_file.read_text()
+    assert main(["discrete-region", "--model", str(model_file), "--random", "5",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["wiretapsi.cli"].__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, wiretapsi.cli; print('scipy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_degenerate_geometry_surfaces_expression(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,7 +19,11 @@ from wiretapsi import (
     secrecy_rate,
     secrecy_upper_bound,
 )
-from wiretapsi.discrete import iter_policies
+from wiretapsi import probability
+from wiretapsi.cli import main
+from wiretapsi.discrete import _policy_chunks, _profiles, iter_policies
+from wiretapsi.modelio import model_to_dict
+from wiretapsi.probability import _clamp_mi, _entropy_bits, compose, marginalize
 from wiretapsi.reference import (
     blind_wiretap_model,
     bsc,
@@ -27,7 +33,7 @@ from wiretapsi.reference import (
     uniform_input_policy,
 )
 
-from conftest import random_binary_model
+from conftest import random_binary_model, random_small_model
 
 
 def h2(p: float) -> float:
@@ -86,6 +92,23 @@ def test_policy_stream_is_prefix_stable(trend):
     head = [p.table.table for p in iter_policies(model, long)][:5]
     for a, b in zip(first, head):
         np.testing.assert_array_equal(a, b)
+
+
+def test_policy_stream_order():
+    # grid block first, cells in (v1, v2) order with the last varying
+    # fastest; then draw i from default_rng([seed, i]), one Dirichlet per cell
+    model = random_binary_model(np.random.default_rng(3))
+    policies = [p.table.table for p in iter_policies(
+        model, SearchConfig(u_card=2, grid_steps=1, n_random=3, seed=6))]
+    corner = np.eye(4)[::-1]          # one-step grid: (0,0,0,1), ..., (1,0,0,0)
+    assert len(policies) == 4 ** 4 + 3
+    np.testing.assert_array_equal(policies[0], np.tile(corner[0], (2, 2, 1)).reshape(2, 2, 2, 2))
+    second = np.stack([corner[0], corner[0], corner[0], corner[1]]).reshape(2, 2, 2, 2)
+    np.testing.assert_array_equal(policies[1], second)
+    for i, table in enumerate(policies[4 ** 4:]):
+        rng = np.random.default_rng([6, i])
+        want = np.stack([rng.dirichlet(np.ones(4)) for _ in range(4)]).reshape(2, 2, 2, 2)
+        np.testing.assert_array_equal(table, want)
 
 
 def test_budget_monotonicity(trend):
@@ -213,3 +236,85 @@ def test_rate_triplet_equivocation_identity(seed):
     assert t.r_u1 <= t.r_u2 + 1e-12
     if t.r_u2 > 1e-9 and t.r_u1 > 0.0:
         assert t.d_u2 == pytest.approx(min(1.0, t.r_u1 / t.r_u2), abs=1e-12)
+
+
+def single_policy_profiles(model, search):
+    """(mi_uy, mi_uv, mi_uz, mi_uv1) per policy through rate_triplet and one
+    validated joint per policy: the reference for the batched sweep."""
+    rows = []
+    for policy in iter_policies(model, search):
+        t = rate_triplet(model, policy)
+        joint = compose(model.state_pmf, policy.table, model.main_kernel,
+                        model.wiretap_kernel)
+        uv = marginalize(joint, ("u", "v1", "v2")).table
+        mi_uv1 = _clamp_mi(_entropy_bits(uv.sum(axis=(1, 2)))
+                           + _entropy_bits(uv.sum(axis=(0, 2)))
+                           - _entropy_bits(uv.sum(axis=2)))
+        rows.append((t.mi_uy, t.mi_uv, t.mi_uz, mi_uv1, t.r_u1))
+    return np.array(rows)
+
+
+def first_best(values):
+    # the per-policy loop: strictly greater wins, so ties keep the first id
+    best, best_id = 0.0, -1
+    for pid, value in enumerate(values):
+        if value > best:
+            best, best_id = value, pid
+    return best, best_id
+
+
+# (model, mode, random draws, grid steps, exact ties among the best ids)
+SWEEP_CASES = [
+    ("trend", "v1v2", 40, 0, False),
+    ("trend", "v1", 40, 0, False),
+    ("trend", "v1v2", 5, 2, True),       # three-way tie on the wiretap bound
+    ("degraded", "v1", 3, 2, True),      # two-way tie on the state bound
+    ("small", "v1v2", 60, 0, False),
+    ("small", "v1", 60, 1, False),
+]
+
+
+@pytest.mark.parametrize("name,mode,n_random,grid,ties", SWEEP_CASES)
+def test_batched_sweep_matches_single_policy_loop(trend, name, mode, n_random, grid, ties):
+    model = {"trend": trend[0], "degraded": degraded_bsc_pair(0.05, 0.2),
+             "small": random_small_model(np.random.default_rng(11))}[name]
+    search = SearchConfig(u_card=2, n_random=n_random, grid_steps=grid, seed=5, mode=mode)
+    ref = single_policy_profiles(model, search)
+    np.testing.assert_array_equal(_profiles(model, search), ref[:, :4])
+
+    state = first_best(ref[:, 0] - ref[:, 3])
+    tap = first_best(ref[:, 0] - ref[:, 2])
+    restricted = single_policy_profiles(model, dataclasses.replace(search, mode="v1"))
+    capacity = first_best(restricted[:, 0] - restricted[:, 3])
+    rate = first_best(ref[:, 4])
+    summary = search_summary(model, search)
+    assert summary["best_policies"] == {"secrecy_rate": rate[1], "state_bound": state[1],
+                                        "wiretap_bound": tap[1],
+                                        "main_channel_capacity": capacity[1]}
+    assert summary["secrecy_rate"] == secrecy_rate(model, search) == rate[0]
+    assert (summary["secrecy_upper_bound"] == secrecy_upper_bound(model, search)
+            == min(state[0], tap[0]))
+    assert (summary["main_channel_capacity"] == main_channel_capacity(model, search)
+            == capacity[0])
+    if ties:
+        assert max(np.count_nonzero(v == v.max())
+                   for v in (ref[:, 0] - ref[:, 3], ref[:, 0] - ref[:, 2])) > 1
+
+
+def test_chunked_sweep_gives_identical_artifacts(trend, tmp_path, monkeypatch):
+    # 10 random draws after a 100-policy grid; 7 policies per chunk splits
+    # the grid, the random block and the boundary between them
+    model, _ = trend
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(model)))
+    argv = ["discrete-region", "--model", str(path), "--random", "10", "--grid", "2",
+            "--mode", "v1", "--curve-points", "5", "--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
+    monkeypatch.setattr(probability, "MAX_TABLE_ENTRIES", 7 * 2 * 2 * 2 * 1 * 2 * 2)
+    chunks = [len(c) for c in _policy_chunks(model, SearchConfig(
+        u_card=2, n_random=10, grid_steps=2, mode="v1"))]
+    assert len(chunks) > 10 and max(chunks) == 7
+    assert main(argv + ["--out", str(tmp_path / "chunked")]) == 0
+    for name in ("region.csv", "summary.json"):
+        assert ((tmp_path / "whole" / name).read_bytes()
+                == (tmp_path / "chunked" / name).read_bytes())

@@ -103,6 +103,17 @@ def test_kernel_row_sums_checked():
         TransitionKernel((("x", 1), ("v", 2)), (("y", 2),), bad)
 
 
+def test_nan_entries_rejected():
+    # abs(nan - 1) > tol is False, so a mass test written that way lets NaN in
+    with pytest.raises(ValidationError, match="non-finite"):
+        Pmf("a", [np.nan, np.nan])
+    with pytest.raises(ValidationError, match="non-finite"):
+        JointPmf((("a", 1), ("b", 2)), [[np.nan, 1.0]])
+    rows = np.array([[[0.5, 0.5], [np.nan, np.nan]]])
+    with pytest.raises(ValidationError, match="non-finite"):
+        TransitionKernel((("x", 1), ("v", 2)), (("y", 2),), rows)
+
+
 def test_tables_are_read_only():
     p = Pmf("x", [0.5, 0.5])
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from wiretapsi import (
 )
 from wiretapsi.discrete import AuxiliaryPolicy
 from wiretapsi.probability import JointPmf, TransitionKernel
+from wiretapsi.simulator import _log_sum_exp
 from wiretapsi.reference import (
     bsc,
     constant_wiretap_instance,
@@ -251,8 +253,25 @@ def test_posterior_rejects_impossible_observation(noiseless):
                   for k in range(book.sequences.shape[0])}
     missing = next(z for z in itertools.product(range(2), repeat=3)
                    if z not in selectable)
-    with pytest.raises(UsageError, match="zero probability"):
-        eavesdropper_posterior(book, config, np.array(missing))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no log(0) or inf - inf warning on the way
+        with pytest.raises(UsageError, match="zero probability"):
+            eavesdropper_posterior(book, config, np.array(missing))
+
+
+def test_log_sum_exp_rows():
+    rows = np.log(np.random.default_rng(4).dirichlet(np.ones(6), size=5)) - 700.0
+    rows[1, 2:] = -np.inf
+    rows[2, :] = rows[2, 0]                  # every entry at the row maximum
+    rows[3, :] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_sum_exp(rows)
+    live = [0, 1, 2, 4]
+    # direct sum after a shift by 700, which keeps exp(row) representable
+    want = np.log(np.exp(rows[live] + 700.0).sum(axis=1)) - 700.0
+    np.testing.assert_allclose(got[live], want, rtol=0, atol=1e-12)
+    assert got[3] == -np.inf
 
 
 def test_run_experiment_deterministic():
