@@ -9,7 +9,8 @@ manifest holds the fully resolved settings, so
 reproduces the artifacts byte for byte.  Precedence: command-line flags
 override --config file entries, which override built-in defaults.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 usage or input error.
+Exit codes: 0 success, 1 validation-suite failure, 2 usage or input error
+(including arithmetic that overflows on extreme finite inputs).
 
 Environment: WIRETAPSI_THREADS, when set, is exported to the BLAS thread
 variables before numpy spins up workers; unset means machine default.
@@ -19,11 +20,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
-
-__version__ = "0.1.0"
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -37,7 +35,9 @@ def _apply_thread_env() -> None:
 
 _apply_thread_env()
 
-from . import gaussian, modelio
+import numpy as np
+
+from . import __version__, gaussian, modelio
 from .discrete import SearchConfig, achievable_points, search_summary
 from .errors import ToolkitError, UsageError
 from .simulator import run_experiment
@@ -181,22 +181,11 @@ def _cmd_gaussian_scan(args: argparse.Namespace) -> int:
         settings["p"], settings["q1"], settings["q2"],
         settings["n1"], settings["n2"], settings["rho_xv1"],
         settings["rho_xv2"], settings["rho_v1v2"])
-    step = settings["step"]
-    if not step > 0:
-        raise UsageError(f"step must be positive, got {step}")
-    lo, hi = settings["alpha_min"], settings["alpha_max"]
-    if hi < lo:
-        raise UsageError(f"alpha range is empty: [{lo}, {hi}]")
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    alphas = [lo + k * step for k in range(count)]
-
-    rows = []
-    for alpha in alphas:
-        cov = gaussian.joint_covariance(params, alpha)
-        uy = gaussian.oracle_mi(cov, ("u",), ("y",))
-        uv = gaussian.oracle_mi(cov, ("u",), ("v1", "v2"))
-        uz = gaussian.oracle_mi(cov, ("u",), ("z",))
-        rows.append((float(alpha), uy, uv, uz, uz - uv, uy - uv, uy - uz))
+    alphas = gaussian.scan_alphas(settings["alpha_min"], settings["alpha_max"],
+                                  settings["step"])
+    mis = gaussian.mi_stack(params, alphas, ("y",), ("v1", "v2"), ("z",))
+    rows = [(float(alpha), uy, uv, uz, uz - uv, uy - uv, uy - uz)
+            for alpha, uy, uv, uz in zip(alphas, *(m.tolist() for m in mis))]
 
     neg, pos = gaussian.leakage_roots(params)
     try:
@@ -288,6 +277,10 @@ def main(argv: list[str] | None = None) -> int:
         detail = getattr(exc, "expression", None)
         suffix = f" [{detail}]" if detail else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+        # inputs finite but so large that the arithmetic overflows
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

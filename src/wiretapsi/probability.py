@@ -66,7 +66,7 @@ def _clamp_mi(value):
     Anything further below is left visible so broken inputs fail loudly in
     tests.  Scalars and arrays alike.
     """
-    if np.ndim(value):
+    if isinstance(value, np.ndarray):
         return np.where((value >= -MI_CLAMP) & (value < 0.0), 0.0, value)
     return 0.0 if -MI_CLAMP <= value < 0.0 else value
 

@@ -114,20 +114,18 @@ def formula_discrepancy_scan(seed: int = 0, count: int = 40) -> list[Discrepancy
     """
     findings: list[Discrepancy] = []
     alphas = [a / 4.0 for a in range(-8, 9)]
+    closed_forms = (("mi_uy", gaussian.mi_uy), ("mi_uv12", gaussian.mi_uv12),
+                    ("mi_uz", gaussian.mi_uz))
     for params in _param_grid(seed, count):
-        for alpha in alphas:
-            cov = gaussian.joint_covariance(params, alpha)
-            pairs = (
-                ("mi_uy", gaussian.mi_uy, ("y",)),
-                ("mi_uv12", gaussian.mi_uv12, ("v1", "v2")),
-                ("mi_uz", gaussian.mi_uz, ("z",)),
-            )
-            for name, closed, group in pairs:
+        oracle = [m.tolist() for m in gaussian.mi_stack(
+            params, alphas, ("y",), ("v1", "v2"), ("z",))]
+        for k, alpha in enumerate(alphas):
+            for (name, closed), refs in zip(closed_forms, oracle):
                 try:
                     value = closed(params, alpha)
                 except DegenerateGeometryError:
                     continue
-                ref = gaussian.oracle_mi(cov, ("u",), group)
+                ref = refs[k]
                 if math.isfinite(ref) and abs(value - ref) > MI_AGREEMENT_TOL:
                     findings.append(Discrepancy(name, _params_dict(params),
                                                 alpha, value, ref))

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretapsi.cli import main
 from wiretapsi.modelio import (
@@ -258,3 +263,52 @@ def test_argparse_usage_failure():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["gaussian-scan", "--q1", "nan"],
+    ["gaussian-scan", "--p", "inf"],
+    ["gaussian-scan", "--alpha-min", "nan"],
+    ["gaussian-region", "--p", "inf"],
+    ["gaussian-region", "--case", "2", "--q", "nan"],
+    ["gaussian-scan", "--step", "1e-9"],
+    ["gaussian-region", "--grid", "1000000000"],
+    ["gaussian-scan", "--p", "1e300"],
+])
+def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+GAUSSIAN_FLAGS = {
+    "gaussian-scan": ("p", "q1", "q2", "n1", "n2", "rho-xv1", "rho-xv2",
+                      "rho-v1v2", "alpha-min", "alpha-max", "step"),
+    "gaussian-region": ("p", "q", "n1", "n2", "grid"),
+}
+ADVERSARIAL = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5", "1e-300",
+               "1e300", "0.5", "2", "3e5", "1000000000")
+
+
+@given(st.sampled_from(sorted(GAUSSIAN_FLAGS)).flatmap(lambda sub: st.tuples(
+    st.just(sub),
+    st.lists(st.tuples(st.sampled_from(GAUSSIAN_FLAGS[sub]),
+                       st.sampled_from(ADVERSARIAL)), min_size=1, max_size=3),
+    st.sampled_from(("1", "2")))))
+@settings(max_examples=80, deadline=None)
+def test_gaussian_flags_never_traceback(case):
+    subcommand, flags, which = case
+    argv = [subcommand] + (["--case", which] if subcommand == "gaussian-region" else [])
+    for flag, value in flags:
+        if flag == "grid" and not value.lstrip("-").isdigit():
+            continue    # argparse rejects a non-integer grid itself
+        argv.append(f"--{flag}={value}")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", out])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert any(line.startswith("error:") for line in err.getvalue().splitlines())

@@ -26,11 +26,16 @@ from wiretapsi import (
     rz_alpha,
     scan_leakage,
 )
+from wiretapsi import gaussian
 from wiretapsi.gaussian import (
+    _cov_stack,
+    _oracle_stack,
+    _region,
     case1_params,
     case2_params,
     leakage_at_zero_closed_form,
     leakage_curve,
+    mi_stack,
     mi_uv12,
     mi_uy,
     mi_uz,
@@ -124,6 +129,12 @@ def test_params_validation():
         GaussianWiretapParams(1.0, 0.0, 1.0, 1.0, 1.0, rho_xv1=0.3)
     with pytest.raises(ValidationError):
         GaussianWiretapParams(1.0, 1.0, 1.0, 1.0, 1.0, 0.9, 0.9, -0.9)
+    for field in range(8):
+        for bad in (math.nan, math.inf, -math.inf):
+            values = [1.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+            values[field] = bad
+            with pytest.raises(ValidationError, match="finite"):
+                GaussianWiretapParams(*values)
 
 
 def test_alpha_star_special_cases():
@@ -321,6 +332,15 @@ def test_admissible_power_frozen_values():
         admissible_power(1.0, 0.1, 1.0)
     with pytest.raises(UsageError):
         admissible_power(0.0, 0.1, 0.0)
+    for args in ((math.inf, 0.1, 0.0), (math.nan, 0.1, 0.0), (1.0, math.inf, 0.0),
+                 (1.0, math.nan, 0.0), (1.0, 0.1, math.nan)):
+        with pytest.raises(UsageError):
+            admissible_power(*args)
+    for value in (math.nan, math.inf):
+        with pytest.raises(UsageError, match="finite"):
+            case1_region(value, 1.0, 1.0, 1.0)
+        with pytest.raises(UsageError, match="finite"):
+            case2_region(1.0, 1.0, 1.0, value)
 
 
 @st.composite
@@ -355,3 +375,253 @@ def test_rate_decomposition_identity(params, alpha):
     rz = rz_alpha(params, alpha)
     lk = leakage(params, alpha)
     assert r - rz == pytest.approx(lk, abs=1e-9)
+
+
+# --- the stacked oracle against the one-alpha algorithms ---------------------
+# The references below walk one alpha at a time with scalar arithmetic; the
+# stacks must reproduce them bit for bit.
+
+def reference_covariance_scalar(params, alpha):
+    base = np.array([
+        [params.p, params.c_xv1, params.c_xv2, 0.0, 0.0],
+        [params.c_xv1, params.q1, params.c_v12, 0.0, 0.0],
+        [params.c_xv2, params.c_v12, params.q2, 0.0, 0.0],
+        [0.0, 0.0, 0.0, params.n1, 0.0],
+        [0.0, 0.0, 0.0, 0.0, params.n2],
+    ])
+    mix = np.array([
+        [1.0, alpha, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0],
+        [1.0, 1.0, 0.0, 1.0, 0.0],
+        [1.0, 0.0, 1.0, 0.0, 1.0],
+    ])
+    cov = mix @ base @ mix.T
+    return 0.5 * (cov + cov.T)
+
+
+def reference_oracle_mi(cov, group_a, group_b):
+    axes = ("u", "v1", "v2", "y", "z")
+    ia = [axes.index(n) for n in group_a]
+    ib = [axes.index(n) for n in group_b]
+    joint = cov[ia + ib][:, ia + ib]
+    sig_a = joint[: len(ia), : len(ia)]
+    sig_b = joint[len(ia):, len(ia):]
+    scale = max(1.0, float(joint.diagonal().max()))
+    det_a, det_b, det_j = (float(np.linalg.det(m)) for m in (sig_a, sig_b, joint))
+    safe = 1e-9 * scale
+    if det_a > safe ** len(ia) and det_b > safe ** len(ib) and det_j > safe ** len(ia + ib):
+        value = 0.5 * (math.log(det_a) + math.log(det_b) - math.log(det_j)) / math.log(2.0)
+        return 0.0 if -1e-10 <= value < 0.0 else value
+
+    def reduce(mat):
+        w, vec = np.linalg.eigh(mat)
+        keep = w > 1e-12 * max(1.0, float(w.max(initial=0.0)))
+        return vec[:, keep], float(np.log(w[keep]).sum())
+
+    basis_a, logdet_a = reduce(sig_a)
+    basis_b, logdet_b = reduce(sig_b)
+    if basis_a.shape[1] == 0 or basis_b.shape[1] == 0:
+        return 0.0
+    trans = np.zeros((len(ia) + len(ib), basis_a.shape[1] + basis_b.shape[1]))
+    trans[: len(ia), : basis_a.shape[1]] = basis_a
+    trans[len(ia):, basis_a.shape[1]:] = basis_b
+    reduced = trans.T @ joint @ trans
+    w = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+    if float(w.min()) <= 1e-12 * max(1.0, float(w.max(initial=0.0))):
+        return math.inf
+    value = 0.5 * (logdet_a + logdet_b - float(np.log(w).sum())) / math.log(2.0)
+    return 0.0 if -1e-10 <= value < 0.0 else value
+
+
+STACK_PARAMS = {
+    "regular": GENERIC,
+    "rho_plus": GaussianWiretapParams(1.5, 1.0, 1.0, 0.5, 1.0, 0.2, 0.2, 1.0),
+    "rho_minus": GaussianWiretapParams(1.5, 1.0, 1.0, 0.5, 1.0, 0.2, -0.2, -1.0),
+    "q1_zero": GaussianWiretapParams(1.5, 0.0, 0.8, 0.5, 1.0, 0.0, 0.3, 0.0),
+    "q2_zero": GaussianWiretapParams(1.5, 1.0, 0.0, 0.5, 1.0, 0.3, 0.0, 0.0),
+    "x_is_v1": GaussianWiretapParams(1.0, 1.0, 1.0, 0.5, 1.0, -1.0, 0.0, 0.0),
+    "case1": case1_params(2.0, 1.0, 0.25, 1.0),
+    "case2": case2_params(2.0, 1.0, 0.25, 1.0),
+}
+ORACLE_GROUPS = ((("u",), ("y",)), (("u",), ("v1", "v2")), (("u",), ("z",)),
+                 (("u", "y"), ("v1", "z")), (("v1",), ("v2",)))
+
+
+@pytest.mark.parametrize("name", sorted(STACK_PARAMS))
+def test_stacked_oracle_is_bit_identical_to_one_alpha_path(name):
+    params = STACK_PARAMS[name]
+    # alpha = 1 makes u = x + v1 constant on the x_is_v1 parameters
+    alphas = np.linspace(-3.0, 3.0, 41).tolist() + [1.0, 0.0, -0.0, 1e3, -1e3]
+    stack = _cov_stack(params, alphas)
+    for k, alpha in enumerate(alphas):
+        expected = reference_covariance_scalar(params, alpha)
+        assert np.array_equal(stack[k], expected)
+        assert np.array_equal(joint_covariance(params, alpha), expected)
+    for group_a, group_b in ORACLE_GROUPS:
+        expected = [reference_oracle_mi(c, group_a, group_b) for c in stack]
+        assert _oracle_stack(stack, group_a, group_b).tolist() == expected
+        assert [oracle_mi(c, group_a, group_b) for c in stack] == expected
+
+
+def test_stacked_oracle_takes_logs_like_the_one_alpha_path():
+    # np.log and math.log differ in the last bit on about 1 input in 1000;
+    # a dense stack finds such inputs on the determinant-ratio path
+    alphas = np.random.default_rng(5).uniform(-3.0, 3.0, 3000).tolist()
+    stack = _cov_stack(GENERIC, alphas)
+    for group_a, group_b in ORACLE_GROUPS[:3]:
+        expected = [reference_oracle_mi(c, group_a, group_b) for c in stack]
+        assert _oracle_stack(stack, group_a, group_b).tolist() == expected
+
+
+def test_stacked_oracle_mixes_regular_and_deterministic_entries():
+    # u = v1 exactly in the first matrix: +inf there, finite elsewhere
+    regular = joint_covariance(GaussianWiretapParams(1.0, 1.0, 1.0, 0.5, 0.5), 1.0)
+    singular = regular.copy()
+    singular[0, :] = singular[1, :]
+    singular[:, 0] = singular[:, 1]
+    stack = np.stack([singular, regular, 2.0 * singular, regular + np.eye(5)])
+    for group_a, group_b in ORACLE_GROUPS + ((("u",), ("v1",)),):
+        expected = [reference_oracle_mi(c, group_a, group_b) for c in stack]
+        assert _oracle_stack(stack, group_a, group_b).tolist() == expected
+    assert math.isinf(_oracle_stack(stack, ("u",), ("v1",))[0])
+    assert math.isfinite(_oracle_stack(stack, ("u",), ("v1",))[1])
+
+
+def reference_solve_alpha_for_rate(params, alpha_top, target):
+    lo = alpha_top - 1.0
+    step = 1.0
+    while r_alpha(params, lo) > target:
+        step *= 2.0
+        lo = alpha_top - step
+    hi = alpha_top
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        value = r_alpha(params, mid)
+        if abs(value - target) <= 1e-10:
+            return mid
+        if value < target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("region_of,params_of,p,q,n1,n2", [
+    (case1_region, case1_params, 0.5, 1.0, 1.0, 1.0),      # mid
+    (case1_region, case1_params, 1.5, 1.0, 1.0, 1.0),      # high
+    (case2_region, case2_params, 2.0, 1.0, 1.0, 1.0),      # mid
+    (case2_region, case2_params, 3.0, 1.0, 1.0, 1.0),      # high
+])
+def test_lockstep_region_matches_per_target_bisection(region_of, params_of, p, q, n1, n2):
+    region = region_of(p, q, n1, n2, grid_size=64)
+    params = params_of(p, q, n1, n2)
+    knee_alpha = leakage_roots(params)[1] if region.regime == "mid" else 1.0
+    knee_rate = r_alpha(params, knee_alpha)
+    solved = 0
+    for rate, cap in region.boundary:
+        if rate <= knee_rate + 1e-12:
+            continue
+        alpha = reference_solve_alpha_for_rate(params, p / (p + n1), rate)
+        assert cap == min(max(rz_alpha(params, alpha), 0.0), region.c_m)
+        solved += 1
+    assert solved >= 3
+
+
+def reference_leakage_roots(params):
+    try:
+        star = alpha_star(params)
+    except DegenerateGeometryError:
+        return None, None
+    if not leakage(params, star) > 0.0:
+        return None, None
+
+    def find(direction):
+        step = max(1.0, abs(star))
+        inner = star
+        while True:
+            outer = star + direction * step
+            if abs(outer) > 1e3:
+                return None
+            value = leakage(params, outer)
+            if value < 0.0:
+                break
+            if value == 0.0:
+                return outer
+            inner = outer
+            step *= 2.0
+        lo, hi = inner, outer
+        while abs(hi - lo) > 1e-12:
+            mid = 0.5 * (lo + hi)
+            if leakage(params, mid) >= 0.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return find(-1.0), find(+1.0)
+
+
+def test_batched_roots_match_sequential_walk():
+    rng = np.random.default_rng(11)
+    cases = list(STACK_PARAMS.values())
+    for _ in range(12):
+        p, q, n1, n2 = (float(v) for v in rng.uniform(0.2, 3.0, size=4))
+        cases += [case1_params(p, q, n1, n2), case2_params(p, q, n1, n2)]
+    with_roots = 0
+    for params in cases:
+        got = leakage_roots(params)
+        assert got == reference_leakage_roots(params)
+        with_roots += got[1] is not None
+    assert with_roots > 10
+
+
+def test_roots_ignore_points_the_walk_never_visits(monkeypatch):
+    # Make both mutual informations diverge beyond the first negative rung:
+    # the sequential walk never goes there, so the stacks must not raise.
+    params = case1_params(2.0, 1.0, 0.25, 1.0)
+    expected = leakage_roots(params)
+    fence = 2.0 * max(abs(a) for a in expected) + 4.0
+    real = gaussian.mi_stack
+
+    def diverging(params, alphas, *groups):
+        out = real(params, alphas, *groups)
+        far = np.abs(np.asarray(alphas, dtype=float)) > fence
+        for values in out:
+            values[far] = math.inf
+        return out
+
+    monkeypatch.setattr(gaussian, "mi_stack", diverging)
+    assert leakage_roots(params) == expected
+    with pytest.raises(DegenerateGeometryError):
+        leakage(params, fence + 1.0)
+    # a visited point that cannot be valued still raises, as the walk did
+    fence = 0.0
+    with pytest.raises(DegenerateGeometryError):
+        leakage_roots(params)
+
+
+def test_mi_stack_matches_rate_functions():
+    params = STACK_PARAMS["rho_minus"]
+    alphas = [-1.5, -0.25, 0.0, 0.6, 1.9]
+    uy, uv, uz = mi_stack(params, alphas, ("y",), ("v1", "v2"), ("z",))
+    for k, alpha in enumerate(alphas):
+        assert uy[k] - uv[k] == r_alpha(params, alpha)
+        assert uy[k] - uz[k] == rz_alpha(params, alpha)
+        assert uz[k] - uv[k] == leakage(params, alpha)
+
+
+def test_point_caps_refuse_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the cap check")
+
+    monkeypatch.setattr(gaussian, "mi_stack", no_work)
+    monkeypatch.setattr(gaussian, "leakage_roots", no_work)
+    with pytest.raises(UsageError, match="cap"):
+        gaussian.scan_alphas(-2.0, 2.0, 1e-9)
+    with pytest.raises(UsageError, match="grid_size"):
+        case1_region(0.5, 1.0, 0.25, 1.0, grid_size=gaussian.POINT_CAP + 1)
+    with pytest.raises(UsageError, match="grid_size"):
+        _region("CaseI", case1_params(0.5, 1.0, 0.25, 1.0), 0.5, 0.25,
+                case1_thresholds(1.0, 0.25, 1.0), 10**9)
+    assert len(gaussian.scan_alphas(-2.0, 2.0, 4.0 / (gaussian.POINT_CAP - 2))) < gaussian.POINT_CAP
