@@ -278,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         suffix = f" [{detail}]" if detail else ""
         print(f"error: {exc}{suffix}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (OverflowError, np.linalg.LinAlgError) as exc:
         # inputs finite but so large that the arithmetic overflows
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -176,12 +176,9 @@ def _positive_eigenspace(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
     eigh sorts eigenvalues ascending, so the kept (positive) eigenspace of
     rank r is the last r columns.  A block that is the same in every matrix
-    of the stack, such as (v1, v2) over an alpha stack, is decomposed once;
-    a 1x1 block is its own eigenvalue with eigenvector 1, as LAPACK returns it.
+    of the stack, such as (v1, v2) over an alpha stack, is decomposed once.
     """
-    if block.shape[-1] == 1:
-        w, vec = block[:, 0].copy(), np.ones_like(block)
-    elif len(block) > 1 and (block == block[:1]).all():
+    if len(block) > 1 and (block == block[:1]).all():
         w, vec = np.linalg.eigh(block[0])
         w, vec = (np.broadcast_to(m, (len(block),) + m.shape) for m in (w, vec))
     else:
@@ -197,12 +194,10 @@ def _reduced_mi(joint: np.ndarray, size_a: int) -> np.ndarray:
     w_a, vec_a, rank_a = _positive_eigenspace(joint[:, :size_a, :size_a])
     w_b, vec_b, rank_b = _positive_eigenspace(joint[:, size_a:, size_a:])
     out = np.zeros(len(joint))
-    ranks = set(zip(rank_a.tolist(), rank_b.tolist()))
-    for ra, rb in ranks:
+    for ra, rb in set(zip(rank_a.tolist(), rank_b.tolist())):
         if ra == 0 or rb == 0:
             continue    # a constant group shares no information
-        sel = (slice(None) if len(ranks) == 1
-               else np.flatnonzero((rank_a == ra) & (rank_b == rb)))
+        sel = np.flatnonzero((rank_a == ra) & (rank_b == rb))
         logdet = (np.log(w_a[sel, size_a - ra:]).sum(axis=-1)
                   + np.log(w_b[sel, size_b - rb:]).sum(axis=-1))
         basis_a = vec_a[sel, :, size_a - ra:]
@@ -479,7 +474,7 @@ def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optio
     def values(points: list[float]) -> list[float]:
         try:
             uz, uv = mi_stack(params, points, ("z",), ("v1", "v2"))
-        except ValidationError:
+        except (ValidationError, ArithmeticError, np.linalg.LinAlgError):
             return [math.nan] * len(points)
         with np.errstate(invalid="ignore"):
             return (uz - uv).tolist()

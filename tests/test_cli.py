@@ -11,11 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretapsi.cli import main
+from gaussian_reference import reference_region, reference_scan
+from wiretapsi import GaussianWiretapParams, ToolkitError, gaussian
+from wiretapsi.cli import _DEFAULTS, main
 from wiretapsi.modelio import (
     load_sim_config,
     model_to_dict,
     policy_to_dict,
+    write_csv,
+    write_json,
 )
 from wiretapsi.reference import degraded_bsc_pair, uniform_input_policy
 from wiretapsi.simulator import run_experiment
@@ -291,24 +295,67 @@ ADVERSARIAL = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5", "1e-300",
                "1e300", "0.5", "2", "3e5", "1000000000")
 
 
+SCAN_FIELDS = ("p", "q1", "q2", "n1", "n2", "rho_xv1", "rho_xv2", "rho_v1v2")
+
+
+def reference_exit(subcommand, flags, out):
+    """Exit code of the one-alpha reference on these flags; on success it
+    writes the artifacts the command writes, to out."""
+    settings = dict(_DEFAULTS[subcommand])
+    for flag, value in flags:
+        if flag == "grid":
+            settings["grid_size"] = int(value)
+        else:
+            settings[flag.replace("-", "_")] = value if flag == "case" else float(value)
+    try:
+        if subcommand == "gaussian-scan":
+            params = GaussianWiretapParams(*(settings[k] for k in SCAN_FIELDS))
+            alphas = gaussian.scan_alphas(settings["alpha_min"], settings["alpha_max"],
+                                          settings["step"])
+            rows, roots = reference_scan(params, alphas)
+            write_csv(os.path.join(out, "sweep.csv"),
+                      ("alpha", "mi_uy", "mi_uv12", "mi_uz", "deltaI", "R", "RZ"), rows)
+            write_json(os.path.join(out, "scan_roots.json"), roots)
+        else:
+            p = settings["p"]
+            thresholds, regime, boundary, c_m = reference_region(
+                settings["case"], p, settings["q"], settings["n1"], settings["n2"],
+                settings["grid_size"])
+            names = ("P1", "P2") if settings["case"] == "1" else ("P3", "P4")
+            write_json(os.path.join(out, "thresholds.json"), {
+                names[0]: thresholds[0], names[1]: thresholds[1],
+                "regime": regime, "c_m": c_m})
+            write_csv(os.path.join(out, "boundary.csv"), ("P", "regime", "R", "Rd_cap"),
+                      [(float(p), regime, float(r), float(cap)) for r, cap in boundary])
+    except (ToolkitError, OverflowError, np.linalg.LinAlgError):
+        return 2
+    return 0
+
+
 @given(st.sampled_from(sorted(GAUSSIAN_FLAGS)).flatmap(lambda sub: st.tuples(
     st.just(sub),
     st.lists(st.tuples(st.sampled_from(GAUSSIAN_FLAGS[sub]),
                        st.sampled_from(ADVERSARIAL)), min_size=1, max_size=3),
     st.sampled_from(("1", "2")))))
 @settings(max_examples=80, deadline=None)
-def test_gaussian_flags_never_traceback(case):
+def test_gaussian_flags_match_the_one_alpha_reference(case):
+    # Every run exits 0 or 2 without a traceback, exactly when the one-alpha
+    # reference does, and writes the reference's artifact bytes.
     subcommand, flags, which = case
-    argv = [subcommand] + (["--case", which] if subcommand == "gaussian-region" else [])
-    for flag, value in flags:
-        if flag == "grid" and not value.lstrip("-").isdigit():
-            continue    # argparse rejects a non-integer grid itself
-        argv.append(f"--{flag}={value}")
+    flags = [(flag, value) for flag, value in flags
+             if flag != "grid" or value.lstrip("-").isdigit()]   # argparse's own check
+    if subcommand == "gaussian-region":
+        flags.insert(0, ("case", which))
+    argv = [subcommand] + [f"--{flag}={value}" for flag, value in flags]
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv + ["--out", out])
-    assert code in (0, 2)
+    with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as ref, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", os.path.join(out, "o")])
+        assert code == reference_exit(subcommand, flags, ref)
+        for name in os.listdir(ref):
+            with open(os.path.join(out, "o", name), "rb") as got, \
+                    open(os.path.join(ref, name), "rb") as expected:
+                assert got.read() == expected.read(), name
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())

@@ -40,6 +40,12 @@ from wiretapsi.gaussian import (
     mi_uy,
     mi_uz,
 )
+from gaussian_reference import (
+    reference_covariance_scalar,
+    reference_leakage_roots,
+    reference_oracle_mi,
+    reference_region,
+)
 
 GENERIC = GaussianWiretapParams(1.3, 0.9, 1.1, 0.4, 0.8, 0.2, -0.1, 0.3)
 
@@ -378,61 +384,8 @@ def test_rate_decomposition_identity(params, alpha):
 
 
 # --- the stacked oracle against the one-alpha algorithms ---------------------
-# The references below walk one alpha at a time with scalar arithmetic; the
-# stacks must reproduce them bit for bit.
-
-def reference_covariance_scalar(params, alpha):
-    base = np.array([
-        [params.p, params.c_xv1, params.c_xv2, 0.0, 0.0],
-        [params.c_xv1, params.q1, params.c_v12, 0.0, 0.0],
-        [params.c_xv2, params.c_v12, params.q2, 0.0, 0.0],
-        [0.0, 0.0, 0.0, params.n1, 0.0],
-        [0.0, 0.0, 0.0, 0.0, params.n2],
-    ])
-    mix = np.array([
-        [1.0, alpha, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0, 0.0],
-        [1.0, 1.0, 0.0, 1.0, 0.0],
-        [1.0, 0.0, 1.0, 0.0, 1.0],
-    ])
-    cov = mix @ base @ mix.T
-    return 0.5 * (cov + cov.T)
-
-
-def reference_oracle_mi(cov, group_a, group_b):
-    axes = ("u", "v1", "v2", "y", "z")
-    ia = [axes.index(n) for n in group_a]
-    ib = [axes.index(n) for n in group_b]
-    joint = cov[ia + ib][:, ia + ib]
-    sig_a = joint[: len(ia), : len(ia)]
-    sig_b = joint[len(ia):, len(ia):]
-    scale = max(1.0, float(joint.diagonal().max()))
-    det_a, det_b, det_j = (float(np.linalg.det(m)) for m in (sig_a, sig_b, joint))
-    safe = 1e-9 * scale
-    if det_a > safe ** len(ia) and det_b > safe ** len(ib) and det_j > safe ** len(ia + ib):
-        value = 0.5 * (math.log(det_a) + math.log(det_b) - math.log(det_j)) / math.log(2.0)
-        return 0.0 if -1e-10 <= value < 0.0 else value
-
-    def reduce(mat):
-        w, vec = np.linalg.eigh(mat)
-        keep = w > 1e-12 * max(1.0, float(w.max(initial=0.0)))
-        return vec[:, keep], float(np.log(w[keep]).sum())
-
-    basis_a, logdet_a = reduce(sig_a)
-    basis_b, logdet_b = reduce(sig_b)
-    if basis_a.shape[1] == 0 or basis_b.shape[1] == 0:
-        return 0.0
-    trans = np.zeros((len(ia) + len(ib), basis_a.shape[1] + basis_b.shape[1]))
-    trans[: len(ia), : basis_a.shape[1]] = basis_a
-    trans[len(ia):, basis_a.shape[1]:] = basis_b
-    reduced = trans.T @ joint @ trans
-    w = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
-    if float(w.min()) <= 1e-12 * max(1.0, float(w.max(initial=0.0))):
-        return math.inf
-    value = 0.5 * (logdet_a + logdet_b - float(np.log(w).sum())) / math.log(2.0)
-    return 0.0 if -1e-10 <= value < 0.0 else value
-
+# The references in gaussian_reference walk one alpha at a time with scalar
+# arithmetic; the stacks must reproduce them bit for bit.
 
 STACK_PARAMS = {
     "regular": GENERIC,
@@ -488,78 +441,17 @@ def test_stacked_oracle_mixes_regular_and_deterministic_entries():
     assert math.isfinite(_oracle_stack(stack, ("u",), ("v1",))[1])
 
 
-def reference_solve_alpha_for_rate(params, alpha_top, target):
-    lo = alpha_top - 1.0
-    step = 1.0
-    while r_alpha(params, lo) > target:
-        step *= 2.0
-        lo = alpha_top - step
-    hi = alpha_top
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = r_alpha(params, mid)
-        if abs(value - target) <= 1e-10:
-            return mid
-        if value < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-@pytest.mark.parametrize("region_of,params_of,p,q,n1,n2", [
-    (case1_region, case1_params, 0.5, 1.0, 1.0, 1.0),      # mid
-    (case1_region, case1_params, 1.5, 1.0, 1.0, 1.0),      # high
-    (case2_region, case2_params, 2.0, 1.0, 1.0, 1.0),      # mid
-    (case2_region, case2_params, 3.0, 1.0, 1.0, 1.0),      # high
+@pytest.mark.parametrize("case,p,q,n1,n2", [
+    ("1", 0.5, 1.0, 1.0, 1.0),      # mid
+    ("1", 1.5, 1.0, 1.0, 1.0),      # high
+    ("2", 2.0, 1.0, 1.0, 1.0),      # mid
+    ("2", 3.0, 1.0, 1.0, 1.0),      # high
 ])
-def test_lockstep_region_matches_per_target_bisection(region_of, params_of, p, q, n1, n2):
-    region = region_of(p, q, n1, n2, grid_size=64)
-    params = params_of(p, q, n1, n2)
-    knee_alpha = leakage_roots(params)[1] if region.regime == "mid" else 1.0
-    knee_rate = r_alpha(params, knee_alpha)
-    solved = 0
-    for rate, cap in region.boundary:
-        if rate <= knee_rate + 1e-12:
-            continue
-        alpha = reference_solve_alpha_for_rate(params, p / (p + n1), rate)
-        assert cap == min(max(rz_alpha(params, alpha), 0.0), region.c_m)
-        solved += 1
-    assert solved >= 3
-
-
-def reference_leakage_roots(params):
-    try:
-        star = alpha_star(params)
-    except DegenerateGeometryError:
-        return None, None
-    if not leakage(params, star) > 0.0:
-        return None, None
-
-    def find(direction):
-        step = max(1.0, abs(star))
-        inner = star
-        while True:
-            outer = star + direction * step
-            if abs(outer) > 1e3:
-                return None
-            value = leakage(params, outer)
-            if value < 0.0:
-                break
-            if value == 0.0:
-                return outer
-            inner = outer
-            step *= 2.0
-        lo, hi = inner, outer
-        while abs(hi - lo) > 1e-12:
-            mid = 0.5 * (lo + hi)
-            if leakage(params, mid) >= 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    return find(-1.0), find(+1.0)
+def test_lockstep_region_matches_per_target_bisection(case, p, q, n1, n2):
+    region = (case1_region if case == "1" else case2_region)(p, q, n1, n2, grid_size=64)
+    expected = reference_region(case, p, q, n1, n2, 64)
+    assert (region.thresholds, region.regime, region.boundary, region.c_m) == expected
+    assert region.regime != "low"
 
 
 def test_batched_roots_match_sequential_walk():
@@ -574,6 +466,13 @@ def test_batched_roots_match_sequential_walk():
         assert got == reference_leakage_roots(params)
         with_roots += got[1] is not None
     assert with_roots > 10
+
+
+def test_roots_survive_overflow_on_rungs_the_walk_never_visits():
+    # the determinant test overflows on the far rungs of the ladder, which
+    # the walk never reaches (it stops at alpha_star); the stack must not raise
+    params = GaussianWiretapParams(1e-300, 1e107, 1e100, 1.0, 1.0)
+    assert leakage_roots(params) == reference_leakage_roots(params) == (None, None)
 
 
 def test_roots_ignore_points_the_walk_never_visits(monkeypatch):
