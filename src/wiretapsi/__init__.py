@@ -6,7 +6,17 @@ two state components are drawn jointly.  The package computes achievable
 secrecy-rate / distortion trade-offs for finite-alphabet models, closed-form
 and numeric rate curves for the additive Gaussian family, and Monte Carlo
 estimates from an explicit random-binning code.
+
+Environment: WIRETAPSI_THREADS, when set, is exported to the BLAS thread
+variables (unless they are set already) before the first import below loads
+numpy; unset means machine default.
 """
+
+import os as _os
+
+if _os.environ.get("WIRETAPSI_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        _os.environ.setdefault(_var, _os.environ["WIRETAPSI_THREADS"])
 
 from .discrete import (
     AuxiliaryPolicy,

@@ -12,8 +12,8 @@ override --config file entries, which override built-in defaults.
 Exit codes: 0 success, 1 validation-suite failure, 2 usage or input error
 (including arithmetic that overflows on extreme finite inputs).
 
-Environment: WIRETAPSI_THREADS, when set, is exported to the BLAS thread
-variables before numpy spins up workers; unset means machine default.
+Environment: WIRETAPSI_THREADS caps the BLAS thread pools; the package's
+__init__ exports it before numpy loads.
 """
 
 from __future__ import annotations
@@ -23,18 +23,6 @@ import dataclasses
 import os
 import sys
 
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _apply_thread_env() -> None:
-    threads = os.environ.get("WIRETAPSI_THREADS")
-    if threads:
-        for var in _THREAD_VARS:
-            os.environ.setdefault(var, threads)
-
-
-_apply_thread_env()
-
 import numpy as np
 
 from . import __version__, gaussian, modelio
@@ -42,6 +30,11 @@ from .discrete import SearchConfig, achievable_points, search_summary
 from .errors import ToolkitError, UsageError
 from .simulator import run_experiment
 from .validate import run_suites
+
+
+_CHOICES = {"mode": ("v1v2", "v1"), "case": ("1", "2")}
+# type of the settings whose default is None: the type of their flag
+_NONE_DEFAULT_TYPES = {"seed": int, "model": str, "sim_config": str}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="random policies to sample")
     p.add_argument("--grid", dest="grid_steps", type=int, default=None,
                    help="deterministic simplex grid resolution")
-    p.add_argument("--mode", choices=("v1v2", "v1"), default=None)
+    p.add_argument("--mode", choices=_CHOICES["mode"], default=None)
     p.add_argument("--curve-points", dest="curve_points", type=int, default=None)
 
     p = sub.add_parser("gaussian-scan", help="alpha sweep of rates and leakage")
@@ -80,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gaussian-region", help="case thresholds and boundary")
     common(p)
-    p.add_argument("--case", choices=("1", "2"), default=None)
+    p.add_argument("--case", choices=_CHOICES["case"], default=None)
     for flag in ("p", "q", "n1", "n2"):
         p.add_argument(f"--{flag}", type=float, default=None)
     p.add_argument("--grid", dest="grid_size", type=int, default=None)
@@ -112,6 +105,30 @@ _DEFAULTS = {
 }
 
 
+def _check_setting(path: str, key: str, value, default) -> None:
+    """A config value must have its default's type: int, float (an int
+    will do), str or bool; a bool is not a number.  Where the default is
+    None, null is accepted and otherwise the flag's type is required."""
+    if default is None:
+        if value is None:
+            return
+        kind = _NONE_DEFAULT_TYPES[key]
+    else:
+        kind = type(default)
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise UsageError(f"{path}: setting {key!r} must be {kind.__name__}, "
+                         f"got {type(value).__name__} {value!r}")
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise UsageError(f"{path}: setting {key!r} must be one of "
+                         f"{', '.join(_CHOICES[key])}, got {value!r}")
+
+
 def _resolve_settings(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
     settings = dict(_DEFAULTS[args.subcommand])
@@ -129,6 +146,7 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
                 continue
             if key not in settings:
                 raise UsageError(f"{args.config}: unknown setting {key!r}")
+            _check_setting(args.config, key, value, _DEFAULTS[args.subcommand][key])
             settings[key] = value
     for key in settings:
         flag = getattr(args, key, None)

@@ -136,6 +136,8 @@ def _cov_stack(params: GaussianWiretapParams, alphas) -> np.ndarray:
     """Covariances of (u, v1, v2, y, z), one per alpha: an (N, 5, 5) stack
     assembled by bilinearity, mix @ base @ mix.T, where the x/v1/v2 block of
     base carries the correlations.  Every matrix must pass the PSD test.
+    An entry that overflows raises OverflowError; the public callers
+    silence numpy's warning for it.
     """
     alphas = np.asarray(alphas, dtype=float)
     base = np.array([
@@ -148,6 +150,8 @@ def _cov_stack(params: GaussianWiretapParams, alphas) -> np.ndarray:
     mix = _MIX[np.newaxis].repeat(alphas.size, axis=0)
     mix[:, 0, 1] = alphas
     cov = mix @ base @ mix.transpose(0, 2, 1)
+    if not np.isfinite(cov).all():
+        raise OverflowError("covariance overflows")
     cov = 0.5 * (cov + cov.transpose(0, 2, 1))
     floor = -1e-9 * np.maximum(1.0, cov.diagonal(0, 1, 2).max(axis=1))
     if (np.linalg.eigvalsh(cov).min(axis=1) < floor).any():
@@ -157,7 +161,8 @@ def _cov_stack(params: GaussianWiretapParams, alphas) -> np.ndarray:
 
 def joint_covariance(params: GaussianWiretapParams, alpha: float) -> np.ndarray:
     """Covariance of (u, v1, v2, y, z) at one alpha: a one-element _cov_stack."""
-    return _cov_stack(params, [alpha])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cov_stack(params, [alpha])[0]
 
 
 def _indices(group: Sequence[str]) -> list[int]:
@@ -226,7 +231,8 @@ def _oracle_stack(cov: np.ndarray, group_a: Sequence[str],
     quantities like I(u; v1, v2) stay finite when v2 is a deterministic copy
     of v1; +inf marks a singular joint.  The determinant ratio is taken in
     Python floats, element by element (math.log and np.log differ in the
-    last bit on some inputs).
+    last bit on some inputs).  A determinant that overflows raises
+    OverflowError; the public callers silence numpy's warning for it.
     """
     ia, ib = _indices(group_a), _indices(group_b)
     if set(ia) & set(ib):
@@ -238,6 +244,9 @@ def _oracle_stack(cov: np.ndarray, group_a: Sequence[str],
     det_a = np.linalg.det(joint[:, :ka, :ka]).tolist()
     det_b = np.linalg.det(joint[:, ka:, ka:]).tolist()
     det_j = np.linalg.det(joint).tolist()
+    # -inf (a negative det) takes the eigen-reduction below like any other
+    if math.inf in det_a or math.inf in det_b or math.inf in det_j:
+        raise OverflowError("covariance determinant overflows")
     values, slow = [], []
     for n, top in enumerate(joint.diagonal(0, 1, 2).max(axis=1).tolist()):
         safe = DET_SAFE_REL * max(1.0, top)
@@ -260,15 +269,17 @@ def oracle_mi(cov: np.ndarray, group_a: Sequence[str], group_b: Sequence[str]) -
     their positive eigenspace, so I(u; v1, v2) stays finite when v2 is a
     deterministic copy of v1.
     """
-    return float(_oracle_stack(cov[np.newaxis], group_a, group_b)[0])
+    with np.errstate(over="ignore"):
+        return float(_oracle_stack(cov[np.newaxis], group_a, group_b)[0])
 
 
 def mi_stack(params: GaussianWiretapParams, alphas,
              *groups: Sequence[str]) -> list[np.ndarray]:
     """I(u; group) in bits at every alpha, one array per group, all from
     one covariance stack."""
-    cov = _cov_stack(params, alphas)
-    return [_oracle_stack(cov, ("u",), group) for group in groups]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = _cov_stack(params, alphas)
+        return [_oracle_stack(cov, ("u",), group) for group in groups]
 
 
 # --- hand-derived closed forms, kept exactly as written ------------------
@@ -572,7 +583,10 @@ class CaseRegion:
 
 
 def main_capacity(p: float, n1: float) -> float:
-    return 0.5 * math.log2((p + n1) / n1)
+    snr = (p + n1) / n1
+    if snr == math.inf:
+        raise OverflowError(f"main capacity: (p + n1) / n1 overflows at p={p}, n1={n1}")
+    return 0.5 * math.log2(snr)
 
 
 def _require_positive(**values: float) -> None:

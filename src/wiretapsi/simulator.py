@@ -10,7 +10,21 @@ analytically.
 
 Hard caps keep everything exactly enumerable: block length <= 16, state
 alphabet product <= 4, codebook <= 2^20 codewords, and the posterior's state
-enumeration |V1|^N * |V2|^N <= 2^20.
+enumeration |V1|^N * |V2|^N <= 2^20.  On top of the caps, one byte budget,
+BYTE_BUDGET, bounds what a run holds whole: the (m, S) selection and found
+tables and the (m, S, n) posterior codes (m messages, S = |V1|^N state
+sequences).  It is checked before anything is allocated; a run over it is
+refused with a UsageError.  Everything else is streamed in steps that gather
+at most about GATHER_BYTES.
+
+_selection_table replays the encoder for every (message, v1 sequence) pair,
+a chunk of v1 sequences at a time, each pair stopping at its bin's first
+typical member.  That table is the encoder: each trial draws its states,
+message and uniforms from its own generator and sends the listed codeword.
+The posterior of an observation z gathers log w(z_i | u_i, v1_i) through
+the precomputed codes and sums it per pair.  The public encode keeps its own
+per-bin scan; it is the second path that validate's brute-force posterior
+and the tests compare the table against.
 """
 
 from __future__ import annotations
@@ -30,6 +44,8 @@ MAX_BLOCK_LENGTH = 16
 MAX_STATE_PRODUCT = 4
 MAX_CODEBOOK = 2 ** 20
 MAX_STATE_ENUM_BITS = 20.0
+BYTE_BUDGET = 2 ** 30     # selection, found and codes, held whole for a run
+GATHER_BYTES = 2 ** 22    # log-probabilities gathered per selection or posterior step
 WILSON_Z = 1.959963984540054
 
 
@@ -119,12 +135,16 @@ class _Tables:
             self.log_p_uy = np.log2(self.p_uy)
 
 
-def _typicality(log_table: np.ndarray, entropy: float, epsilon: float,
-                rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Mask of sequences whose empirical log-score sits within epsilon of
-    the target entropy; rows (K, N) symbols, cols (N,) partner symbols."""
-    scores = -log_table[rows, cols[None, :]].mean(axis=1)
-    return np.abs(scores - entropy) <= epsilon
+def _typical(log_p: np.ndarray, entropy: float, epsilon: float) -> np.ndarray:
+    """Weak typicality of each row of log_p (..., N), the log2-probabilities
+    of a sequence pair: the row's empirical entropy, minus its mean, lies
+    within epsilon of the true entropy."""
+    return np.abs(-log_p.mean(axis=-1) - entropy) <= epsilon
+
+
+def _sample(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF symbol per row of probs (..., card) from uniform draws (...)."""
+    return (probs.cumsum(axis=-1) < draws[..., None]).sum(axis=-1)
 
 
 def build_codebook(config: SimConfig) -> Codebook:
@@ -191,8 +211,8 @@ def _encode(tables: _Tables, codebook: Codebook, config: SimConfig,
         raise UsageError(f"v1 sequence must have length {config.n}")
 
     members = np.flatnonzero(codebook.bin_index == message)
-    typical = _typicality(tables.log_p_uv1, tables.h_uv1, config.epsilon_typ,
-                          codebook.sequences[members], v1_seq)
+    typical = _typical(tables.log_p_uv1[codebook.sequences[members], v1_seq],
+                       tables.h_uv1, config.epsilon_typ)
     hits = np.flatnonzero(typical)
     if hits.size:
         chosen, fallback = int(members[hits[0]]), False
@@ -200,9 +220,7 @@ def _encode(tables: _Tables, codebook: Codebook, config: SimConfig,
         chosen, fallback = _fallback_codeword(codebook), True
 
     u_seq = codebook.sequences[chosen]
-    probs = tables.x_dist[u_seq, v1_seq]           # (n, card_x)
-    draws = rng.random((config.n, 1))
-    x_seq = (probs.cumsum(axis=1) < draws).sum(axis=1)
+    x_seq = _sample(tables.x_dist[u_seq, v1_seq], rng.random(config.n))
     return u_seq, x_seq, fallback
 
 
@@ -217,8 +235,8 @@ def _decode(tables: _Tables, codebook: Codebook, config: SimConfig,
     y_seq = np.asarray(y_seq)
     if y_seq.shape != (config.n,):
         raise UsageError(f"y sequence must have length {config.n}")
-    typical = _typicality(tables.log_p_uy, tables.h_uy, config.epsilon_typ,
-                          codebook.sequences, y_seq)
+    typical = _typical(tables.log_p_uy[codebook.sequences, y_seq],
+                       tables.h_uy, config.epsilon_typ)
     hits = np.flatnonzero(typical)
     if hits.size != 1:
         return None
@@ -232,28 +250,92 @@ def _state_sequences(card: int, n: int) -> np.ndarray:
     return (np.arange(count)[:, None] // powers[None, :]) % card
 
 
+def _check_enumeration(config: SimConfig) -> None:
+    """Refuse, before any allocation, a run whose state enumeration breaks
+    the 2^20 cap or whose whole-run tables break BYTE_BUDGET."""
+    product = config.model.card_v1 * config.model.card_v2
+    if config.n * math.log2(product) > MAX_STATE_ENUM_BITS + 1e-9:
+        raise UsageError(
+            f"state enumeration needs n*log2(|v1||v2|) <= {MAX_STATE_ENUM_BITS}, "
+            f"got {config.n * math.log2(product):.3f}")
+    # int64 selection and bool found, (m, S); intp codes, (m, S, n)
+    cells = config.m * config.model.card_v1 ** config.n
+    need = cells * (8 + 1 + 8 * config.n)
+    if need > BYTE_BUDGET:
+        raise UsageError(
+            f"{config.m} messages x {cells // config.m} state sequences at n={config.n} "
+            f"need {need / 2 ** 20:.0f} MiB, over the {BYTE_BUDGET // 2 ** 20} MiB "
+            f"budget; lower the rate or the block length")
+
+
 def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig,
-                     v1_all: np.ndarray) -> np.ndarray:
-    """Codeword index the encoder would pick for every (message, v1-sequence).
+                     v1_all: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The encoder's choice for every (message, v1 sequence).
 
-    This replays the encoder's deterministic selection rule, fallback
-    included, so the posterior conditions on exactly the transmitted law.
+    Returns the (m, S) codeword indices, the (m, S) mask of bins holding a
+    typical member (the rest fall back to bin 1's first codeword) and the
+    (m, S, n) posterior codes (i*|u| + u_i)*|v1| + v1_i of each pick.
+
+    The v1 sequences are streamed in chunks.  Within a chunk every bin is
+    scanned in index order, a window of ranks at a time, and a (bin,
+    sequence) pair leaves the scan at its first typical member, so a scan
+    costs what encode's stopping rule needs rather than the whole bin.
+    While at least half the pairs are pending, a window gathers
+    log p(u, v1) for the whole chunk at once; after that, for the pending
+    pairs alone.  Each gather holds about GATHER_BYTES and scores
+    rows with encode's _typical, so the picks are encode's.
     """
-    size = codebook.sequences.shape[0]
+    sequences = codebook.sequences
+    size, n = sequences.shape
+    card_u, card_v1 = tables.p_uv1.shape
     count = v1_all.shape[0]
-    fallback = _fallback_codeword(codebook)
-    selection = np.full((codebook.bin_count, count), fallback, dtype=np.int64)
+    m = codebook.bin_count
+    width = n * card_u
+    row_bytes = n * 8
 
-    # scores (K, S): one pass, then per-bin first-typical lookup
-    log_p = tables.log_p_uv1[codebook.sequences[:, None, :], v1_all[None, :, :]]
-    typical = np.abs(-log_p.mean(axis=2) - tables.h_uv1) <= config.epsilon_typ
-    for j in range(1, codebook.bin_count + 1):
-        members = np.flatnonzero(codebook.bin_index == j)
-        mask = typical[members]                       # (bin size, S)
-        found = mask.any(axis=0)
-        first = mask.argmax(axis=0)
-        selection[j - 1, found] = members[first[found]]
-    return selection
+    # members[j, r]: the r-th codeword of bin j + 1.  Bins one short repeat
+    # their last member, which cannot hit again: a pair reaching the repeat
+    # has found that member atypical already.
+    sizes = np.bincount(codebook.bin_index, minlength=m + 1)[1:]
+    order = np.argsort(codebook.bin_index, kind="stable")
+    ends = np.cumsum(sizes)
+    members = order[np.minimum(ends[:, None] - sizes[:, None] + np.arange(sizes.max()),
+                               ends[:, None] - 1)]
+    columns = np.arange(n) * card_u + sequences     # (K, n): where u_i sits in a row
+    per_state = tables.log_p_uv1.T                   # (v1, u)
+
+    selection = np.full((m, count), _fallback_codeword(codebook), dtype=np.int64)
+    found = np.zeros((m, count), dtype=bool)
+    chunk = max(1, GATHER_BYTES // (m * row_bytes))
+    for lo in range(0, count, chunk):
+        table = per_state[v1_all[lo:lo + chunk]].reshape(-1, width)   # (chunk, n|u|)
+        everyone = m * len(table)
+        bins, states = np.divmod(np.arange(everyone), len(table))
+        rank = 0
+        while bins.size:
+            dense = 2 * bins.size >= everyone
+            span = max(1, GATHER_BYTES // ((everyone if dense else bins.size) * row_bytes))
+            window = members[:, rank:rank + span]
+            if dense:
+                log_p = np.take(table, columns[window], axis=1)   # (chunk, m, w, n)
+                typical = _typical(log_p, tables.h_uv1, config.epsilon_typ
+                                   ).transpose(1, 0, 2)[bins, states]
+            else:
+                flat = columns[window[bins]]
+                flat += (states * width)[:, None, None]
+                typical = _typical(np.take(table, flat), tables.h_uv1, config.epsilon_typ)
+            hit = typical.any(axis=1)
+            picked = (bins[hit], lo + states[hit])
+            selection[picked] = window[bins[hit], typical[hit].argmax(axis=1)]
+            found[picked] = True
+            rank += window.shape[1]
+            keep = ~hit & (rank < sizes[bins])
+            bins, states = bins[keep], states[keep]
+
+    codes = (columns * card_v1)[selection]
+    codes += v1_all
+    return selection, found, codes
 
 
 def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
@@ -264,20 +346,14 @@ def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
     v2 and the input x are marginalized per coordinate.  The wiretapper is
     assumed to know codebook, bins, and fallback rule.
     """
+    _check_enumeration(config)
+    z_seq = np.asarray(z_seq)
+    if z_seq.shape != (config.n,):
+        raise UsageError(f"z sequence must have length {config.n}")
     tables = _Tables(config)
-    _check_enum_cap(config)
     v1_all = _state_sequences(config.model.card_v1, config.n)
-    selection = _selection_table(tables, codebook, config, v1_all)
-    u_selected = codebook.sequences[selection]
-    return _posterior(tables, config, v1_all, u_selected, np.asarray(z_seq))
-
-
-def _check_enum_cap(config: SimConfig) -> None:
-    product = config.model.card_v1 * config.model.card_v2
-    if config.n * math.log2(product) > MAX_STATE_ENUM_BITS + 1e-9:
-        raise UsageError(
-            f"state enumeration needs n*log2(|v1||v2|) <= {MAX_STATE_ENUM_BITS}, "
-            f"got {config.n * math.log2(product):.3f}")
+    _, _, codes = _selection_table(tables, codebook, config, v1_all)
+    return _posterior(tables, codes, z_seq)
 
 
 def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
@@ -298,15 +374,23 @@ def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _posterior(tables: _Tables, config: SimConfig, v1_all: np.ndarray,
-               u_selected: np.ndarray, z_seq: np.ndarray) -> Pmf:
-    if z_seq.shape != (config.n,):
-        raise UsageError(f"z sequence must have length {config.n}")
-    coords = np.arange(config.n)
-    per_coord = tables.log_weight[z_seq]              # (n, card_u, card_v1)
-    loglik = per_coord[coords[None, None, :], u_selected,
-                       v1_all[None, :, :]].sum(axis=2)
-    log_posts = _log_sum_exp(loglik)
+def _posterior(tables: _Tables, codes: np.ndarray, z_seq: np.ndarray) -> Pmf:
+    """Message posterior from the (m, S, n) codes of _selection_table: the
+    log-likelihood of each (message, v1 sequence) sums log w(z_i | u_i, v1_i)
+    over the coordinates, gathered GATHER_BYTES at a time."""
+    weights = tables.log_weight[z_seq].ravel()
+    rows = codes.reshape(-1, codes.shape[2])
+    step = max(1, GATHER_BYTES // (8 * codes.shape[2]))
+    gathered = np.empty((min(step, len(rows)), codes.shape[2]))
+    loglik = np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step]
+        part = gathered[:len(block)]
+        # every code is a valid index, so "clip" never clips; it lets take
+        # write straight into the buffer
+        np.take(weights, block, out=part, mode="clip")
+        part.sum(axis=1, out=loglik[lo:lo + len(block)])
+    log_posts = _log_sum_exp(loglik.reshape(codes.shape[:2]))
     if not np.isfinite(log_posts).any():
         raise UsageError("observed z sequence has zero probability under the model")
     shifted = np.exp(log_posts - log_posts.max())
@@ -367,55 +451,59 @@ def run_experiment(config: SimConfig) -> SimulationReport:
 
     Trial t uses its own generator seeded by (seed, 1, t); the codebook uses
     (seed, 0).  Within a trial the draw order is: state pair sequence,
-    message, encoder input sampling, then channel outputs.
+    message, encoder input sampling, then channel outputs.  The selection
+    table is the encoder: trial t sends the codeword it lists for the
+    trial's (message, v1 sequence).
     """
+    _check_enumeration(config)
     tables = _Tables(config)
-    _check_enum_cap(config)
     codebook = _build_codebook(config, tables)
     v1_all = _state_sequences(config.model.card_v1, config.n)
-    selection = _selection_table(tables, codebook, config, v1_all)
-    u_selected = codebook.sequences[selection]
+    selection, found, codes = _selection_table(tables, codebook, config, v1_all)
 
     model = config.model
+    n, trials = config.n, config.trials
     state_flat = model.state_pmf.table.reshape(-1)
     state_flat = state_flat / state_flat.sum()
-    cv2 = model.card_v2
-    main = model.main_kernel.table     # (x, v1, y)
-    tap = model.wiretap_kernel.table   # (x, v2, z)
-    log_m = math.log2(config.m)
-
-    errors = 0
-    fallbacks = 0
-    equivocations = np.empty(config.trials)
-    for trial in range(config.trials):
+    pairs = np.empty((trials, n), dtype=np.int64)
+    messages = np.empty(trials, dtype=np.int64)
+    draws = np.empty((trials, 3, n))                  # x, y, z in turn
+    for trial in range(trials):
         rng = np.random.default_rng([config.seed, 1, trial])
-        pair = rng.choice(state_flat.size, size=config.n, p=state_flat)
-        v1_seq, v2_seq = pair // cv2, pair % cv2
-        message = int(rng.integers(1, config.m + 1))
-        u_seq, x_seq, fell_back = _encode(tables, codebook, config, message,
-                                          v1_seq, rng)
-        fallbacks += fell_back
+        pairs[trial] = rng.choice(state_flat.size, size=n, p=state_flat)
+        messages[trial] = rng.integers(1, config.m + 1)
+        draws[trial] = rng.random((3, n))
 
-        y_probs = main[x_seq, v1_seq]
-        y_seq = (y_probs.cumsum(axis=1) < rng.random((config.n, 1))).sum(axis=1)
-        z_probs = tap[x_seq, v2_seq]
-        z_seq = (z_probs.cumsum(axis=1) < rng.random((config.n, 1))).sum(axis=1)
+    v1, v2 = np.divmod(pairs, model.card_v2)
+    states = v1 @ model.card_v1 ** np.arange(n - 1, -1, -1)
+    sent = (messages - 1, states)
+    u = codebook.sequences[selection[sent]]
+    x = _sample(tables.x_dist[u, v1], draws[:, 0])
+    y = _sample(model.main_kernel.table[x, v1], draws[:, 1])
+    z = _sample(model.wiretap_kernel.table[x, v2], draws[:, 2])
 
-        decoded = _decode(tables, codebook, config, y_seq)
-        errors += decoded != message
-        posterior = _posterior(tables, config, v1_all, u_selected, z_seq)
-        equivocations[trial] = _entropy_bits(posterior.probs) / log_m
+    # decode and posterior are functions of the observation alone, so each
+    # distinct y and z row is evaluated once; a failed decode (None) reads
+    # as message 0, which is never sent
+    y_rows, y_of = np.unique(y, axis=0, return_inverse=True)
+    decoded = np.array([_decode(tables, codebook, config, row) or 0 for row in y_rows])
+    errors = int(np.count_nonzero(decoded[y_of.reshape(-1)] != messages))
+    z_rows, z_of = np.unique(z, axis=0, return_inverse=True)
+    entropies = np.array([_entropy_bits(_posterior(tables, codes, row).probs)
+                          for row in z_rows])
+    equivocations = entropies[z_of.reshape(-1)] / math.log2(config.m)
+    fallbacks = int(np.count_nonzero(~found[sent]))
 
     return SimulationReport(
-        pe=errors / config.trials,
-        pe_ci95=_wilson(errors, config.trials),
+        pe=errors / trials,
+        pe_ci95=_wilson(errors, trials),
         d=float(equivocations.mean()),
-        trials=config.trials,
-        n=config.n,
+        trials=trials,
+        n=n,
         m=config.m,
         rate=config.rate,
         theoretical=rate_triplet(config.model, config.policy),
-        fallback_rate=fallbacks / config.trials,
+        fallback_rate=fallbacks / trials,
         equivocation_min=float(equivocations.min()),
         equivocation_max=float(equivocations.max()),
         seed=config.seed,

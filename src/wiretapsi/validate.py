@@ -18,8 +18,10 @@ from . import gaussian, reference
 from .discrete import rate_triplet
 from .errors import DegenerateGeometryError
 from .probability import Pmf
-from .simulator import (SimConfig, build_codebook, eavesdropper_posterior,
-                        encode, run_experiment)
+# encode is not called here, but bench/spans.py times it under this
+# module's name as well
+from .simulator import (SimConfig, _encode, _Tables, build_codebook,  # noqa: F401
+                        eavesdropper_posterior, encode, run_experiment)
 
 MI_AGREEMENT_TOL = 1e-6
 ALPHA_AGREEMENT_TOL = 1e-3
@@ -205,9 +207,8 @@ def brute_force_posterior(codebook, config: SimConfig, z_seq: np.ndarray) -> Pmf
 
     The codeword choice in encode() is deterministic, so only its sampled x
     output is discarded; the input law is enumerated explicitly instead.
+    The tables are built once and shared by every encoder call.
     """
-    from .simulator import _Tables
-
     model = config.model
     n = config.n
     state = model.state_pmf.table
@@ -217,8 +218,8 @@ def brute_force_posterior(codebook, config: SimConfig, z_seq: np.ndarray) -> Pmf
     for v1_tuple in product(range(model.card_v1), repeat=n):
         v1_seq = np.array(v1_tuple)
         for j in range(1, codebook.bin_count + 1):
-            u_seq, _, _ = encode(codebook, config, j, v1_seq,
-                                 np.random.default_rng(0))
+            u_seq, _, _ = _encode(tables, codebook, config, j, v1_seq,
+                                  np.random.default_rng(0))
             for v2_tuple in product(range(model.card_v2), repeat=n):
                 prior = math.prod(state[v1_tuple[i], v2_tuple[i]] for i in range(n))
                 if prior == 0.0:

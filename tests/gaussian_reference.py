@@ -3,7 +3,8 @@
 These references compute every quantity with scalar arithmetic, one
 covariance per alpha, as the toolkit did before it evaluated alpha stacks.
 The tests require the stacked code to reproduce them bit for bit, errors
-included.
+included.  Like the stack, they raise OverflowError where a covariance entry
+or a determinant overflows.
 """
 
 import math
@@ -40,7 +41,10 @@ def reference_covariance_scalar(params, alpha):
         [1.0, 1.0, 0.0, 1.0, 0.0],
         [1.0, 0.0, 1.0, 0.0, 1.0],
     ])
-    cov = mix @ base @ mix.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = mix @ base @ mix.T
+    if not np.isfinite(cov).all():
+        raise OverflowError("covariance overflows")
     cov = 0.5 * (cov + cov.T)
     floor = -1e-9 * max(1.0, float(np.max(np.diag(cov))))
     if float(np.linalg.eigvalsh(cov).min()) < floor:
@@ -55,7 +59,10 @@ def reference_oracle_mi(cov, group_a, group_b):
     sig_a = joint[: len(ia), : len(ia)]
     sig_b = joint[len(ia):, len(ia):]
     scale = max(1.0, float(joint.diagonal().max()))
-    det_a, det_b, det_j = (float(np.linalg.det(m)) for m in (sig_a, sig_b, joint))
+    with np.errstate(over="ignore"):
+        det_a, det_b, det_j = (float(np.linalg.det(m)) for m in (sig_a, sig_b, joint))
+    if math.isinf(det_a) or math.isinf(det_b) or math.isinf(det_j):
+        raise OverflowError("covariance determinant overflows")
     safe = 1e-9 * scale
     if det_a > safe ** len(ia) and det_b > safe ** len(ib) and det_j > safe ** len(ia + ib):
         value = 0.5 * (math.log(det_a) + math.log(det_b) - math.log(det_j)) / math.log(2.0)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,59 @@ def test_cli_import_leaves_scipy_out():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="thread count read from /proc/self/status")
+def test_wiretapsi_threads_caps_blas_before_numpy_loads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["wiretapsi.cli"].__file__)))
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(PYTHONPATH=src, WIRETAPSI_THREADS="1")
+    probe = ("import os, wiretapsi.cli\n"
+             "threads = [line.split()[1] for line in open('/proc/self/status')\n"
+             "           if line.startswith('Threads:')]\n"
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), threads[0])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["1", "1"]
+
+
+def _config_exit(tmp_path, capsys, argv, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,doc,message", [
+    (["discrete-region"], {"n_random": "5"}, "'n_random' must be int"),
+    (["discrete-region"], {"model": 3}, "'model' must be str"),
+    (["discrete-region"], {"mode": "v2"}, "'mode' must be one of"),
+    (["gaussian-scan"], {"step": "a"}, "'step' must be float"),
+    (["gaussian-scan"], {"p": True}, "'p' must be float"),
+    (["gaussian-region"], {"grid_size": 16.0}, "'grid_size' must be int"),
+    (["gaussian-region"], {"case": 1}, "'case' must be str"),
+    (["simulate"], {"seed": "1"}, "'seed' must be int"),
+    (["simulate"], {"dump_codebook": 1}, "'dump_codebook' must be bool"),
+    (["validate"], {"seed": True}, "'seed' must be int"),
+])
+def test_config_values_of_the_wrong_type_exit_two(tmp_path, capsys, argv, doc, message):
+    code, err = _config_exit(tmp_path, capsys, argv, doc)
+    assert code == 2
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
+def test_config_accepts_an_int_for_a_float_and_null_for_a_none_default(
+        tmp_path, capsys, sim_file):
+    code, _ = _config_exit(tmp_path, capsys, ["gaussian-scan"], {"step": 1, "p": 2})
+    assert code == 0
+    settings = json.loads((tmp_path / "o" / "manifest.json").read_text())["settings"]
+    assert settings["step"] == 1 and isinstance(settings["step"], int)
+    code, _ = _config_exit(tmp_path, capsys, ["simulate"],
+                           {"seed": None, "sim_config": str(sim_file)})
+    assert code == 0
+
+
 def test_degenerate_geometry_surfaces_expression(tmp_path, capsys):
     # Case II thresholds with n1 far above n2 have no real solution
     assert main(["gaussian-region", "--case", "2", "--q", "1.0",
@@ -278,9 +332,14 @@ def test_argparse_usage_failure():
     ["gaussian-scan", "--step", "1e-9"],
     ["gaussian-region", "--grid", "1000000000"],
     ["gaussian-scan", "--p", "1e300"],
+    ["gaussian-scan", "--q1", "1e300"],                    # determinant overflow
+    ["gaussian-scan", "--alpha-min", "1e300", "--alpha-max", "1e300"],   # covariance overflow
+    ["gaussian-region", "--n1", "1e-300", "--p", "1e9"],   # p / n1 overflows
 ])
 def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no numpy warning on the way
+        assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
@@ -350,12 +409,18 @@ def test_gaussian_flags_match_the_one_alpha_reference(case):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, tempfile.TemporaryDirectory() as ref, \
             contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        code = main(argv + ["--out", os.path.join(out, "o")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--out", os.path.join(out, "o")])
         assert code == reference_exit(subcommand, flags, ref)
         for name in os.listdir(ref):
             with open(os.path.join(out, "o", name), "rb") as got, \
                     open(os.path.join(ref, name), "rb") as expected:
                 assert got.read() == expected.read(), name
-    assert "Traceback" not in err.getvalue()
+    # what a shell user sees: numpy's warnings, then the program's own lines
+    stderr = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                     for w in caught) + err.getvalue()
+    assert stderr == "" or stderr.startswith("error:"), stderr
+    assert "Traceback" not in stderr
     if code == 2:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -524,3 +525,23 @@ def test_point_caps_refuse_before_any_work(monkeypatch):
         _region("CaseI", case1_params(0.5, 1.0, 0.25, 1.0), 0.5, 0.25,
                 case1_thresholds(1.0, 0.25, 1.0), 10**9)
     assert len(gaussian.scan_alphas(-2.0, 2.0, 4.0 / (gaussian.POINT_CAP - 2))) < gaussian.POINT_CAP
+
+
+def test_an_overflowing_determinant_raises_without_a_warning():
+    # det(u, y) = 1e310 overflows while its threshold (1e-9 * 1e155)^2 does
+    # not, so only the explicit check stands between it and an MI of -inf
+    stack = np.diag([1e155, 1.0, 1.0, 1e155, 1.0])[None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="determinant"):
+            oracle_mi(stack[0], ("u",), ("y",))
+
+
+def test_an_overflowing_covariance_raises_without_a_warning():
+    params = GaussianWiretapParams(1.0, 1.0, 1.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError, match="covariance overflows"):
+            gaussian.mi_stack(params, [0.0, 1e300], ("z",))
+        with pytest.raises(OverflowError, match="covariance overflows"):
+            joint_covariance(params, 1e300)

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,9 +19,13 @@ from wiretapsi import (
     rate_triplet,
     run_experiment,
 )
+from wiretapsi import simulator, validate
+from wiretapsi.cli import main
 from wiretapsi.discrete import AuxiliaryPolicy
+from wiretapsi.modelio import model_to_dict, policy_to_dict, write_json
 from wiretapsi.probability import JointPmf, TransitionKernel
-from wiretapsi.simulator import _log_sum_exp
+from wiretapsi.simulator import (_build_codebook, _log_sum_exp, _posterior,
+                                 _selection_table, _state_sequences, _Tables)
 from wiretapsi.reference import (
     bsc,
     constant_wiretap_instance,
@@ -32,6 +38,11 @@ from conftest import (
     brute_force_posterior,
     first_typical_replica,
     make_correlated_sim_instance,
+)
+from simulator_reference import (
+    reference_posterior,
+    reference_run_experiment,
+    reference_selection_table,
 )
 
 
@@ -361,3 +372,176 @@ def test_state_enumeration_cap(posterior_model):
     book = build_codebook(book_config)
     with pytest.raises(UsageError, match="state enumeration"):
         eavesdropper_posterior(book, config, np.zeros(11, dtype=int))
+
+
+def _report_bytes(report, path):
+    write_json(str(path), report.to_dict())
+    return path.read_bytes()
+
+
+def _fixture(name):
+    if name == "trend":
+        return trend_instance()
+    if name == "constant":
+        return constant_wiretap_instance()
+    if name == "correlated":
+        return make_correlated_sim_instance()
+    model = stateless_model(bsc(0.05), bsc(0.2))
+    return model, uniform_input_policy(model)
+
+
+STREAMED_CONFIGS = [
+    ("trend", 8, 0.25, 0.45, 120, 0),
+    ("trend", 10, 0.25, 0.45, 60, 1),
+    ("trend", 12, 0.17, 0.45, 20, 2),
+    ("trend", 10, 0.3, 0.45, 40, 3),        # 8 bins, a third of the trials fall back
+    ("trend", 9, 0.23, 0.02, 30, 4),        # every bin falls back
+    ("constant", 10, 0.25, 0.45, 50, 5),
+    ("bsc", 12, 0.25, 0.1, 80, 6),
+    ("correlated", 4, 0.3, 0.25, 40, 7),
+]
+
+
+@pytest.mark.parametrize("name,n,rate,eps,trials,seed", STREAMED_CONFIGS)
+def test_streamed_report_is_byte_identical_to_the_per_trial_reference(
+        tmp_path, name, n, rate, eps, trials, seed):
+    model, policy = _fixture(name)
+    config = SimConfig(model=model, policy=policy, n=n, rate=rate,
+                       epsilon_typ=eps, trials=trials, seed=seed)
+    got = _report_bytes(run_experiment(config), tmp_path / "got.json")
+    want = _report_bytes(reference_run_experiment(config), tmp_path / "want.json")
+    assert got == want
+
+
+def _tables_and_book(name, n, rate, eps, seed):
+    model, policy = _fixture(name)
+    config = SimConfig(model=model, policy=policy, n=n, rate=rate,
+                       epsilon_typ=eps, trials=1, seed=seed)
+    tables = _Tables(config)
+    return config, tables, _build_codebook(config, tables)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 300, 5000])
+@pytest.mark.parametrize("name,n,rate,eps,seed", [
+    ("trend", 10, 0.3, 0.45, 3),            # hits and fallbacks, bins of 2 and 1
+    ("trend", 12, 0.17, 0.45, 2),           # bins of 5 to 6 members
+    ("trend", 9, 0.23, 0.02, 4),            # nothing typical anywhere
+    ("correlated", 4, 0.3, 0.25, 7),
+])
+def test_selection_in_small_chunks_matches_the_whole_gather(
+        monkeypatch, chunk_bytes, name, n, rate, eps, seed):
+    # a tiny gather budget forces many state chunks and rank windows, and
+    # both the whole-chunk and the pending-pair gathers
+    config, tables, book = _tables_and_book(name, n, rate, eps, seed)
+    v1_all = _state_sequences(config.model.card_v1, config.n)
+    want_selection, want_found = reference_selection_table(tables, book, config, v1_all)
+    monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
+    selection, found, codes = _selection_table(tables, book, config, v1_all)
+    np.testing.assert_array_equal(selection, want_selection)
+    np.testing.assert_array_equal(found, want_found)
+    u_sel = book.sequences[want_selection]
+    card_u, card_v1 = tables.p_uv1.shape
+    np.testing.assert_array_equal(
+        codes, (np.arange(config.n) * card_u + u_sel) * card_v1 + v1_all)
+
+
+def test_small_chunk_reports_match_the_reference(monkeypatch, tmp_path):
+    model, policy = trend_instance()
+    config = SimConfig(model=model, policy=policy, n=10, rate=0.3,
+                       epsilon_typ=0.45, trials=40, seed=3)
+    want = _report_bytes(reference_run_experiment(config), tmp_path / "want.json")
+    monkeypatch.setattr(simulator, "GATHER_BYTES", 200)
+    assert _report_bytes(run_experiment(config), tmp_path / "got.json") == want
+
+
+def test_selection_is_the_encoder(biased_encoder):
+    # every (message, v1 sequence) entry is what the public per-bin scan picks
+    model, policy = biased_encoder
+    for seed in (0, 2, 3, 9):
+        config = SimConfig(model=model, policy=policy, n=4, rate=0.3,
+                           epsilon_typ=0.25, trials=1, seed=seed)
+        tables = _Tables(config)
+        book = _build_codebook(config, tables)
+        v1_all = _state_sequences(2, 4)
+        selection, found, _ = _selection_table(tables, book, config, v1_all)
+        for j in range(book.bin_count):
+            for s, v1_seq in enumerate(v1_all):
+                u_seq, _, fell_back = encode(book, config, j + 1, v1_seq,
+                                             np.random.default_rng(0))
+                np.testing.assert_array_equal(u_seq, book.sequences[selection[j, s]])
+                assert fell_back == (not found[j, s])
+
+
+def test_posterior_from_codes_equals_the_reference_bit_for_bit(posterior_model):
+    model, policy = posterior_model
+    config = SimConfig(model=model, policy=policy, n=3, rate=0.4,
+                       epsilon_typ=0.05, trials=1, seed=9)
+    tables = _Tables(config)
+    book = _build_codebook(config, tables)
+    v1_all = _state_sequences(2, 3)
+    selection, _ = reference_selection_table(tables, book, config, v1_all)
+    _, _, codes = _selection_table(tables, book, config, v1_all)
+    for z in itertools.product(range(2), repeat=3):
+        z_seq = np.array(z)
+        want = reference_posterior(tables, config, v1_all, book.sequences[selection], z_seq)
+        np.testing.assert_array_equal(_posterior(tables, codes, z_seq).probs, want.probs)
+        np.testing.assert_array_equal(
+            eavesdropper_posterior(book, config, z_seq).probs, want.probs)
+
+
+def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
+    model, policy = trend_instance()
+    config = SimConfig(model=model, policy=policy, n=8, rate=0.25,
+                       epsilon_typ=0.45, trials=3, seed=0)
+    need = config.m * 2 ** 8 * (8 + 1 + 8 * 8)
+    monkeypatch.setattr(simulator, "BYTE_BUDGET", need)
+    run_experiment(config)                               # exactly at the budget
+    monkeypatch.setattr(simulator, "BYTE_BUDGET", need - 1)
+
+    def no_codebook(*args):
+        raise AssertionError("codebook built before the budget check")
+
+    monkeypatch.setattr(simulator, "_build_codebook", no_codebook)
+    with pytest.raises(UsageError, match="budget"):
+        run_experiment(config)
+    with pytest.raises(UsageError, match="budget"):
+        eavesdropper_posterior(None, config, np.zeros(8, dtype=int))
+
+
+def test_over_budget_simulation_exits_two_before_allocating(tmp_path, capsys):
+    # n=16 at rate 0.75 gives 4096 messages over 65,536 state sequences:
+    # about 2 GiB of selection and 32 GiB of codes
+    model, policy = trend_instance()
+    (tmp_path / "model.json").write_text(json.dumps(model_to_dict(model)))
+    (tmp_path / "policy.json").write_text(json.dumps(policy_to_dict(policy)))
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({
+        "model_file": "model.json", "policy_file": "policy.json",
+        "n": 16, "rate": 0.75, "epsilon_typ": 0.01, "trials": 1, "seed": 0}))
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--sim-config", str(sim), "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err
+    assert peak < 16 * 2 ** 20
+
+
+def test_brute_force_posterior_builds_its_tables_once(monkeypatch):
+    model, policy = trend_instance()
+    config = SimConfig(model=model, policy=policy, n=3, rate=0.4,
+                       epsilon_typ=0.45, trials=1, seed=5)
+    book = build_codebook(config)
+    built = []
+
+    class Counted(_Tables):
+        def __init__(self, config):
+            built.append(config)
+            super().__init__(config)
+
+    monkeypatch.setattr(validate, "_Tables", Counted)
+    validate.brute_force_posterior(book, config, np.array([0, 1, 0]))
+    assert len(built) == 1
