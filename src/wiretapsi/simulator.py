@@ -15,12 +15,14 @@ BYTE_BUDGET, bounds what a run holds whole: the (m, S) selection and found
 tables and the (m, S, n) posterior codes (m messages, S = |V1|^N state
 sequences).  It is checked before anything is allocated; a run over it is
 refused with a UsageError.  Everything else is streamed in steps that gather
-at most about GATHER_BYTES.
+at most about GATHER_BYTES, trials included; beyond the budget, a run keeps
+one float per trial, the equivocations whose mean it reports.
 
 _selection_table replays the encoder for every (message, v1 sequence) pair,
 a chunk of v1 sequences at a time, each pair stopping at its bin's first
 typical member.  That table is the encoder: each trial draws its states,
 message and uniforms from its own generator and sends the listed codeword.
+Decode and posterior then run once per distinct observation of a block.
 The posterior of an observation z gathers log w(z_i | u_i, v1_i) through
 the precomputed codes and sums it per pair.  The public encode keeps its own
 per-bin scan; it is the second path that validate's brute-force posterior
@@ -281,10 +283,9 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig,
     scanned in index order, a window of ranks at a time, and a (bin,
     sequence) pair leaves the scan at its first typical member, so a scan
     costs what encode's stopping rule needs rather than the whole bin.
-    While at least half the pairs are pending, a window gathers
-    log p(u, v1) for the whole chunk at once; after that, for the pending
-    pairs alone.  Each gather holds about GATHER_BYTES and scores
-    rows with encode's _typical, so the picks are encode's.
+    A window gathers log p(u, v1) for the pending pairs alone, about
+    GATHER_BYTES at a time, and scores rows with encode's _typical, so the
+    picks are encode's.
     """
     sequences = codebook.sequences
     size, n = sequences.shape
@@ -310,21 +311,13 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig,
     chunk = max(1, GATHER_BYTES // (m * row_bytes))
     for lo in range(0, count, chunk):
         table = per_state[v1_all[lo:lo + chunk]].reshape(-1, width)   # (chunk, n|u|)
-        everyone = m * len(table)
-        bins, states = np.divmod(np.arange(everyone), len(table))
+        bins, states = np.divmod(np.arange(m * len(table)), len(table))
         rank = 0
         while bins.size:
-            dense = 2 * bins.size >= everyone
-            span = max(1, GATHER_BYTES // ((everyone if dense else bins.size) * row_bytes))
-            window = members[:, rank:rank + span]
-            if dense:
-                log_p = np.take(table, columns[window], axis=1)   # (chunk, m, w, n)
-                typical = _typical(log_p, tables.h_uv1, config.epsilon_typ
-                                   ).transpose(1, 0, 2)[bins, states]
-            else:
-                flat = columns[window[bins]]
-                flat += (states * width)[:, None, None]
-                typical = _typical(np.take(table, flat), tables.h_uv1, config.epsilon_typ)
+            window = members[:, rank:rank + max(1, GATHER_BYTES // (bins.size * row_bytes))]
+            flat = columns[window[bins]]                     # (pending, w, n)
+            flat += (states * width)[:, None, None]
+            typical = _typical(np.take(table, flat), tables.h_uv1, config.epsilon_typ)
             hit = typical.any(axis=1)
             picked = (bins[hit], lo + states[hit])
             selection[picked] = window[bins[hit], typical[hit].argmax(axis=1)]
@@ -453,7 +446,8 @@ def run_experiment(config: SimConfig) -> SimulationReport:
     (seed, 0).  Within a trial the draw order is: state pair sequence,
     message, encoder input sampling, then channel outputs.  The selection
     table is the encoder: trial t sends the codeword it lists for the
-    trial's (message, v1 sequence).
+    trial's (message, v1 sequence).  Trials run in blocks of about
+    GATHER_BYTES; only their equivocations are kept whole, for the mean.
     """
     _check_enumeration(config)
     tables = _Tables(config)
@@ -463,36 +457,27 @@ def run_experiment(config: SimConfig) -> SimulationReport:
 
     model = config.model
     n, trials = config.n, config.trials
-    state_flat = model.state_pmf.table.reshape(-1)
-    state_flat = state_flat / state_flat.sum()
-    pairs = np.empty((trials, n), dtype=np.int64)
-    messages = np.empty(trials, dtype=np.int64)
-    draws = np.empty((trials, 3, n))                  # x, y, z in turn
-    for trial in range(trials):
-        rng = np.random.default_rng([config.seed, 1, trial])
-        pairs[trial] = rng.choice(state_flat.size, size=n, p=state_flat)
-        messages[trial] = rng.integers(1, config.m + 1)
-        draws[trial] = rng.random((3, n))
-
-    v1, v2 = np.divmod(pairs, model.card_v2)
-    states = v1 @ model.card_v1 ** np.arange(n - 1, -1, -1)
-    sent = (messages - 1, states)
-    u = codebook.sequences[selection[sent]]
-    x = _sample(tables.x_dist[u, v1], draws[:, 0])
-    y = _sample(model.main_kernel.table[x, v1], draws[:, 1])
-    z = _sample(model.wiretap_kernel.table[x, v2], draws[:, 2])
-
-    # decode and posterior are functions of the observation alone, so each
-    # distinct y and z row is evaluated once; a failed decode (None) reads
-    # as message 0, which is never sent
-    y_rows, y_of = np.unique(y, axis=0, return_inverse=True)
-    decoded = np.array([_decode(tables, codebook, config, row) or 0 for row in y_rows])
-    errors = int(np.count_nonzero(decoded[y_of.reshape(-1)] != messages))
-    z_rows, z_of = np.unique(z, axis=0, return_inverse=True)
-    entropies = np.array([_entropy_bits(_posterior(tables, codes, row).probs)
-                          for row in z_rows])
-    equivocations = entropies[z_of.reshape(-1)] / math.log2(config.m)
-    fallbacks = int(np.count_nonzero(~found[sent]))
+    log_m = math.log2(config.m)
+    # per trial: n-long rows of states, uniforms, v1, v2, u, x, y and z, and
+    # the (n, card) probabilities and sums that _sample builds
+    card = max(model.card_x, model.card_y, model.card_z)
+    block = max(1, GATHER_BYTES // (8 * n * (10 + 2 * card)))
+    errors = fallbacks = 0
+    equivocations = np.empty(trials)
+    for lo in range(0, trials, block):
+        messages, fell_back, y, z = _trial_block(
+            tables, codebook, config, selection, found, lo, min(block, trials - lo))
+        fallbacks += int(np.count_nonzero(fell_back))
+        # decode and posterior are functions of the observation alone, so
+        # each distinct y and z row of a block is evaluated once; a failed
+        # decode (None) reads as message 0, which is never sent
+        y_rows, y_of = np.unique(y, axis=0, return_inverse=True)
+        decoded = np.array([_decode(tables, codebook, config, row) or 0 for row in y_rows])
+        errors += int(np.count_nonzero(decoded[y_of.reshape(-1)] != messages))
+        z_rows, z_of = np.unique(z, axis=0, return_inverse=True)
+        entropies = np.array([_entropy_bits(_posterior(tables, codes, row).probs)
+                              for row in z_rows])
+        equivocations[lo:lo + len(messages)] = entropies[z_of.reshape(-1)] / log_m
 
     return SimulationReport(
         pe=errors / trials,
@@ -508,3 +493,30 @@ def run_experiment(config: SimConfig) -> SimulationReport:
         equivocation_max=float(equivocations.max()),
         seed=config.seed,
     )
+
+
+def _trial_block(tables: _Tables, codebook: Codebook, config: SimConfig,
+                 selection: np.ndarray, found: np.ndarray, first: int, count: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Trials first .. first + count - 1: their messages, fallback flags and
+    (count, n) channel outputs y and z."""
+    model = config.model
+    n = config.n
+    state_flat = model.state_pmf.table.reshape(-1)
+    state_flat = state_flat / state_flat.sum()
+    pairs = np.empty((count, n), dtype=np.int64)
+    messages = np.empty(count, dtype=np.int64)
+    draws = np.empty((count, 3, n))                   # x, y, z in turn
+    for k in range(count):
+        rng = np.random.default_rng([config.seed, 1, first + k])
+        pairs[k] = rng.choice(state_flat.size, size=n, p=state_flat)
+        messages[k] = rng.integers(1, config.m + 1)
+        draws[k] = rng.random((3, n))
+
+    v1, v2 = np.divmod(pairs, model.card_v2)
+    sent = (messages - 1, v1 @ model.card_v1 ** np.arange(n - 1, -1, -1))
+    u = codebook.sequences[selection[sent]]
+    x = _sample(tables.x_dist[u, v1], draws[:, 0])
+    y = _sample(model.main_kernel.table[x, v1], draws[:, 1])
+    z = _sample(model.wiretap_kernel.table[x, v2], draws[:, 2])
+    return messages, ~found[sent], y, z

@@ -430,8 +430,7 @@ def _tables_and_book(name, n, rate, eps, seed):
 ])
 def test_selection_in_small_chunks_matches_the_whole_gather(
         monkeypatch, chunk_bytes, name, n, rate, eps, seed):
-    # a tiny gather budget forces many state chunks and rank windows, and
-    # both the whole-chunk and the pending-pair gathers
+    # a tiny gather budget forces many state chunks and rank windows
     config, tables, book = _tables_and_book(name, n, rate, eps, seed)
     v1_all = _state_sequences(config.model.card_v1, config.n)
     want_selection, want_found = reference_selection_table(tables, book, config, v1_all)
@@ -445,13 +444,33 @@ def test_selection_in_small_chunks_matches_the_whole_gather(
         codes, (np.arange(config.n) * card_u + u_sel) * card_v1 + v1_all)
 
 
-def test_small_chunk_reports_match_the_reference(monkeypatch, tmp_path):
+@pytest.mark.parametrize("chunk_bytes", [200, 7000])
+def test_small_chunk_reports_match_the_reference(monkeypatch, tmp_path, chunk_bytes):
+    # 200 bytes runs one trial per block, 7000 six, the last block four
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=10, rate=0.3,
                        epsilon_typ=0.45, trials=40, seed=3)
     want = _report_bytes(reference_run_experiment(config), tmp_path / "want.json")
-    monkeypatch.setattr(simulator, "GATHER_BYTES", 200)
+    monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
     assert _report_bytes(run_experiment(config), tmp_path / "got.json") == want
+
+
+def test_trial_memory_does_not_grow_with_the_trial_count(monkeypatch):
+    # trials run in blocks, so ten times the trials adds only the one
+    # equivocation each trial keeps for the mean
+    model, policy = trend_instance()
+    monkeypatch.setattr(simulator, "GATHER_BYTES", 2 ** 14)
+    peaks = []
+    for trials in (100, 1000):
+        config = SimConfig(model=model, policy=policy, n=8, rate=0.25,
+                           epsilon_typ=0.45, trials=trials, seed=0)
+        tracemalloc.start()
+        try:
+            run_experiment(config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 900 * 8 + 2 ** 16
 
 
 def test_selection_is_the_encoder(biased_encoder):
