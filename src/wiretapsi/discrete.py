@@ -136,6 +136,8 @@ class SearchConfig:
             raise UsageError(f"unknown search mode {self.mode!r}")
         if self.curve_points < 2:
             raise UsageError("curve_points must be at least 2")
+        if self.seed < 0:
+            raise UsageError("seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True)
@@ -151,7 +153,12 @@ class RegionPointSet:
 
     points: tuple[RegionPoint, ...]
     policies: dict[int, AuxiliaryPolicy]
-    max_r_u1: float
+    summary: dict             # search_summary of the same search
+
+    @property
+    def max_r_u1(self) -> float:
+        """Largest r_u1 on the curve: the summary's secrecy rate."""
+        return self.summary["secrecy_rate"]
 
     def contains(self, r: float, d: float, tol: float = 1e-12) -> bool:
         """True when (r, d) is dominated by some stored point."""
@@ -160,14 +167,12 @@ class RegionPointSet:
         return any(r <= p.r + tol and d <= p.d + tol for p in self.points)
 
 
-def _check_policy_bound(model: DiscreteWiretapModel, policy: AuxiliaryPolicy) -> None:
+def _check_policy(model: DiscreteWiretapModel, policy: AuxiliaryPolicy) -> None:
+    """The policy's alphabets must be the model's, its u within the bound."""
     if policy.u_card > model.u_card_bound:
         raise UsageError(
             f"auxiliary cardinality {policy.u_card} exceeds the bound "
             f"{model.u_card_bound} for this model")
-
-
-def _policy_card_check(model: DiscreteWiretapModel, policy: AuxiliaryPolicy) -> None:
     cards = dict(policy.table.input_axes)
     if cards["v1"] != model.card_v1 or cards["v2"] != model.card_v2:
         raise UsageError("policy state cardinalities do not match the model")
@@ -187,8 +192,7 @@ def _triplet_from_profile(mi_uy: float, mi_uv: float, mi_uz: float) -> RateTripl
 
 def rate_triplet(model: DiscreteWiretapModel, policy: AuxiliaryPolicy) -> RateTriplet:
     """Evaluate one policy; r_u1 may be negative and is returned as is."""
-    _check_policy_bound(model, policy)
-    _policy_card_check(model, policy)
+    _check_policy(model, policy)
     joint = compose(model.state_pmf, policy.table, model.main_kernel, model.wiretap_kernel)
     return _triplet_from_profile(mutual_information(joint, ("u",), ("y",)),
                                  mutual_information(joint, ("u",), ("v1", "v2")),
@@ -308,10 +312,35 @@ def _best(values) -> tuple[float, int]:
     return (float(values[pid]), pid) if values[pid] > 0.0 else (0.0, -1)
 
 
+def _summary(mi: np.ndarray, mi_v1: np.ndarray) -> dict:
+    """Every searched result from the profile rows of the search's stream and
+    of the 'v1' stream, which holds the capacity; a result of one stream
+    alone takes its rows for both.  Ties keep the first policy id."""
+    rate = _best([_triplet_from_profile(*row[:3]).r_u1 for row in mi.tolist()])
+    state, capacity = (_best(rows[:, 0] - rows[:, 3]) for rows in (mi, mi_v1))
+    tap = _best(mi[:, 0] - mi[:, 2])
+    return {
+        "secrecy_rate": rate[0],
+        "secrecy_upper_bound": min(state[0], tap[0]),
+        "main_channel_capacity": capacity[0],
+        "best_policies": {"secrecy_rate": rate[1], "state_bound": state[1],
+                          "wiretap_bound": tap[1], "main_channel_capacity": capacity[1]},
+    }
+
+
+def _v1_profiles(model: DiscreteWiretapModel, search: SearchConfig,
+                 mi: np.ndarray | None = None) -> np.ndarray:
+    """Rows of the 'v1' stream of the search's budget: mi, the rows of the
+    search's own stream, when that is the 'v1' stream, else a sweep of it."""
+    if search.mode == "v1" and mi is not None:
+        return mi
+    return _profiles(model, dataclasses.replace(search, mode="v1"))
+
+
 def secrecy_rate(model: DiscreteWiretapModel, search: SearchConfig) -> float:
     """Largest max(r_u1, 0) over the searched policies."""
-    return _best([_triplet_from_profile(*row[:3]).r_u1
-                  for row in _profiles(model, search).tolist()])[0]
+    mi = _profiles(model, search)
+    return _summary(mi, mi)["secrecy_rate"]
 
 
 def secrecy_upper_bound(model: DiscreteWiretapModel, search: SearchConfig) -> float:
@@ -322,7 +351,7 @@ def secrecy_upper_bound(model: DiscreteWiretapModel, search: SearchConfig) -> fl
     This keeps secrecy_rate <= secrecy_upper_bound for any matched budget.
     """
     mi = _profiles(model, search)
-    return min(_best(mi[:, 0] - mi[:, 3])[0], _best(mi[:, 0] - mi[:, 2])[0])
+    return _summary(mi, mi)["secrecy_upper_bound"]
 
 
 def main_channel_capacity(model: DiscreteWiretapModel, search: SearchConfig) -> float:
@@ -331,8 +360,8 @@ def main_channel_capacity(model: DiscreteWiretapModel, search: SearchConfig) -> 
     The conditioning is forced to the encoder-visible state regardless of
     search.mode, matching the interference-cancellation capacity target.
     """
-    mi = _profiles(model, dataclasses.replace(search, mode="v1"))
-    return _best(mi[:, 0] - mi[:, 3])[0]
+    mi = _v1_profiles(model, search)
+    return _summary(mi, mi)["main_channel_capacity"]
 
 
 def search_summary(model: DiscreteWiretapModel, search: SearchConfig) -> dict:
@@ -342,27 +371,13 @@ def search_summary(model: DiscreteWiretapModel, search: SearchConfig) -> dict:
     give identical ids.
     """
     mi = _profiles(model, search)
-    mi_v1 = mi if search.mode == "v1" else _profiles(model, dataclasses.replace(search, mode="v1"))
-    best_rate, best_rate_id = _best([_triplet_from_profile(*row[:3]).r_u1 for row in mi.tolist()])
-    against_state, against_state_id = _best(mi[:, 0] - mi[:, 3])
-    against_tap, against_tap_id = _best(mi[:, 0] - mi[:, 2])
-    capacity, capacity_id = _best(mi_v1[:, 0] - mi_v1[:, 3])
-    return {
-        "secrecy_rate": best_rate,
-        "secrecy_upper_bound": min(against_state, against_tap),
-        "main_channel_capacity": capacity,
-        "best_policies": {
-            "secrecy_rate": best_rate_id,
-            "state_bound": against_state_id,
-            "wiretap_bound": against_tap_id,
-            "main_channel_capacity": capacity_id,
-        },
-    }
+    return _summary(mi, _v1_profiles(model, search, mi))
 
 
 def achievable_points(model: DiscreteWiretapModel,
                       search: SearchConfig) -> RegionPointSet:
-    """Sample the achievable region: per-policy curve R*d = r_u1 plus endpoints.
+    """Sample the achievable region: per-policy curve R*d = r_u1 plus endpoints,
+    with the search summary of the same sweep.
 
     Policies with negative r_u1 are excluded; (0, 1) is always present so the
     trivial point survives even when every sampled policy leaks.
@@ -370,7 +385,6 @@ def achievable_points(model: DiscreteWiretapModel,
     tables, mi = (np.concatenate(part) for part in zip(*_sweep(model, search)))
     points: list[RegionPoint] = [RegionPoint(0.0, 1.0, -1)]
     kept: dict[int, AuxiliaryPolicy] = {}
-    max_r_u1 = 0.0
     for pid, triplet in enumerate(_triplet_from_profile(*row[:3]) for row in mi.tolist()):
         r1 = triplet.r_u1
         if r1 < -RATE_FLOOR:
@@ -378,7 +392,6 @@ def achievable_points(model: DiscreteWiretapModel,
         r1 = max(r1, 0.0)
         r2 = max(triplet.r_u2, r1)
         kept[pid] = _policy(model, tables[pid])
-        max_r_u1 = max(max_r_u1, r1)
         points.append(RegionPoint(r1, 1.0, pid))
         if r2 <= r1 + RATE_FLOOR:
             continue
@@ -387,4 +400,5 @@ def achievable_points(model: DiscreteWiretapModel,
             r = r1 + (r2 - r1) * k / (search.curve_points - 1)
             d = r1 / r if r > RATE_FLOOR else 1.0
             points.append(RegionPoint(r, d, pid))
-    return RegionPointSet(tuple(points), kept, max_r_u1)
+    return RegionPointSet(tuple(points), kept,
+                          _summary(mi, _v1_profiles(model, search, mi)))

@@ -351,27 +351,33 @@ def _mi_at(params: GaussianWiretapParams, alpha: float,
     return [float(values[0]) for values in mi_stack(params, [alpha], *groups)]
 
 
+def _gap(first, second, name: str, expression: str):
+    """first - second for MI values or stacks; where both diverge the
+    difference is indeterminate, and that raises instead of giving NaN."""
+    if np.any(np.isinf(first) & np.isinf(second)):
+        raise DegenerateGeometryError(
+            f"{name} is indeterminate: both mutual informations diverge",
+            expression=expression)
+    return first - second
+
+
 def leakage(params: GaussianWiretapParams, alpha: float) -> float:
     """Leakage I(u;z) - I(u;v1,v2) in bits; the sign decides whether the
     eavesdropper or the state cost limits the full-secrecy corner."""
     uz, uv = _mi_at(params, alpha, ("z",), ("v1", "v2"))
-    if math.isinf(uz) and math.isinf(uv):
-        raise DegenerateGeometryError(
-            "leakage is indeterminate: both mutual informations diverge",
-            expression="mi_uz - mi_uv12")
-    return uz - uv
+    return _gap(uz, uv, "leakage", "mi_uz - mi_uv12")
 
 
 def r_alpha(params: GaussianWiretapParams, alpha: float) -> float:
     """State-penalized main rate I(u;y) - I(u;v1,v2)."""
     uy, uv = _mi_at(params, alpha, ("y",), ("v1", "v2"))
-    return uy - uv
+    return _gap(uy, uv, "rate", "mi_uy - mi_uv12")
 
 
 def rz_alpha(params: GaussianWiretapParams, alpha: float) -> float:
     """Eavesdropper-penalized rate I(u;y) - I(u;z)."""
     uy, uz = _mi_at(params, alpha, ("y",), ("z",))
-    return uy - uz
+    return _gap(uy, uz, "rate cap", "mi_uy - mi_uz")
 
 
 def alpha_star(params: GaussianWiretapParams) -> float:
@@ -626,7 +632,7 @@ def _solve_alphas_for_rates(params: GaussianWiretapParams, alpha_top: float,
     """
     def rate(alphas) -> np.ndarray:
         uy, uv = mi_stack(params, alphas, ("y",), ("v1", "v2"))
-        return uy - uv
+        return _gap(uy, uv, "rate", "mi_uy - mi_uv12")
 
     goal = np.asarray(targets, dtype=float)
     step = 1.0
@@ -696,7 +702,7 @@ def _region(case_id: str, params: GaussianWiretapParams, p: float, n1: float,
         if above:
             alphas = _solve_alphas_for_rates(params, alpha_top, [rates[k] for k in above])
             uy, uz = mi_stack(params, alphas, ("y",), ("z",))
-            for k, cap in zip(above, (uy - uz).tolist()):
+            for k, cap in zip(above, _gap(uy, uz, "rate cap", "mi_uy - mi_uz").tolist()):
                 caps[k] = cap
 
     boundary = tuple((rate, min(max(cap, 0.0), c_m)) for rate, cap in zip(rates, caps))

@@ -131,10 +131,6 @@ def load_model(path: str) -> DiscreteWiretapModel:
     return model_from_dict(load_json(path), where=path)
 
 
-def load_policy(path: str, model: DiscreteWiretapModel) -> AuxiliaryPolicy:
-    return policy_from_dict(load_json(path), model, where=path)
-
-
 def load_sim_config(path: str):
     # Imported lazily: simulator depends on this module's loaders.
     from .simulator import SimConfig

@@ -31,14 +31,15 @@ and the tests compare the table against.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
 from .discrete import (AuxiliaryPolicy, DiscreteWiretapModel, RateTriplet,
-                       _check_policy_bound, _policy_card_check, rate_triplet)
+                       _check_policy, rate_triplet)
 from .errors import InfeasibleRateError, UsageError
 from .probability import Pmf, _entropy_bits, compose
 
@@ -79,8 +80,7 @@ class SimConfig:
                 f"rate {self.rate} at n={self.n} gives {self.m} message(s); need at least 2")
         if self.seed < 0:
             raise UsageError("seed must be a nonnegative integer")
-        _check_policy_bound(self.model, self.policy)
-        _policy_card_check(self.model, self.policy)
+        _check_policy(self.model, self.policy)
 
     @property
     def m(self) -> int:
@@ -103,18 +103,15 @@ class _Tables:
 
     def __init__(self, config: SimConfig):
         model, policy = config.model, config.policy
+        self.config = config
         joint = compose(model.state_pmf, policy.table,
                         model.main_kernel, model.wiretap_kernel)
         t = joint.table  # axes (u, x, v1, v2, y, z)
         self.p_u = t.sum(axis=(1, 2, 3, 4, 5))
         self.p_uv1 = t.sum(axis=(1, 3, 4, 5))
         self.p_uy = t.sum(axis=(1, 2, 3, 5))
-        p_uz = t.sum(axis=(1, 2, 3, 4))
         self.h_uv1 = _entropy_bits(self.p_uv1)
         self.h_uy = _entropy_bits(self.p_uy)
-        h_u = _entropy_bits(self.p_u)
-        self.mi_uy = h_u + _entropy_bits(t.sum(axis=(0, 1, 2, 3, 5))) - self.h_uy
-        self.mi_uz = h_u + _entropy_bits(p_uz.sum(axis=0)) - _entropy_bits(p_uz)
 
         # Encoder input law p(x | u, v1); cells with no mass fall back to
         # p(x | u) so the fallback codeword can still be transmitted.
@@ -136,6 +133,11 @@ class _Tables:
             self.log_p_uv1 = np.log2(self.p_uv1)
             self.log_p_uy = np.log2(self.p_uy)
 
+    @functools.cached_property
+    def triplet(self) -> RateTriplet:
+        """rate_triplet of the policy, shared by the codebook and the report."""
+        return rate_triplet(self.config.model, self.config.policy)
+
 
 def _typical(log_p: np.ndarray, entropy: float, epsilon: float) -> np.ndarray:
     """Weak typicality of each row of log_p (..., N), the log2-probabilities
@@ -155,7 +157,7 @@ def build_codebook(config: SimConfig) -> Codebook:
 
 
 def _build_codebook(config: SimConfig, tables: _Tables) -> Codebook:
-    exponent = config.n * (tables.mi_uy - config.epsilon_typ)
+    exponent = config.n * (tables.triplet.mi_uy - config.epsilon_typ)
     if exponent <= 0:
         raise InfeasibleRateError(
             f"codebook exponent n*(I(u;y) - epsilon) = {exponent:.6g} is not positive")
@@ -179,7 +181,7 @@ def _build_codebook(config: SimConfig, tables: _Tables) -> Codebook:
 
     # Subbin capacity targets 2^{n*(I(u;z) - epsilon)} codewords per subbin,
     # floored at 1 so tiny instances still carry the two-level structure.
-    capacity = max(1, math.ceil(2.0 ** (config.n * (tables.mi_uz - config.epsilon_typ))))
+    capacity = max(1, math.ceil(2.0 ** (config.n * (tables.triplet.mi_uz - config.epsilon_typ))))
     max_occupancy = math.ceil(size / m)
     subbins_per_bin = max(1, math.ceil(max_occupancy / capacity))
     subbin_index = within_rank // capacity + 1
@@ -406,27 +408,7 @@ class SimulationReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "pe": self.pe,
-            "pe_ci95": list(self.pe_ci95),
-            "d": self.d,
-            "trials": self.trials,
-            "n": self.n,
-            "m": self.m,
-            "rate": self.rate,
-            "theoretical": {
-                "r_u1": self.theoretical.r_u1,
-                "r_u2": self.theoretical.r_u2,
-                "d_u2": self.theoretical.d_u2,
-                "mi_uy": self.theoretical.mi_uy,
-                "mi_uv": self.theoretical.mi_uv,
-                "mi_uz": self.theoretical.mi_uz,
-            },
-            "fallback_rate": self.fallback_rate,
-            "equivocation_min": self.equivocation_min,
-            "equivocation_max": self.equivocation_max,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _wilson(errors: int, trials: int) -> tuple[float, float]:
@@ -487,7 +469,7 @@ def run_experiment(config: SimConfig) -> SimulationReport:
         n=n,
         m=config.m,
         rate=config.rate,
-        theoretical=rate_triplet(config.model, config.policy),
+        theoretical=tables.triplet,
         fallback_rate=fallbacks / trials,
         equivocation_min=float(equivocations.min()),
         equivocation_max=float(equivocations.max()),

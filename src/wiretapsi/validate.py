@@ -16,7 +16,7 @@ import numpy as np
 
 from . import gaussian, reference
 from .discrete import rate_triplet
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, UsageError
 from .probability import Pmf
 # encode is not called here, but bench/spans.py times it under this
 # module's name as well
@@ -288,6 +288,8 @@ def _check_regions(report: ValidationReport) -> None:
 
 
 def run_suites(seed: int = 0) -> ValidationReport:
+    if seed < 0:
+        raise UsageError("seed must be a nonnegative integer")
     report = ValidationReport()
     _check_gaussian_agreement(report, seed)
     _check_alpha_star_argmax(report, seed)

@@ -4,7 +4,8 @@ These references compute every quantity with scalar arithmetic, one
 covariance per alpha, as the toolkit did before it evaluated alpha stacks.
 The tests require the stacked code to reproduce them bit for bit, errors
 included.  Like the stack, they raise OverflowError where a covariance entry
-or a determinant overflows.
+or a determinant overflows, and DegenerateGeometryError where a leakage,
+rate or rate cap is indeterminate because both of its terms diverge.
 """
 
 import math
@@ -102,11 +103,15 @@ def reference_leakage(params, alpha):
 
 def reference_r_alpha(params, alpha):
     uy, uv = reference_mis(params, alpha, ("y",), ("v1", "v2"))
+    if math.isinf(uy) and math.isinf(uv):
+        raise DegenerateGeometryError("rate is indeterminate")
     return uy - uv
 
 
 def reference_rz_alpha(params, alpha):
     uy, uz = reference_mis(params, alpha, ("y",), ("z",))
+    if math.isinf(uy) and math.isinf(uz):
+        raise DegenerateGeometryError("rate cap is indeterminate")
     return uy - uz
 
 

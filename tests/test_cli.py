@@ -238,6 +238,21 @@ def test_nan_in_model_is_usage_error(tmp_path, model_file, capsys):
     assert "Traceback" not in err
 
 
+def test_discrete_region_refuses_a_negative_seed(tmp_path, model_file, capsys):
+    assert main(["discrete-region", "--model", str(model_file), "--seed", "-1",
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a nonnegative integer")
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_refuses_a_negative_seed(tmp_path, capsys):
+    assert main(["validate", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a nonnegative integer")
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_import_leaves_scipy_out():
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["wiretapsi.cli"].__file__)))
@@ -335,6 +350,10 @@ def test_argparse_usage_failure():
     ["gaussian-scan", "--q1", "1e300"],                    # determinant overflow
     ["gaussian-scan", "--alpha-min", "1e300", "--alpha-max", "1e300"],   # covariance overflow
     ["gaussian-region", "--n1", "1e-300", "--p", "1e9"],   # p / n1 overflows
+    ["gaussian-region", "--case", "2", "--p", "1e50"],     # knee rate is inf - inf
+    ["gaussian-region", "--p", "1e16", "--q", "1e6"],      # knee rate cap is inf - inf
+    # a rate on the inversion's bracket ladder or bisection is inf - inf
+    ["gaussian-region", "--p", "56234132.5", "--q", "1e-6", "--n1", "1e-8"],
 ])
 def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     with warnings.catch_warnings():
@@ -424,3 +443,31 @@ def test_gaussian_flags_match_the_one_alpha_reference(case):
     assert "Traceback" not in stderr
     if code == 2:
         assert any(line.startswith("error:") for line in err.getvalue().splitlines())
+
+
+@given(seed=st.sampled_from((-2, -1, 0, 1, 12345, 2**63 - 1, 2**64)),
+       n_random=st.integers(-1, 50), grid=st.integers(-1, 3), u_card=st.integers(-1, 8),
+       curve_points=st.integers(-1, 100), mode=st.sampled_from(("v1v2", "v1")))
+@settings(max_examples=60, deadline=None)
+def test_discrete_region_exits_zero_or_two(seed, n_random, grid, u_card, curve_points, mode):
+    # Every run exits 0 or 2 with no traceback and no numpy warning; stderr
+    # is empty or an error: line.  The model is stateless, so even the
+    # finest grid (3 steps over 2 * u_card outcomes) stays a few hundred
+    # policies.
+    model = degraded_bsc_pair(0.05, 0.2)
+    argv = ["discrete-region", "--seed", str(seed), "--random", str(n_random),
+            "--grid", str(grid), "--u-card", str(u_card),
+            "--curve-points", str(curve_points), "--mode", mode]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stderr(err):
+        path = os.path.join(root, "model.json")
+        with open(path, "w") as fh:
+            json.dump(model_to_dict(model), fh)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv + ["--model", path, "--out", os.path.join(root, "o")])
+    assert code in (0, 2)
+    assert not caught, [str(w.message) for w in caught]
+    stderr = err.getvalue()
+    assert (stderr == "") if code == 0 else stderr.startswith("error:"), stderr
+    assert "Traceback" not in stderr

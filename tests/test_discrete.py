@@ -19,7 +19,7 @@ from wiretapsi import (
     secrecy_rate,
     secrecy_upper_bound,
 )
-from wiretapsi import probability
+from wiretapsi import discrete, probability
 from wiretapsi.cli import main
 from wiretapsi.discrete import _policy_chunks, _profiles, iter_policies
 from wiretapsi.modelio import model_to_dict
@@ -288,6 +288,7 @@ def test_batched_sweep_matches_single_policy_loop(trend, name, mode, n_random, g
     capacity = first_best(restricted[:, 0] - restricted[:, 3])
     rate = first_best(ref[:, 4])
     summary = search_summary(model, search)
+    assert achievable_points(model, search).summary == summary
     assert summary["best_policies"] == {"secrecy_rate": rate[1], "state_bound": state[1],
                                         "wiretap_bound": tap[1],
                                         "main_channel_capacity": capacity[1]}
@@ -318,3 +319,32 @@ def test_chunked_sweep_gives_identical_artifacts(trend, tmp_path, monkeypatch):
     for name in ("region.csv", "summary.json"):
         assert ((tmp_path / "whole" / name).read_bytes()
                 == (tmp_path / "chunked" / name).read_bytes())
+
+
+@pytest.mark.parametrize("mode,streams", [("v1", {"v1": 30}), ("v1v2", {"v1v2": 30, "v1": 30})])
+def test_cli_sweeps_each_stream_once(trend, tmp_path, monkeypatch, mode, streams):
+    # region.csv and summary.json come from one sweep of the mode's stream;
+    # 'v1v2' adds one sweep of the 'v1' stream for the capacity
+    model, _ = trend
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(model)))
+    rows = {}
+    chunks = discrete._policy_chunks
+
+    def counted(model, search):
+        for tables in chunks(model, search):
+            rows[search.mode] = rows.get(search.mode, 0) + len(tables)
+            yield tables
+
+    monkeypatch.setattr(discrete, "_policy_chunks", counted)
+    assert main(["discrete-region", "--model", str(path), "--random", "30", "--mode", mode,
+                 "--out", str(tmp_path / "o")]) == 0
+    assert rows == streams
+
+
+def test_region_max_r_u1_is_the_best_curve_rate(trend):
+    # the largest r_u1 among the region's (r, 1) points is the summary's rate
+    model, _ = trend
+    region = achievable_points(model, SearchConfig(u_card=2, n_random=40, seed=9))
+    best = max(p.r for p in region.points if p.d == 1.0)
+    assert region.max_r_u1 == best == region.summary["secrecy_rate"] > 0.0

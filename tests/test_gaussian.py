@@ -501,6 +501,17 @@ def test_roots_ignore_points_the_walk_never_visits(monkeypatch):
         leakage_roots(params)
 
 
+def test_indeterminate_rates_raise_instead_of_nan():
+    # at p = 1e50 every mutual information at alpha = 1 diverges, so each
+    # difference is inf - inf
+    params = case2_params(1e50, 1.0, 1.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rate in (leakage, r_alpha, rz_alpha):
+            with pytest.raises(DegenerateGeometryError, match="indeterminate"):
+                rate(params, 1.0)
+
+
 def test_mi_stack_matches_rate_functions():
     params = STACK_PARAMS["rho_minus"]
     alphas = [-1.5, -0.25, 0.0, 0.6, 1.9]
