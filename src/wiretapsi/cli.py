@@ -200,9 +200,13 @@ def _cmd_gaussian_scan(args: argparse.Namespace) -> int:
         settings["rho_xv2"], settings["rho_v1v2"])
     alphas = gaussian.scan_alphas(settings["alpha_min"], settings["alpha_max"],
                                   settings["step"])
-    mis = gaussian.mi_stack(params, alphas, ("y",), ("v1", "v2"), ("z",))
-    rows = [(float(alpha), uy, uv, uz, uz - uv, uy - uv, uy - uz)
-            for alpha, uy, uv, uz in zip(alphas, *(m.tolist() for m in mis))]
+    uy, uv, uz = gaussian.mi_stack(params, alphas, ("y",), ("v1", "v2"), ("z",))
+    columns = (uy, uv, uz,
+               gaussian._gap(uz, uv, "leakage", "mi_uz - mi_uv12"),
+               gaussian._gap(uy, uv, "rate", "mi_uy - mi_uv12"),
+               gaussian._gap(uy, uz, "rate cap", "mi_uy - mi_uz"))
+    rows = [(float(alpha), *values)
+            for alpha, *values in zip(alphas, *(c.tolist() for c in columns))]
 
     neg, pos = gaussian.leakage_roots(params)
     try:

@@ -12,21 +12,31 @@ Hard caps keep everything exactly enumerable: block length <= 16, state
 alphabet product <= 4, codebook <= 2^20 codewords, and the posterior's state
 enumeration |V1|^N * |V2|^N <= 2^20.  On top of the caps, one byte budget,
 BYTE_BUDGET, bounds what a run holds whole: the (m, S) selection and found
-tables and the (m, S, n) posterior codes (m messages, S = |V1|^N state
-sequences).  It is checked before anything is allocated; a run over it is
-refused with a UsageError.  Everything else is streamed in steps that gather
-at most about GATHER_BYTES, trials included; beyond the budget, a run keeps
-one float per trial, the equivocations whose mean it reports.
+tables, one (m, S) code array per node table of the posterior (m messages,
+S = |V1|^N state sequences) and one equivocation per trial.  It is checked
+before anything is allocated; a run over it is refused with a UsageError.
+Everything else is streamed in steps of about GATHER_BYTES, trials included.
 
-_selection_table replays the encoder for every (message, v1 sequence) pair,
-a chunk of v1 sequences at a time, each pair stopping at its bin's first
-typical member.  That table is the encoder: each trial draws its states,
-message and uniforms from its own generator and sends the listed codeword.
-Decode and posterior then run once per distinct observation of a block.
-The posterior of an observation z gathers log w(z_i | u_i, v1_i) through
-the precomputed codes and sums it per pair.  The public encode keeps its own
-per-bin scan; it is the second path that validate's brute-force posterior
-and the tests compare the table against.
+Every sequence score is an exact sum of n per-coordinate log-probabilities.
+numpy sums a row of n <= 16 float64 terms in a fixed tree (_sum_tree), so
+any subtree can be tabulated once for every joint symbol of its coordinates
+(a node table), indexed by an additive code: a codeword part plus a state
+or observation part.  _NodeSums cuts the tree into such tables; a row then
+costs one gather per table, combined in the tree's own order, and equals
+numpy's .sum bit for bit.  The kernel serves three callers:
+
+* _selection_table replays the encoder for every (message, v1 sequence)
+  pair, a chunk of v1 sequences at a time, each pair stopping at its bin's
+  first typical member.  That table is the encoder: each trial draws its
+  states, message and uniforms from its own generator and sends the listed
+  codeword.  It also returns each pick's node-table codes.
+* _decodes scores every codeword against the distinct y of a trial block.
+* _posteriors builds node tables of log w(z_i | u_i, v1_i) for a batch of
+  the block's distinct z and sums every (message, v1 sequence) pair through
+  the codes.
+
+The public encode keeps its own per-bin scan; it is the second path that
+validate's brute-force posterior and the tests compare the kernel against.
 """
 
 from __future__ import annotations
@@ -41,14 +51,14 @@ import numpy as np
 from .discrete import (AuxiliaryPolicy, DiscreteWiretapModel, RateTriplet,
                        _check_policy, rate_triplet)
 from .errors import InfeasibleRateError, UsageError
-from .probability import Pmf, _entropy_bits, compose
+from .probability import Pmf, _check_stack, _entropy_bits, _entropy_bits_batch, compose
 
 MAX_BLOCK_LENGTH = 16
 MAX_STATE_PRODUCT = 4
 MAX_CODEBOOK = 2 ** 20
 MAX_STATE_ENUM_BITS = 20.0
-BYTE_BUDGET = 2 ** 30     # selection, found and codes, held whole for a run
-GATHER_BYTES = 2 ** 22    # log-probabilities gathered per selection or posterior step
+BYTE_BUDGET = 2 ** 30     # selection, found, codes and equivocations, held whole for a run
+GATHER_BYTES = 2 ** 19    # working set of one selection, decode, posterior or trial step
 WILSON_Z = 1.959963984540054
 
 
@@ -75,6 +85,12 @@ class SimConfig:
             raise UsageError(f"trials must be positive, got {self.trials}")
         if not self.rate > 0:
             raise UsageError(f"rate must be positive, got {self.rate}")
+        if self.n * self.rate >= math.log2(MAX_CODEBOOK) + 1:
+            # 2^floor(n*rate) bins cannot be filled from the capped codebook;
+            # refused before the message count is formed, which a huge rate
+            # would make an integer of astronomically many digits
+            raise UsageError(f"rate {self.rate} at n={self.n} gives more than "
+                             f"{MAX_CODEBOOK} messages, the codebook cap")
         if self.m < 2:
             raise UsageError(
                 f"rate {self.rate} at n={self.n} gives {self.m} message(s); need at least 2")
@@ -138,12 +154,162 @@ class _Tables:
         """rate_triplet of the policy, shared by the codebook and the report."""
         return rate_triplet(self.config.model, self.config.policy)
 
+    @functools.cached_property
+    def pair_sums(self) -> _NodeSums:
+        """The node tables over (u, v1) symbols that the selection table
+        scores with and whose codes the posterior gathers through."""
+        return _pair_sums(self.config)
 
-def _typical(log_p: np.ndarray, entropy: float, epsilon: float) -> np.ndarray:
-    """Weak typicality of each row of log_p (..., N), the log2-probabilities
-    of a sequence pair: the row's empirical entropy, minus its mean, lies
-    within epsilon of the true entropy."""
-    return np.abs(-log_p.mean(axis=-1) - entropy) <= epsilon
+
+@functools.lru_cache(maxsize=None)
+def _sum_tree(n: int):
+    """numpy's order for summing a contiguous float64 row of n <= 16 terms,
+    as nested (left, right) pairs of coordinates.
+
+    A row of fewer than 8 terms is summed left to right.  From 8 terms on,
+    eight accumulators start at a_0 .. a_7 (at n = 16 each also takes
+    a_{j+8}) and combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); the tail
+    a_8 .. a_{n-1} is then added one term at a time.  A numpy that sums in
+    another order fails test_node_sums_follow_numpy_row_sums.
+    """
+    if n < 8:
+        tree, tail = 0, range(1, n)
+    else:
+        acc = [(j, j + 8) if n == 16 else j for j in range(8)]
+        tree = (((acc[0], acc[1]), (acc[2], acc[3])), ((acc[4], acc[5]), (acc[6], acc[7])))
+        tail = range(16 if n == 16 else 8, n)
+    for i in tail:
+        tree = (tree, i)
+    return tree
+
+
+@functools.lru_cache(maxsize=None)
+def _leaves(tree) -> tuple[int, ...]:
+    """Coordinates of a (sub)tree, left to right; the trees of n <= 16 are
+    few, so every subtree is cached."""
+    if isinstance(tree, int):
+        return (tree,)
+    return _leaves(tree[0]) + _leaves(tree[1])
+
+
+class _NodeSums:
+    """Exact row sums of n per-coordinate values through node tables.
+
+    _sum_tree(n) is cut at its largest subtrees of at most `span`
+    coordinates (a lone coordinate always qualifies).  A node table lists
+    the subtree's partial sum, added in the tree's order, for every joint
+    symbol of its c coordinates C, card^c entries for card symbols each;
+    symbol s of coordinate C[j] adds s * card^j to the index (weight[t]
+    holds these place values, 0 off the node), so an index splits into a
+    codeword part plus a state or observation part.  A row sum is one
+    gather per table, combined in the tree's order: numpy's .sum of the
+    row, bit for bit.
+    """
+
+    def __init__(self, n: int, card: int, span: int):
+        nodes = []
+        self.shape = _cut(_sum_tree(n), span, nodes)     # the tree over node indices
+        self.nodes = tuple(nodes)
+        self.buffers = _buffers(self.shape)                # floats per row in total()
+        self.entries = sum(card ** len(_leaves(node)) for node in nodes)
+        self.weight = np.zeros((len(nodes), n), dtype=np.intp)
+        for t, node in enumerate(nodes):
+            coords = list(_leaves(node))
+            self.weight[t, coords] = card ** np.arange(len(coords))
+        self.weight.setflags(write=False)       # one cut serves every caller, see _node_sums
+
+    def tables(self, per_coord) -> list[np.ndarray]:
+        """The (B, card^c) node tables, from per_coord(i), the (B, card)
+        values of coordinate i in B independent rows."""
+        return [_node_table(node, per_coord) for node in self.nodes]
+
+    def sequence_codes(self, symbols: np.ndarray, scale: int) -> np.ndarray:
+        """(G, R) index parts of R symbol rows (R, n), each symbol times scale."""
+        return (scale * self.weight) @ symbols.T
+
+    def state_codes(self, card: int) -> np.ndarray:
+        """(G, card^n) index parts of every state sequence, lexicographic,
+        built one coordinate at a time."""
+        codes = np.zeros((len(self.weight), 1), dtype=np.intp)
+        for place in self.weight.T:
+            codes = (codes[:, :, None] + place[:, None, None] * np.arange(card)
+                     ).reshape(len(codes), -1)
+        return codes
+
+    def total(self, tables: list[np.ndarray], code) -> np.ndarray:
+        """Row sums: code(t) is node t's whole index, any shape R.  With
+        one row per table the sums have shape R; with B rows, (B, *R)."""
+        def gather(t):
+            table, index = tables[t], code(t)
+            if len(table) > 1:
+                index = index + np.arange(0, table.size, table.shape[1]).reshape(
+                    (-1,) + (1,) * index.ndim)
+            return np.take(table, index)
+        return _tree_total(self.shape, gather)
+
+
+# The recursive helpers are module functions: a nested function that calls
+# itself is a reference cycle, which would hold its tables until the next
+# garbage collection.
+
+def _cut(tree, span: int, nodes: list):
+    """tree with each tabulated subtree replaced by its index in nodes."""
+    if isinstance(tree, int) or len(_leaves(tree)) <= span:
+        nodes.append(tree)
+        return len(nodes) - 1
+    return _cut(tree[0], span, nodes), _cut(tree[1], span, nodes)
+
+
+def _node_table(tree, per_coord) -> np.ndarray:
+    """Partial sums of a subtree for every joint symbol, left coordinates minor."""
+    if isinstance(tree, int):
+        return per_coord(tree)
+    left, right = _node_table(tree[0], per_coord), _node_table(tree[1], per_coord)
+    return (right[:, :, None] + left[:, None, :]).reshape(len(left), -1)
+
+
+def _buffers(shape) -> int:
+    """Arrays _tree_total holds at once, per row: a gather's index and
+    values, plus the sum of every left subtree still waiting for its right."""
+    if isinstance(shape, int):
+        return 2
+    return max(_buffers(shape[0]), 1 + _buffers(shape[1]))
+
+
+def _tree_total(shape, gather) -> np.ndarray:
+    """Sum of gather(t) over the node indices t of shape, in its order."""
+    if isinstance(shape, int):
+        return gather(shape)
+    total = _tree_total(shape[0], gather)
+    total += _tree_total(shape[1], gather)
+    return total
+
+
+def _node_sums(n: int, card: int, pairs: int) -> _NodeSums:
+    """The cut for row sums of `pairs` pairs.  A table holds no more entries
+    than there are pairs, so building it costs no more than the gathers it
+    saves, and at most GATHER_BYTES / 64 of them, an eighth of a step's
+    budget at 8 bytes each, so a step's tables stay within its budget.
+    Each (n, card, span) is cut once and the cut shared."""
+    cap, span = min(pairs, GATHER_BYTES // 64), 1
+    while span < n and card ** (span + 1) <= cap:
+        span += 1
+    return _shared_cut(n, card, span)
+
+
+_shared_cut = functools.lru_cache(maxsize=None)(_NodeSums)
+
+
+def _pair_sums(config: SimConfig) -> _NodeSums:
+    """_node_sums over (u, v1) symbols for every (message, v1 sequence)."""
+    card_v1 = config.model.card_v1
+    return _node_sums(config.n, config.policy.u_card * card_v1, config.m * card_v1 ** config.n)
+
+
+def _typical(mean_log_p: np.ndarray, entropy: float, epsilon: float) -> np.ndarray:
+    """Weak typicality from the mean log2-probability of each sequence
+    pair: its empirical entropy lies within epsilon of the true entropy."""
+    return np.abs(-mean_log_p - entropy) <= epsilon
 
 
 def _sample(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -215,7 +381,7 @@ def _encode(tables: _Tables, codebook: Codebook, config: SimConfig,
         raise UsageError(f"v1 sequence must have length {config.n}")
 
     members = np.flatnonzero(codebook.bin_index == message)
-    typical = _typical(tables.log_p_uv1[codebook.sequences[members], v1_seq],
+    typical = _typical(tables.log_p_uv1[codebook.sequences[members], v1_seq].mean(axis=-1),
                        tables.h_uv1, config.epsilon_typ)
     hits = np.flatnonzero(typical)
     if hits.size:
@@ -239,63 +405,83 @@ def _decode(tables: _Tables, codebook: Codebook, config: SimConfig,
     y_seq = np.asarray(y_seq)
     if y_seq.shape != (config.n,):
         raise UsageError(f"y sequence must have length {config.n}")
-    typical = _typical(tables.log_p_uy[codebook.sequences, y_seq],
-                       tables.h_uy, config.epsilon_typ)
-    hits = np.flatnonzero(typical)
-    if hits.size != 1:
-        return None
-    return int(codebook.bin_index[hits[0]])
+    card_y = tables.p_uy.shape[1]
+    if not ((y_seq >= 0) & (y_seq < card_y)).all():
+        raise UsageError(f"y symbols must lie in [0, {card_y})")
+    return int(_decodes(tables, codebook, config, y_seq[None])[0]) or None
 
 
-def _state_sequences(card: int, n: int) -> np.ndarray:
-    """All card^n sequences, lexicographic, as an (S, n) array."""
-    count = card ** n
-    powers = card ** np.arange(n - 1, -1, -1)
-    return (np.arange(count)[:, None] // powers[None, :]) % card
+def _decodes(tables: _Tables, codebook: Codebook, config: SimConfig,
+             y_rows: np.ndarray) -> np.ndarray:
+    """Bin of the unique codeword typical with each y row (Y, n); 0 where
+    no codeword or several are.  Every codeword is scored against a chunk
+    of rows at a time through node tables of log p(u, y), 8 bytes per
+    buffer of the sums per score, GATHER_BYTES at a time."""
+    size, n = codebook.sequences.shape
+    card_y = tables.p_uy.shape[1]
+    # the tables do not depend on y; over a run they serve at most one y per trial
+    sums = _node_sums(n, tables.p_uy.size, size * config.trials)
+    node = sums.tables(lambda i: tables.log_p_uy.reshape(1, -1))
+    word_codes = sums.sequence_codes(codebook.sequences, card_y)[:, :, None]   # (G, K, 1)
+    row_codes = sums.sequence_codes(y_rows, 1)                                 # (G, Y)
+    decoded = np.zeros(len(y_rows), dtype=np.int64)
+    step = max(1, GATHER_BYTES // (8 * sums.buffers * size))
+    for lo in range(0, len(y_rows), step):
+        total = sums.total(node, lambda t: word_codes[t] + row_codes[t, lo:lo + step])
+        total /= n
+        typical = _typical(total, tables.h_uy, config.epsilon_typ)          # (K, rows)
+        unique = np.count_nonzero(typical, axis=0) == 1
+        decoded[lo:lo + step][unique] = codebook.bin_index[typical.argmax(axis=0)[unique]]
+    return decoded
 
 
 def _check_enumeration(config: SimConfig) -> None:
     """Refuse, before any allocation, a run whose state enumeration breaks
-    the 2^20 cap or whose whole-run tables break BYTE_BUDGET."""
+    the 2^20 cap or whose whole-run arrays break BYTE_BUDGET."""
     product = config.model.card_v1 * config.model.card_v2
     if config.n * math.log2(product) > MAX_STATE_ENUM_BITS + 1e-9:
         raise UsageError(
             f"state enumeration needs n*log2(|v1||v2|) <= {MAX_STATE_ENUM_BITS}, "
             f"got {config.n * math.log2(product):.3f}")
-    # int64 selection and bool found, (m, S); intp codes, (m, S, n)
+    # int64 selection and bool found, (m, S); one intp code per node table,
+    # (G, m, S); one float equivocation per trial
     cells = config.m * config.model.card_v1 ** config.n
-    need = cells * (8 + 1 + 8 * config.n)
+    need = cells * (8 + 1 + 8 * len(_pair_sums(config).nodes)) + 8 * config.trials
     if need > BYTE_BUDGET:
         raise UsageError(
             f"{config.m} messages x {cells // config.m} state sequences at n={config.n} "
-            f"need {need / 2 ** 20:.0f} MiB, over the {BYTE_BUDGET // 2 ** 20} MiB "
-            f"budget; lower the rate or the block length")
+            f"and {config.trials} trials need {need / 2 ** 20:.0f} MiB, over the "
+            f"{BYTE_BUDGET // 2 ** 20} MiB budget; lower the rate, the block length "
+            f"or the trials")
 
 
-def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig,
-                     v1_all: np.ndarray
+def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The encoder's choice for every (message, v1 sequence).
 
     Returns the (m, S) codeword indices, the (m, S) mask of bins holding a
     typical member (the rest fall back to bin 1's first codeword) and the
-    (m, S, n) posterior codes (i*|u| + u_i)*|v1| + v1_i of each pick.
+    (G, m, S) indices of each pick in the G node tables of
+    tables.pair_sums, the posterior's codes.
 
     The v1 sequences are streamed in chunks.  Within a chunk every bin is
-    scanned in index order, a window of ranks at a time, and a (bin,
-    sequence) pair leaves the scan at its first typical member, so a scan
-    costs what encode's stopping rule needs rather than the whole bin.
-    A window gathers log p(u, v1) for the pending pairs alone, about
-    GATHER_BYTES at a time, and scores rows with encode's _typical, so the
-    picks are encode's.
+    scanned in index order and a (bin, sequence) pair leaves the scan at
+    its first typical member, so a scan costs what encode's stopping rule
+    needs rather than the whole bin: each bin's first member is scored
+    against every sequence of the chunk at once, and the pairs it leaves
+    pending go on a window of ranks at a time, about GATHER_BYTES at a
+    time: each score holds the sums' buffers and its member's slot and
+    code part, 8 bytes each.  Scores are numpy's row sums
+    through node tables of log p(u, v1), so the picks are encode's.
     """
     sequences = codebook.sequences
-    size, n = sequences.shape
-    card_u, card_v1 = tables.p_uv1.shape
-    count = v1_all.shape[0]
+    n = config.n
+    card_v1 = tables.p_uv1.shape[1]
     m = codebook.bin_count
-    width = n * card_u
-    row_bytes = n * 8
+    sums = tables.pair_sums
+    node = sums.tables(lambda i: tables.log_p_uv1.reshape(1, -1))
+    word_codes = sums.sequence_codes(sequences, card_v1)     # (G, K)
+    state_codes = sums.state_codes(card_v1)                  # (G, S)
 
     # members[j, r]: the r-th codeword of bin j + 1.  Bins one short repeat
     # their last member, which cannot hit again: a pair reaching the repeat
@@ -304,32 +490,49 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig,
     order = np.argsort(codebook.bin_index, kind="stable")
     ends = np.cumsum(sizes)
     members = order[np.minimum(ends[:, None] - sizes[:, None] + np.arange(sizes.max()),
-                               ends[:, None] - 1)]
-    columns = np.arange(n) * card_u + sequences     # (K, n): where u_i sits in a row
-    per_state = tables.log_p_uv1.T                   # (v1, u)
+                               ends[:, None] - 1)].ravel()
+    depth = len(members) // m
+    member_codes = np.take(word_codes, members, axis=1)      # (G, m * depth)
 
+    count = state_codes.shape[1]
     selection = np.full((m, count), _fallback_codeword(codebook), dtype=np.int64)
     found = np.zeros((m, count), dtype=bool)
-    chunk = max(1, GATHER_BYTES // (m * row_bytes))
+    # a pending pair holds its first member's slot in members, its state and
+    # G state parts, and scores at least one member
+    score = 8 * (sums.buffers + 2)
+    chunk = max(1, GATHER_BYTES // ((8 * (len(word_codes) + 2) + score) * m))
     for lo in range(0, count, chunk):
-        table = per_state[v1_all[lo:lo + chunk]].reshape(-1, width)   # (chunk, n|u|)
-        bins, states = np.divmod(np.arange(m * len(table)), len(table))
-        rank = 0
-        while bins.size:
-            window = members[:, rank:rank + max(1, GATHER_BYTES // (bins.size * row_bytes))]
-            flat = columns[window[bins]]                     # (pending, w, n)
-            flat += (states * width)[:, None, None]
-            typical = _typical(np.take(table, flat), tables.h_uv1, config.epsilon_typ)
-            hit = typical.any(axis=1)
-            picked = (bins[hit], lo + states[hit])
-            selection[picked] = window[bins[hit], typical[hit].argmax(axis=1)]
+        part = state_codes[:, lo:lo + chunk]                       # (G, width)
+        total = sums.total(node, lambda t: member_codes[t, ::depth, None] + part[t])
+        total /= n
+        hit = _typical(total, tables.h_uv1, config.epsilon_typ)   # (m, width), rank 0
+        np.copyto(selection[:, lo:lo + chunk], members[::depth, None], where=hit)
+        found[:, lo:lo + chunk] = hit
+        slots, states = np.divmod(np.flatnonzero(~hit), hit.shape[1])
+        slots *= depth
+        state_part = part[:, states]
+        rank = 1
+        while slots.size and rank < depth:
+            ranks = np.arange(rank, min(depth, rank + max(1, GATHER_BYTES // (score * slots.size))))
+            at = slots[:, None] + ranks                              # (pending, window)
+            total = sums.total(
+                node, lambda t: np.take(member_codes[t], at) + state_part[t][:, None])
+            total /= n
+            hits = np.flatnonzero(_typical(total, tables.h_uv1, config.epsilon_typ))
+            pair = hits // len(ranks)
+            # a pair's hits come out in rank order: its first one is its pick
+            first = np.diff(pair, prepend=-1) > 0
+            pair, pick = pair[first], at.ravel()[hits[first]]
+            picked = (pick // depth, lo + states[pair])
+            selection[picked] = members[pick]
             found[picked] = True
-            rank += window.shape[1]
-            keep = ~hit & (rank < sizes[bins])
-            bins, states = bins[keep], states[keep]
+            rank += len(ranks)
+            keep = np.ones(len(slots), dtype=bool)
+            keep[pair] = False
+            slots, states, state_part = slots[keep], states[keep], state_part[:, keep]
 
-    codes = (columns * card_v1)[selection]
-    codes += v1_all
+    codes = np.take(word_codes, selection, axis=1)
+    codes += state_codes[:, None, :]
     return selection, found, codes
 
 
@@ -346,50 +549,71 @@ def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
     if z_seq.shape != (config.n,):
         raise UsageError(f"z sequence must have length {config.n}")
     tables = _Tables(config)
-    v1_all = _state_sequences(config.model.card_v1, config.n)
-    _, _, codes = _selection_table(tables, codebook, config, v1_all)
+    _, _, codes = _selection_table(tables, codebook, config)
     return _posterior(tables, codes, z_seq)
 
 
 def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
-    """log(sum(exp(row))) per row; -inf for a row with no finite entry.
+    """log(sum(exp(row))) per row of finite or -inf entries; -inf for a
+    row with no finite entry.
 
     Each row is shifted by its maximum; the entries at the maximum are
     counted and the rest enter through log1p, which keeps precision when
     one entry dominates.
     """
     out = np.full(len(rows), -np.inf)
-    live = np.isfinite(rows).any(axis=1)
-    rows = rows[live]
     peak = rows.max(axis=1, keepdims=True)
+    live = np.isfinite(peak[:, 0])
+    if not live.all():
+        rows, peak = rows[live], peak[live]
     at_peak = rows == peak
-    rest = np.exp(np.where(at_peak, -np.inf, rows) - peak).sum(axis=1, keepdims=True)
+    rest = np.where(at_peak, -np.inf, rows)
+    rest -= peak
+    np.exp(rest, out=rest)
+    total = rest.sum(axis=1, keepdims=True)
     count = at_peak.sum(axis=1, keepdims=True)
-    out[live] = (np.log1p(rest / count) + np.log(count) + peak)[:, 0]
+    out[live] = (np.log1p(total / count) + np.log(count) + peak)[:, 0]
     return out
 
 
 def _posterior(tables: _Tables, codes: np.ndarray, z_seq: np.ndarray) -> Pmf:
-    """Message posterior from the (m, S, n) codes of _selection_table: the
-    log-likelihood of each (message, v1 sequence) sums log w(z_i | u_i, v1_i)
-    over the coordinates, gathered GATHER_BYTES at a time."""
-    weights = tables.log_weight[z_seq].ravel()
-    rows = codes.reshape(-1, codes.shape[2])
-    step = max(1, GATHER_BYTES // (8 * codes.shape[2]))
-    gathered = np.empty((min(step, len(rows)), codes.shape[2]))
-    loglik = np.empty(len(rows))
-    for lo in range(0, len(rows), step):
-        block = rows[lo:lo + step]
-        part = gathered[:len(block)]
-        # every code is a valid index, so "clip" never clips; it lets take
-        # write straight into the buffer
-        np.take(weights, block, out=part, mode="clip")
-        part.sum(axis=1, out=loglik[lo:lo + len(block)])
-    log_posts = _log_sum_exp(loglik.reshape(codes.shape[:2]))
-    if not np.isfinite(log_posts).any():
+    """_posteriors of one z sequence, as a Pmf."""
+    return Pmf("message", _posteriors(tables, codes, z_seq[None])[0])
+
+
+def _posteriors(tables: _Tables, codes: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
+    """Message posteriors (Z, m) of the z rows (Z, n), from the (G, m, S)
+    codes of _selection_table.
+
+    A step takes a batch of rows: node tables of log w(z_i | u_i, v1_i) for
+    each row, the log-likelihood of every (message, v1 sequence) pair
+    gathered through the codes a chunk of pairs at a time, and one
+    _log_sum_exp over the batch's stacked (m, S) rows.  A batch is sized so
+    that its tables and, per pair, the log-likelihood and the sums' buffers
+    (or the log-sum-exp's temporaries) stay within GATHER_BYTES; a row too
+    large for that alone is gathered in chunks of that size.
+    """
+    sums = tables.pair_sums
+    count, m, states = codes.shape
+    pairs = m * states
+    flat_codes = codes.reshape(count, pairs)
+    weights = tables.log_weight.reshape(len(tables.log_weight), -1)   # (z, u * v1)
+    batch = max(1, GATHER_BYTES // (8 * (sums.entries + (1 + sums.buffers) * pairs)))
+    chunk = max(1, GATHER_BYTES // (8 * sums.buffers * batch))
+    log_posts = np.empty((len(z_rows), m))
+    for lo in range(0, len(z_rows), batch):
+        rows = z_rows[lo:lo + batch]
+        node = sums.tables(lambda i: weights[rows[:, i]])
+        loglik = np.empty((len(rows), pairs))
+        for p in range(0, pairs, chunk):
+            loglik[:, p:p + chunk] = sums.total(node, lambda t: flat_codes[t, p:p + chunk])
+        log_posts[lo:lo + len(rows)] = _log_sum_exp(loglik.reshape(-1, states)).reshape(-1, m)
+    if not np.isfinite(log_posts).any(axis=1).all():
         raise UsageError("observed z sequence has zero probability under the model")
-    shifted = np.exp(log_posts - log_posts.max())
-    return Pmf("message", shifted / shifted.sum())
+    shifted = np.exp(log_posts - log_posts.max(axis=1, keepdims=True))
+    probs = shifted / shifted.sum(axis=1, keepdims=True)
+    _check_stack(probs, (1,), "pmf 'message'")
+    return probs
 
 
 @dataclass(frozen=True)
@@ -434,8 +658,7 @@ def run_experiment(config: SimConfig) -> SimulationReport:
     _check_enumeration(config)
     tables = _Tables(config)
     codebook = _build_codebook(config, tables)
-    v1_all = _state_sequences(config.model.card_v1, config.n)
-    selection, found, codes = _selection_table(tables, codebook, config, v1_all)
+    selection, found, codes = _selection_table(tables, codebook, config)
 
     model = config.model
     n, trials = config.n, config.trials
@@ -451,14 +674,13 @@ def run_experiment(config: SimConfig) -> SimulationReport:
             tables, codebook, config, selection, found, lo, min(block, trials - lo))
         fallbacks += int(np.count_nonzero(fell_back))
         # decode and posterior are functions of the observation alone, so
-        # each distinct y and z row of a block is evaluated once; a failed
-        # decode (None) reads as message 0, which is never sent
+        # each distinct y and z row of a block is evaluated once, all in one
+        # batch; a failed decode reads as message 0, which is never sent
         y_rows, y_of = np.unique(y, axis=0, return_inverse=True)
-        decoded = np.array([_decode(tables, codebook, config, row) or 0 for row in y_rows])
+        decoded = _decodes(tables, codebook, config, y_rows)
         errors += int(np.count_nonzero(decoded[y_of.reshape(-1)] != messages))
         z_rows, z_of = np.unique(z, axis=0, return_inverse=True)
-        entropies = np.array([_entropy_bits(_posterior(tables, codes, row).probs)
-                              for row in z_rows])
+        entropies = _entropy_bits_batch(_posteriors(tables, codes, z_rows))
         equivocations[lo:lo + len(messages)] = entropies[z_of.reshape(-1)] / log_m
 
     return SimulationReport(
@@ -485,20 +707,22 @@ def _trial_block(tables: _Tables, codebook: Codebook, config: SimConfig,
     model = config.model
     n = config.n
     state_flat = model.state_pmf.table.reshape(-1)
-    state_flat = state_flat / state_flat.sum()
-    pairs = np.empty((count, n), dtype=np.int64)
+    state_cdf = (state_flat / state_flat.sum()).cumsum()
+    state_cdf /= state_cdf[-1]
     messages = np.empty(count, dtype=np.int64)
-    draws = np.empty((count, 3, n))                   # x, y, z in turn
+    draws = np.empty((count, 4, n))                   # states, then x, y, z in turn
     for k in range(count):
         rng = np.random.default_rng([config.seed, 1, first + k])
-        pairs[k] = rng.choice(state_flat.size, size=n, p=state_flat)
+        # rng.choice(size, n, p=...) draws n uniforms and inverts this cdf;
+        # the block inverts every trial's at once
+        draws[k, 0] = rng.random(n)
         messages[k] = rng.integers(1, config.m + 1)
-        draws[k] = rng.random((3, n))
+        draws[k, 1:] = rng.random((3, n))
 
-    v1, v2 = np.divmod(pairs, model.card_v2)
+    v1, v2 = np.divmod(state_cdf.searchsorted(draws[:, 0], side="right"), model.card_v2)
     sent = (messages - 1, v1 @ model.card_v1 ** np.arange(n - 1, -1, -1))
     u = codebook.sequences[selection[sent]]
-    x = _sample(tables.x_dist[u, v1], draws[:, 0])
-    y = _sample(model.main_kernel.table[x, v1], draws[:, 1])
-    z = _sample(model.wiretap_kernel.table[x, v2], draws[:, 2])
+    x = _sample(tables.x_dist[u, v1], draws[:, 1])
+    y = _sample(model.main_kernel.table[x, v1], draws[:, 2])
+    z = _sample(model.wiretap_kernel.table[x, v2], draws[:, 3])
     return messages, ~found[sent], y, z

@@ -22,7 +22,7 @@ from wiretapsi import (
     case2_thresholds,
     main_capacity,
 )
-from wiretapsi.gaussian import POINT_CAP, case1_params, case2_params
+from wiretapsi.gaussian import POINT_CAP, _gap, case1_params, case2_params
 
 AXES = ("u", "v1", "v2", "y", "z")
 
@@ -175,7 +175,10 @@ def reference_scan(params, alphas):
     rows = []
     for alpha in alphas:
         uy, uv, uz = reference_mis(params, alpha, ("y",), ("v1", "v2"), ("z",))
-        rows.append((float(alpha), uy, uv, uz, uz - uv, uy - uv, uy - uz))
+        rows.append((float(alpha), uy, uv, uz,
+                     _gap(uz, uv, "leakage", "mi_uz - mi_uv12"),
+                     _gap(uy, uv, "rate", "mi_uy - mi_uv12"),
+                     _gap(uy, uz, "rate cap", "mi_uy - mi_uz")))
     neg, pos = reference_leakage_roots(params)
     try:
         star = alpha_star(params)

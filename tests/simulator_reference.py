@@ -16,8 +16,15 @@ from wiretapsi.discrete import rate_triplet
 from wiretapsi.probability import Pmf, _entropy_bits
 from wiretapsi.simulator import (SimulationReport, _build_codebook,
                                  _check_enumeration, _decode, _encode,
-                                 _fallback_codeword, _log_sum_exp,
-                                 _state_sequences, _Tables, _wilson)
+                                 _fallback_codeword, _log_sum_exp, _Tables,
+                                 _wilson)
+
+
+def state_sequences(card, n):
+    """All card^n sequences, lexicographic, as an (S, n) array."""
+    count = card ** n
+    powers = card ** np.arange(n - 1, -1, -1)
+    return (np.arange(count)[:, None] // powers[None, :]) % card
 
 
 def reference_selection_table(tables, codebook, config, v1_all):
@@ -56,7 +63,7 @@ def reference_run_experiment(config):
     tables = _Tables(config)
     _check_enumeration(config)
     codebook = _build_codebook(config, tables)
-    v1_all = _state_sequences(config.model.card_v1, config.n)
+    v1_all = state_sequences(config.model.card_v1, config.n)
     selection, _ = reference_selection_table(tables, codebook, config, v1_all)
     u_selected = codebook.sequences[selection]
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gaussian_reference import reference_region, reference_scan
@@ -22,7 +23,7 @@ from wiretapsi.modelio import (
     write_csv,
     write_json,
 )
-from wiretapsi.reference import degraded_bsc_pair, uniform_input_policy
+from wiretapsi.reference import degraded_bsc_pair, trend_instance, uniform_input_policy
 from wiretapsi.simulator import run_experiment
 
 
@@ -354,6 +355,8 @@ def test_argparse_usage_failure():
     ["gaussian-region", "--p", "1e16", "--q", "1e6"],      # knee rate cap is inf - inf
     # a rate on the inversion's bracket ladder or bisection is inf - inf
     ["gaussian-region", "--p", "56234132.5", "--q", "1e-6", "--n1", "1e-8"],
+    # both terms of deltaI diverge on every row
+    ["gaussian-scan", "--step", "0.25", "--q1", "1e150", "--n1", "1e150", "--rho-xv2", "-1"],
 ])
 def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     with warnings.catch_warnings():
@@ -466,6 +469,89 @@ def test_discrete_region_exits_zero_or_two(seed, n_random, grid, u_card, curve_p
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(argv + ["--model", path, "--out", os.path.join(root, "o")])
+    assert code in (0, 2)
+    assert not caught, [str(w.message) for w in caught]
+    stderr = err.getvalue()
+    assert (stderr == "") if code == 0 else stderr.startswith("error:"), stderr
+    assert "Traceback" not in stderr
+
+
+def _perturbed(doc, key, index, value):
+    """doc with the index-th number under key (mod their count) replaced."""
+    doc = json.loads(json.dumps(doc))
+    leaves = []
+
+    def walk(node):
+        for i, item in enumerate(node):
+            if isinstance(item, list):
+                walk(item)
+            else:
+                leaves.append((node, i))
+    if key == "cards":
+        names = sorted(doc["cards"])
+        doc["cards"][names[index % len(names)]] = int(value) if math.isfinite(value) else 2 ** 60
+    else:
+        walk(doc[key])
+        node, i = leaves[index % len(leaves)]
+        node[i] = value
+    return doc
+
+
+# simulate fields: values that make a small runnable config, and values
+# that must be refused before any table is built
+SIM_GOOD = {"n": st.integers(4, 8), "rate": st.floats(0.15, 0.4),
+            "epsilon_typ": st.floats(0.05, 0.45), "trials": st.integers(1, 30),
+            "seed": st.sampled_from((0, 1, 2 ** 63 - 1, 2 ** 64))}
+SIM_BAD = {"n": st.sampled_from((-1, 0, 17, 2 ** 60)),
+           "rate": st.sampled_from((-1.0, 0.0, 1e6, 1e300, math.inf, math.nan)),
+           "epsilon_typ": st.sampled_from((-1.0, 0.0, 5.0, math.inf, math.nan)),
+           "trials": st.sampled_from((-1, 0, 2 ** 27, 2 ** 60, 2 ** 63 - 1, 2 ** 64)),
+           "seed": st.sampled_from((-1, -2 ** 63))}
+
+
+@st.composite
+def sim_inputs(draw):
+    """A sim config with at most one field broken, or one model or policy
+    number perturbed."""
+    broken = draw(st.one_of(st.none(), st.sampled_from(("model",) + tuple(SIM_GOOD))))
+    fields = {key: draw(SIM_BAD[key] if key == broken else SIM_GOOD[key]) for key in SIM_GOOD}
+    perturb = None
+    if broken == "model":
+        perturb = draw(st.tuples(
+            st.sampled_from(("cards", "state_pmf", "main_kernel", "wiretap_kernel", "policy")),
+            st.integers(0, 63),
+            st.sampled_from((-0.5, 0.0, 0.25, 0.5, 0.75, 1.0, 3.0, 1e300, math.nan, math.inf))))
+    return fields, perturb
+
+
+@given(sim_inputs())
+@settings(max_examples=80, deadline=None)
+def test_simulate_exits_zero_or_two(case):
+    # Every run exits 0 or 2 with no traceback and no numpy warning; stderr
+    # is empty or an error: line.  A run that passes its checks is small
+    # (n <= 8 over a binary state, at most 30 trials); a huge n, rate or
+    # trial count is refused before any table is built.
+    fields, perturb = case
+    model, policy = trend_instance()
+    model_doc, policy_doc = model_to_dict(model), policy_to_dict(policy)
+    if perturb is not None:
+        key, index, value = perturb
+        if key == "policy":
+            policy_doc = _perturbed(policy_doc, "table", index, value)
+        else:
+            model_doc = _perturbed(model_doc, key, index, value)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as root, contextlib.redirect_stderr(err):
+        for name, doc in (("model.json", model_doc), ("policy.json", policy_doc),
+                          ("sim.json", {"model_file": "model.json",
+                                        "policy_file": "policy.json", **fields})):
+            with open(os.path.join(root, name), "w") as fh:
+                json.dump(doc, fh)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--sim-config", os.path.join(root, "sim.json"),
+                         "--out", os.path.join(root, "o")])
+    event(f"exit {code}")
     assert code in (0, 2)
     assert not caught, [str(w.message) for w in caught]
     stderr = err.getvalue()

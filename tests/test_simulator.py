@@ -24,8 +24,9 @@ from wiretapsi.cli import main
 from wiretapsi.discrete import AuxiliaryPolicy
 from wiretapsi.modelio import model_to_dict, policy_to_dict, write_json
 from wiretapsi.probability import JointPmf, TransitionKernel
-from wiretapsi.simulator import (_build_codebook, _log_sum_exp, _posterior,
-                                 _selection_table, _state_sequences, _Tables)
+from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook, _leaves,
+                                 _log_sum_exp, _NodeSums, _posterior,
+                                 _selection_table, _Tables)
 from wiretapsi.reference import (
     bsc,
     constant_wiretap_instance,
@@ -43,6 +44,7 @@ from simulator_reference import (
     reference_posterior,
     reference_run_experiment,
     reference_selection_table,
+    state_sequences,
 )
 
 
@@ -326,7 +328,8 @@ def test_config_validation(noiseless):
                 trials=1, seed=0)
 
     for bad in (dict(n=0), dict(n=17), dict(trials=0), dict(epsilon_typ=0.0),
-                dict(rate=0.0), dict(seed=-1), dict(rate=0.2, n=3)):
+                dict(rate=0.0), dict(seed=-1), dict(rate=0.2, n=3),
+                dict(rate=5.25), dict(rate=1e300), dict(rate=math.inf)):
         with pytest.raises(UsageError):
             SimConfig(**{**good, **bad})
 
@@ -430,18 +433,25 @@ def _tables_and_book(name, n, rate, eps, seed):
 ])
 def test_selection_in_small_chunks_matches_the_whole_gather(
         monkeypatch, chunk_bytes, name, n, rate, eps, seed):
-    # a tiny gather budget forces many state chunks and rank windows
+    # a tiny gather budget forces many state chunks and rank windows, and
+    # node tables of one or two coordinates
     config, tables, book = _tables_and_book(name, n, rate, eps, seed)
-    v1_all = _state_sequences(config.model.card_v1, config.n)
+    v1_all = state_sequences(config.model.card_v1, config.n)
     want_selection, want_found = reference_selection_table(tables, book, config, v1_all)
     monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
-    selection, found, codes = _selection_table(tables, book, config, v1_all)
+    selection, found, codes = _selection_table(tables, book, config)
     np.testing.assert_array_equal(selection, want_selection)
     np.testing.assert_array_equal(found, want_found)
-    u_sel = book.sequences[want_selection]
+    # the node tables cover every coordinate once; a pick's code in a table
+    # is the sum of (u_i*|v1| + v1_i) * (|u||v1|)^j over the table's
+    # coordinates, j counting from 0
     card_u, card_v1 = tables.p_uv1.shape
-    np.testing.assert_array_equal(
-        codes, (np.arange(config.n) * card_u + u_sel) * card_v1 + v1_all)
+    coords = [_leaves(node) for node in tables.pair_sums.nodes]
+    assert sorted(i for c in coords for i in c) == list(range(config.n))
+    symbols = book.sequences[want_selection] * card_v1 + v1_all
+    want_codes = [sum(symbols[..., i] * (card_u * card_v1) ** j for j, i in enumerate(c))
+                  for c in coords]
+    np.testing.assert_array_equal(codes, want_codes)
 
 
 @pytest.mark.parametrize("chunk_bytes", [200, 7000])
@@ -481,8 +491,8 @@ def test_selection_is_the_encoder(biased_encoder):
                            epsilon_typ=0.25, trials=1, seed=seed)
         tables = _Tables(config)
         book = _build_codebook(config, tables)
-        v1_all = _state_sequences(2, 4)
-        selection, found, _ = _selection_table(tables, book, config, v1_all)
+        v1_all = state_sequences(2, 4)
+        selection, found, _ = _selection_table(tables, book, config)
         for j in range(book.bin_count):
             for s, v1_seq in enumerate(v1_all):
                 u_seq, _, fell_back = encode(book, config, j + 1, v1_seq,
@@ -497,9 +507,9 @@ def test_posterior_from_codes_equals_the_reference_bit_for_bit(posterior_model):
                        epsilon_typ=0.05, trials=1, seed=9)
     tables = _Tables(config)
     book = _build_codebook(config, tables)
-    v1_all = _state_sequences(2, 3)
+    v1_all = state_sequences(2, 3)
     selection, _ = reference_selection_table(tables, book, config, v1_all)
-    _, _, codes = _selection_table(tables, book, config, v1_all)
+    _, _, codes = _selection_table(tables, book, config)
     for z in itertools.product(range(2), repeat=3):
         z_seq = np.array(z)
         want = reference_posterior(tables, config, v1_all, book.sequences[selection], z_seq)
@@ -512,7 +522,12 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=8, rate=0.25,
                        epsilon_typ=0.45, trials=3, seed=0)
-    need = config.m * 2 ** 8 * (8 + 1 + 8 * 8)
+    # selection, found and one code per node table for each (message, v1
+    # sequence), plus one equivocation per trial; at n=8 with 1,024 pairs
+    # the two halves of the summation tree are the node tables
+    node_tables = len(simulator._pair_sums(config).nodes)
+    assert node_tables == 2
+    need = config.m * 2 ** 8 * (8 + 1 + 8 * node_tables) + 8 * config.trials
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need)
     run_experiment(config)                               # exactly at the budget
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need - 1)
@@ -546,6 +561,55 @@ def test_over_budget_simulation_exits_two_before_allocating(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "budget" in err
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("n", range(1, MAX_BLOCK_LENGTH + 1))
+@pytest.mark.parametrize("card", [2, 4, 8])
+def test_node_sums_follow_numpy_row_sums(n, card):
+    # The kernel is exact only while numpy sums a row in _sum_tree's order;
+    # a numpy that changes the order fails here, for every cut of the tree
+    # and for node tables of one and of two independent rows.
+    rng = np.random.default_rng([n, card])
+    values = np.log(rng.dirichlet(np.ones(card), size=(2, n)))
+    values *= rng.choice([1e-3, 1.0, 1e3], size=values.shape)
+    values[rng.random(values.shape) < 0.05] = -np.inf
+    values[:, 0, 0] = -np.inf
+    symbols = rng.integers(0, card, size=(500, n))
+    symbols[0, 0] = 0
+    rows = np.ascontiguousarray(values[:, np.arange(n), symbols])   # (2, 500, n)
+    want_sum, want_mean = rows.sum(axis=-1), rows.mean(axis=-1)
+    assert np.isinf(want_sum).any() and np.isfinite(want_sum).any()
+    for span in (1, 2, 16 // (card.bit_length() - 1)):      # tables of at most 2^16 entries
+        sums = _NodeSums(n, card, span)
+        codes = sums.sequence_codes(symbols, 1)
+        pair = sums.total(sums.tables(lambda i: values[:, i]), lambda t: codes[t])
+        np.testing.assert_array_equal(pair, want_sum)
+        np.testing.assert_array_equal(pair / n, want_mean)
+        for row in range(2):
+            one = sums.total(sums.tables(lambda i: values[row:row + 1, i]), lambda t: codes[t])
+            np.testing.assert_array_equal(one, want_sum[row])
+
+
+def test_unbounded_trials_exit_two_before_allocating(tmp_path, capsys):
+    # 2^60 trials would keep 8 EiB of equivocations; the budget refuses
+    # them before the codebook
+    model, policy = trend_instance()
+    (tmp_path / "model.json").write_text(json.dumps(model_to_dict(model)))
+    (tmp_path / "policy.json").write_text(json.dumps(policy_to_dict(policy)))
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({
+        "model_file": "model.json", "policy_file": "policy.json",
+        "n": 16, "rate": 0.17, "epsilon_typ": 0.45, "trials": 2 ** 60, "seed": 0}))
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--sim-config", str(sim), "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err and "Traceback" not in err
     assert peak < 16 * 2 ** 20
 
 
