@@ -54,7 +54,9 @@ def _entropy_bits_batch(tables: np.ndarray) -> np.ndarray:
         order = np.argsort(~pos, axis=1, kind="stable")
         terms = np.take_along_axis(terms, order, axis=1)
     out = np.zeros(len(flat))
-    for count in np.unique(counts[counts > 0]):
+    # the distinct positive counts, ascending (np.unique would first import
+    # numpy.ma, about 0.5 MiB, to test the counts for a mask)
+    for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         rows = counts == count
         out[rows] = -terms[rows, :count].sum(axis=1)
     return out

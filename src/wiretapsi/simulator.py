@@ -30,7 +30,9 @@ numpy's .sum bit for bit.  The kernel serves three callers:
   first typical member.  That table is the encoder: each trial draws its
   states, message and uniforms from its own generator and sends the listed
   codeword.  It also returns each pick's node-table codes.
-* _decodes scores every codeword against the distinct y of a trial block.
+* _decoder builds node tables of log p(u, y) and every codeword's codes
+  once per run and scores every codeword against the distinct y of a
+  trial block.
 * _posteriors builds node tables of log w(z_i | u_i, v1_i) for a batch of
   the block's distinct z and sums every (message, v1 sequence) pair through
   the codes.
@@ -408,31 +410,40 @@ def _decode(tables: _Tables, codebook: Codebook, config: SimConfig,
     card_y = tables.p_uy.shape[1]
     if not ((y_seq >= 0) & (y_seq < card_y)).all():
         raise UsageError(f"y symbols must lie in [0, {card_y})")
-    return int(_decodes(tables, codebook, config, y_seq[None])[0]) or None
+    return int(_decoder(tables, codebook, config)(y_seq[None])[0]) or None
 
 
-def _decodes(tables: _Tables, codebook: Codebook, config: SimConfig,
-             y_rows: np.ndarray) -> np.ndarray:
-    """Bin of the unique codeword typical with each y row (Y, n); 0 where
-    no codeword or several are.  Every codeword is scored against a chunk
-    of rows at a time through node tables of log p(u, y), 8 bytes per
-    buffer of the sums per score, GATHER_BYTES at a time."""
+def _decoder(tables: _Tables, codebook: Codebook, config: SimConfig):
+    """decodes(y_rows): the bin of the unique codeword typical with each y
+    row (Y, n), 0 where no codeword or several are.
+
+    The node tables of log p(u, y), cut for a run's K * trials scores, and
+    every codeword's codes, (G, K) and no larger than the codebook, are
+    built once.  A call scores every codeword against a chunk of its rows at a
+    time, GATHER_BYTES at a time: per score the sums' buffers (or
+    _typical's three floats) and two typicality masks, this chunk's and
+    the last's.
+    """
     size, n = codebook.sequences.shape
     card_y = tables.p_uy.shape[1]
-    # the tables do not depend on y; over a run they serve at most one y per trial
     sums = _node_sums(n, tables.p_uy.size, size * config.trials)
     node = sums.tables(lambda i: tables.log_p_uy.reshape(1, -1))
     word_codes = sums.sequence_codes(codebook.sequences, card_y)[:, :, None]   # (G, K, 1)
-    row_codes = sums.sequence_codes(y_rows, 1)                                 # (G, Y)
-    decoded = np.zeros(len(y_rows), dtype=np.int64)
-    step = max(1, GATHER_BYTES // (8 * sums.buffers * size))
-    for lo in range(0, len(y_rows), step):
-        total = sums.total(node, lambda t: word_codes[t] + row_codes[t, lo:lo + step])
-        total /= n
-        typical = _typical(total, tables.h_uy, config.epsilon_typ)          # (K, rows)
-        unique = np.count_nonzero(typical, axis=0) == 1
-        decoded[lo:lo + step][unique] = codebook.bin_index[typical.argmax(axis=0)[unique]]
-    return decoded
+    step = max(1, GATHER_BYTES // ((8 * max(sums.buffers, 3) + 2) * size))
+
+    def decodes(y_rows: np.ndarray) -> np.ndarray:
+        row_codes = sums.sequence_codes(y_rows, 1)                             # (G, Y)
+        decoded = np.zeros(len(y_rows), dtype=np.int64)
+        for lo in range(0, len(y_rows), step):
+            total = sums.total(node, lambda t: word_codes[t] + row_codes[t, lo:lo + step])
+            total /= n
+            typical = _typical(total, tables.h_uy, config.epsilon_typ)      # (K, rows)
+            del total                                   # before the next chunk's
+            unique = np.count_nonzero(typical, axis=0) == 1
+            decoded[lo:lo + step][unique] = codebook.bin_index[typical.argmax(axis=0)[unique]]
+        return decoded
+
+    return decodes
 
 
 def _check_enumeration(config: SimConfig) -> None:
@@ -469,10 +480,10 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     its first typical member, so a scan costs what encode's stopping rule
     needs rather than the whole bin: each bin's first member is scored
     against every sequence of the chunk at once, and the pairs it leaves
-    pending go on a window of ranks at a time, about GATHER_BYTES at a
-    time: each score holds the sums' buffers and its member's slot and
-    code part, 8 bytes each.  Scores are numpy's row sums
-    through node tables of log p(u, v1), so the picks are encode's.
+    pending score a window of ranks at a time, as many as fit in
+    GATHER_BYTES beside the pending pairs themselves.  Scores are numpy's
+    row sums through node tables of log p(u, v1), so the picks are
+    encode's.
     """
     sequences = codebook.sequences
     n = config.n
@@ -497,15 +508,20 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     count = state_codes.shape[1]
     selection = np.full((m, count), _fallback_codeword(codebook), dtype=np.int64)
     found = np.zeros((m, count), dtype=bool)
-    # a pending pair holds its first member's slot in members, its state and
-    # G state parts, and scores at least one member
-    score = 8 * (sums.buffers + 2)
-    chunk = max(1, GATHER_BYTES // ((8 * (len(word_codes) + 2) + score) * m))
+    # a pending pair holds its member's slot in members, its state and G
+    # state parts; a score holds the sums' buffers (or _typical's three
+    # floats) and two windows of slots, this one and the last
+    pending = 8 * (len(word_codes) + 2)
+    score = 8 * (max(sums.buffers, 3) + 2)
+    chunk = max(1, GATHER_BYTES // ((pending + score) * m))
     for lo in range(0, count, chunk):
         part = state_codes[:, lo:lo + chunk]                       # (G, width)
+        # rank 0 scores each bin's first member against the whole chunk by
+        # broadcasting; the pairs it leaves pending go on a window at a time
         total = sums.total(node, lambda t: member_codes[t, ::depth, None] + part[t])
         total /= n
-        hit = _typical(total, tables.h_uv1, config.epsilon_typ)   # (m, width), rank 0
+        hit = _typical(total, tables.h_uv1, config.epsilon_typ)   # (m, width)
+        del total
         np.copyto(selection[:, lo:lo + chunk], members[::depth, None], where=hit)
         found[:, lo:lo + chunk] = hit
         slots, states = np.divmod(np.flatnonzero(~hit), hit.shape[1])
@@ -513,12 +529,14 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
         state_part = part[:, states]
         rank = 1
         while slots.size and rank < depth:
-            ranks = np.arange(rank, min(depth, rank + max(1, GATHER_BYTES // (score * slots.size))))
+            window = max(1, (GATHER_BYTES - pending * slots.size) // (score * slots.size))
+            ranks = np.arange(rank, min(depth, rank + window))
             at = slots[:, None] + ranks                              # (pending, window)
             total = sums.total(
                 node, lambda t: np.take(member_codes[t], at) + state_part[t][:, None])
             total /= n
             hits = np.flatnonzero(_typical(total, tables.h_uv1, config.epsilon_typ))
+            del total                                   # before the next window's
             pair = hits // len(ranks)
             # a pair's hits come out in rank order: its first one is its pick
             first = np.diff(pair, prepend=-1) > 0
@@ -589,16 +607,18 @@ def _posteriors(tables: _Tables, codes: np.ndarray, z_rows: np.ndarray) -> np.nd
     each row, the log-likelihood of every (message, v1 sequence) pair
     gathered through the codes a chunk of pairs at a time, and one
     _log_sum_exp over the batch's stacked (m, S) rows.  A batch is sized so
-    that its tables and, per pair, the log-likelihood and the sums' buffers
-    (or the log-sum-exp's temporaries) stay within GATHER_BYTES; a row too
-    large for that alone is gathered in chunks of that size.
+    that its tables (twice over while they are built), per pair the
+    log-likelihood and the sums' buffers (or the log-sum-exp's two
+    temporaries) and per message the log-sum-exp's five stay within
+    GATHER_BYTES; a row too large for that alone is gathered in chunks of
+    that size.
     """
     sums = tables.pair_sums
     count, m, states = codes.shape
     pairs = m * states
     flat_codes = codes.reshape(count, pairs)
     weights = tables.log_weight.reshape(len(tables.log_weight), -1)   # (z, u * v1)
-    batch = max(1, GATHER_BYTES // (8 * (sums.entries + (1 + sums.buffers) * pairs)))
+    batch = max(1, GATHER_BYTES // (8 * (2 * sums.entries + (1 + sums.buffers) * pairs + 5 * m)))
     chunk = max(1, GATHER_BYTES // (8 * sums.buffers * batch))
     log_posts = np.empty((len(z_rows), m))
     for lo in range(0, len(z_rows), batch):
@@ -608,6 +628,7 @@ def _posteriors(tables: _Tables, codes: np.ndarray, z_rows: np.ndarray) -> np.nd
         for p in range(0, pairs, chunk):
             loglik[:, p:p + chunk] = sums.total(node, lambda t: flat_codes[t, p:p + chunk])
         log_posts[lo:lo + len(rows)] = _log_sum_exp(loglik.reshape(-1, states)).reshape(-1, m)
+        del node, loglik                                # before the next batch's
     if not np.isfinite(log_posts).any(axis=1).all():
         raise UsageError("observed z sequence has zero probability under the model")
     shifted = np.exp(log_posts - log_posts.max(axis=1, keepdims=True))
@@ -659,6 +680,7 @@ def run_experiment(config: SimConfig) -> SimulationReport:
     tables = _Tables(config)
     codebook = _build_codebook(config, tables)
     selection, found, codes = _selection_table(tables, codebook, config)
+    decodes = _decoder(tables, codebook, config)
 
     model = config.model
     n, trials = config.n, config.trials
@@ -677,8 +699,8 @@ def run_experiment(config: SimConfig) -> SimulationReport:
         # each distinct y and z row of a block is evaluated once, all in one
         # batch; a failed decode reads as message 0, which is never sent
         y_rows, y_of = np.unique(y, axis=0, return_inverse=True)
-        decoded = _decodes(tables, codebook, config, y_rows)
-        errors += int(np.count_nonzero(decoded[y_of.reshape(-1)] != messages))
+        errors += int(np.count_nonzero(decodes(y_rows)[y_of.reshape(-1)] != messages))
+        del y, y_rows, y_of                             # before the posteriors' batches
         z_rows, z_of = np.unique(z, axis=0, return_inverse=True)
         entropies = _entropy_bits_batch(_posteriors(tables, codes, z_rows))
         equivocations[lo:lo + len(messages)] = entropies[z_of.reshape(-1)] / log_m

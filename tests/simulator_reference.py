@@ -2,8 +2,9 @@
 
 ``reference_run_experiment`` encodes each trial with the per-bin scan of
 ``_encode``, gathers the whole K x S x n typicality tensor at once in
-``reference_selection_table``, and takes each posterior from an (m, S, n)
-array of selected codewords.  The tests require the streamed simulator to
+``reference_selection_table``, decodes each y from a K x n gather in
+``reference_decode``, and takes each posterior from an (m, S, n) array of
+selected codewords.  The tests require the streamed simulator to
 reproduce these reports byte for byte and these tables element for element.
 """
 
@@ -15,7 +16,7 @@ from wiretapsi import UsageError
 from wiretapsi.discrete import rate_triplet
 from wiretapsi.probability import Pmf, _entropy_bits
 from wiretapsi.simulator import (SimulationReport, _build_codebook,
-                                 _check_enumeration, _decode, _encode,
+                                 _check_enumeration, _encode,
                                  _fallback_codeword, _log_sum_exp, _Tables,
                                  _wilson)
 
@@ -43,6 +44,15 @@ def reference_selection_table(tables, codebook, config, v1_all):
         selection[j - 1, found] = members[first[found]]
         found_all[j - 1] = found
     return selection, found_all
+
+
+def reference_decode(tables, codebook, config, y_seq):
+    """Bin of the unique codeword typical with y_seq, or None."""
+    log_p = tables.log_p_uy[codebook.sequences, y_seq]
+    hits = np.flatnonzero(np.abs(-log_p.mean(axis=1) - tables.h_uy) <= config.epsilon_typ)
+    if hits.size != 1:
+        return None
+    return int(codebook.bin_index[hits[0]])
 
 
 def reference_posterior(tables, config, v1_all, u_selected, z_seq):
@@ -91,7 +101,7 @@ def reference_run_experiment(config):
         z_probs = tap[x_seq, v2_seq]
         z_seq = (z_probs.cumsum(axis=1) < rng.random((config.n, 1))).sum(axis=1)
 
-        decoded = _decode(tables, codebook, config, y_seq)
+        decoded = reference_decode(tables, codebook, config, y_seq)
         errors += decoded != message
         posterior = reference_posterior(tables, config, v1_all, u_selected, z_seq)
         equivocations[trial] = _entropy_bits(posterior.probs) / log_m

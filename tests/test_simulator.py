@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -24,9 +25,9 @@ from wiretapsi.cli import main
 from wiretapsi.discrete import AuxiliaryPolicy
 from wiretapsi.modelio import model_to_dict, policy_to_dict, write_json
 from wiretapsi.probability import JointPmf, TransitionKernel
-from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook, _leaves,
-                                 _log_sum_exp, _NodeSums, _posterior,
-                                 _selection_table, _Tables)
+from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook, _decoder,
+                                 _leaves, _log_sum_exp, _node_sums, _NodeSums,
+                                 _posterior, _selection_table, _Tables)
 from wiretapsi.reference import (
     bsc,
     constant_wiretap_instance,
@@ -41,6 +42,7 @@ from conftest import (
     make_correlated_sim_instance,
 )
 from simulator_reference import (
+    reference_decode,
     reference_posterior,
     reference_run_experiment,
     reference_selection_table,
@@ -452,6 +454,31 @@ def test_selection_in_small_chunks_matches_the_whole_gather(
     want_codes = [sum(symbols[..., i] * (card_u * card_v1) ** j for j, i in enumerate(c))
                   for c in coords]
     np.testing.assert_array_equal(codes, want_codes)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 3000, 2 ** 19])
+@pytest.mark.parametrize("name,n,rate,eps,seed", [
+    ("trend", 12, 0.17, 0.45, 2),
+    ("trend", 16, 0.125, 0.45, 0),
+    ("bsc", 16, 0.25, 0.2, 1),
+])
+def test_decoder_matches_the_reference_row_by_row(monkeypatch, chunk_bytes, name, n, rate, eps, seed):
+    # y rows drawn through p(y | u) from random codewords, so some decode
+    # and some do not; the decoder is cut for one trial and for a million
+    # (different subtrees on the trend fixtures) and runs in chunks of one
+    # row up to all of them
+    config, tables, book = _tables_and_book(name, n, rate, eps, seed)
+    rng = np.random.default_rng(seed)
+    u = book.sequences[rng.integers(0, len(book.sequences), size=300)]
+    cond = tables.p_uy / tables.p_uy.sum(axis=1, keepdims=True)
+    y_rows = (cond[u].cumsum(axis=-1) < rng.random(u.shape)[..., None]).sum(axis=-1)
+    want = [reference_decode(tables, book, config, y) or 0 for y in y_rows]
+    assert 0 < np.count_nonzero(want) < len(want)
+    monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
+    for trials in (1, 10 ** 6):
+        config = dataclasses.replace(config, trials=trials)
+        assert len(_node_sums(n, tables.p_uy.size, len(book.sequences) * trials).nodes) > 1
+        np.testing.assert_array_equal(_decoder(tables, book, config)(y_rows), want)
 
 
 @pytest.mark.parametrize("chunk_bytes", [200, 7000])
