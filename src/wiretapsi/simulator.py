@@ -478,10 +478,9 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     The v1 sequences are streamed in chunks.  Within a chunk every bin is
     scanned in index order and a (bin, sequence) pair leaves the scan at
     its first typical member, so a scan costs what encode's stopping rule
-    needs rather than the whole bin: each bin's first member is scored
-    against every sequence of the chunk at once, and the pairs it leaves
-    pending score a window of ranks at a time, as many as fit in
-    GATHER_BYTES beside the pending pairs themselves.  Scores are numpy's
+    needs rather than the whole bin: the pending pairs, at first every
+    pair of the chunk, score a window of ranks at a time, as many as fit
+    in GATHER_BYTES beside the pending pairs themselves.  Scores are numpy's
     row sums through node tables of log p(u, v1), so the picks are
     encode's.
     """
@@ -516,18 +515,11 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     chunk = max(1, GATHER_BYTES // ((pending + score) * m))
     for lo in range(0, count, chunk):
         part = state_codes[:, lo:lo + chunk]                       # (G, width)
-        # rank 0 scores each bin's first member against the whole chunk by
-        # broadcasting; the pairs it leaves pending go on a window at a time
-        total = sums.total(node, lambda t: member_codes[t, ::depth, None] + part[t])
-        total /= n
-        hit = _typical(total, tables.h_uv1, config.epsilon_typ)   # (m, width)
-        del total
-        np.copyto(selection[:, lo:lo + chunk], members[::depth, None], where=hit)
-        found[:, lo:lo + chunk] = hit
-        slots, states = np.divmod(np.flatnonzero(~hit), hit.shape[1])
-        slots *= depth
-        state_part = part[:, states]
-        rank = 1
+        width = part.shape[1]
+        slots = np.repeat(np.arange(0, m * depth, depth), width)
+        states = np.tile(np.arange(width), m)
+        state_part = np.tile(part, m)
+        rank = 0
         while slots.size and rank < depth:
             window = max(1, (GATHER_BYTES - pending * slots.size) // (score * slots.size))
             ranks = np.arange(rank, min(depth, rank + window))
