@@ -33,6 +33,8 @@ from .probability import (JointPmf, TransitionKernel, compose, marginalize,  # n
 U_CARD_SLACK = 4           # auxiliary alphabet may exceed |x||v1||v2| by this much
 GRID_POLICY_CAP = 300_000  # refuse grids that would enumerate more policies
 RATE_FLOOR = 1e-12
+POLICY_BYTES = 1_000       # a kept policy's objects and its summary row, beside its table
+POINT_BYTES = 200          # a region point in the list and the tuple (192 B measured)
 
 
 @dataclass(frozen=True)
@@ -208,18 +210,28 @@ def _simplex_grid(steps: int, outcomes: int) -> np.ndarray:
     return (np.diff(edges, axis=1) - 1) / steps
 
 
-def _policy_chunks(model: DiscreteWiretapModel,
-                   search: SearchConfig) -> Iterator[np.ndarray]:
-    """The policy stream as (B, v1, v2, u, x) stacks: grid block first, then
-    seeded random draws, draw i from (seed, i) alone so that growing n_random
-    only extends the stream.  A stack composes to at most MAX_TABLE_ENTRIES
-    joint entries, the cap a single joint obeys."""
+def _dirichlet_draws(seed: int, first: int, count: int, n_cells: int,
+                     outcomes: int) -> np.ndarray:
+    """default_rng([seed, i]).dirichlet(np.ones(outcomes), n_cells) for i in
+    first .. first + count - 1, as one (count, n_cells, outcomes) array, bit
+    for bit: dirichlet(ones) draws standard exponentials (standard_gamma(1))
+    and multiplies each cell by the inverse of its left-to-right running sum.
+    The generators come from _seeded_generators, not one default_rng each."""
+    draws = np.empty((count, n_cells, outcomes))
+    for draw, rng in zip(draws, probability._seeded_generators((seed,), first, count)):
+        rng.standard_exponential(out=draw)
+    draws *= 1.0 / draws.cumsum(axis=2)[:, :, -1:]
+    return draws
+
+
+def _stream_plan(model: DiscreteWiretapModel, search: SearchConfig) -> tuple[int, int]:
+    """(grid policies, policies per stack) of the search's stream, after
+    refusing a u_card over the bound, a grid over GRID_POLICY_CAP, a zero
+    budget and a joint over the table cap."""
     if search.u_card > model.u_card_bound:
         raise UsageError(
             f"u_card {search.u_card} exceeds the bound {model.u_card_bound}")
-    c_v1, c_v2 = model.card_v1, model.card_v2
-    cell_v2 = c_v2 if search.mode == "v1v2" else 1   # mode 'v1' broadcasts over v2
-    n_cells = c_v1 * cell_v2
+    n_cells = model.card_v1 * (model.card_v2 if search.mode == "v1v2" else 1)
     outcomes = search.u_card * model.card_x
     grid_total = 0
     if search.grid_steps > 0:
@@ -231,11 +243,25 @@ def _policy_chunks(model: DiscreteWiretapModel,
     if grid_total + search.n_random == 0:
         raise UsageError("search budget is zero: set n_random or grid_steps")
     cap = probability.MAX_TABLE_ENTRIES
-    joint_entries = outcomes * c_v1 * c_v2 * model.card_y * model.card_z
+    joint_entries = outcomes * model.card_v1 * model.card_v2 * model.card_y * model.card_z
     if joint_entries > cap:
         raise UsageError(f"composed joint would hold {joint_entries} entries, "
                          f"above the {cap}-entry cap")
-    size = cap // joint_entries
+    return grid_total, cap // joint_entries
+
+
+def _policy_chunks(model: DiscreteWiretapModel,
+                   search: SearchConfig) -> Iterator[np.ndarray]:
+    """The policy stream as (B, v1, v2, u, x) stacks: grid block first, then
+    seeded random draws, draw i from (seed, i) alone so that growing n_random
+    only extends the stream.  A stack composes to at most MAX_TABLE_ENTRIES
+    joint entries, the cap a single joint obeys.  Draw i is
+    default_rng([seed, i]).dirichlet(ones, n_cells), made by _dirichlet_draws."""
+    grid_total, size = _stream_plan(model, search)
+    c_v1, c_v2 = model.card_v1, model.card_v2
+    cell_v2 = c_v2 if search.mode == "v1v2" else 1   # mode 'v1' broadcasts over v2
+    n_cells = c_v1 * cell_v2
+    outcomes = search.u_card * model.card_x
 
     def stack(cells: np.ndarray) -> np.ndarray:
         tables = cells.reshape(len(cells), c_v1, cell_v2, search.u_card, model.card_x)
@@ -249,10 +275,9 @@ def _policy_chunks(model: DiscreteWiretapModel,
                                      (len(points),) * n_cells)
             yield stack(points[np.stack(cells, axis=1)])
 
-    alpha = np.ones(outcomes)
     for start in range(0, search.n_random, size):
-        yield stack(np.array([np.random.default_rng([search.seed, i]).dirichlet(alpha, n_cells)
-                              for i in range(start, min(start + size, search.n_random))]))
+        yield stack(_dirichlet_draws(search.seed, start, min(size, search.n_random - start),
+                                     n_cells, outcomes))
 
 
 def _policy(model: DiscreteWiretapModel, table: np.ndarray) -> AuxiliaryPolicy:
@@ -374,6 +399,23 @@ def search_summary(model: DiscreteWiretapModel, search: SearchConfig) -> dict:
     return _summary(mi, _v1_profiles(model, search, mi))
 
 
+def _check_budget(model: DiscreteWiretapModel, search: SearchConfig) -> None:
+    """Refuse, before any draw, a search whose region breaks BYTE_BUDGET:
+    per policy of the stream a kept table with its objects and the profile
+    rows of both streams, and every point a curve can add.  The sweep's own
+    working set is one stack, bounded by MAX_TABLE_ENTRIES."""
+    grid_total, _ = _stream_plan(model, search)
+    policies = grid_total + search.n_random
+    entries = model.card_v1 * model.card_v2 * search.u_card * model.card_x
+    points = 1 + policies * search.curve_points
+    need = policies * (8 * (entries + 8) + POLICY_BYTES) + points * POINT_BYTES
+    if need > probability.BYTE_BUDGET:
+        raise UsageError(
+            f"{policies} policies at {search.curve_points} curve points need "
+            f"{need / 2 ** 20:.0f} MiB, over the {probability.BYTE_BUDGET // 2 ** 20} MiB "
+            f"budget; lower the random draws, the grid or the curve points")
+
+
 def achievable_points(model: DiscreteWiretapModel,
                       search: SearchConfig) -> RegionPointSet:
     """Sample the achievable region: per-policy curve R*d = r_u1 plus endpoints,
@@ -382,23 +424,29 @@ def achievable_points(model: DiscreteWiretapModel,
     Policies with negative r_u1 are excluded; (0, 1) is always present so the
     trivial point survives even when every sampled policy leaks.
     """
-    tables, mi = (np.concatenate(part) for part in zip(*_sweep(model, search)))
+    _check_budget(model, search)
     points: list[RegionPoint] = [RegionPoint(0.0, 1.0, -1)]
     kept: dict[int, AuxiliaryPolicy] = {}
-    for pid, triplet in enumerate(_triplet_from_profile(*row[:3]) for row in mi.tolist()):
-        r1 = triplet.r_u1
-        if r1 < -RATE_FLOOR:
-            continue
-        r1 = max(r1, 0.0)
-        r2 = max(triplet.r_u2, r1)
-        kept[pid] = _policy(model, tables[pid])
-        points.append(RegionPoint(r1, 1.0, pid))
-        if r2 <= r1 + RATE_FLOOR:
-            continue
-        points.append(RegionPoint(r2, triplet.d_u2, pid))
-        for k in range(1, search.curve_points - 1):
-            r = r1 + (r2 - r1) * k / (search.curve_points - 1)
-            d = r1 / r if r > RATE_FLOOR else 1.0
-            points.append(RegionPoint(r, d, pid))
+    rows: list[np.ndarray] = []
+    for tables, mi in _sweep(model, search):
+        first = sum(map(len, rows))
+        rows.append(mi)
+        for pid, row in enumerate(mi.tolist(), first):
+            triplet = _triplet_from_profile(*row[:3])
+            r1 = triplet.r_u1
+            if r1 < -RATE_FLOOR:
+                continue
+            r1 = max(r1, 0.0)
+            r2 = max(triplet.r_u2, r1)
+            kept[pid] = _policy(model, tables[pid - first])
+            points.append(RegionPoint(r1, 1.0, pid))
+            if r2 <= r1 + RATE_FLOOR:
+                continue
+            points.append(RegionPoint(r2, triplet.d_u2, pid))
+            for k in range(1, search.curve_points - 1):
+                r = r1 + (r2 - r1) * k / (search.curve_points - 1)
+                d = r1 / r if r > RATE_FLOOR else 1.0
+                points.append(RegionPoint(r, d, pid))
+    mi = np.concatenate(rows)
     return RegionPointSet(tuple(points), kept,
                           _summary(mi, _v1_profiles(model, search, mi)))

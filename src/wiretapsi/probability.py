@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import UsageError, ValidationError
 MASS_TOL = 1e-12
 MI_CLAMP = 1e-10
 MAX_TABLE_ENTRIES = 10_000_000
+BYTE_BUDGET = 2 ** 30   # what a simulation or a region search holds whole, checked first
 
 Axes = tuple[tuple[str, int], ...]
 
@@ -296,3 +297,87 @@ def _require_kernel(kernel: TransitionKernel, inputs: tuple[str, ...],
         if cards.get(name, card) != card:
             raise UsageError(
                 f"kernel input '{name}' has cardinality {card}, expected {cards[name]}")
+
+
+# numpy's SeedSequence hash and PCG64 seeding constants (bit_generator.pyx,
+# pcg64.h), which numpy's RNG policy (NEP 19) keeps stable
+_MASK32 = 0xFFFF_FFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
+_PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_SEED_BATCH = 4096          # indices hashed at once
+
+
+def _words(value: int) -> list[int]:
+    """SeedSequence's 32-bit words of a nonnegative int, lowest first."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
+    """SeedSequence(entropy).generate_state(4, np.uint64) as four uint64
+    arrays, one seed per element; every entropy word is a uint32 array that
+    broadcasts to the elements."""
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        return out ^ (out >> np.uint32(16))
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:                  # entropy past the pool
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for k in range(8):
+        value = pool[k % 4] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return [state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)]
+
+
+def _seeded_generators(prefix: Sequence[int], first: int,
+                       count: int) -> Iterator[np.random.Generator]:
+    """For i in first .. first + count - 1, one reused Generator put at the
+    stream of np.random.default_rng([*prefix, i]), bit for bit.
+
+    SeedSequence's hash runs on uint32 arrays for a batch of indices that
+    share every word but the lowest; PCG64's seeding (step, add the seed,
+    step) runs on Python ints; the state setter places the generator.  The
+    draws are numpy's own.  A caller uses each generator before the next.
+    """
+    generator = np.random.Generator(np.random.PCG64(0))
+    bits = generator.bit_generator
+    head = [np.array([w], dtype=np.uint32) for value in prefix for w in _words(int(value))]
+    index, end = first, first + count
+    while index < end:
+        high = index >> 32
+        stop = min(end, index + _SEED_BATCH, (high + 1) << 32)
+        low = np.arange(index & _MASK32, (index & _MASK32) + stop - index, dtype=np.uint32)
+        rest = [np.array([w], dtype=np.uint32) for w in _words(high)] if high else []
+        words = _seed_words(head + [low] + rest)
+        for s_high, s_low, i_high, i_low in zip(*(w.tolist() for w in words)):
+            inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+            state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            yield generator
+        index = stop

@@ -11,10 +11,11 @@ analytically.
 Hard caps keep everything exactly enumerable: block length <= 16, state
 alphabet product <= 4, codebook <= 2^20 codewords, and the posterior's state
 enumeration |V1|^N * |V2|^N <= 2^20.  On top of the caps, one byte budget,
-BYTE_BUDGET, bounds what a run holds whole: the (m, S) selection and found
-tables, one (m, S) code array per node table of the posterior (m messages,
-S = |V1|^N state sequences) and one equivocation per trial.  It is checked
-before anything is allocated; a run over it is refused with a UsageError.
+probability.BYTE_BUDGET, which the region search shares, bounds what a run
+holds whole: the (m, S) selection and found tables, one (m, S) code array
+per node table of the posterior (m messages, S = |V1|^N state sequences)
+and one equivocation per trial.  It is checked before anything is
+allocated; a run over it is refused with a UsageError.
 Everything else is streamed in steps of about GATHER_BYTES, trials included.
 
 Every sequence score is an exact sum of n per-coordinate log-probabilities.
@@ -53,13 +54,13 @@ import numpy as np
 from .discrete import (AuxiliaryPolicy, DiscreteWiretapModel, RateTriplet,
                        _check_policy, rate_triplet)
 from .errors import InfeasibleRateError, UsageError
-from .probability import Pmf, _check_stack, _entropy_bits, _entropy_bits_batch, compose
+from .probability import (BYTE_BUDGET, Pmf, _check_stack, _entropy_bits,
+                          _entropy_bits_batch, _seeded_generators, compose)
 
 MAX_BLOCK_LENGTH = 16
 MAX_STATE_PRODUCT = 4
 MAX_CODEBOOK = 2 ** 20
 MAX_STATE_ENUM_BITS = 20.0
-BYTE_BUDGET = 2 ** 30     # selection, found, codes and equivocations, held whole for a run
 GATHER_BYTES = 2 ** 19    # working set of one selection, decode, posterior or trial step
 WILSON_Z = 1.959963984540054
 
@@ -725,8 +726,7 @@ def _trial_block(tables: _Tables, codebook: Codebook, config: SimConfig,
     state_cdf /= state_cdf[-1]
     messages = np.empty(count, dtype=np.int64)
     draws = np.empty((count, 4, n))                   # states, then x, y, z in turn
-    for k in range(count):
-        rng = np.random.default_rng([config.seed, 1, first + k])
+    for k, rng in enumerate(_seeded_generators((config.seed, 1), first, count)):
         # rng.choice(size, n, p=...) draws n uniforms and inverts this cdf;
         # the block inverts every trial's at once
         draws[k, 0] = rng.random(n)

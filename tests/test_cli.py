@@ -557,3 +557,14 @@ def test_simulate_exits_zero_or_two(case):
     stderr = err.getvalue()
     assert (stderr == "") if code == 0 else stderr.startswith("error:"), stderr
     assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("seed", [2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 100])
+def test_seeds_past_64_bits_run(tmp_path, model_file, capsys, seed):
+    # seeds of two to four 32-bit words reach every generator of the program
+    assert main(["validate", "--seed", str(seed), "--out", str(tmp_path / "v")]) == 0
+    assert main(["discrete-region", "--model", str(model_file), "--random", "3",
+                 "--seed", str(seed), "--out", str(tmp_path / "d")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
+    assert manifest["settings"]["seed"] == seed

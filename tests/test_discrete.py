@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,3 +349,61 @@ def test_region_max_r_u1_is_the_best_curve_rate(trend):
     region = achievable_points(model, SearchConfig(u_card=2, n_random=40, seed=9))
     best = max(p.r for p in region.points if p.d == 1.0)
     assert region.max_r_u1 == best == region.summary["secrecy_rate"] > 0.0
+
+
+def test_region_budget_is_checked_before_any_draw(monkeypatch):
+    # per policy of the stream: a kept table and the profile rows of both
+    # streams beside the policy's objects, and every point its curve can add
+    model = random_binary_model(np.random.default_rng(3))
+    search = SearchConfig(u_card=2, n_random=40, grid_steps=1, seed=1, curve_points=5)
+    policies = 4 ** 4 + 40
+    need = (policies * (8 * (2 * 2 * 2 * 2 + 8) + discrete.POLICY_BYTES)
+            + (1 + policies * 5) * discrete.POINT_BYTES)
+    monkeypatch.setattr(probability, "BYTE_BUDGET", need)
+    achievable_points(model, search)                     # exactly at the budget
+    monkeypatch.setattr(probability, "BYTE_BUDGET", need - 1)
+
+    def no_draw(*args):
+        raise AssertionError("policies drawn before the budget check")
+
+    monkeypatch.setattr(discrete, "_policy_chunks", no_draw)
+    with pytest.raises(UsageError, match="budget"):
+        achievable_points(model, search)
+
+
+def test_region_budget_bounds_what_the_search_holds(monkeypatch):
+    # mode 'v1' on this model keeps every policy and, at two curve points,
+    # two points each: the per-policy charge is the tight one.  Small stacks
+    # keep the sweep's own working set out of the traced peak.
+    model = random_small_model(np.random.default_rng(11))
+    search = SearchConfig(u_card=2, n_random=3000, seed=0, mode="v1", curve_points=2)
+    monkeypatch.setattr(probability, "MAX_TABLE_ENTRIES", 20_000)
+    entries = model.card_v1 * model.card_v2 * 2 * model.card_x
+    need = (3000 * (8 * (entries + 8) + discrete.POLICY_BYTES)
+            + (1 + 3000 * 2) * discrete.POINT_BYTES)
+    tracemalloc.start()
+    try:
+        region = achievable_points(model, search)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(region.policies) == 3000
+    assert need / 2 < peak <= need
+
+
+def test_huge_random_budget_exits_two_before_drawing(trend, tmp_path, capsys):
+    model, _ = trend
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(model)))
+    tracemalloc.start()
+    try:
+        code = main(["discrete-region", "--model", str(path), "--random", str(10 ** 12),
+                     "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "budget" in err and "Traceback" not in err
+    assert peak < 16 * 2 ** 20
+    assert not (tmp_path / "o").exists()

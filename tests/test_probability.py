@@ -16,6 +16,8 @@ from wiretapsi import (
     marginalize,
     mutual_information,
 )
+from wiretapsi.discrete import _dirichlet_draws
+from wiretapsi.probability import _seeded_generators
 
 # independently derived: -0.25*log2(0.25) - 0.75*log2(0.75)
 H_QUARTER = 0.8112781244591328
@@ -177,3 +179,26 @@ def test_compose_rejects_mismatched_axes(trend):
     wrong_state = JointPmf((("v1", 2), ("w", 1)), model.state_pmf.table)
     with pytest.raises(UsageError):
         compose(wrong_state, policy.table, model.main_kernel, model.wiretap_kernel)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 100])
+def test_seeded_generators_follow_default_rng(seed):
+    # _seeded_generators tabulates numpy's SeedSequence pool hash and PCG64
+    # seeding, and _dirichlet_draws stands in for dirichlet(ones); a numpy
+    # that changes any of them fails here.  The second index range crosses
+    # 2^32, and seeds of 3 and 4 words push the entropy past the 4-word
+    # pool; from 9 outcomes on a running sum and np.sum's blocked sum differ.
+    for first in (0, 2 ** 32 - 3):
+        for outcomes in range(2, 19):
+            for n_cells in range(1, 5):
+                want = [np.random.default_rng([seed, i]).dirichlet(np.ones(outcomes), n_cells)
+                        for i in range(first, first + 6)]
+                np.testing.assert_array_equal(
+                    _dirichlet_draws(seed, first, 6, n_cells, outcomes), want)
+        # the simulator's trials: generator (seed, 1, t), then its draws
+        for t, rng in enumerate(_seeded_generators((seed, 1), first, 6), first):
+            want = np.random.default_rng([seed, 1, t])
+            n, m = 16, 1 + t % 1000
+            np.testing.assert_array_equal(rng.random(n), want.random(n))
+            assert rng.integers(1, m + 1) == want.integers(1, m + 1)
+            np.testing.assert_array_equal(rng.random((3, n)), want.random((3, n)))
