@@ -422,7 +422,8 @@ def achievable_points(model: DiscreteWiretapModel,
     with the search summary of the same sweep.
 
     Policies with negative r_u1 are excluded; (0, 1) is always present so the
-    trivial point survives even when every sampled policy leaks.
+    trivial point survives even when every sampled policy leaks.  A search
+    whose region would break the byte budget is refused before any draw.
     """
     _check_budget(model, search)
     points: list[RegionPoint] = [RegionPoint(0.0, 1.0, -1)]
