@@ -187,7 +187,8 @@ def test_seeded_generators_follow_default_rng(seed):
     # seeding, and _dirichlet_draws stands in for dirichlet(ones); a numpy
     # that changes any of them fails here.  The second index range crosses
     # 2^32, and seeds of 3 and 4 words push the entropy past the 4-word
-    # pool; from 9 outcomes on a running sum and np.sum's blocked sum differ.
+    # pool; from 8 outcomes on np.sum adds in blocked partial sums, which
+    # can differ from dirichlet's running sum.
     for first in (0, 2 ** 32 - 3):
         for outcomes in range(2, 19):
             for n_cells in range(1, 5):
