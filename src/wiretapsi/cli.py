@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -38,7 +39,9 @@ _CHOICES = {"mode": ("v1v2", "v1"), "case": ("1", "2")}
 _NONE_DEFAULT_TYPES = {"seed": int, "model": str, "sim_config": str}
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="wiretapsi",
         description="Wiretap-channel-with-side-information toolkit")
@@ -183,7 +186,7 @@ def _cmd_discrete_region(args: argparse.Namespace) -> int:
                           mode=settings["mode"],
                           curve_points=settings["curve_points"])
     region = achievable_points(model, search)
-    summary = dict(region.summary, max_r_u1=region.max_r_u1, points=len(region.points))
+    summary = dict(region.summary, max_r_u1=region.max_r_u1, points=len(region.r))
 
     out = _out_dir(args)
     modelio.write_region_csv(os.path.join(out, "region.csv"), region)

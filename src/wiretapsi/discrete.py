@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -33,8 +34,12 @@ from .probability import (JointPmf, TransitionKernel, compose, marginalize,  # n
 U_CARD_SLACK = 4           # auxiliary alphabet may exceed |x||v1||v2| by this much
 GRID_POLICY_CAP = 300_000  # refuse grids that would enumerate more policies
 RATE_FLOOR = 1e-12
-POLICY_BYTES = 1_000       # a kept policy's objects and its summary row, beside its table
-POINT_BYTES = 200          # a region point in the list and the tuple (192 B measured)
+BLOCK_ROWS = 1_024         # region rows per layout step and per region.csv write
+# what a region search holds, charged by _check_budget (tracemalloc-measured)
+POLICY_BYTES = 128         # profile rows of both streams, the kept id, summary temporaries
+POINT_BYTES = 24           # a point's r, d and policy_id
+ROW_BYTES = 256            # a row of a layout or write block (234 B measured)
+JOINT_BYTES = 32           # a composed joint entry of one stack, draws included (14-21 B measured)
 
 
 @dataclass(frozen=True)
@@ -149,12 +154,40 @@ class RegionPoint:
     policy_id: int
 
 
+class _KeptPolicies(Mapping):
+    """Read-only view of a region's kept policies by id; a policy object is
+    built only when one is looked up."""
+
+    def __init__(self, kept: np.ndarray, tables: np.ndarray):
+        self._kept, self._tables = kept, tables
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._kept.tolist())
+
+    def __getitem__(self, pid: int) -> AuxiliaryPolicy:
+        j = int(np.searchsorted(self._kept, pid))
+        if j == len(self._kept) or self._kept[j] != pid:
+            raise KeyError(pid)
+        return _policy(self._tables[j])
+
+
 @dataclass(frozen=True)
 class RegionPointSet:
-    """Downward-closed achievable set, sampled along each policy's curve."""
+    """Downward-closed achievable set, sampled along each policy's curve.
 
-    points: tuple[RegionPoint, ...]
-    policies: dict[int, AuxiliaryPolicy]
+    Point i is (r[i], d[i]) on the curve of policy policy_id[i], -1 for the
+    trivial point (0, 1).  tables[j] is the table of policy kept[j]; kept
+    holds, in ascending order, the ids of the policies that have points.
+    """
+
+    r: np.ndarray
+    d: np.ndarray
+    policy_id: np.ndarray
+    kept: np.ndarray
+    tables: np.ndarray        # (len(kept), v1, v2, u, x)
     summary: dict             # search_summary of the same search
 
     @property
@@ -162,11 +195,22 @@ class RegionPointSet:
         """Largest r_u1 on the curve: the summary's secrecy rate."""
         return self.summary["secrecy_rate"]
 
+    @property
+    def points(self) -> tuple[RegionPoint, ...]:
+        """The points as objects, in column order."""
+        return tuple(map(RegionPoint, self.r.tolist(), self.d.tolist(),
+                         self.policy_id.tolist()))
+
+    @property
+    def policies(self) -> Mapping[int, AuxiliaryPolicy]:
+        """Each kept policy by id."""
+        return _KeptPolicies(self.kept, self.tables)
+
     def contains(self, r: float, d: float, tol: float = 1e-12) -> bool:
         """True when (r, d) is dominated by some stored point."""
         if r < 0.0 or d < 0.0:
             return False
-        return any(r <= p.r + tol and d <= p.d + tol for p in self.points)
+        return bool(np.any((r <= self.r + tol) & (d <= self.d + tol)))
 
 
 def _check_policy(model: DiscreteWiretapModel, policy: AuxiliaryPolicy) -> None:
@@ -182,13 +226,24 @@ def _check_policy(model: DiscreteWiretapModel, policy: AuxiliaryPolicy) -> None:
         raise UsageError("policy x cardinality does not match the model")
 
 
-def _triplet_from_profile(mi_uy: float, mi_uv: float, mi_uz: float) -> RateTriplet:
-    r_u1 = mi_uy - max(mi_uv, mi_uz)
+def _triplets(mi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r_u1, r_u2, d_u2) of every (I(u;y), I(u;v1,v2), I(u;z), ...) row."""
+    mi_uy, mi_uv, mi_uz = mi[:, 0], mi[:, 1], mi[:, 2]
+    r_u1 = mi_uy - np.maximum(mi_uv, mi_uz)
     r_u2 = mi_uy - mi_uv
     # differences below the rate floor are float noise, e.g. z a copy of y
-    r_u1 = 0.0 if abs(r_u1) <= RATE_FLOOR else r_u1
-    r_u2 = 0.0 if abs(r_u2) <= RATE_FLOOR else r_u2
-    d_u2 = min(1.0, max(0.0, r_u1 / r_u2)) if r_u2 > RATE_FLOOR else 1.0
+    r_u1[np.abs(r_u1) <= RATE_FLOOR] = 0.0
+    r_u2[np.abs(r_u2) <= RATE_FLOOR] = 0.0
+    live = r_u2 > RATE_FLOOR
+    d_u2 = np.divide(r_u1, r_u2, out=np.ones_like(r_u1), where=live)
+    # min(1, max(0, x)): nan and -0.0 go to 0.0, as the comparisons do
+    d_u2 = np.where(d_u2 > 0.0, d_u2, 0.0)
+    return r_u1, r_u2, np.where(d_u2 < 1.0, d_u2, 1.0)
+
+
+def _triplet_from_profile(mi_uy: float, mi_uv: float, mi_uz: float) -> RateTriplet:
+    """One profile row's triplet: a one-row view of _triplets."""
+    r_u1, r_u2, d_u2 = (float(v[0]) for v in _triplets(np.array([[mi_uy, mi_uv, mi_uz]])))
     return RateTriplet(r_u1, r_u2, d_u2, mi_uy, mi_uv, mi_uz)
 
 
@@ -280,10 +335,10 @@ def _policy_chunks(model: DiscreteWiretapModel,
                                      n_cells, outcomes))
 
 
-def _policy(model: DiscreteWiretapModel, table: np.ndarray) -> AuxiliaryPolicy:
-    u_card, c_x = table.shape[2:]
+def _policy(table: np.ndarray) -> AuxiliaryPolicy:
+    c_v1, c_v2, u_card, c_x = table.shape
     return AuxiliaryPolicy(u_card, TransitionKernel(
-        (("v1", model.card_v1), ("v2", model.card_v2)), (("u", u_card), ("x", c_x)), table))
+        (("v1", c_v1), ("v2", c_v2)), (("u", u_card), ("x", c_x)), table))
 
 
 def iter_policies(model: DiscreteWiretapModel,
@@ -291,7 +346,7 @@ def iter_policies(model: DiscreteWiretapModel,
     """The policy stream of a search, one validated policy at a time."""
     for tables in _policy_chunks(model, search):
         for table in tables:
-            yield _policy(model, table)
+            yield _policy(table)
 
 
 def _mi_profiles(model: DiscreteWiretapModel, tables: np.ndarray) -> np.ndarray:
@@ -328,7 +383,14 @@ def _sweep(model: DiscreteWiretapModel,
 
 
 def _profiles(model: DiscreteWiretapModel, search: SearchConfig) -> np.ndarray:
-    return np.concatenate([mi for _, mi in _sweep(model, search)])
+    """The profile rows of the search's stream, filled into one array."""
+    grid_total, _ = _stream_plan(model, search)
+    mi = np.empty((grid_total + search.n_random, 4))
+    first = 0
+    for _, rows in _sweep(model, search):
+        mi[first:first + len(rows)] = rows
+        first += len(rows)
+    return mi
 
 
 def _best(values) -> tuple[float, int]:
@@ -341,7 +403,7 @@ def _summary(mi: np.ndarray, mi_v1: np.ndarray) -> dict:
     """Every searched result from the profile rows of the search's stream and
     of the 'v1' stream, which holds the capacity; a result of one stream
     alone takes its rows for both.  Ties keep the first policy id."""
-    rate = _best([_triplet_from_profile(*row[:3]).r_u1 for row in mi.tolist()])
+    rate = _best(_triplets(mi)[0])
     state, capacity = (_best(rows[:, 0] - rows[:, 3]) for rows in (mi, mi_v1))
     tap = _best(mi[:, 0] - mi[:, 2])
     return {
@@ -399,21 +461,48 @@ def search_summary(model: DiscreteWiretapModel, search: SearchConfig) -> dict:
     return _summary(mi, _v1_profiles(model, search, mi))
 
 
-def _check_budget(model: DiscreteWiretapModel, search: SearchConfig) -> None:
-    """Refuse, before any draw, a search whose region breaks BYTE_BUDGET:
-    per policy of the stream a kept table with its objects and the profile
-    rows of both streams, and every point a curve can add.  The sweep's own
-    working set is one stack, bounded by MAX_TABLE_ENTRIES."""
-    grid_total, _ = _stream_plan(model, search)
+def _check_budget(model: DiscreteWiretapModel, search: SearchConfig) -> int:
+    """Refuse, before any draw, a search whose region breaks BYTE_BUDGET, and
+    return the stream's policy count.  The charge is what the search holds:
+    - per policy of the stream, a kept table and POLICY_BYTES;
+    - POINT_BYTES of columns per point of the bound 1 + policies * curve_points;
+    - one block of rows being laid out or written, max(BLOCK_ROWS,
+      curve_points) rows of ROW_BYTES;
+    - the sweep's working set: one stack's tables and JOINT_BYTES per entry
+      of its composed joints."""
+    grid_total, size = _stream_plan(model, search)
     policies = grid_total + search.n_random
     entries = model.card_v1 * model.card_v2 * search.u_card * model.card_x
     points = 1 + policies * search.curve_points
-    need = policies * (8 * (entries + 8) + POLICY_BYTES) + points * POINT_BYTES
+    joint = entries * model.card_y * model.card_z
+    need = (policies * (8 * entries + POLICY_BYTES) + points * POINT_BYTES
+            + max(BLOCK_ROWS, search.curve_points) * ROW_BYTES
+            + min(policies, size) * (8 * entries + joint * JOINT_BYTES))
     if need > probability.BYTE_BUDGET:
         raise UsageError(
             f"{policies} policies at {search.curve_points} curve points need "
             f"{need / 2 ** 20:.0f} MiB, over the {probability.BYTE_BUDGET // 2 ** 20} MiB "
             f"budget; lower the random draws, the grid or the curve points")
+    return policies
+
+
+def _curve_block(r_u1: np.ndarray, r_u2: np.ndarray, d_u2: np.ndarray,
+                 curve_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, d, count) rows of kept policies' curves: row j holds (r1, 1),
+    (r2, d_u2) and the interior points of policy j, of which the first
+    count[j] are its points; a policy with r2 = r1 has the first only."""
+    r1 = np.maximum(r_u1, 0.0)
+    r2 = np.maximum(r_u2, r1)
+    span = r2 - r1
+    r = np.empty((len(r1), curve_points))
+    r[:, 0], r[:, 1] = r1, r2
+    # point k + 1 is interior point k of curve_points - 2
+    r[:, 2:] = np.arange(1, curve_points - 1) * span[:, None] / (curve_points - 1)
+    r[:, 2:] += r1[:, None]
+    d = np.divide(r1[:, None], r, out=np.ones_like(r), where=r > RATE_FLOOR)
+    d[:, 0], d[:, 1] = 1.0, d_u2
+    count = np.where(r2 <= r1 + RATE_FLOOR, 1, curve_points)
+    return r, d, count
 
 
 def achievable_points(model: DiscreteWiretapModel,
@@ -422,32 +511,37 @@ def achievable_points(model: DiscreteWiretapModel,
     with the search summary of the same sweep.
 
     Policies with negative r_u1 are excluded; (0, 1) is always present so the
-    trivial point survives even when every sampled policy leaks.  A search
-    whose region would break the byte budget is refused before any draw.
+    trivial point survives even when every sampled policy leaks.  The points
+    are laid out as r, d and policy_id columns, preallocated to the bound
+    1 + policies * curve_points.  A search whose region would break the byte
+    budget is refused before any draw.
     """
-    _check_budget(model, search)
-    points: list[RegionPoint] = [RegionPoint(0.0, 1.0, -1)]
-    kept: dict[int, AuxiliaryPolicy] = {}
-    rows: list[np.ndarray] = []
-    for tables, mi in _sweep(model, search):
-        first = sum(map(len, rows))
-        rows.append(mi)
-        for pid, row in enumerate(mi.tolist(), first):
-            triplet = _triplet_from_profile(*row[:3])
-            r1 = triplet.r_u1
-            if r1 < -RATE_FLOOR:
-                continue
-            r1 = max(r1, 0.0)
-            r2 = max(triplet.r_u2, r1)
-            kept[pid] = _policy(model, tables[pid - first])
-            points.append(RegionPoint(r1, 1.0, pid))
-            if r2 <= r1 + RATE_FLOOR:
-                continue
-            points.append(RegionPoint(r2, triplet.d_u2, pid))
-            for k in range(1, search.curve_points - 1):
-                r = r1 + (r2 - r1) * k / (search.curve_points - 1)
-                d = r1 / r if r > RATE_FLOOR else 1.0
-                points.append(RegionPoint(r, d, pid))
-    mi = np.concatenate(rows)
-    return RegionPointSet(tuple(points), kept,
+    policies = _check_budget(model, search)
+    bound = 1 + policies * search.curve_points
+    r, d, ids = np.empty(bound), np.empty(bound), np.empty(bound, dtype=np.int64)
+    r[0], d[0], ids[0] = 0.0, 1.0, -1
+    mi = np.empty((policies, 4))
+    kept = np.empty(policies, dtype=np.int64)
+    tables = np.empty((policies, model.card_v1, model.card_v2, search.u_card, model.card_x))
+    step = max(1, BLOCK_ROWS // search.curve_points)    # policies per layout step
+    first = n_kept = 0
+    n = 1
+    for stack, rows in _sweep(model, search):
+        mi[first:first + len(rows)] = rows
+        r_u1, r_u2, d_u2 = _triplets(rows)
+        keep = np.flatnonzero(~(r_u1 < -RATE_FLOOR))
+        kept[n_kept:n_kept + len(keep)] = keep + first
+        tables[n_kept:n_kept + len(keep)] = stack[keep]
+        for start in range(0, len(keep), step):
+            part = keep[start:start + step]
+            block_r, block_d, count = _curve_block(r_u1[part], r_u2[part], d_u2[part],
+                                                  search.curve_points)
+            mask = np.arange(search.curve_points) < count[:, None]
+            stop = n + int(count.sum())
+            r[n:stop], d[n:stop] = block_r[mask], block_d[mask]
+            ids[n:stop] = np.repeat(part + first, count)
+            n = stop
+        n_kept += len(keep)
+        first += len(rows)
+    return RegionPointSet(r[:n], d[:n], ids[:n], kept[:n_kept], tables[:n_kept],
                           _summary(mi, _v1_profiles(model, search, mi)))

@@ -13,27 +13,26 @@ JSON layouts (row-major nesting):
 
 Relative *_file paths resolve against the config file's directory.  All
 writers are atomic (temp file + rename) and emit LF line endings; floats are
-formatted with %.12g so identical inputs give identical bytes.
+formatted with %.12g so identical inputs give identical bytes.  CSV files are
+written in blocks of BLOCK_ROWS rows, each block one %-format of its cells.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import os
 import tempfile
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .discrete import AuxiliaryPolicy, DiscreteWiretapModel, RegionPointSet
+from .discrete import BLOCK_ROWS, AuxiliaryPolicy, DiscreteWiretapModel, RegionPointSet
 from .errors import UsageError, ValidationError
 from .probability import JointPmf, TransitionKernel
 
-FLOAT_FMT = ".12g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), FLOAT_FMT)
+FLOAT_FMT = "%.12g"
 
 
 def load_json(path: str) -> Any:
@@ -164,12 +163,14 @@ def load_sim_config(path: str):
     )
 
 
-def atomic_write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator:
+    """A text file that replaces path when the block exits cleanly."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -177,12 +178,32 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def atomic_write_text(path: str, text: str) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(text)
+
+
+def _write_blocks(path: str, header: Sequence[str], formats: Sequence[str],
+                  blocks: Iterable[Iterable[Sequence]]) -> None:
+    """The one CSV writer: the header, then each block of rows as one
+    %-format, formats[i] for column i."""
+    line = ",".join(formats) + "\n"
+    with _atomic_file(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for block in blocks:
+            cells = tuple(itertools.chain.from_iterable(block))
+            fh.write(line * (len(cells) // len(formats)) % cells)
+
+
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            _fmt(cell) if isinstance(cell, float) else str(cell) for cell in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Rows under header, through the one block writer: a column whose first
+    cell is a float takes FLOAT_FMT, any other column %s."""
+    rows = iter(rows)
+    blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
+    first = next(blocks, [])
+    formats = ([FLOAT_FMT if isinstance(cell, float) else "%s" for cell in first[0]]
+               if first else ["%s"] * len(header))
+    _write_blocks(path, header, formats, itertools.chain([first], blocks))
 
 
 def write_json(path: str, obj: Any) -> None:
@@ -190,15 +211,18 @@ def write_json(path: str, obj: Any) -> None:
 
 
 def write_region_csv(path: str, region: RegionPointSet) -> None:
-    rows = [(float(p.r), float(p.d), p.policy_id) for p in region.points]
-    write_csv(path, ("R", "d", "policy_id"), rows)
+    """region.csv from the region's columns, BLOCK_ROWS rows at a time."""
+    columns = (region.r, region.d, region.policy_id)
+    blocks = (zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns))
+              for start in range(0, len(region.r), BLOCK_ROWS))
+    _write_blocks(path, ("R", "d", "policy_id"), (FLOAT_FMT, FLOAT_FMT, "%d"), blocks)
 
 
 def dump_codebook_text(path: str, codebook, rate: float) -> None:
     """One codeword per line: bin, subbin, then the N symbols."""
     lines = [
         f"# seed {codebook.seed}",
-        f"# rate {_fmt(rate)}",
+        f"# rate {FLOAT_FMT % rate}",
         f"# bins {codebook.bin_count} subbins_per_bin {codebook.subbins_per_bin}",
         f"# codewords {codebook.sequences.shape[0]} n {codebook.sequences.shape[1]}",
     ]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gaussian_reference import reference_region, reference_scan
 from wiretapsi import GaussianWiretapParams, ToolkitError, gaussian
+from wiretapsi import cli
 from wiretapsi.cli import _DEFAULTS, main
 from wiretapsi.modelio import (
     load_sim_config,
@@ -568,3 +569,110 @@ def test_seeds_past_64_bits_run(tmp_path, model_file, capsys, seed):
     assert "Traceback" not in capsys.readouterr().err
     manifest = json.loads((tmp_path / "d" / "manifest.json").read_text())
     assert manifest["settings"]["seed"] == seed
+
+
+def artifacts(out):
+    return {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+
+
+def test_main_called_repeatedly_leaks_no_setting(tmp_path, model_file, capsys):
+    # The parser is built once per process.  Interleaved subcommands and
+    # flags give what a freshly built parser gives, the calls without a
+    # flag get its default back, and usage errors still exit 2.
+    model = str(model_file)
+    calls = [
+        ["gaussian-scan", "--p", "2.0", "--rho-xv1", "0.3", "--step", "0.5"],
+        ["discrete-region", "--model", model, "--random", "7", "--mode", "v1",
+         "--curve-points", "4", "--seed", "3"],
+        ["gaussian-scan", "--step", "0.5"],
+        ["discrete-region", "--model", model, "--random", "7"],
+        ["gaussian-region", "--case", "2", "--grid", "8", "--p", "3.0"],
+        ["gaussian-region", "--grid", "8"],
+        ["validate", "--seed", "5"],
+        ["validate"],
+    ]
+    assert cli._build_parser() is cli._build_parser()
+    for i, argv in enumerate(calls):
+        assert main(argv + ["--out", str(tmp_path / f"warm{i}")]) == 0
+    for i, argv in enumerate(calls):
+        cli._build_parser.cache_clear()
+        assert main(argv + ["--out", str(tmp_path / f"fresh{i}")]) == 0
+        assert artifacts(tmp_path / f"warm{i}") == artifacts(tmp_path / f"fresh{i}"), argv
+    # the calls without a flag hold the defaults, not the flags of the call before
+    defaults = {2: dict(_DEFAULTS["gaussian-scan"], step=0.5),
+                3: dict(_DEFAULTS["discrete-region"], model=model, n_random=7),
+                5: dict(_DEFAULTS["gaussian-region"], grid_size=8),
+                7: _DEFAULTS["validate"]}
+    for i, want in defaults.items():
+        assert json.loads((tmp_path / f"warm{i}" / "manifest.json").read_text())["settings"] == want
+    capsys.readouterr()
+    for argv in ([], ["gaussian-scan", "--bogus"], ["discrete-region", "--mode", "v9"],
+                 ["validate", "--seed", "1.5"], ["simulate", "--dump-codebook", "yes"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+    assert main(calls[2] + ["--out", str(tmp_path / "after")]) == 0
+    assert artifacts(tmp_path / "after") == artifacts(tmp_path / "warm2")
+
+
+# validate --seed flags: (argv words, None if the flag is refused, else the seed)
+VALIDATE_SEEDS = [([], 0), (["--seed", "0"], 0), (["--seed", "22"], 22),
+                  (["--seed", str(2 ** 64)], 2 ** 64), (["--seed", str(2 ** 100)], 2 ** 100),
+                  (["--seed", "-1"], -1), (["--seed", str(-2 ** 70)], -2 ** 70),
+                  (["--seed", "1.5"], None), (["--seed", "True"], None),
+                  (["--seed", "x"], None)]
+# validate --config documents: (document, raw text or None, whether the
+# document is accepted, the seed it sets or None)
+VALIDATE_CONFIGS = [
+    (None, None, True, None), ({}, None, True, None), ({"seed": 7}, None, True, 7),
+    ({"seed": 2 ** 64}, None, True, 2 ** 64), ({"seed": -3}, None, True, -3),
+    ({"out": "elsewhere"}, None, True, None),
+    ({"subcommand": "validate", "version": "0", "settings": {"seed": 9}}, None, True, 9),
+    ({"settings": {"seed": 4}}, None, True, 4),
+    ({"seed": True}, None, False, None), ({"seed": False}, None, False, None),
+    ({"seed": 1.0}, None, False, None), ({"seed": "3"}, None, False, None),
+    ({"seed": None}, None, False, None), ({"seed": [0]}, None, False, None),
+    ({"sede": 1}, None, False, None), ({"seed": 0, "step": 0.5}, None, False, None),
+    ({"subcommand": "gaussian-scan", "settings": {"seed": 0}}, None, False, None),
+    ({"subcommand": "simulate", "settings": {"seed": None}}, None, False, None),
+    ([], None, False, None), (3, None, False, None), ("seed", None, False, None),
+    (None, "{", False, None), (None, '{"seed": NaN}', False, None),
+]
+
+
+@given(st.sampled_from(VALIDATE_SEEDS), st.sampled_from(VALIDATE_CONFIGS))
+@settings(max_examples=25, deadline=None)
+def test_validate_exits_zero_one_or_two(flag, config):
+    # Valid input exits 0 or 1 and writes a validation.json with no NaN;
+    # invalid input prints an error: line and exits 2; never a traceback.
+    words, flag_seed = flag
+    doc, raw, accepted, config_seed = config
+    seed = flag_seed if words else (0 if config_seed is None else config_seed)
+    valid = flag_seed is not None and accepted and seed >= 0
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as root:
+        argv = ["validate", *words, "--out", os.path.join(root, "o")]
+        if doc is not None or raw is not None:
+            path = os.path.join(root, "config.json")
+            with open(path, "w") as fh:
+                fh.write(raw if raw is not None else json.dumps(doc))
+            argv += ["--config", path]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        event(f"exit {code}")
+        stderr = err.getvalue()
+        assert "Traceback" not in stderr
+        if valid:
+            assert code in (0, 1), stderr
+            text = open(os.path.join(root, "o", "validation.json")).read()
+            assert "NaN" not in text
+            manifest = json.load(open(os.path.join(root, "o", "manifest.json")))
+            assert manifest["settings"]["seed"] == seed
+        else:
+            assert code == 2
+            assert any("error:" in line for line in stderr.splitlines()), stderr
+            assert not os.path.exists(os.path.join(root, "o", "validation.json"))

@@ -22,7 +22,8 @@ from wiretapsi import (
 )
 from wiretapsi import discrete, probability
 from wiretapsi.cli import main
-from wiretapsi.discrete import _policy_chunks, _profiles, iter_policies
+from wiretapsi.discrete import (_policy_chunks, _profiles, _triplet_from_profile, _triplets,
+                                iter_policies)
 from wiretapsi.modelio import model_to_dict
 from wiretapsi.probability import _clamp_mi, _entropy_bits, compose, marginalize
 from wiretapsi.reference import (
@@ -35,6 +36,7 @@ from wiretapsi.reference import (
 )
 
 from conftest import random_binary_model, random_small_model
+from discrete_reference import reference_discrete_region, reference_triplet
 
 
 def h2(p: float) -> float:
@@ -351,14 +353,26 @@ def test_region_max_r_u1_is_the_best_curve_rate(trend):
     assert region.max_r_u1 == best == region.summary["secrecy_rate"] > 0.0
 
 
+def region_charge(model, search, policies):
+    """The region budget's charge, spelled out: per policy a kept table and
+    POLICY_BYTES, POINT_BYTES per point of the bound, one block of rows, and
+    one stack's tables with JOINT_BYTES per composed entry."""
+    entries = model.card_v1 * model.card_v2 * search.u_card * model.card_x
+    joint = entries * model.card_y * model.card_z
+    stack = min(policies, probability.MAX_TABLE_ENTRIES // joint)
+    return (policies * (8 * entries + discrete.POLICY_BYTES)
+            + (1 + policies * search.curve_points) * discrete.POINT_BYTES
+            + max(discrete.BLOCK_ROWS, search.curve_points) * discrete.ROW_BYTES
+            + stack * (8 * entries + joint * discrete.JOINT_BYTES))
+
+
 def test_region_budget_is_checked_before_any_draw(monkeypatch):
     # per policy of the stream: a kept table and the profile rows of both
-    # streams beside the policy's objects, and every point its curve can add
+    # streams, every point its curve can add, a block of rows and one stack
     model = random_binary_model(np.random.default_rng(3))
     search = SearchConfig(u_card=2, n_random=40, grid_steps=1, seed=1, curve_points=5)
     policies = 4 ** 4 + 40
-    need = (policies * (8 * (2 * 2 * 2 * 2 + 8) + discrete.POLICY_BYTES)
-            + (1 + policies * 5) * discrete.POINT_BYTES)
+    need = region_charge(model, search, policies)
     monkeypatch.setattr(probability, "BYTE_BUDGET", need)
     achievable_points(model, search)                     # exactly at the budget
     monkeypatch.setattr(probability, "BYTE_BUDGET", need - 1)
@@ -371,16 +385,14 @@ def test_region_budget_is_checked_before_any_draw(monkeypatch):
         achievable_points(model, search)
 
 
-def test_region_budget_bounds_what_the_search_holds(monkeypatch):
-    # mode 'v1' on this model keeps every policy and, at two curve points,
-    # two points each: the per-policy charge is the tight one.  Small stacks
-    # keep the sweep's own working set out of the traced peak.
+def traced_region_peak(monkeypatch, curve_points):
+    # mode 'v1' on this model keeps every policy; small stacks keep the
+    # sweep's own working set a small part of the traced peak
     model = random_small_model(np.random.default_rng(11))
-    search = SearchConfig(u_card=2, n_random=3000, seed=0, mode="v1", curve_points=2)
+    search = SearchConfig(u_card=2, n_random=3000, seed=0, mode="v1",
+                          curve_points=curve_points)
     monkeypatch.setattr(probability, "MAX_TABLE_ENTRIES", 20_000)
-    entries = model.card_v1 * model.card_v2 * 2 * model.card_x
-    need = (3000 * (8 * (entries + 8) + discrete.POLICY_BYTES)
-            + (1 + 3000 * 2) * discrete.POINT_BYTES)
+    need = region_charge(model, search, 3000)
     tracemalloc.start()
     try:
         region = achievable_points(model, search)
@@ -388,6 +400,18 @@ def test_region_budget_bounds_what_the_search_holds(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(region.policies) == 3000
+    return need, peak
+
+
+def test_region_budget_bounds_what_the_search_holds(monkeypatch):
+    # at two curve points each, the per-policy charge is the tight one
+    need, peak = traced_region_peak(monkeypatch, 2)
+    assert need / 2 < peak <= need
+
+
+def test_region_budget_bounds_a_points_heavy_search(monkeypatch):
+    # at 200 curve points each, the columns dominate the charge
+    need, peak = traced_region_peak(monkeypatch, 200)
     assert need / 2 < peak <= need
 
 
@@ -407,3 +431,79 @@ def test_huge_random_budget_exits_two_before_drawing(trend, tmp_path, capsys):
     assert err.startswith("error:") and "budget" in err and "Traceback" not in err
     assert peak < 16 * 2 ** 20
     assert not (tmp_path / "o").exists()
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
+
+
+def test_triplets_equal_the_scalar_triplet_row_for_row(trend):
+    # searched rows, then rows on either side of the rate floor: r_u2 at,
+    # below and just above it, |r_u1| at and just above it, r_u1 < 0
+    model, _ = trend
+    search = SearchConfig(u_card=2, n_random=150, grid_steps=2, seed=2)
+    mi = _profiles(model, search)
+    f = discrete.RATE_FLOOR
+    edges = np.array([
+        [0.5, 0.5, 0.1, 0.0], [0.5, 0.5 - f, 0.2, 0.0], [0.5, 0.5 + f, 0.2, 0.0],
+        [0.5, 0.5 - 2 * f, 0.5 + f / 2, 0.0], [0.5, 0.5 - 3 * f, 0.5 - f, 0.0],
+        [0.3, 0.1, 0.3 + f, 0.0], [0.3, 0.1, 0.3 - f, 0.0], [0.3, 0.1, 0.3 + 2 * f, 0.0],
+        [0.2, 0.1, 0.4, 0.0], [0.2, 0.4, 0.1, 0.0], [0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0], [0.4, 0.4 - 1.5 * f, 0.4 - 1.5 * f, 0.0],
+        # differences of exactly the floor
+        [f, 0.0, 0.0, 0.0], [0.0, f, 0.0, 0.0], [0.0, 0.0, f, 0.0],
+        [2 * f, f, 0.0, 0.0], [3 * f, f, 2 * f, 0.0], [2 * f, 0.0, f, 0.0]])
+    rows = np.concatenate([mi, edges])
+    columns = _triplets(rows)
+    assert any(r_u2 <= f for r_u2 in columns[1]) and any(abs(r) <= f for r in columns[0])
+    for i, row in enumerate(rows.tolist()):
+        want = reference_triplet(*row[:3])
+        assert bits(c[i] for c in columns) == bits(want), row
+        view = _triplet_from_profile(*row[:3])
+        assert bits((view.r_u1, view.r_u2, view.d_u2)) == bits(want), row
+    for i, policy in enumerate(iter_policies(model, search)):
+        t = rate_triplet(model, policy)
+        assert bits((t.r_u1, t.r_u2, t.d_u2)) == bits(c[i] for c in columns)
+
+
+def leaking_model():
+    # the wiretapper sees x itself, the receiver through a BSC(0.3): every
+    # policy that carries information about x leaks more than it delivers
+    return stateless_model(bsc(0.3), bsc(0.0))
+
+
+# (model, discrete-region flags, which policies keep points if known)
+REGION_CASES = [
+    ("trend", ["--random", "60", "--mode", "v1v2", "--curve-points", "2"], None),
+    ("trend", ["--random", "60", "--mode", "v1", "--curve-points", "3"], None),
+    ("small", ["--random", "60", "--mode", "v1v2", "--curve-points", "33"], None),
+    ("small", ["--random", "40", "--mode", "v1", "--curve-points", "200"], None),
+    ("trend", ["--random", "25", "--grid", "2", "--curve-points", "5"], None),
+    ("degraded", ["--random", "60", "--curve-points", "33"], "all"),
+    ("leaking", ["--random", "60", "--u-card", "3", "--curve-points", "33"], "none"),
+]
+
+
+@pytest.mark.parametrize("name,flags,kept", REGION_CASES)
+def test_region_artifacts_equal_the_point_by_point_reference(trend, tmp_path, name, flags, kept):
+    model = {"trend": trend[0], "small": random_small_model(np.random.default_rng(11)),
+             "degraded": degraded_bsc_pair(0.05, 0.2), "leaking": leaking_model()}[name]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model_to_dict(model)))
+    out = tmp_path / "cli"
+    assert main(["discrete-region", "--model", str(path), "--seed", "7", *flags,
+                 "--out", str(out)]) == 0
+    settings = json.loads((out / "manifest.json").read_text())["settings"]
+    search = SearchConfig(**{key: settings[key] for key in (
+        "u_card", "n_random", "grid_steps", "seed", "mode", "curve_points")})
+    points = reference_discrete_region(model, search, tmp_path / "ref")
+    region = achievable_points(model, search)
+    assert list(zip(region.r.tolist(), region.d.tolist(), region.policy_id.tolist())) == points
+    for artifact in ("region.csv", "summary.json"):
+        assert (out / artifact).read_bytes() == (tmp_path / "ref" / artifact).read_bytes()
+    owners = {pid for _, _, pid in points} - {-1}
+    assert list(region.policies) == sorted(owners) and -1 not in region.policies
+    if kept == "all":
+        assert owners == set(range(len(_profiles(model, search))))
+    elif kept == "none":
+        assert points == [(0.0, 1.0, -1)]

@@ -1,11 +1,16 @@
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretapsi import SimConfig, UsageError, build_codebook
+from wiretapsi.discrete import BLOCK_ROWS
 from wiretapsi.modelio import (
+    FLOAT_FMT,
     atomic_write_text,
     dump_codebook_text,
     load_json,
@@ -19,6 +24,8 @@ from wiretapsi.modelio import (
     write_json,
 )
 from wiretapsi.reference import degraded_bsc_pair, uniform_input_policy
+
+from discrete_reference import reference_csv
 
 
 @pytest.fixture()
@@ -185,6 +192,33 @@ def test_write_csv_deterministic_bytes(tmp_path):
     write_csv(str(p1), ("i", "v", "s"), rows)
     write_csv(str(p2), ("i", "v", "s"), rows)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e-300, 1.0 / 3.0, 0.1, -2.5e-7,
+                  123456789012.5, 1234567890123.0, 1e16, 1.7976931348623157e308)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_float_format_is_format_12g(x):
+    assert FLOAT_FMT % x == format(x, ".12g")
+
+
+def test_write_csv_equals_the_per_cell_reference(tmp_path):
+    # more than one block, special floats in float columns, ints and
+    # strings in the others; rows given as a list and as a generator
+    rows = [(k, x, -x, f"s{k}", float(k)) for k, x in
+            enumerate(SPECIAL_FLOATS * (BLOCK_ROWS // len(SPECIAL_FLOATS) + 2))]
+    assert len(rows) > BLOCK_ROWS
+    header = ("i", "x", "minus_x", "s", "k")
+    reference_csv(str(tmp_path / "ref.csv"), header, rows)
+    write_csv(str(tmp_path / "list.csv"), header, rows)
+    write_csv(str(tmp_path / "gen.csv"), header, (row for row in rows))
+    want = (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "list.csv").read_bytes() == want
+    assert (tmp_path / "gen.csv").read_bytes() == want
+    write_csv(str(tmp_path / "empty.csv"), header, [])
+    assert (tmp_path / "empty.csv").read_bytes() == b"i,x,minus_x,s,k\n"
 
 
 def test_write_json_stable_layout(tmp_path):
