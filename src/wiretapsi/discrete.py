@@ -486,11 +486,11 @@ def _check_budget(model: DiscreteWiretapModel, search: SearchConfig) -> int:
     return policies
 
 
-def _curve_block(r_u1: np.ndarray, r_u2: np.ndarray, d_u2: np.ndarray,
-                 curve_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(r, d, count) rows of kept policies' curves: row j holds (r1, 1),
-    (r2, d_u2) and the interior points of policy j, of which the first
-    count[j] are its points; a policy with r2 = r1 has the first only."""
+def _curve_points(r_u1: np.ndarray, r_u2: np.ndarray, d_u2: np.ndarray,
+                  curve_points: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r, d, count): the curve points of kept policies in order, each
+    policy's (r1, 1), (r2, d_u2) and interior points, and each policy's
+    point count; a policy with r2 = r1 has the first point only."""
     r1 = np.maximum(r_u1, 0.0)
     r2 = np.maximum(r_u2, r1)
     span = r2 - r1
@@ -502,7 +502,8 @@ def _curve_block(r_u1: np.ndarray, r_u2: np.ndarray, d_u2: np.ndarray,
     d = np.divide(r1[:, None], r, out=np.ones_like(r), where=r > RATE_FLOOR)
     d[:, 0], d[:, 1] = 1.0, d_u2
     count = np.where(r2 <= r1 + RATE_FLOOR, 1, curve_points)
-    return r, d, count
+    mask = np.arange(curve_points) < count[:, None]
+    return r[mask], d[mask], count
 
 
 def achievable_points(model: DiscreteWiretapModel,
@@ -534,11 +535,10 @@ def achievable_points(model: DiscreteWiretapModel,
         tables[n_kept:n_kept + len(keep)] = stack[keep]
         for start in range(0, len(keep), step):
             part = keep[start:start + step]
-            block_r, block_d, count = _curve_block(r_u1[part], r_u2[part], d_u2[part],
-                                                  search.curve_points)
-            mask = np.arange(search.curve_points) < count[:, None]
-            stop = n + int(count.sum())
-            r[n:stop], d[n:stop] = block_r[mask], block_d[mask]
+            block_r, block_d, count = _curve_points(r_u1[part], r_u2[part], d_u2[part],
+                                                    search.curve_points)
+            stop = n + len(block_r)
+            r[n:stop], d[n:stop] = block_r, block_d
             ids[n:stop] = np.repeat(part + first, count)
             n = stop
         n_kept += len(keep)
