@@ -7,24 +7,35 @@ linear, u = x + alpha*v1, so every information quantity is a determinant
 ratio of the jointly Gaussian vector (u, v1, v2, y, z).
 
 One oracle computes every mutual information.  _cov_stack assembles the
-covariances of a whole alpha stack, (N, 5, 5), and _oracle_stack takes MI
-from their determinants, with rank reduction where a group is singular; the
-(v1, v2) block does not depend on alpha, so it is reduced once per stack.
-This stack is authoritative: mi_stack feeds the scan rows, the lockstep
-rate inversion of the regions, the batched root walk and the validation
-scan, and joint_covariance, oracle_mi, r_alpha, rz_alpha and leakage are
-one-alpha views of it.  leakage_curve is a checked fast path for long
-alpha grids: the same determinant arithmetic written as explicit 2x2/3x3
-minors, tested against leakage.  The mi_uy/mi_uv12/mi_uz/
-alpha_star_closed_form functions carry the hand-derived closed forms exactly
-as written; they are the validation target the suite diffs against the
-oracle, and nothing else consumes them.
+covariances of a whole alpha stack, (N, 5, 5), and _oracle_pairs takes MI
+from their determinants, with rank reduction where a group is singular;
+det(u) is taken once for all groups, and a block that does not depend on
+alpha, such as (v1, v2), has its determinant and eigenspace taken once per
+stack.  This stack is authoritative: mi_stack feeds the scan rows, the
+region rate inversion, the leakage root walk and the validation scan, and
+joint_covariance, oracle_mi, r_alpha, rz_alpha and leakage are one-alpha
+views of it.
+
+The leakage roots and the rate inversion are plain bisections, and one
+walk, _walk, serves both: each round predicts every open bracket's
+crossing by the secant through its end values, values the midpoints that
+bisection would visit if the prediction were right in one stack, and keeps
+each value only while its point is the plain walk's next midpoint.  Every
+root, knee and rate is the plain walk's, bit for bit, in a handful of
+stacks.
+
+leakage_curve is a checked fast path for long alpha grids: the same
+determinant arithmetic written as explicit 2x2/3x3 minors, tested against
+leakage.  The mi_uy/mi_uv12/mi_uz/alpha_star_closed_form functions carry
+the hand-derived closed forms exactly as written; they are the validation
+target the suite diffs against the oracle, and nothing else consumes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,9 +51,9 @@ DET_SAFE_REL = 1e-9      # fast determinant path only when dets clear this
 ROOT_ALPHA_CAP = 1e3
 ROOT_ALPHA_TOL = 1e-12
 RATE_BISECT_TOL = 1e-10
-ROOT_LOOKAHEAD = 3       # bisection levels valued per stack in leakage_roots
 POINT_CAP = 100_000      # refuse scans and region grids with more alphas or rows
 _TINY = np.finfo(float).tiny
+_VALUE_NOISE = 1e-14     # a walk's prediction trusts no value difference below this
 
 
 @dataclass(frozen=True)
@@ -211,54 +222,118 @@ def _reduced_mi(joint: np.ndarray, size_a: int) -> np.ndarray:
         trans[:, size_a:, ra:] = vec_b[sel, :, size_b - rb:]
         reduced = trans.transpose(0, 2, 1) @ joint[sel] @ trans
         w = np.linalg.eigvalsh(0.5 * (reduced + reduced.transpose(0, 2, 1)))
-        singular = (w[:, 0] <= EIG_REL_TOL * np.maximum(1.0, w[:, -1])).tolist()
+        singular = w[:, 0] <= EIG_REL_TOL * np.maximum(1.0, w[:, -1])
         # Nonsingular rows have every eigenvalue above EIG_REL_TOL, so the
         # floor changes only singular rows, whose logs are discarded.
-        logdet_j = np.log(np.maximum(w, _TINY)).sum(axis=-1).tolist()
-        out[sel] = [math.inf if flat else _clamp_mi(0.5 * (ld - lj) / LN2)
-                    for flat, ld, lj in zip(singular, logdet.tolist(), logdet_j)]
+        logdet_j = np.log(np.maximum(w, _TINY)).sum(axis=-1)
+        out[sel] = np.where(singular, math.inf, _clamp_mi(0.5 * (logdet - logdet_j) / LN2))
     return out
+
+
+def _logs(det: np.ndarray) -> np.ndarray:
+    """math.log of each positive determinant, NaN elsewhere (math.log, not
+    np.log: the two differ in the last bit on some inputs).  A determinant
+    that overflows raises OverflowError."""
+    dets = det.tolist()
+    if math.inf in dets:
+        raise OverflowError("covariance determinant overflows")
+    try:
+        return np.array(list(map(math.log, dets)))
+    except ValueError:      # a determinant <= 0
+        return np.array([math.log(d) if d > 0.0 else math.nan for d in dets])
+
+
+def _group_det(cov: np.ndarray, index: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """det of one group's block at every matrix of a stack, and its logs.
+    A block that is the same in every matrix, such as (v1, v2) or y over an
+    alpha stack, gives a single det, shape (1,), that broadcasts."""
+    block = cov.take(index, axis=1).take(index, axis=2)
+    if len(block) > 1 and (block == block[:1]).all():
+        block = block[:1]
+    det = np.linalg.det(block)
+    return det, _logs(det)
+
+
+def _powers(base: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
+    """base ** k entry by entry with the C library's pow, as the one-alpha
+    algorithm raises its thresholds in Python floats (numpy's power may
+    round differently), with inf where the power overflows, and whether
+    any did."""
+    if k == 1:
+        return base, False
+    base = base.tolist()
+    try:
+        return np.array(list(map(math.pow, base, repeat(k)))), False
+    except OverflowError:
+        pass
+    out = []
+    for b in base:
+        try:
+            out.append(math.pow(b, k))
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out), True
 
 
 def _oracle_stack(cov: np.ndarray, group_a: Sequence[str],
                   group_b: Sequence[str]) -> np.ndarray:
-    """I(group_a; group_b) in bits for each covariance of an (N, 5, 5) stack.
+    """I(group_a; group_b) in bits for each covariance of an (N, 5, 5) stack."""
+    return _oracle_pairs(cov, group_a, [group_b])[0]
+
+
+def _oracle_pairs(cov: np.ndarray, group_a: Sequence[str],
+                  groups_b: Sequence[Sequence[str]]) -> list[np.ndarray]:
+    """I(group_a; group_b) in bits for each covariance of an (N, 5, 5)
+    stack, one array per group_b.
 
     Where the determinants of both groups and of their union clear
     DET_SAFE_REL * scale per dimension, MI is a determinant ratio.
     Elsewhere rank-deficient marginals (a constant or a duplicated
     coordinate) are projected onto their positive eigenspace first, so
     quantities like I(u; v1, v2) stay finite when v2 is a deterministic copy
-    of v1; +inf marks a singular joint.  The determinant ratio is taken in
-    Python floats, element by element (math.log and np.log differ in the
-    last bit on some inputs).  A determinant that overflows raises
-    OverflowError; the public callers silence numpy's warning for it.
+    of v1; +inf marks a singular joint.  The thresholds are powers taken in
+    Python floats and the logs are math.log, row by row, as the one-alpha
+    algorithm takes them; the tests and the ratio are numpy's IEEE
+    arithmetic in the same order.  group_a's determinant is taken once for
+    all groups.  A determinant that overflows raises OverflowError; the
+    public callers silence numpy's warning for it.
     """
-    ia, ib = _indices(group_a), _indices(group_b)
-    if set(ia) & set(ib):
+    ia = _indices(group_a)
+    ibs = [_indices(group_b) for group_b in groups_b]
+    if any(set(ia) & set(ib) for ib in ibs):
         raise UsageError("groups must be disjoint")
-    if not ia or not ib:
-        return np.zeros(len(cov))
-    ka, kb = len(ia), len(ib)
-    joint = cov.take(ia + ib, axis=1).take(ia + ib, axis=2)
-    det_a = np.linalg.det(joint[:, :ka, :ka]).tolist()
-    det_b = np.linalg.det(joint[:, ka:, ka:]).tolist()
-    det_j = np.linalg.det(joint).tolist()
-    # -inf (a negative det) takes the eigen-reduction below like any other
-    if math.inf in det_a or math.inf in det_b or math.inf in det_j:
-        raise OverflowError("covariance determinant overflows")
-    values, slow = [], []
-    for n, top in enumerate(joint.diagonal(0, 1, 2).max(axis=1).tolist()):
-        safe = DET_SAFE_REL * max(1.0, top)
-        if det_a[n] > safe ** ka and det_b[n] > safe ** kb and det_j[n] > safe ** (ka + kb):
-            values.append(_clamp_mi(0.5 * (math.log(det_a[n]) + math.log(det_b[n])
-                                           - math.log(det_j[n])) / LN2))
-        else:
-            values.append(0.0)
-            slow.append(n)
-    out = np.array(values)
-    if slow:
-        out[slow] = _reduced_mi(joint.take(slow, axis=0), ka)
+    if not ia:
+        return [np.zeros(len(cov)) for _ in ibs]
+    ka = len(ia)
+    det_a, log_a = _group_det(cov, ia)
+    out = []
+    for ib in ibs:
+        if not ib:
+            out.append(np.zeros(len(cov)))
+            continue
+        kb = len(ib)
+        det_b, log_b = _group_det(cov, ib)
+        joint = cov.take(ia + ib, axis=1).take(ia + ib, axis=2)
+        det_j = np.linalg.det(joint)
+        # -inf (a negative det) takes the eigen-reduction below like any other
+        log_j = _logs(det_j)
+        safe = DET_SAFE_REL * np.maximum(1.0, joint.diagonal(0, 1, 2).max(axis=1))
+        (bound_a, over_a), (bound_b, over_b), (bound_j, over_j) = (
+            _powers(safe, k) for k in (ka, kb, ka + kb))
+        pass_a, pass_b = det_a > bound_a, det_b > bound_b
+        # the one-alpha test raises the bounds in turn, and raises where a
+        # bound it reaches overflows
+        if (over_a or over_b or over_j) and (
+                (bound_a == math.inf) | pass_a & ((bound_b == math.inf)
+                                                  | pass_b & (bound_j == math.inf))).any():
+            raise OverflowError("determinant threshold overflows")
+        fast = pass_a & pass_b & (det_j > bound_j)
+        # rows off the fast path are all overwritten below
+        values = _clamp_mi(0.5 * (log_a + log_b - log_j) / LN2)
+        if not fast.all():
+            slow = np.flatnonzero(~fast)
+            values[slow] = _reduced_mi(joint.take(slow, axis=0), ka)
+        out.append(values)
     return out
 
 
@@ -279,7 +354,7 @@ def mi_stack(params: GaussianWiretapParams, alphas,
     one covariance stack."""
     with np.errstate(over="ignore", invalid="ignore"):
         cov = _cov_stack(params, alphas)
-        return [_oracle_stack(cov, ("u",), group) for group in groups]
+        return _oracle_pairs(cov, ("u",), groups)
 
 
 # --- hand-derived closed forms, kept exactly as written ------------------
@@ -454,20 +529,117 @@ class LeakageProfile:
     alpha_root_pos: Optional[float]
 
 
-def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
-    """Every midpoint the next `depth` bisection steps on [lo, hi] can
-    visit, in heap order: node i halves its interval, and its children
-    2i+1 and 2i+2 take the upper (lo = mid) and lower (hi = mid) branch."""
-    nodes: list[float] = []
-    level = [(lo, hi)]
-    for _ in range(depth):
-        below = []
-        for a, b in level:
-            mid = 0.5 * (a + b)
-            nodes.append(mid)
-            below += [(mid, b), (a, mid)]
-        level = below
-    return nodes
+def _gaps(params: GaussianWiretapParams, alphas: list[float],
+          first: Sequence[str], second: Sequence[str]) -> list[float]:
+    """I(u; first) - I(u; second) at every alpha from one stack, NaN where
+    the stack cannot value a point: where both terms diverge, and at every
+    point when the stack raises.  A walk revalues a NaN alone, and only if
+    it visits the point, so a point it never visits cannot raise."""
+    try:
+        a, b = mi_stack(params, alphas, first, second)
+    except (ValidationError, ArithmeticError, np.linalg.LinAlgError):
+        return [math.nan] * len(alphas)
+    with np.errstate(invalid="ignore"):
+        return (a - b).tolist()
+
+
+class _Bracket:
+    """One bisection walk toward the crossing of goal.  lo is the end whose
+    side a midpoint takes when its value lies on lo's side of goal; f_lo
+    and f_hi are the values at the ends (f_hi is NaN where the end was
+    never valued) and last is the end most recently moved off, as
+    (alpha, value), or None."""
+
+    __slots__ = ("lo", "hi", "f_lo", "f_hi", "goal", "last", "levels", "found")
+
+    def __init__(self, lo: float, hi: float, f_lo: float, f_hi: float,
+                 goal: float = 0.0, last: Optional[tuple[float, float]] = None):
+        self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
+        self.goal, self.last = goal, last
+        self.levels = 0
+        self.found: Optional[float] = None
+
+
+def _prediction(bracket: _Bracket, hit_tol: float) -> tuple[float, float]:
+    """The secant's crossing of goal, clamped into the bracket, and a radius
+    within which the side a midpoint takes is uncertain: the quadratic term
+    through the last moved-off end, or 1/32 of the bracket before there is
+    one, and never below the value resolution over the slope.  Without a
+    usable secant the crossing is the midpoint and the radius infinite."""
+    lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
+    rise, run = f_hi - f_lo, hi - lo
+    slope = rise / run if math.isfinite(rise) and rise != 0.0 and run != 0.0 else 0.0
+    if not (slope != 0.0 and math.isfinite(slope)):
+        return 0.5 * (lo + hi), math.inf
+    crossing = min(max(lo + (bracket.goal - f_lo) / slope, min(lo, hi)), max(lo, hi))
+    radius = abs(run) / 32.0
+    if bracket.last is not None:
+        x3, f3 = bracket.last
+        if math.isfinite(f3) and x3 != lo and x3 != hi:
+            curvature = ((f3 - f_hi) / (x3 - hi) - slope) / (x3 - lo)
+            quadratic = abs(curvature / slope) * abs(crossing - lo) * abs(crossing - hi)
+            if math.isfinite(quadratic):
+                radius = quadratic
+    return crossing, max(radius, max(hit_tol, _VALUE_NOISE) / abs(slope))
+
+
+def _walk(brackets: list[_Bracket], gaps, visit, *, rising: bool,
+          width_tol: float = -math.inf, hit_tol: float = -math.inf,
+          max_levels: float = math.inf) -> list[float]:
+    """Bisect every bracket the plain way, with its values taken in stacks.
+
+    The plain walk halves [lo, hi] at mid = 0.5*(lo + hi) while
+    |hi - lo| > width_tol and fewer than max_levels midpoints are behind
+    it.  It stops at mid when |f(mid) - goal| <= hit_tol; otherwise mid
+    replaces lo when f(mid) lies on lo's side (f < goal if rising, else
+    f >= goal) and hi when it does not.  It returns the mid it stopped at,
+    or 0.5*(lo + hi).
+
+    Each round predicts the crossing of every open bracket by the secant
+    through its two end values, and lays out the midpoints the plain walk
+    would visit if that prediction were right: a path, down to the first
+    midpoint whose side the prediction cannot tell.  One gaps(points) stack
+    values every path of the round.  The walk then takes a path's values
+    in order, while each point is its exact next midpoint, so every
+    decision, stop and result is the plain walk's.  gaps gives NaN where
+    it cannot value a point; visit(value, alpha) passes a visited value on
+    and revalues a NaN alone, raising where the plain walk raises.
+    """
+    while True:
+        live = [b for b in brackets if b.found is None and b.levels < max_levels
+                and abs(b.hi - b.lo) > width_tol]
+        if not live:
+            break
+        paths = []
+        for b in live:
+            crossing, radius = _prediction(b, hit_tol)
+            path, lo, hi, room = [], b.lo, b.hi, max_levels - b.levels
+            while len(path) < room and abs(hi - lo) > width_tol:
+                mid = 0.5 * (lo + hi)
+                path.append(mid)
+                if not abs(mid - crossing) > radius:
+                    break
+                if (mid - crossing) * (lo - crossing) > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            paths.append(path)
+        points = list(dict.fromkeys(mid for path in paths for mid in path))
+        values = dict(zip(points, gaps(points)))
+        for b, path in zip(live, paths):
+            for mid in path:
+                if not (b.found is None and b.levels < max_levels
+                        and abs(b.hi - b.lo) > width_tol and mid == 0.5 * (b.lo + b.hi)):
+                    break
+                value = values[mid] = visit(values[mid], mid)
+                b.levels += 1
+                if abs(value - b.goal) <= hit_tol:
+                    b.found = mid
+                elif (value < b.goal) == rising:
+                    b.last, b.lo, b.f_lo = (b.lo, b.f_lo), mid, value
+                else:
+                    b.last, b.hi, b.f_hi = (b.hi, b.f_hi), mid, value
+    return [0.5 * (b.lo + b.hi) if b.found is None else b.found for b in brackets]
 
 
 def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optional[float]]:
@@ -478,23 +650,19 @@ def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optio
     None.  A flat leakage (q1 = 0) has no roots at all.
 
     The walk is the plain one, a doubling ladder and then bisection to
-    ROOT_ALPHA_TOL, but its values come in stacks: the whole ladder at once,
-    then ROOT_LOOKAHEAD bisection levels of both sides per stack.  Points
-    the walk does not visit are computed and dropped; a point a stack
-    cannot value (NaN) is recomputed alone, so only a visited point raises.
+    ROOT_ALPHA_TOL, keeping the end where the leakage is >= 0 as lo.  The
+    whole ladder of both sides is valued in one stack, and both sides then
+    bisect in _walk, a predicted path per side per stack.  Only a point the
+    walk visits is revalued alone when its stack reads NaN, so only a
+    visited point raises.
     """
     try:
         star = alpha_star(params)
     except DegenerateGeometryError:
         return None, None
 
-    def values(points: list[float]) -> list[float]:
-        try:
-            uz, uv = mi_stack(params, points, ("z",), ("v1", "v2"))
-        except (ValidationError, ArithmeticError, np.linalg.LinAlgError):
-            return [math.nan] * len(points)
-        with np.errstate(invalid="ignore"):
-            return (uz - uv).tolist()
+    def gaps(points: list[float]) -> list[float]:
+        return _gaps(params, points, ("z",), ("v1", "v2"))
 
     def visit(value: float, alpha: float) -> float:
         return leakage(params, alpha) if math.isnan(value) else value
@@ -506,44 +674,29 @@ def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optio
             rungs.append(star + direction * step)
             step *= 2.0
         ladders.append(rungs)
-    first = values([star] + ladders[0] + ladders[1])
-    if not visit(first[0], star) > 0.0:
+    first = gaps([star] + ladders[0] + ladders[1])
+    at_star = visit(first[0], star)
+    if not at_star > 0.0:
         return None, None
 
     roots: list[Optional[float]] = [None, None]
-    brackets = {}
+    sides, brackets = [], []
     ladder_values = (first[1:1 + len(ladders[0])], first[1 + len(ladders[0]):])
     for side, (rungs, rung_values) in enumerate(zip(ladders, ladder_values)):
-        inner = star
+        inner, last = (star, at_star), None
         for outer, value in zip(rungs, rung_values):
             value = visit(value, outer)
             if value < 0.0:
-                brackets[side] = [inner, outer]
+                sides.append(side)
+                brackets.append(_Bracket(inner[0], outer, inner[1], value, last=last))
                 break
             if value == 0.0:
                 roots[side] = outer
                 break
-            inner = outer
-
-    while True:
-        open_sides = [side for side, (lo, hi) in brackets.items()
-                      if abs(hi - lo) > ROOT_ALPHA_TOL]
-        if not open_sides:
-            break
-        trees = [_midpoint_tree(*brackets[side], ROOT_LOOKAHEAD) for side in open_sides]
-        stacked = values([mid for tree in trees for mid in tree])
-        for k, (side, tree) in enumerate(zip(open_sides, trees)):
-            bracket = brackets[side]
-            tree_values = stacked[k * len(tree):(k + 1) * len(tree)]
-            node = 0
-            while node < len(tree) and abs(bracket[1] - bracket[0]) > ROOT_ALPHA_TOL:
-                mid = tree[node]
-                if visit(tree_values[node], mid) >= 0.0:
-                    bracket[0], node = mid, 2 * node + 1
-                else:
-                    bracket[1], node = mid, 2 * node + 2
-    for side, (lo, hi) in brackets.items():
-        roots[side] = 0.5 * (lo + hi)
+            inner, last = (outer, value), inner
+    for side, root in zip(sides, _walk(brackets, gaps, visit, rising=False,
+                                       width_tol=ROOT_ALPHA_TOL)):
+        roots[side] = root
     return roots[0], roots[1]
 
 
@@ -622,49 +775,46 @@ def case2_thresholds(q: float, n1: float, n2: float) -> tuple[float, float]:
 
 def _solve_alphas_for_rates(params: GaussianWiretapParams, alpha_top: float,
                             targets: Sequence[float]) -> list[float]:
-    """Invert R(alpha) = target on the increasing segment alpha <= alpha_top,
-    for every target in lockstep.
+    """Invert R(alpha) = target on the increasing segment alpha <= alpha_top.
 
-    Each target keeps its own bracket and stops on its own, so it visits the
-    midpoints a bisection for that target alone would visit; one
-    covariance stack per step values all of them.  The bracket ladder
-    alpha_top - 2^k is shared, so each rung is valued once.
+    Each target takes the plain walk: a ladder lo = alpha_top - 2^k until
+    R(lo) <= target, then bisection of [lo, alpha_top] until
+    |R(mid) - target| <= RATE_BISECT_TOL or 200 midpoints.  The ladder is
+    shared, so each rung is valued once; R(alpha_top) rides in the first
+    rung's stack, so _walk's secant has a value at both ends, and _walk
+    bisects every target at once.  A rung or midpoint whose stack reads NaN
+    is revalued alone through r_alpha; R(alpha_top) is never visited, so it
+    never raises.
     """
-    def rate(alphas) -> np.ndarray:
-        uy, uv = mi_stack(params, alphas, ("y",), ("v1", "v2"))
-        return _gap(uy, uv, "rate", "mi_uy - mi_uv12")
+    def gaps(points: list[float]) -> list[float]:
+        return _gaps(params, points, ("y",), ("v1", "v2"))
 
-    goal = np.asarray(targets, dtype=float)
+    def visit(value: float, alpha: float) -> float:
+        return r_alpha(params, alpha) if math.isnan(value) else value
+
+    goal = [float(target) for target in targets]
     step = 1.0
-    lo = np.full(goal.size, alpha_top - 1.0)
-    ladder = np.arange(goal.size)
-    while True:
-        ladder = ladder[rate([alpha_top - step])[0] > goal[ladder]]
-        if not ladder.size:
-            break
+    at_top, value = gaps([alpha_top, alpha_top - step])
+    rungs = [(alpha_top - step, visit(value, alpha_top - step))]
+    lo = [0] * len(goal)
+    ladder = [k for k in range(len(goal)) if rungs[-1][1] > goal[k]]
+    while ladder:
         step *= 2.0
-        lo[ladder] = alpha_top - step
+        for k in ladder:
+            lo[k] = len(rungs)
         if step > 1e6:
             raise DegenerateGeometryError(
                 "rate inversion bracket did not close",
-                expression="r_alpha(lo) <= target", value=float(goal[ladder[0]]))
+                expression="r_alpha(lo) <= target", value=goal[ladder[0]])
+        alpha = alpha_top - step
+        rungs.append((alpha, visit(gaps([alpha])[0], alpha)))
+        ladder = [k for k in ladder if rungs[-1][1] > goal[k]]
 
-    hi = np.full(goal.size, alpha_top)
-    solved = np.empty(goal.size)
-    active = np.arange(goal.size)
-    for _ in range(200):
-        if not active.size:
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        value = rate(mid)
-        hit = np.abs(value - goal[active]) <= RATE_BISECT_TOL
-        solved[active[hit]] = mid[hit]
-        below = value < goal[active]
-        lo[active[below & ~hit]] = mid[below & ~hit]
-        hi[active[~below & ~hit]] = mid[~below & ~hit]
-        active = active[~hit]
-    solved[active] = 0.5 * (lo[active] + hi[active])
-    return solved.tolist()
+    brackets = []
+    for target, rung in zip(goal, lo):
+        (alpha, value), last = rungs[rung], (rungs[rung - 1] if rung else None)
+        brackets.append(_Bracket(alpha, alpha_top, value, at_top, target, last=last))
+    return _walk(brackets, gaps, visit, rising=True, hit_tol=RATE_BISECT_TOL, max_levels=200)
 
 
 def _region(case_id: str, params: GaussianWiretapParams, p: float, n1: float,

@@ -41,6 +41,7 @@ from wiretapsi.gaussian import (
     mi_uy,
     mi_uz,
 )
+import gaussian_reference
 from gaussian_reference import (
     reference_covariance_scalar,
     reference_leakage_roots,
@@ -499,6 +500,177 @@ def test_roots_ignore_points_the_walk_never_visits(monkeypatch):
     fence = 0.0
     with pytest.raises(DegenerateGeometryError):
         leakage_roots(params)
+
+
+def _sweep_regions():
+    """12 seeded (case, p, q, n1, n2) sets per case, 6 in the mid regime
+    and 6 in the high one."""
+    rng = np.random.default_rng(29)
+    out = []
+    for case, thresholds in (("1", case1_thresholds), ("2", case2_thresholds)):
+        for regime in ("mid", "high"):
+            found = 0
+            while found < 6:
+                q, n1, n2 = (float(v) for v in rng.uniform(0.2, 3.0, size=3))
+                try:
+                    low, high = thresholds(q, n1, n2)
+                except DegenerateGeometryError:
+                    continue
+                floor = max(low, 0.0)
+                if regime == "mid":
+                    p = floor + float(rng.uniform(0.05, 0.95)) * (high - floor)
+                else:
+                    p = high * float(rng.uniform(1.1, 4.0))
+                if p > floor:
+                    out.append((case, p, q, n1, n2))
+                    found += 1
+    return out
+
+
+@pytest.mark.parametrize("case,p,q,n1,n2", _sweep_regions())
+def test_region_walk_matches_per_target_bisection_on_a_seeded_sweep(case, p, q, n1, n2):
+    region = (case1_region if case == "1" else case2_region)(p, q, n1, n2, grid_size=128)
+    expected = reference_region(case, p, q, n1, n2, 128)
+    assert (region.thresholds, region.regime, region.boundary, region.c_m) == expected
+    assert region.regime != "low"
+
+
+SINGULAR_FAMILIES = {
+    "rho_plus": lambda p, q1, q2, n1, n2, rho: GaussianWiretapParams(
+        p, q1, q2, n1, n2, rho, rho, 1.0),
+    "rho_minus": lambda p, q1, q2, n1, n2, rho: GaussianWiretapParams(
+        p, q1, q2, n1, n2, rho, -rho, -1.0),
+    "q1_zero": lambda p, q1, q2, n1, n2, rho: GaussianWiretapParams(
+        p, 0.0, q2, n1, n2, 0.0, rho, 0.0),
+    "q2_zero": lambda p, q1, q2, n1, n2, rho: GaussianWiretapParams(
+        p, q1, 0.0, n1, n2, rho, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SINGULAR_FAMILIES))
+def test_roots_match_sequential_walk_on_singular_families(family):
+    rng = np.random.default_rng(sorted(SINGULAR_FAMILIES).index(family))
+    with_roots = 0
+    for _ in range(8):
+        p, q1, q2, n1, n2 = (float(v) for v in rng.uniform(0.2, 3.0, size=5))
+        params = SINGULAR_FAMILIES[family](p, q1, q2, n1, n2, float(rng.uniform(-0.6, 0.6)))
+        got = leakage_roots(params)
+        assert got == reference_leakage_roots(params)
+        with_roots += got[1] is not None
+    # a flat leakage (q1 = 0) has no roots; the other families do
+    assert with_roots == 0 if family == "q1_zero" else with_roots > 0
+
+
+def _reference_visits(monkeypatch, case, args, grid_size):
+    """reference_region's result and every alpha it values, in order."""
+    visits = []
+    real = gaussian_reference.reference_mis
+
+    def recording(params, alpha, *groups):
+        visits.append(alpha)
+        return real(params, alpha, *groups)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gaussian_reference, "reference_mis", recording)
+        expected = reference_region(case, *args, grid_size)
+    return expected, visits
+
+
+REGION_WALKS = [("1", (0.5, 1.0, 1.0, 1.0)), ("1", (1.5, 1.0, 1.0, 1.0)),
+                ("2", (2.0, 1.0, 1.0, 1.0)), ("2", (3.0, 1.0, 1.0, 1.0))]
+
+
+@pytest.mark.parametrize("case,args", REGION_WALKS)
+def test_region_walk_ignores_points_it_never_visits(monkeypatch, case, args):
+    # Every point the per-target walk does not visit, R(alpha_top) and the
+    # unused tails of the predicted paths among them, is made to diverge in
+    # both mutual informations, or to overflow its whole stack: the region
+    # must not notice.
+    expected, visits = _reference_visits(monkeypatch, case, args, 64)
+    visited = set(visits)
+    region_fn = case1_region if case == "1" else case2_region
+    real = gaussian.mi_stack
+    unvisited_stacks = []
+
+    def diverging(params, alphas, *groups):
+        out = real(params, alphas, *groups)
+        unvisited = np.array([alpha not in visited for alpha in alphas])
+        unvisited_stacks.append(unvisited.any())
+        for values in out:
+            values[unvisited] = math.inf
+        return out
+
+    def overflowing(params, alphas, *groups):
+        if any(alpha not in visited for alpha in alphas):
+            raise OverflowError("covariance overflows")
+        return real(params, alphas, *groups)
+
+    for stack in (diverging, overflowing):
+        with monkeypatch.context() as patch:
+            patch.setattr(gaussian, "mi_stack", stack)
+            region = region_fn(*args, grid_size=64)
+        assert (region.thresholds, region.regime, region.boundary, region.c_m) == expected
+    assert any(unvisited_stacks)
+
+
+@pytest.mark.parametrize("case,args", REGION_WALKS)
+def test_region_walk_raises_at_a_visited_point_as_the_reference_does(monkeypatch, case, args):
+    _, visits = _reference_visits(monkeypatch, case, args, 64)
+    region_fn = case1_region if case == "1" else case2_region
+    poisoned = visits[len(visits) // 2]
+    real, real_reference = gaussian.mi_stack, gaussian_reference.reference_mis
+
+    def diverging(params, alphas, *groups):
+        out = real(params, alphas, *groups)
+        for values in out:
+            values[np.asarray(alphas, dtype=float) == poisoned] = math.inf
+        return out
+
+    def diverging_reference(params, alpha, *groups):
+        values = real_reference(params, alpha, *groups)
+        return [math.inf] * len(values) if alpha == poisoned else values
+
+    def overflowing(params, alphas, *groups):
+        if poisoned in list(alphas):
+            raise OverflowError("covariance overflows")
+        return real(params, alphas, *groups)
+
+    def overflowing_reference(params, alpha, *groups):
+        if alpha == poisoned:
+            raise OverflowError("covariance overflows")
+        return real_reference(params, alpha, *groups)
+
+    for stack, reference, error in ((diverging, diverging_reference, DegenerateGeometryError),
+                                    (overflowing, overflowing_reference, OverflowError)):
+        with monkeypatch.context() as patch:
+            patch.setattr(gaussian, "mi_stack", stack)
+            patch.setattr(gaussian_reference, "reference_mis", reference)
+            with pytest.raises(error):
+                reference_region(case, *args, 64)
+            with pytest.raises(error):
+                region_fn(*args, grid_size=64)
+
+
+def test_walks_value_in_a_handful_of_stacks(monkeypatch):
+    # A level-by-level walk takes 15 stacks for the roots and 50 for this
+    # mid region; the predicted paths take a handful.  The counts are
+    # deterministic, so a walk that falls back to one level per stack fails.
+    real = gaussian.mi_stack
+    stacks = []
+
+    def counting(params, alphas, *groups):
+        stacks.append(len(alphas))
+        return real(params, alphas, *groups)
+
+    monkeypatch.setattr(gaussian, "mi_stack", counting)
+    for params in STACK_PARAMS.values():
+        stacks.clear()
+        leakage_roots(params)
+        assert len(stacks) <= 7
+    stacks.clear()
+    region = case1_region(0.5, 1.0, 1.0, 1.0, grid_size=128)
+    assert region.regime == "mid"
+    assert len(stacks) <= 18
 
 
 def test_indeterminate_rates_raise_instead_of_nan():

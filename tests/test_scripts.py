@@ -1,0 +1,33 @@
+"""The scripts under scripts/ run end to end on small inputs."""
+
+import csv
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_gaussian_case_study_writes_its_four_csvs(tmp_path):
+    # --grid 4 keeps it small; the power ladder still crosses every regime
+    # of both cases, so the region walk runs at many powers
+    out = tmp_path / "case_study"
+    run = subprocess.run([sys.executable, str(SCRIPTS / "gaussian_case_study.py"),
+                          "--grid", "4", "--out", str(out)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    headers = {"sweep_correlated.csv": ["alpha", "deltaI"],
+               "sweep_independent.csv": ["alpha", "deltaI"],
+               "boundary_correlated.csv": ["P", "regime", "R", "Rd_cap"],
+               "boundary_independent.csv": ["P", "regime", "R", "Rd_cap"]}
+    assert sorted(p.name for p in out.iterdir()) == sorted(headers)
+    tables = {}
+    for name, header in headers.items():
+        with open(out / name, newline="") as handle:
+            tables[name] = list(csv.reader(handle))
+        assert tables[name][0] == header
+        assert len(tables[name]) > 1
+        assert not any("nan" in cell for row in tables[name] for cell in row)
+    for name in ("boundary_correlated.csv", "boundary_independent.csv"):
+        assert {row[1] for row in tables[name][1:]} == {"low", "mid", "high"}
