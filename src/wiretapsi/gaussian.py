@@ -296,7 +296,8 @@ def _oracle_pairs(cov: np.ndarray, group_a: Sequence[str],
     algorithm takes them; the tests and the ratio are numpy's IEEE
     arithmetic in the same order.  group_a's determinant is taken once for
     all groups.  A determinant that overflows raises OverflowError; the
-    public callers silence numpy's warning for it.
+    public callers silence numpy's warning for it, and LAPACK's for the zero
+    pivot of a singular block.
     """
     ia = _indices(group_a)
     ibs = [_indices(group_b) for group_b in groups_b]
@@ -344,7 +345,7 @@ def oracle_mi(cov: np.ndarray, group_a: Sequence[str], group_b: Sequence[str]) -
     their positive eigenspace, so I(u; v1, v2) stays finite when v2 is a
     deterministic copy of v1.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", divide="ignore"):
         return float(_oracle_stack(cov[np.newaxis], group_a, group_b)[0])
 
 
@@ -352,7 +353,7 @@ def mi_stack(params: GaussianWiretapParams, alphas,
              *groups: Sequence[str]) -> list[np.ndarray]:
     """I(u; group) in bits at every alpha, one array per group, all from
     one covariance stack."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         cov = _cov_stack(params, alphas)
         return _oracle_pairs(cov, ("u",), groups)
 
@@ -589,8 +590,10 @@ def _walk(brackets: list[_Bracket], gaps, visit, *, rising: bool,
     """Bisect every bracket the plain way, with its values taken in stacks.
 
     The plain walk halves [lo, hi] at mid = 0.5*(lo + hi) while
-    |hi - lo| > width_tol and fewer than max_levels midpoints are behind
-    it.  It stops at mid when |f(mid) - goal| <= hit_tol; otherwise mid
+    |hi - lo| > width_tol, fewer than max_levels midpoints are behind it
+    and mid is neither end (adjacent floats further apart than width_tol
+    would otherwise halve forever).  It stops at mid when
+    |f(mid) - goal| <= hit_tol; otherwise mid
     replaces lo when f(mid) lies on lo's side (f < goal if rising, else
     f >= goal) and hi when it does not.  It returns the mid it stopped at,
     or 0.5*(lo + hi).
@@ -605,9 +608,13 @@ def _walk(brackets: list[_Bracket], gaps, visit, *, rising: bool,
     it cannot value a point; visit(value, alpha) passes a visited value on
     and revalues a NaN alone, raising where the plain walk raises.
     """
+    def halves(b) -> bool:
+        mid = 0.5 * (b.lo + b.hi)
+        return (b.found is None and b.levels < max_levels
+                and abs(b.hi - b.lo) > width_tol and b.lo != mid != b.hi)
+
     while True:
-        live = [b for b in brackets if b.found is None and b.levels < max_levels
-                and abs(b.hi - b.lo) > width_tol]
+        live = [b for b in brackets if halves(b)]
         if not live:
             break
         paths = []
@@ -616,6 +623,8 @@ def _walk(brackets: list[_Bracket], gaps, visit, *, rising: bool,
             path, lo, hi, room = [], b.lo, b.hi, max_levels - b.levels
             while len(path) < room and abs(hi - lo) > width_tol:
                 mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    break
                 path.append(mid)
                 if not abs(mid - crossing) > radius:
                     break
@@ -628,8 +637,7 @@ def _walk(brackets: list[_Bracket], gaps, visit, *, rising: bool,
         values = dict(zip(points, gaps(points)))
         for b, path in zip(live, paths):
             for mid in path:
-                if not (b.found is None and b.levels < max_levels
-                        and abs(b.hi - b.lo) > width_tol and mid == 0.5 * (b.lo + b.hi)):
+                if not (halves(b) and mid == 0.5 * (b.lo + b.hi)):
                     break
                 value = values[mid] = visit(values[mid], mid)
                 b.levels += 1

@@ -13,30 +13,30 @@ alphabet product <= 4, codebook <= 2^20 codewords, and the posterior's state
 enumeration |V1|^N * |V2|^N <= 2^20.  On top of the caps, one byte budget,
 probability.BYTE_BUDGET, which the region search shares, bounds what a run
 holds whole: the (m, S) selection and found tables, one (m, S) code array
-per node table of the posterior (m messages, S = |V1|^N state sequences)
-and one equivocation per trial.  It is checked before anything is
-allocated; a run over it is refused with a UsageError.
+per codeword-row table (m messages, S = |V1|^N state sequences) and one
+equivocation per trial.  It is checked before anything is allocated; a run
+over it is refused with a UsageError.
 Everything else is streamed in steps of about GATHER_BYTES, trials included.
 
-Every sequence score is an exact sum of n per-coordinate log-probabilities.
-numpy sums a row of n <= 16 float64 terms in a fixed tree (_sum_tree), so
-any subtree can be tabulated once for every joint symbol of its coordinates
-(a node table), indexed by an additive code: a codeword part plus a state
-or observation part.  _NodeSums cuts the tree into such tables; a row then
-costs one gather per table, combined in the tree's own order, and equals
-numpy's .sum bit for bit.  The kernel serves three callers:
+Every sequence score is an exact sum of n per-coordinate log-probabilities,
+taken through the node tables of nodesums, bit for bit numpy's .sum.  The
+encoder and the posterior use tables with one row per codeword over the v1
+symbols of the node's coordinates, so a (codeword, v1 sequence) pair's code
+in a table is its row plus the row count times the sequence's state part.
+The kernel serves three callers:
 
 * _selection_table replays the encoder for every (message, v1 sequence)
-  pair, a chunk of v1 sequences at a time, each pair stopping at its bin's
-  first typical member.  That table is the encoder: each trial draws its
-  states, message and uniforms from its own generator and sends the listed
-  codeword.  It also returns each pick's node-table codes.
+  pair a rank at a time: the bins' r-th members against blocks of v1
+  sequences taken in the tree's digit order, each pair stopping at its
+  bin's first typical member.  That table is the encoder: each trial draws
+  its states, message and uniforms from its own generator and sends the
+  listed codeword.  It also returns each pick's codes.
 * _decoder builds node tables of log p(u, y) and every codeword's codes
   once per run and scores every codeword against the distinct y of a
   trial block.
-* _posteriors builds node tables of log w(z_i | u_i, v1_i) for a batch of
-  the block's distinct z and sums every (message, v1 sequence) pair through
-  the codes.
+* _posteriors builds codeword-row tables of log w(z_i | u_i, v1_i) for a
+  batch of the block's distinct z and sums every (message, v1 sequence)
+  pair through the codes.
 
 The public encode keeps its own per-bin scan; it is the second path that
 validate's brute-force posterior and the tests compare the kernel against.
@@ -54,6 +54,7 @@ import numpy as np
 from .discrete import (AuxiliaryPolicy, DiscreteWiretapModel, RateTriplet,
                        _check_policy, rate_triplet)
 from .errors import InfeasibleRateError, UsageError
+from .nodesums import _NodeSums, _shared_cut
 from .probability import (BYTE_BUDGET, Pmf, _check_stack, _entropy_bits,
                           _entropy_bits_batch, _seeded_generators, compose)
 
@@ -158,134 +159,10 @@ class _Tables:
         return rate_triplet(self.config.model, self.config.policy)
 
     @functools.cached_property
-    def pair_sums(self) -> _NodeSums:
-        """The node tables over (u, v1) symbols that the selection table
-        scores with and whose codes the posterior gathers through."""
-        return _pair_sums(self.config)
-
-
-@functools.lru_cache(maxsize=None)
-def _sum_tree(n: int):
-    """numpy's order for summing a contiguous float64 row of n <= 16 terms,
-    as nested (left, right) pairs of coordinates.
-
-    A row of fewer than 8 terms is summed left to right.  From 8 terms on,
-    eight accumulators start at a_0 .. a_7 (at n = 16 each also takes
-    a_{j+8}) and combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); the tail
-    a_8 .. a_{n-1} is then added one term at a time.  A numpy that sums in
-    another order fails test_node_sums_follow_numpy_row_sums.
-    """
-    if n < 8:
-        tree, tail = 0, range(1, n)
-    else:
-        acc = [(j, j + 8) if n == 16 else j for j in range(8)]
-        tree = (((acc[0], acc[1]), (acc[2], acc[3])), ((acc[4], acc[5]), (acc[6], acc[7])))
-        tail = range(16 if n == 16 else 8, n)
-    for i in tail:
-        tree = (tree, i)
-    return tree
-
-
-@functools.lru_cache(maxsize=None)
-def _leaves(tree) -> tuple[int, ...]:
-    """Coordinates of a (sub)tree, left to right; the trees of n <= 16 are
-    few, so every subtree is cached."""
-    if isinstance(tree, int):
-        return (tree,)
-    return _leaves(tree[0]) + _leaves(tree[1])
-
-
-class _NodeSums:
-    """Exact row sums of n per-coordinate values through node tables.
-
-    _sum_tree(n) is cut at its largest subtrees of at most `span`
-    coordinates (a lone coordinate always qualifies).  A node table lists
-    the subtree's partial sum, added in the tree's order, for every joint
-    symbol of its c coordinates C, card^c entries for card symbols each;
-    symbol s of coordinate C[j] adds s * card^j to the index (weight[t]
-    holds these place values, 0 off the node), so an index splits into a
-    codeword part plus a state or observation part.  A row sum is one
-    gather per table, combined in the tree's order: numpy's .sum of the
-    row, bit for bit.
-    """
-
-    def __init__(self, n: int, card: int, span: int):
-        nodes = []
-        self.shape = _cut(_sum_tree(n), span, nodes)     # the tree over node indices
-        self.nodes = tuple(nodes)
-        self.buffers = _buffers(self.shape)                # floats per row in total()
-        self.entries = sum(card ** len(_leaves(node)) for node in nodes)
-        self.weight = np.zeros((len(nodes), n), dtype=np.intp)
-        for t, node in enumerate(nodes):
-            coords = list(_leaves(node))
-            self.weight[t, coords] = card ** np.arange(len(coords))
-        self.weight.setflags(write=False)       # one cut serves every caller, see _node_sums
-
-    def tables(self, per_coord) -> list[np.ndarray]:
-        """The (B, card^c) node tables, from per_coord(i), the (B, card)
-        values of coordinate i in B independent rows."""
-        return [_node_table(node, per_coord) for node in self.nodes]
-
-    def sequence_codes(self, symbols: np.ndarray, scale: int) -> np.ndarray:
-        """(G, R) index parts of R symbol rows (R, n), each symbol times scale."""
-        return (scale * self.weight) @ symbols.T
-
-    def state_codes(self, card: int) -> np.ndarray:
-        """(G, card^n) index parts of every state sequence, lexicographic,
-        built one coordinate at a time."""
-        codes = np.zeros((len(self.weight), 1), dtype=np.intp)
-        for place in self.weight.T:
-            codes = (codes[:, :, None] + place[:, None, None] * np.arange(card)
-                     ).reshape(len(codes), -1)
-        return codes
-
-    def total(self, tables: list[np.ndarray], code) -> np.ndarray:
-        """Row sums: code(t) is node t's whole index, any shape R.  With
-        one row per table the sums have shape R; with B rows, (B, *R)."""
-        def gather(t):
-            table, index = tables[t], code(t)
-            if len(table) > 1:
-                index = index + np.arange(0, table.size, table.shape[1]).reshape(
-                    (-1,) + (1,) * index.ndim)
-            return np.take(table, index)
-        return _tree_total(self.shape, gather)
-
-
-# The recursive helpers are module functions: a nested function that calls
-# itself is a reference cycle, which would hold its tables until the next
-# garbage collection.
-
-def _cut(tree, span: int, nodes: list):
-    """tree with each tabulated subtree replaced by its index in nodes."""
-    if isinstance(tree, int) or len(_leaves(tree)) <= span:
-        nodes.append(tree)
-        return len(nodes) - 1
-    return _cut(tree[0], span, nodes), _cut(tree[1], span, nodes)
-
-
-def _node_table(tree, per_coord) -> np.ndarray:
-    """Partial sums of a subtree for every joint symbol, left coordinates minor."""
-    if isinstance(tree, int):
-        return per_coord(tree)
-    left, right = _node_table(tree[0], per_coord), _node_table(tree[1], per_coord)
-    return (right[:, :, None] + left[:, None, :]).reshape(len(left), -1)
-
-
-def _buffers(shape) -> int:
-    """Arrays _tree_total holds at once, per row: a gather's index and
-    values, plus the sum of every left subtree still waiting for its right."""
-    if isinstance(shape, int):
-        return 2
-    return max(_buffers(shape[0]), 1 + _buffers(shape[1]))
-
-
-def _tree_total(shape, gather) -> np.ndarray:
-    """Sum of gather(t) over the node indices t of shape, in its order."""
-    if isinstance(shape, int):
-        return gather(shape)
-    total = _tree_total(shape[0], gather)
-    total += _tree_total(shape[1], gather)
-    return total
+    def row_sums(self) -> _NodeSums:
+        """The codeword-row cut the selection table scores with and whose
+        codes the posterior gathers through."""
+        return _row_sums(self.config, self.triplet.mi_uy)
 
 
 def _node_sums(n: int, card: int, pairs: int) -> _NodeSums:
@@ -300,13 +177,20 @@ def _node_sums(n: int, card: int, pairs: int) -> _NodeSums:
     return _shared_cut(n, card, span)
 
 
-_shared_cut = functools.lru_cache(maxsize=None)(_NodeSums)
-
-
-def _pair_sums(config: SimConfig) -> _NodeSums:
-    """_node_sums over (u, v1) symbols for every (message, v1 sequence)."""
-    card_v1 = config.model.card_v1
-    return _node_sums(config.n, config.policy.u_card * card_v1, config.m * card_v1 ** config.n)
+def _row_sums(config: SimConfig, mi_uy: float) -> _NodeSums:
+    """The cut over v1 symbols for tables with one row per picked codeword,
+    for every (message, v1 sequence) pair.  A table holds, over the config's
+    codebook or over one row per pair if there are fewer pairs, at most half
+    as many entries as there are pairs, so building it costs less than a
+    gather per pair, and at most GATHER_BYTES / 16, half a step's budget at
+    8 bytes each (a lone coordinate always qualifies)."""
+    n, card = config.n, config.model.card_v1
+    pairs = config.m * card ** n
+    rows = min(math.ceil(2.0 ** (n * (mi_uy - config.epsilon_typ))), pairs)
+    cap, span = max(min(pairs // 2, GATHER_BYTES // 16), rows), 1
+    while span < n and rows * card ** (span + 1) <= cap:
+        span += 1
+    return _shared_cut(n, card, span)
 
 
 def _typical(mean_log_p: np.ndarray, entropy: float, epsilon: float) -> np.ndarray:
@@ -447,18 +331,20 @@ def _decoder(tables: _Tables, codebook: Codebook, config: SimConfig):
     return decodes
 
 
-def _check_enumeration(config: SimConfig) -> None:
-    """Refuse, before any allocation, a run whose state enumeration breaks
-    the 2^20 cap or whose whole-run arrays break BYTE_BUDGET."""
+def _check_enumeration(tables: _Tables) -> None:
+    """Refuse, before any large allocation, a run whose state enumeration
+    breaks the 2^20 cap or whose whole-run arrays break BYTE_BUDGET."""
+    config = tables.config
     product = config.model.card_v1 * config.model.card_v2
     if config.n * math.log2(product) > MAX_STATE_ENUM_BITS + 1e-9:
         raise UsageError(
             f"state enumeration needs n*log2(|v1||v2|) <= {MAX_STATE_ENUM_BITS}, "
             f"got {config.n * math.log2(product):.3f}")
-    # int64 selection and bool found, (m, S); one intp code per node table,
-    # (G, m, S); one float equivocation per trial
+    # int64 selection and bool found, (m, S); one intp code per codeword-row
+    # table, (G, m, S); one float equivocation per trial.  The selection's
+    # own whole arrays, at most 17 bytes a pair, are freed before the codes.
     cells = config.m * config.model.card_v1 ** config.n
-    need = cells * (8 + 1 + 8 * len(_pair_sums(config).nodes)) + 8 * config.trials
+    need = cells * (8 + 1 + 8 * len(tables.row_sums.nodes)) + 8 * config.trials
     if need > BYTE_BUDGET:
         raise UsageError(
             f"{config.m} messages x {cells // config.m} state sequences at n={config.n} "
@@ -467,32 +353,44 @@ def _check_enumeration(config: SimConfig) -> None:
             f"or the trials")
 
 
+@dataclass(frozen=True)
+class _Codes:
+    """Each (message, v1 sequence) pair's pick as codes into the
+    codeword-row tables of _Tables.row_sums, (G, m, S): the pick's row plus
+    the row count times the sequence's state part.  The rows are the
+    picked codewords, `sequences`, in codebook order."""
+    sequences: np.ndarray
+    codes: np.ndarray
+
+
 def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray, _Codes]:
     """The encoder's choice for every (message, v1 sequence).
 
     Returns the (m, S) codeword indices, the (m, S) mask of bins holding a
     typical member (the rest fall back to bin 1's first codeword) and the
-    (G, m, S) indices of each pick in the G node tables of
-    tables.pair_sums, the posterior's codes.
+    picks' _Codes, the posterior's input.
 
-    The v1 sequences are streamed in chunks.  Within a chunk every bin is
-    scanned in index order and a (bin, sequence) pair leaves the scan at
-    its first typical member, so a scan costs what encode's stopping rule
-    needs rather than the whole bin: the pending pairs, at first every
-    pair of the chunk, score a window of ranks at a time, as many as fit
-    in GATHER_BYTES beside the pending pairs themselves.  Scores are numpy's
-    row sums through node tables of log p(u, v1), so the picks are
-    encode's.
+    Rank r scores every bin's r-th member against the pairs still pending,
+    so a pair stops at its bin's first typical member, as encode does.  The
+    v1 sequences are taken in the tree's digit order, in blocks of `width`
+    that fit GATHER_BYTES for all m messages.  A (message, block) cell with
+    at least a quarter of its pairs pending, and at least 16, is scored
+    whole: one outer sum of the members' table rows, contiguous adds.  A
+    thinner cell's pending pairs join a list scored by gathers; once no
+    cell is scored whole, the list takes as many ranks at a time as fit.
+    Scores are numpy's row sums of log p(u, v1), so the picks are encode's.
     """
     sequences = codebook.sequences
-    n = config.n
-    card_v1 = tables.p_uv1.shape[1]
-    m = codebook.bin_count
-    sums = tables.pair_sums
-    node = sums.tables(lambda i: tables.log_p_uv1.reshape(1, -1))
-    word_codes = sums.sequence_codes(sequences, card_v1)     # (G, K)
-    state_codes = sums.state_codes(card_v1)                  # (G, S)
+    n, m = config.n, codebook.bin_count
+    card = tables.p_uv1.shape[1]
+    sums = tables.row_sums
+    node = sums.tables(lambda i: tables.log_p_uv1[sequences[:, i]])      # (K, widths[t])
+    flat = [table.reshape(1, -1) for table in node]
+    state_codes = sums.state_codes(card)                                  # (G, S)
+    count = state_codes.shape[1]
+    places = np.cumprod((1,) + sums.widths[:-1])
+    tree_of = places @ state_codes              # each sequence's place in the digit order
 
     # members[j, r]: the r-th codeword of bin j + 1.  Bins one short repeat
     # their last member, which cannot hit again: a pair reaching the repeat
@@ -501,50 +399,81 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     order = np.argsort(codebook.bin_index, kind="stable")
     ends = np.cumsum(sizes)
     members = order[np.minimum(ends[:, None] - sizes[:, None] + np.arange(sizes.max()),
-                               ends[:, None] - 1)].ravel()
-    depth = len(members) // m
-    member_codes = np.take(word_codes, members, axis=1)      # (G, m * depth)
+                               ends[:, None] - 1)]
+    depth = members.shape[1]
 
-    count = state_codes.shape[1]
-    selection = np.full((m, count), _fallback_codeword(codebook), dtype=np.int64)
-    found = np.zeros((m, count), dtype=bool)
-    # a pending pair holds its member's slot in members, its state and G
-    # state parts; a score holds the sums' buffers (or _typical's three
-    # floats) and two windows of slots, this one and the last
-    pending = 8 * (len(word_codes) + 2)
-    score = 8 * (max(sums.buffers, 3) + 2)
-    chunk = max(1, GATHER_BYTES // ((pending + score) * m))
-    for lo in range(0, count, chunk):
-        part = state_codes[:, lo:lo + chunk]                       # (G, width)
-        width = part.shape[1]
-        slots = np.repeat(np.arange(0, m * depth, depth), width)
-        states = np.tile(np.arange(width), m)
-        state_part = np.tile(part, m)
-        rank = 0
-        while slots.size and rank < depth:
-            window = max(1, (GATHER_BYTES - pending * slots.size) // (score * slots.size))
-            ranks = np.arange(rank, min(depth, rank + window))
-            at = slots[:, None] + ranks                              # (pending, window)
-            total = sums.total(
-                node, lambda t: np.take(member_codes[t], at) + state_part[t][:, None])
+    fallback = _fallback_codeword(codebook)
+    pick = np.full((m, count), fallback, dtype=np.int64)     # in the digit order
+    pending = np.ones((m, count), dtype=bool)
+    # a score holds the sums' buffers (or _typical's three floats), its
+    # pick and a mask
+    score = 8 * (max(sums.buffers, 3) + 1) + 2
+    width = 1
+    while width < count and m * width * card * score <= GATHER_BYTES:
+        width *= card
+    left = np.full((m, count // width), width)               # pending pairs per cell
+    whole = np.ones(left.shape, dtype=bool)
+    loose = np.empty(0, dtype=np.intp)                       # message * S + place
+    rank = 0
+    while rank < depth:
+        thin = whole & (4 * left < max(width, 64))
+        if thin.any():
+            whole &= ~thin
+            ids = np.flatnonzero(thin)                   # message * blocks + block
+            at = np.flatnonzero(pending.reshape(-1, width)[ids])
+            loose = np.concatenate([loose, ids[at // width] * width + at % width])
+        if not (loose.size or whole.any()):
+            break
+        for block in np.flatnonzero(whole.any(axis=0)):
+            rows = np.flatnonzero(whole[:, block])
+            rows = slice(None) if len(rows) == m else rows
+            cells = rows, slice(block * width, (block + 1) * width)
+            total = sums.block([table[members[rows, rank]] for table in node],
+                               block * width, width)
             total /= n
-            hits = np.flatnonzero(_typical(total, tables.h_uv1, config.epsilon_typ))
-            del total                                   # before the next window's
-            pair = hits // len(ranks)
-            # a pair's hits come out in rank order: its first one is its pick
-            first = np.diff(pair, prepend=-1) > 0
-            pair, pick = pair[first], at.ravel()[hits[first]]
-            picked = (pick // depth, lo + states[pair])
-            selection[picked] = members[pick]
-            found[picked] = True
-            rank += len(ranks)
-            keep = np.ones(len(slots), dtype=bool)
-            keep[pair] = False
-            slots, states, state_part = slots[keep], states[keep], state_part[:, keep]
+            hit = _typical(total, tables.h_uv1, config.epsilon_typ)
+            del total                                   # before the next block's
+            hit &= pending[cells]
+            left[rows, block] -= np.count_nonzero(hit, axis=1)
+            # a pending pair still holds the fallback: add what turns it into
+            # the member, without a branch per pair
+            picks = pick[cells]
+            picks += hit * (members[rows, rank, None] - fallback)
+            pick[cells] = picks
+            pending[cells] ^= hit
+        ranks = 1 if whole.any() else min(depth - rank,
+                                          max(1, GATHER_BYTES // (score * loose.size)))
+        step = max(1, GATHER_BYTES // (score * ranks))
+        keep = np.ones(loose.size, dtype=bool)
+        for lo in range(0, loose.size, step):
+            pair = loose[lo:lo + step]
+            message, place = np.divmod(pair, count)
+            picks = members[message[:, None], np.arange(rank, rank + ranks)]
+            total = sums.total(flat, lambda t: picks * sums.widths[t]
+                               + (place // places[t] % sums.widths[t])[:, None])
+            total /= n
+            hit = _typical(total, tables.h_uv1, config.epsilon_typ)
+            del total                                   # before the next step's
+            got = np.flatnonzero(hit.any(axis=1))
+            pick.reshape(-1)[pair[got]] = picks[got, hit[got].argmax(axis=1)]
+            pending.reshape(-1)[pair[got]] = False
+            keep[lo + got] = False
+        loose = loose[keep]
+        rank += ranks
 
-    codes = np.take(word_codes, selection, axis=1)
-    codes += state_codes[:, None, :]
-    return selection, found, codes
+    found = np.take(pending, tree_of, axis=1)
+    np.logical_not(found, out=found)
+    del pending, loose
+    selection = np.take(pick, tree_of, axis=1)
+    del pick                                            # before the codes
+    picked = np.zeros(len(sequences), dtype=bool)
+    picked[selection] = True
+    row = np.cumsum(picked) - 1                         # a picked codeword's table row
+    codes = np.empty((len(node), m, count), dtype=np.intp)
+    for code, part in zip(codes, state_codes):
+        np.take(row, selection, out=code, mode="clip")
+        code += part * (row[-1] + 1)                    # row[-1] + 1 rows in all
+    return selection, found, _Codes(sequences[picked], codes)
 
 
 def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
@@ -555,11 +484,11 @@ def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
     v2 and the input x are marginalized per coordinate.  The wiretapper is
     assumed to know codebook, bins, and fallback rule.
     """
-    _check_enumeration(config)
+    tables = _Tables(config)
+    _check_enumeration(tables)
     z_seq = np.asarray(z_seq)
     if z_seq.shape != (config.n,):
         raise UsageError(f"z sequence must have length {config.n}")
-    tables = _Tables(config)
     _, _, codes = _selection_table(tables, codebook, config)
     return _posterior(tables, codes, z_seq)
 
@@ -587,36 +516,40 @@ def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _posterior(tables: _Tables, codes: np.ndarray, z_seq: np.ndarray) -> Pmf:
+def _posterior(tables: _Tables, codes: _Codes, z_seq: np.ndarray) -> Pmf:
     """_posteriors of one z sequence, as a Pmf."""
     return Pmf("message", _posteriors(tables, codes, z_seq[None])[0])
 
 
-def _posteriors(tables: _Tables, codes: np.ndarray, z_rows: np.ndarray) -> np.ndarray:
-    """Message posteriors (Z, m) of the z rows (Z, n), from the (G, m, S)
-    codes of _selection_table.
+def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarray:
+    """Message posteriors (Z, m) of the z rows (Z, n), from the _Codes of
+    _selection_table.
 
-    A step takes a batch of rows: node tables of log w(z_i | u_i, v1_i) for
-    each row, the log-likelihood of every (message, v1 sequence) pair
-    gathered through the codes a chunk of pairs at a time, and one
-    _log_sum_exp over the batch's stacked (m, S) rows.  A batch is sized so
-    that its tables (twice over while they are built), per pair the
-    log-likelihood and the sums' buffers (or the log-sum-exp's two
+    A step takes a batch of rows: codeword-row tables of
+    log w(z_i | u_i, v1_i) for each row, the log-likelihood of every
+    (message, v1 sequence) pair gathered through the codes a chunk of pairs
+    at a time, and one _log_sum_exp over the batch's stacked (m, S) rows.  A
+    batch is sized so that its tables (twice over while they are built), per
+    pair the log-likelihood and the sums' buffers (or the log-sum-exp's two
     temporaries) and per message the log-sum-exp's five stay within
     GATHER_BYTES; a row too large for that alone is gathered in chunks of
     that size.
     """
-    sums = tables.pair_sums
-    count, m, states = codes.shape
+    sums = tables.row_sums
+    count, m, states = codes.codes.shape
     pairs = m * states
-    flat_codes = codes.reshape(count, pairs)
-    weights = tables.log_weight.reshape(len(tables.log_weight), -1)   # (z, u * v1)
-    batch = max(1, GATHER_BYTES // (8 * (2 * sums.entries + (1 + sums.buffers) * pairs + 5 * m)))
+    flat_codes = codes.codes.reshape(count, pairs)
+    sequences = codes.sequences
+    card = tables.log_weight.shape[2]
+    entries = len(sequences) * sums.entries
+    columns = sequences.T[:, None, None, :], np.arange(card)[:, None]
+    batch = max(1, GATHER_BYTES // (8 * (2 * entries + (1 + sums.buffers) * pairs + 5 * m)))
     chunk = max(1, GATHER_BYTES // (8 * sums.buffers * batch))
     log_posts = np.empty((len(z_rows), m))
     for lo in range(0, len(z_rows), batch):
         rows = z_rows[lo:lo + batch]
-        node = sums.tables(lambda i: weights[rows[:, i]])
+        values = tables.log_weight[(rows.T[:, :, None, None],) + columns]   # (n, Z, card, K)
+        node = [table.reshape(len(rows), -1) for table in sums.tables(lambda i: values[i])]
         loglik = np.empty((len(rows), pairs))
         for p in range(0, pairs, chunk):
             loglik[:, p:p + chunk] = sums.total(node, lambda t: flat_codes[t, p:p + chunk])
@@ -669,8 +602,8 @@ def run_experiment(config: SimConfig) -> SimulationReport:
     trial's (message, v1 sequence).  Trials run in blocks of about
     GATHER_BYTES; only their equivocations are kept whole, for the mean.
     """
-    _check_enumeration(config)
     tables = _Tables(config)
+    _check_enumeration(tables)
     codebook = _build_codebook(config, tables)
     selection, found, codes = _selection_table(tables, codebook, config)
     decodes = _decoder(tables, codebook, config)
@@ -691,10 +624,10 @@ def run_experiment(config: SimConfig) -> SimulationReport:
         # decode and posterior are functions of the observation alone, so
         # each distinct y and z row of a block is evaluated once, all in one
         # batch; a failed decode reads as message 0, which is never sent
-        y_rows, y_of = np.unique(y, axis=0, return_inverse=True)
+        y_rows, y_of = _distinct(y, model.card_y)
         errors += int(np.count_nonzero(decodes(y_rows)[y_of.reshape(-1)] != messages))
         del y, y_rows, y_of                             # before the posteriors' batches
-        z_rows, z_of = np.unique(z, axis=0, return_inverse=True)
+        z_rows, z_of = _distinct(z, model.card_z)
         entropies = _entropy_bits_batch(_posteriors(tables, codes, z_rows))
         equivocations[lo:lo + len(messages)] = entropies[z_of.reshape(-1)] / log_m
 
@@ -712,6 +645,16 @@ def run_experiment(config: SimConfig) -> SimulationReport:
         equivocation_max=float(equivocations.max()),
         seed=config.seed,
     )
+
+
+def _distinct(rows: np.ndarray, card: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(rows, axis=0, return_inverse=True) of (R, n) symbol rows,
+    through one integer per row while card^n fits in an int64."""
+    if rows.shape[1] * math.log2(max(card, 2)) >= 63:
+        return np.unique(rows, axis=0, return_inverse=True)
+    _, first, of = np.unique(rows @ card ** np.arange(rows.shape[1] - 1, -1, -1),
+                             return_index=True, return_inverse=True)
+    return rows[first], of
 
 
 def _trial_block(tables: _Tables, codebook: Codebook, config: SimConfig,

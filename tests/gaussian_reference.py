@@ -161,6 +161,8 @@ def reference_leakage_roots(params):
         lo, hi = inner, outer
         while abs(hi - lo) > 1e-12:
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):             # adjacent floats: mid is returned
+                break
             if reference_leakage(params, mid) >= 0.0:
                 lo = mid
             else:

@@ -71,7 +71,7 @@ def reference_posterior(tables, config, v1_all, u_selected, z_seq):
 
 def reference_run_experiment(config):
     tables = _Tables(config)
-    _check_enumeration(config)
+    _check_enumeration(tables)
     codebook = _build_codebook(config, tables)
     v1_all = state_sequences(config.model.card_v1, config.n)
     selection, _ = reference_selection_table(tables, codebook, config, v1_all)

@@ -368,6 +368,17 @@ def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+def test_gaussian_scan_on_a_singular_block_prints_no_warning(tmp_path, capsys):
+    # at p = 1e-300 the LU of a covariance block meets a zero pivot, and
+    # numpy's det flags a division by zero; the scan still exits 0, and no
+    # warning reaches stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gaussian-scan", "--p", "1e-300", "--rho-v1v2", "1e-300",
+                     "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 GAUSSIAN_FLAGS = {
     "gaussian-scan": ("p", "q1", "q2", "n1", "n2", "rho-xv1", "rho-xv2",
                       "rho-v1v2", "alpha-min", "alpha-max", "step"),

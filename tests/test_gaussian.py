@@ -728,3 +728,54 @@ def test_an_overflowing_covariance_raises_without_a_warning():
             gaussian.mi_stack(params, [0.0, 1e300], ("z",))
         with pytest.raises(OverflowError, match="covariance overflows"):
             joint_covariance(params, 1e300)
+
+
+# alpha_star is about 1.08e5, where adjacent floats lie 1.5e-11 apart, wider
+# than ROOT_ALPHA_TOL: a bisection that stops only on the bracket's width
+# meets a midpoint equal to one of its ends and halves forever
+ADJACENT_END_PARAMS = dict(
+    p=131471215493677.7, q1=32.70193648451678, q2=6.724286444891935e+19,
+    n1=3.6144640311851116e+37, n2=1.115792232233379e+22,
+    rho_xv1=-0.05374584955939521, rho_xv2=-0.05374584955939521, rho_v1v2=1.0)
+
+
+def _bounded(argv):
+    """argv in a child with a 60 s limit and 2 GiB of address space, so a
+    walk that never ends fails the test instead of holding the suite or
+    the machine's memory."""
+    import os
+    import resource
+    import subprocess
+    import sys
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(root, "src"), os.path.join(root, "tests")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=60, preexec_fn=limit, env=env)
+
+
+def test_roots_stop_where_the_bracket_ends_are_adjacent_floats():
+    run = _bounded(["-c", (
+        "from wiretapsi.gaussian import GaussianWiretapParams, leakage_roots\n"
+        "from gaussian_reference import reference_leakage_roots\n"
+        f"params = GaussianWiretapParams(**{ADJACENT_END_PARAMS!r})\n"
+        "print(repr(leakage_roots(params)))\n"
+        "print(repr(reference_leakage_roots(params)))\n")])
+    assert run.returncode == 0, run.stderr
+    got, want = run.stdout.splitlines()
+    assert got == want
+    assert eval(got)[0] is not None
+
+
+def test_gaussian_scan_returns_where_the_bracket_ends_are_adjacent_floats(tmp_path):
+    flags = []
+    for key, value in ADJACENT_END_PARAMS.items():
+        flags += ["--" + key.replace("_", "-"), repr(value)]
+    run = _bounded(["-m", "wiretapsi.cli", "gaussian-scan", *flags,
+                    "--out", str(tmp_path / "o")])
+    assert run.returncode in (0, 2), run.stderr
+    assert "Traceback" not in run.stderr

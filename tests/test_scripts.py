@@ -31,3 +31,24 @@ def test_gaussian_case_study_writes_its_four_csvs(tmp_path):
         assert not any("nan" in cell for row in tables[name] for cell in row)
     for name in ("boundary_correlated.csv", "boundary_independent.csv"):
         assert {row[1] for row in tables[name][1:]} == {"low", "mid", "high"}
+
+
+def test_binning_trend_writes_the_trend_and_baseline_csvs(tmp_path):
+    # --max-n 8 runs the ladder at n = 6 and 8; the constant-tap baseline
+    # must read d = 1 on every row
+    out = tmp_path / "trend"
+    run = subprocess.run([sys.executable, str(SCRIPTS / "binning_trend.py"),
+                          "--max-n", "8", "--trials", "20", "--baseline", "--out", str(out)],
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    header = ["n", "pe", "pe_ci_low", "pe_ci_high", "d", "fallback"]
+    assert sorted(p.name for p in out.iterdir()) == ["baseline.csv", "trend.csv"]
+    tables = {}
+    for name in ("trend.csv", "baseline.csv"):
+        with open(out / name, newline="") as handle:
+            tables[name] = list(csv.reader(handle))
+        assert tables[name][0] == header
+        assert [row[0] for row in tables[name][1:]] == ["6", "8"]
+        assert not any("nan" in cell for row in tables[name] for cell in row)
+    assert all(float(row[4]) == 1.0 for row in tables["baseline.csv"][1:])

@@ -24,10 +24,11 @@ from wiretapsi import simulator, validate
 from wiretapsi.cli import main
 from wiretapsi.discrete import AuxiliaryPolicy
 from wiretapsi.modelio import model_to_dict, policy_to_dict, write_json
+from wiretapsi.nodesums import _leaves, _NodeSums
 from wiretapsi.probability import JointPmf, TransitionKernel
 from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook, _decoder,
-                                 _leaves, _log_sum_exp, _node_sums, _NodeSums,
-                                 _posterior, _selection_table, _Tables)
+                                 _log_sum_exp, _node_sums, _posterior,
+                                 _selection_table, _Tables)
 from wiretapsi.reference import (
     bsc,
     constant_wiretap_instance,
@@ -384,6 +385,26 @@ def _report_bytes(report, path):
     return path.read_bytes()
 
 
+def four_state_instance():
+    """|v1| = 4 and |v2| = 1: y is x flipped by v1's low bit through a
+    BSC(0.05), z is x through a BSC(0.2), u = x XOR (v1 & 1), biased by
+    v1's high bit."""
+    main, tap = np.zeros((2, 4, 2)), np.zeros((2, 1, 2))
+    table = np.zeros((4, 1, 2, 2))
+    for x in range(2):
+        tap[x, 0] = bsc(0.2)[x]
+        for v1 in range(4):
+            main[x, v1] = bsc(0.05)[x ^ (v1 & 1)]
+            table[v1, 0, x, x ^ (v1 & 1)] = 0.5 + (0.2 if x else -0.2) * (v1 >> 1)
+    model = DiscreteWiretapModel(
+        state_pmf=JointPmf((("v1", 4), ("v2", 1)), np.array([[0.4], [0.3], [0.2], [0.1]])),
+        main_kernel=TransitionKernel((("x", 2), ("v1", 4)), (("y", 2),), main),
+        wiretap_kernel=TransitionKernel((("x", 2), ("v2", 1)), (("z", 2),), tap))
+    policy = AuxiliaryPolicy(2, TransitionKernel(
+        (("v1", 4), ("v2", 1)), (("u", 2), ("x", 2)), table))
+    return model, policy
+
+
 def _fixture(name):
     if name == "trend":
         return trend_instance()
@@ -391,6 +412,8 @@ def _fixture(name):
         return constant_wiretap_instance()
     if name == "correlated":
         return make_correlated_sim_instance()
+    if name == "four":
+        return four_state_instance()
     model = stateless_model(bsc(0.05), bsc(0.2))
     return model, uniform_input_policy(model)
 
@@ -426,6 +449,31 @@ def _tables_and_book(name, n, rate, eps, seed):
     return config, tables, _build_codebook(config, tables)
 
 
+def _reference_selection(tables, book, config):
+    """Every v1 sequence and reference_selection_table over them, 4,096
+    sequences at a time."""
+    v1_all = state_sequences(config.model.card_v1, config.n)
+    parts = [reference_selection_table(tables, book, config, v1_all[lo:lo + 4096])
+             for lo in range(0, len(v1_all), 4096)]
+    return (v1_all, np.concatenate([p[0] for p in parts], axis=1),
+            np.concatenate([p[1] for p in parts], axis=1))
+
+
+def _assert_codes(tables, book, config, codes, selection, v1_all):
+    # the codeword-row tables cover every coordinate once, and their rows
+    # are the picked codewords in codebook order; a pick's code in a table
+    # over coordinates C is its row plus the row count times the state
+    # part sum_j v1_{C[j]} * |v1|^j
+    coords = [_leaves(node) for node in tables.row_sums.nodes]
+    assert sorted(i for c in coords for i in c) == list(range(config.n))
+    picked = np.unique(selection)
+    np.testing.assert_array_equal(codes.sequences, book.sequences[picked])
+    rows, card = np.searchsorted(picked, selection), config.model.card_v1
+    want = [rows + len(picked) * sum(v1_all[:, i] * card ** j for j, i in enumerate(c))
+            for c in coords]
+    np.testing.assert_array_equal(codes.codes, want)
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, 300, 5000])
 @pytest.mark.parametrize("name,n,rate,eps,seed", [
     ("trend", 10, 0.3, 0.45, 3),            # hits and fallbacks, bins of 2 and 1
@@ -444,16 +492,70 @@ def test_selection_in_small_chunks_matches_the_whole_gather(
     selection, found, codes = _selection_table(tables, book, config)
     np.testing.assert_array_equal(selection, want_selection)
     np.testing.assert_array_equal(found, want_found)
-    # the node tables cover every coordinate once; a pick's code in a table
-    # is the sum of (u_i*|v1| + v1_i) * (|u||v1|)^j over the table's
-    # coordinates, j counting from 0
-    card_u, card_v1 = tables.p_uv1.shape
-    coords = [_leaves(node) for node in tables.pair_sums.nodes]
-    assert sorted(i for c in coords for i in c) == list(range(config.n))
-    symbols = book.sequences[want_selection] * card_v1 + v1_all
-    want_codes = [sum(symbols[..., i] * (card_u * card_v1) ** j for j, i in enumerate(c))
-                  for c in coords]
-    np.testing.assert_array_equal(codes, want_codes)
+    _assert_codes(tables, book, config, codes, want_selection, v1_all)
+
+
+TREES = [
+    ("trend", 8, 0.25, 0.45, 0),            # a balanced tree, two tables
+    ("trend", 16, 0.17, 0.45, 0),           # a balanced tree, 65,536 sequences
+    ("trend", 9, 0.23, 0.2, 2),             # a chain tree; three pairs fall back
+    ("trend", 14, 0.17, 0.45, 1),           # a chain tree, five tables
+    ("trend", 5, 0.25, 0.3, 3),             # shorter than numpy's eight accumulators
+    ("four", 6, 0.34, 0.2, 3),              # |v1| = 4
+]
+
+
+# 2^15 bytes cuts the sequences into blocks of 64 scored whole, many of
+# them; one byte scores every pair alone by gathers, which is kept to the
+# binary trees of at most 512 sequences
+@pytest.mark.parametrize("name,n,rate,eps,seed,chunk_bytes", [
+    tree + (chunk,) for tree in TREES for chunk in (None, 2 ** 15, 1)
+    if chunk != 1 or (tree[0] == "trend" and tree[1] <= 9)])
+def test_selection_and_posterior_follow_the_reference_on_every_tree(
+        monkeypatch, name, n, rate, eps, seed, chunk_bytes):
+    config, tables, book = _tables_and_book(name, n, rate, eps, seed)
+    v1_all, want_selection, want_found = _reference_selection(tables, book, config)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
+    selection, found, codes = _selection_table(tables, book, config)
+    np.testing.assert_array_equal(selection, want_selection)
+    np.testing.assert_array_equal(found, want_found)
+    _assert_codes(tables, book, config, codes, want_selection, v1_all)
+    z_rows = np.random.default_rng(seed).integers(0, config.model.card_z, size=(3, n))
+    got = simulator._posteriors(tables, codes, z_rows)
+    for z_seq, row in zip(z_rows, got):
+        want = reference_posterior(tables, config, v1_all, book.sequences[want_selection], z_seq)
+        np.testing.assert_array_equal(row, want.probs)
+
+
+def test_selection_work_follows_the_pending_pairs(monkeypatch):
+    # bins of 48 members; one (message, v1 sequence) pair has no typical
+    # member and scans its whole bin.  The cells the selection tests stay
+    # within a small multiple of the (pair, rank) scores of the encoder's
+    # own scan plus one 64-sequence block per rank; scoring every cell at
+    # every rank would test 48 x 2,048.
+    config, tables, book = _tables_and_book("trend", 10, 0.1, 0.15, 0)
+    v1_all, want_selection, want_found = _reference_selection(tables, book, config)
+    assert np.count_nonzero(~want_found) == 1
+    members = [np.flatnonzero(book.bin_index == j + 1) for j in range(book.bin_count)]
+    depth = max(len(m) for m in members)
+    assert depth == 48
+    scan = sum(int(np.searchsorted(members[j], want_selection[j, s])) + 1
+               if want_found[j, s] else len(members[j])
+               for j in range(book.bin_count) for s in range(len(v1_all)))
+    tested = []
+
+    def counted(mean_log_p, *args):
+        tested.append(mean_log_p.size)
+        return typical(mean_log_p, *args)
+
+    typical = simulator._typical
+    monkeypatch.setattr(simulator, "_typical", counted)
+    monkeypatch.setattr(simulator, "GATHER_BYTES", 2 ** 14)       # blocks of 64
+    selection, found, _ = _selection_table(tables, book, config)
+    np.testing.assert_array_equal(selection, want_selection)
+    np.testing.assert_array_equal(found, want_found)
+    assert sum(tested) <= 3 * scan + depth * 64 < depth * book.bin_count * len(v1_all)
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 3000, 2 ** 19])
@@ -549,10 +651,11 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=8, rate=0.25,
                        epsilon_typ=0.45, trials=3, seed=0)
-    # selection, found and one code per node table for each (message, v1
-    # sequence), plus one equivocation per trial; at n=8 with 1,024 pairs
-    # the two halves of the summation tree are the node tables
-    node_tables = len(simulator._pair_sums(config).nodes)
+    # selection, found and one code per codeword-row table for each
+    # (message, v1 sequence), plus one equivocation per trial; at n=8 with
+    # 1,024 pairs and 8 codewords the two halves of the summation tree are
+    # the tables
+    node_tables = len(_Tables(config).row_sums.nodes)
     assert node_tables == 2
     need = config.m * 2 ** 8 * (8 + 1 + 8 * node_tables) + 8 * config.trials
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need)
