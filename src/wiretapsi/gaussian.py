@@ -146,9 +146,12 @@ _MIX = np.array([
 def _cov_stack(params: GaussianWiretapParams, alphas) -> np.ndarray:
     """Covariances of (u, v1, v2, y, z), one per alpha: an (N, 5, 5) stack
     assembled by bilinearity, mix @ base @ mix.T, where the x/v1/v2 block of
-    base carries the correlations.  Every matrix must pass the PSD test.
-    An entry that overflows raises OverflowError; the public callers
-    silence numpy's warning for it.
+    base carries the correlations.  An entry that overflows raises
+    OverflowError; the public callers silence numpy's warning for it.
+
+    Every mix has determinant 1, so by Sylvester's law of inertia each
+    matrix is PSD exactly when base is: one eigvalsh of base, against
+    -1e-9 * max(1, its largest variance), decides the whole stack.
     """
     alphas = np.asarray(alphas, dtype=float)
     base = np.array([
@@ -163,11 +166,9 @@ def _cov_stack(params: GaussianWiretapParams, alphas) -> np.ndarray:
     cov = mix @ base @ mix.transpose(0, 2, 1)
     if not np.isfinite(cov).all():
         raise OverflowError("covariance overflows")
-    cov = 0.5 * (cov + cov.transpose(0, 2, 1))
-    floor = -1e-9 * np.maximum(1.0, cov.diagonal(0, 1, 2).max(axis=1))
-    if (np.linalg.eigvalsh(cov).min(axis=1) < floor).any():
+    if np.linalg.eigvalsh(base).min() < -1e-9 * max(1.0, base.diagonal().max()):
         raise ValidationError("assembled covariance is not PSD within tolerance")
-    return cov
+    return 0.5 * (cov + cov.transpose(0, 2, 1))
 
 
 def joint_covariance(params: GaussianWiretapParams, alpha: float) -> np.ndarray:

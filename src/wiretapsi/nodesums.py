@@ -95,10 +95,7 @@ class _NodeSums:
         one row per table the sums have shape R; with B rows, (B, *R)."""
         def gather(t):
             table, index = tables[t], code(t)
-            if len(table) > 1:
-                index = index + np.arange(0, table.size, table.shape[1]).reshape(
-                    (-1,) + (1,) * index.ndim)
-            return np.take(table, index)
+            return np.take(table, index, axis=1) if len(table) > 1 else np.take(table, index)
         return _tree_total(self.shape, gather)
 
     def block(self, rows: list[np.ndarray], lo: int, width: int) -> np.ndarray:

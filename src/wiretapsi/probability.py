@@ -302,11 +302,13 @@ def _require_kernel(kernel: TransitionKernel, inputs: tuple[str, ...],
 # numpy's SeedSequence hash and PCG64 seeding constants (bit_generator.pyx,
 # pcg64.h), which numpy's RNG policy (NEP 19) keeps stable
 _MASK32 = 0xFFFF_FFFF
+_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
 _INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
 _MIX_L, _MIX_R = 0xCA01_F9DD, 0x4973_F715
 _PCG_MULT = 0x2360_ED05_1FC6_5DA4_4385_DF64_9FCC_F645
+_PCG_MULT_HALVES = (np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64))
 _SEED_BATCH = 4096          # indices hashed at once
 
 
@@ -354,30 +356,153 @@ def _seed_words(entropy: list[np.ndarray]) -> list[np.ndarray]:
     return [state[k] | state[k + 1] << np.uint64(32) for k in range(0, 8, 2)]
 
 
+def _seed_runs(first: int, count: int) -> Iterator[tuple[int, int]]:
+    """(index, stop) runs that split first .. first + count - 1 into batches
+    of at most _SEED_BATCH indices sharing every SeedSequence word but the
+    lowest."""
+    index, end = first, first + count
+    while index < end:
+        stop = min(end, index + _SEED_BATCH, ((index >> 32) + 1) << 32)
+        yield index, stop
+        index = stop
+
+
+def _mulhi(a: np.ndarray, b) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b of uint64s, from 32-bit
+    limbs, in place where it can: four product-sized arrays at most."""
+    a_low, a_high = a & _MASK32, a >> 32
+    b_low, b_high = b & _MASK32, b >> 32
+    cross_a, cross_b = a_low * b_high, a_high * b_low
+    high = a_low * b_low
+    high >>= 32
+    high += cross_a & _MASK32
+    high += cross_b & _MASK32
+    high >>= 32                 # the carry out of the middle limb
+    cross_a >>= 32
+    high += cross_a
+    del cross_a
+    cross_b >>= 32
+    high += cross_b
+    del cross_b
+    high += a_high * b_high
+    return high
+
+
+def _mul128(a, b):
+    """a * b mod 2^128 for (high, low) pairs of uint64s."""
+    high = _mulhi(a[1], b[1])
+    high += a[1] * b[0]
+    high += a[0] * b[1]
+    return high, a[1] * b[1]
+
+
+def _add128(a, b):
+    """a + b mod 2^128 for (high, low) pairs of uint64s."""
+    low = a[1] + b[1]
+    return a[0] + b[0] + (low < a[1]), low
+
+
+def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints as (high, low) uint64 arrays."""
+    return (np.array([v >> 64 for v in values], dtype=np.uint64),
+            np.array([v & _MASK64 for v in values], dtype=np.uint64))
+
+
+def _jumps(lanes: int):
+    """(mult^j, 1 + mult + ... + mult^(j-1)) mod 2^128 for j = 1 .. lanes, as
+    halves: j PCG64 steps take state s with increment c to
+    mult^j * s + (1 + ... + mult^(j-1)) * c."""
+    scale, shift = [_PCG_MULT], [1]
+    while len(scale) < lanes:
+        scale.append(scale[-1] * _PCG_MULT & _MASK128)
+        shift.append((shift[-1] * _PCG_MULT + 1) & _MASK128)
+    return _halves(scale), _halves(shift)
+
+
+_PCG_LANES = 8              # steps _pcg64_outputs takes at once
+_PCG_JUMPS = _jumps(_PCG_LANES)
+
+
+def _pcg64_seeded(prefix: Sequence[int], first: int, count: int):
+    """PCG64's (state, increment) for default_rng([*prefix, i]), i in a run of
+    _seed_runs, as (high, low) pairs of uint64 arrays.
+
+    SeedSequence gives the seed s and the word w; numpy's pcg64_set_seed
+    takes the increment c = 2w + 1 and steps, adds s and steps from zero:
+    state (c + s) * mult + c, mod 2^128.
+    """
+    high = first >> 32
+    head = [np.array([w], dtype=np.uint32) for value in prefix for w in _words(int(value))]
+    low = np.arange(first & _MASK32, (first & _MASK32) + count, dtype=np.uint32)
+    rest = [np.array([w], dtype=np.uint32) for w in _words(high)] if high else []
+    seed_high, seed_low, word_high, word_low = _seed_words(head + [low] + rest)
+    inc = word_high << 1 | word_low >> 63, word_low << 1 | 1
+    return _add128(_mul128(_add128(inc, (seed_high, seed_low)), _PCG_MULT_HALVES), inc), inc
+
+
+def _pcg64_outputs(prefix: Sequence[int], first: int, count: int, k: int) -> np.ndarray:
+    """(count, k) uint64: row i - first holds the first k outputs of
+    np.random.default_rng([*prefix, i]), bit for bit its bit generator's
+    random_raw(k).
+
+    Every generator is a lane.  PCG64 (O'Neill 2014) steps a 128-bit LCG,
+    state * mult + c, and outputs XSL-RR of the new state: the xor of its
+    halves rotated right by its top six bits.  The 128-bit arithmetic runs
+    on uint64 halves, _PCG_LANES steps at once: each jumps from the last
+    state through _PCG_JUMPS.  The held words are _pcg64_words(k) per
+    generator.
+    """
+    (scale_high, scale_low), (shift_high, shift_low) = _PCG_JUMPS
+    out = np.empty((count, k), dtype=np.uint64)
+    for index, stop in _seed_runs(first, count):
+        (state_high, state_low), inc = _pcg64_seeded(prefix, index, stop - index)
+        state_high, state_low = state_high[:, None], state_low[:, None]
+        inc = tuple(half[:, None] for half in inc)
+        off_high, off_low = _mul128(inc, (shift_high, shift_low))      # (rows, lanes)
+        rows = out[index - first:stop - first]
+        for lo in range(0, k, _PCG_LANES):
+            width = min(_PCG_LANES, k - lo)
+            high, low = _mul128((state_high, state_low), (scale_high[:width], scale_low[:width]))
+            low += off_low[:, :width]
+            high += off_high[:, :width]
+            high += low < off_low[:, :width]
+            state_high, state_low = high[:, -1:].copy(), low[:, -1:].copy()
+            low ^= high                                 # XSL-RR, in place
+            high >>= 58
+            np.right_shift(low, high, out=rows[:, lo:lo + width])
+            np.subtract(64, high, out=high)
+            high &= 63
+            low <<= high
+            rows[:, lo:lo + width] |= low
+            del high, low                               # before the next round's
+    return out
+
+
+def _pcg64_words(k: int) -> int:
+    """uint64s _pcg64_outputs holds per generator at most: its k outputs
+    and eight per lane, the lane's two offsets, its state's two halves and
+    _mulhi's four arrays."""
+    return k + 8 * _PCG_LANES
+
+
 def _seeded_generators(prefix: Sequence[int], first: int,
                        count: int) -> Iterator[np.random.Generator]:
     """For i in first .. first + count - 1, one reused Generator put at the
     stream of np.random.default_rng([*prefix, i]), bit for bit.
 
-    SeedSequence's hash runs on uint32 arrays for a batch of indices that
-    share every word but the lowest; PCG64's seeding (step, add the seed,
-    step) runs on Python ints; the state setter places the generator.  The
-    draws are numpy's own.  A caller uses each generator before the next.
+    The (state, increment) pairs come from _pcg64_seeded, a batch of
+    indices at a time; the state setter places the generator, and the
+    draws are numpy's own (the policy stream's standard_exponential is a
+    ziggurat that rejects, so it takes no fixed count of outputs).  A
+    caller uses each generator before the next.
     """
     generator = np.random.Generator(np.random.PCG64(0))
     bits = generator.bit_generator
-    head = [np.array([w], dtype=np.uint32) for value in prefix for w in _words(int(value))]
-    index, end = first, first + count
-    while index < end:
-        high = index >> 32
-        stop = min(end, index + _SEED_BATCH, (high + 1) << 32)
-        low = np.arange(index & _MASK32, (index & _MASK32) + stop - index, dtype=np.uint32)
-        rest = [np.array([w], dtype=np.uint32) for w in _words(high)] if high else []
-        words = _seed_words(head + [low] + rest)
-        for s_high, s_low, i_high, i_low in zip(*(w.tolist() for w in words)):
-            inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
-            state = ((inc + (s_high << 64 | s_low)) * _PCG_MULT + inc) & _MASK128
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+    for index, stop in _seed_runs(first, count):
+        (state_high, state_low), (inc_high, inc_low) = _pcg64_seeded(prefix, index, stop - index)
+        for s_high, s_low, i_high, i_low in zip(state_high.tolist(), state_low.tolist(),
+                                                inc_high.tolist(), inc_low.tolist()):
+            bits.state = {"bit_generator": "PCG64",
+                          "state": {"state": s_high << 64 | s_low, "inc": i_high << 64 | i_low},
                           "has_uint32": 0, "uinteger": 0}
             yield generator
-        index = stop

@@ -28,15 +28,20 @@ The kernel serves three callers:
 * _selection_table replays the encoder for every (message, v1 sequence)
   pair a rank at a time: the bins' r-th members against blocks of v1
   sequences taken in the tree's digit order, each pair stopping at its
-  bin's first typical member.  That table is the encoder: each trial draws
-  its states, message and uniforms from its own generator and sends the
-  listed codeword.  It also returns each pick's codes.
+  bin's first typical member.  That table is the encoder: each trial
+  sends the listed codeword.  It also returns each pick's codes.
 * _decoder builds node tables of log p(u, y) and every codeword's codes
   once per run and scores every codeword against the distinct y of a
   trial block.
 * _posteriors builds codeword-row tables of log w(z_i | u_i, v1_i) for a
   batch of the block's distinct z and sums every (message, v1 sequence)
   pair through the codes.
+
+A trial draws its states, message and uniforms as its own generator
+default_rng([seed, 1, t]) would, but no generator is built: the lane-wise
+PCG64 kernel of probability gives each trial of a block its 4n + 1 outputs.
+The message takes one of them because m is a power of two: numpy's 32-bit
+Lemire draw then never rejects (see _trial_draws).
 
 The public encode keeps its own per-bin scan; it is the second path that
 validate's brute-force posterior and the tests compare the kernel against.
@@ -56,7 +61,8 @@ from .discrete import (AuxiliaryPolicy, DiscreteWiretapModel, RateTriplet,
 from .errors import InfeasibleRateError, UsageError
 from .nodesums import _NodeSums, _shared_cut
 from .probability import (BYTE_BUDGET, Pmf, _check_stack, _entropy_bits,
-                          _entropy_bits_batch, _seeded_generators, compose)
+                          _entropy_bits_batch, _pcg64_outputs, _pcg64_words,
+                          compose)
 
 MAX_BLOCK_LENGTH = 16
 MAX_STATE_PRODUCT = 4
@@ -195,8 +201,14 @@ def _row_sums(config: SimConfig, mi_uy: float) -> _NodeSums:
 
 def _typical(mean_log_p: np.ndarray, entropy: float, epsilon: float) -> np.ndarray:
     """Weak typicality from the mean log2-probability of each sequence
-    pair: its empirical entropy lies within epsilon of the true entropy."""
-    return np.abs(-mean_log_p - entropy) <= epsilon
+    pair: its empirical entropy lies within epsilon of the true entropy.
+
+    The test runs in place, |mean + entropy|, which rounds to |-mean - entropy|
+    exactly; every caller passes an array it discards.
+    """
+    mean_log_p += entropy
+    np.abs(mean_log_p, out=mean_log_p)
+    return mean_log_p <= epsilon
 
 
 def _sample(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -433,14 +445,14 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
             total /= n
             hit = _typical(total, tables.h_uv1, config.epsilon_typ)
             del total                                   # before the next block's
-            hit &= pending[cells]
+            # views of the cells when every message is scored, else copies
+            cell_pick, cell_pending = pick[cells], pending[cells]
+            hit &= cell_pending
             left[rows, block] -= np.count_nonzero(hit, axis=1)
-            # a pending pair still holds the fallback: add what turns it into
-            # the member, without a branch per pair
-            picks = pick[cells]
-            picks += hit * (members[rows, rank, None] - fallback)
-            pick[cells] = picks
-            pending[cells] ^= hit
+            np.copyto(cell_pick, members[rows, rank, None], where=hit)
+            np.copyto(cell_pending, False, where=hit)
+            if not isinstance(rows, slice):
+                pick[cells], pending[cells] = cell_pick, cell_pending
         ranks = 1 if whole.any() else min(depth - rank,
                                           max(1, GATHER_BYTES // (score * loose.size)))
         step = max(1, GATHER_BYTES // (score * ranks))
@@ -499,19 +511,20 @@ def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
 
     Each row is shifted by its maximum; the entries at the maximum are
     counted and the rest enter through log1p, which keeps precision when
-    one entry dominates.
+    one entry dominates.  One array holds the shift, its exponential and,
+    with the peaks zeroed, the terms of the sum.
     """
     out = np.full(len(rows), -np.inf)
     peak = rows.max(axis=1, keepdims=True)
     live = np.isfinite(peak[:, 0])
     if not live.all():
         rows, peak = rows[live], peak[live]
-    at_peak = rows == peak
-    rest = np.where(at_peak, -np.inf, rows)
-    rest -= peak
+    rest = rows - peak
+    at_peak = rest == 0.0               # exactly the entries equal to the peak
     np.exp(rest, out=rest)
+    np.copyto(rest, 0.0, where=at_peak)
     total = rest.sum(axis=1, keepdims=True)
-    count = at_peak.sum(axis=1, keepdims=True)
+    count = np.count_nonzero(at_peak, axis=1)[:, None]
     out[live] = (np.log1p(total / count) + np.log(count) + peak)[:, 0]
     return out
 
@@ -529,11 +542,13 @@ def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarra
     log w(z_i | u_i, v1_i) for each row, the log-likelihood of every
     (message, v1 sequence) pair gathered through the codes a chunk of pairs
     at a time, and one _log_sum_exp over the batch's stacked (m, S) rows.  A
-    batch is sized so that its tables (twice over while they are built), per
-    pair the log-likelihood and the sums' buffers (or the log-sum-exp's two
-    temporaries) and per message the log-sum-exp's five stay within
-    GATHER_BYTES; a row too large for that alone is gathered in chunks of
-    that size.
+    batch is sized by what its rows hold within GATHER_BYTES: per row the
+    log weights its tables are built from, its tables twice over while they
+    are built, its log-likelihood, and the log-sum-exp's float and mask per
+    pair and five floats per message.  The gather buffers of a chunk, for
+    every row of the batch, are counted once: they take GATHER_BYTES at
+    most and are freed before the log-sum-exp.  A row too large for
+    GATHER_BYTES alone is gathered in chunks of that size.
     """
     sums = tables.row_sums
     count, m, states = codes.codes.shape
@@ -543,18 +558,21 @@ def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarra
     card = tables.log_weight.shape[2]
     entries = len(sequences) * sums.entries
     columns = sequences.T[:, None, None, :], np.arange(card)[:, None]
-    batch = max(1, GATHER_BYTES // (8 * (2 * entries + (1 + sums.buffers) * pairs + 5 * m)))
+    gathered = card * len(sequences) * z_rows.shape[1]  # log weights per row, for the tables
+    batch = max(1, GATHER_BYTES // (8 * (gathered + 2 * entries + 2 * pairs + 5 * m) + pairs))
     chunk = max(1, GATHER_BYTES // (8 * sums.buffers * batch))
     log_posts = np.empty((len(z_rows), m))
     for lo in range(0, len(z_rows), batch):
         rows = z_rows[lo:lo + batch]
         values = tables.log_weight[(rows.T[:, :, None, None],) + columns]   # (n, Z, card, K)
         node = [table.reshape(len(rows), -1) for table in sums.tables(lambda i: values[i])]
+        del values
         loglik = np.empty((len(rows), pairs))
         for p in range(0, pairs, chunk):
             loglik[:, p:p + chunk] = sums.total(node, lambda t: flat_codes[t, p:p + chunk])
+        del node                                        # before the log-sum-exp
         log_posts[lo:lo + len(rows)] = _log_sum_exp(loglik.reshape(-1, states)).reshape(-1, m)
-        del node, loglik                                # before the next batch's
+        del loglik                                      # before the next batch's
     if not np.isfinite(log_posts).any(axis=1).all():
         raise UsageError("observed z sequence has zero probability under the model")
     shifted = np.exp(log_posts - log_posts.max(axis=1, keepdims=True))
@@ -595,12 +613,17 @@ def _wilson(errors: int, trials: int) -> tuple[float, float]:
 def run_experiment(config: SimConfig) -> SimulationReport:
     """Monte Carlo over state/message/noise draws; deterministic per seed.
 
-    Trial t uses its own generator seeded by (seed, 1, t); the codebook uses
-    (seed, 0).  Within a trial the draw order is: state pair sequence,
-    message, encoder input sampling, then channel outputs.  The selection
-    table is the encoder: trial t sends the codeword it lists for the
-    trial's (message, v1 sequence).  Trials run in blocks of about
-    GATHER_BYTES; only their equivocations are kept whole, for the mean.
+    Trial t draws from the stream of default_rng([seed, 1, t]); the
+    codebook uses default_rng([seed, 0]).  Within a trial the draw order
+    is: state pair sequence (random(n)), message (integers(1, m + 1)),
+    then encoder input, main and wiretap channel uniforms (random((3, n))).
+    Those are 4n + 1 PCG64 outputs, because m is a power of two and numpy's
+    32-bit Lemire draw then takes exactly one; _trial_draws takes them for a
+    whole block from the lane-wise kernel probability._pcg64_outputs, bit
+    for bit.  The selection table is the encoder: trial t sends the codeword
+    it lists for the trial's (message, v1 sequence).  Trials run in blocks
+    of about GATHER_BYTES; only their equivocations are kept whole, for the
+    mean.
     """
     tables = _Tables(config)
     _check_enumeration(tables)
@@ -611,10 +634,11 @@ def run_experiment(config: SimConfig) -> SimulationReport:
     model = config.model
     n, trials = config.n, config.trials
     log_m = math.log2(config.m)
-    # per trial: n-long rows of states, uniforms, v1, v2, u, x, y and z, and
-    # the (n, card) probabilities and sums that _sample builds
+    # per trial: the kernel's words, or n-long rows of four uniforms, v1, v2,
+    # u, x, y and z and the (n, card) probabilities and sums that _sample
+    # builds
     card = max(model.card_x, model.card_y, model.card_z)
-    block = max(1, GATHER_BYTES // (8 * n * (10 + 2 * card)))
+    block = max(1, GATHER_BYTES // (8 * max(_pcg64_words(4 * n + 1), n * (10 + 2 * card))))
     errors = fallbacks = 0
     equivocations = np.empty(trials)
     for lo in range(0, trials, block):
@@ -657,6 +681,28 @@ def _distinct(rows: np.ndarray, card: int) -> tuple[np.ndarray, np.ndarray]:
     return rows[first], of
 
 
+def _trial_draws(seed: int, m: int, n: int, first: int, count: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of trials first .. first + count - 1: their messages and
+    (count, 4, n) uniforms, states then x, y, z in turn.
+
+    Trial t's generator default_rng([seed, 1, t]) draws random(n),
+    integers(1, m + 1) and random((3, n)): 4n + 1 PCG64 outputs, which
+    _pcg64_outputs gives for the whole block.  A uniform is numpy's
+    next_double, (out >> 11) * 2^-53.  The message is numpy's buffered
+    32-bit Lemire draw on the output's low half,
+    ((out & (2^32 - 1)) * m >> 32) + 1: SimConfig makes m a power of two in
+    [2, 2^20], so the rejection threshold 2^32 mod m is 0, the draw never
+    takes another output, and the buffered high half is never read.
+    """
+    words = _pcg64_outputs((seed, 1), first, count, 4 * n + 1)
+    messages = ((words[:, n] & 0xFFFF_FFFF) * m >> 32).astype(np.int64) + 1
+    draws = np.delete(words, n, axis=1)
+    del words
+    draws >>= 11
+    return messages, (draws * 2.0 ** -53).reshape(count, 4, n)
+
+
 def _trial_block(tables: _Tables, codebook: Codebook, config: SimConfig,
                  selection: np.ndarray, found: np.ndarray, first: int, count: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -667,15 +713,9 @@ def _trial_block(tables: _Tables, codebook: Codebook, config: SimConfig,
     state_flat = model.state_pmf.table.reshape(-1)
     state_cdf = (state_flat / state_flat.sum()).cumsum()
     state_cdf /= state_cdf[-1]
-    messages = np.empty(count, dtype=np.int64)
-    draws = np.empty((count, 4, n))                   # states, then x, y, z in turn
-    for k, rng in enumerate(_seeded_generators((config.seed, 1), first, count)):
-        # rng.choice(size, n, p=...) draws n uniforms and inverts this cdf;
-        # the block inverts every trial's at once
-        draws[k, 0] = rng.random(n)
-        messages[k] = rng.integers(1, config.m + 1)
-        draws[k, 1:] = rng.random((3, n))
-
+    messages, draws = _trial_draws(config.seed, config.m, n, first, count)
+    # rng.choice(size, n, p=...) draws n uniforms and inverts this cdf; the
+    # block inverts every trial's at once
     v1, v2 = np.divmod(state_cdf.searchsorted(draws[:, 0], side="right"), model.card_v2)
     sent = (messages - 1, v1 @ model.card_v1 ** np.arange(n - 1, -1, -1))
     u = codebook.sequences[selection[sent]]

@@ -4,7 +4,8 @@
 ``_encode``, gathers the whole K x S x n typicality tensor at once in
 ``reference_selection_table``, decodes each y from a K x n gather in
 ``reference_decode``, and takes each posterior from an (m, S, n) array of
-selected codewords.  The tests require the streamed simulator to
+selected codewords through ``reference_log_sum_exp``.  Each trial draws
+from its own ``default_rng``.  The tests require the streamed simulator to
 reproduce these reports byte for byte and these tables element for element.
 """
 
@@ -17,8 +18,7 @@ from wiretapsi.discrete import rate_triplet
 from wiretapsi.probability import Pmf, _entropy_bits
 from wiretapsi.simulator import (SimulationReport, _build_codebook,
                                  _check_enumeration, _encode,
-                                 _fallback_codeword, _log_sum_exp, _Tables,
-                                 _wilson)
+                                 _fallback_codeword, _Tables, _wilson)
 
 
 def state_sequences(card, n):
@@ -55,6 +55,25 @@ def reference_decode(tables, codebook, config, y_seq):
     return int(codebook.bin_index[hits[0]])
 
 
+def reference_log_sum_exp(rows):
+    """log(sum(exp(row))) per row of finite or -inf entries, -inf for a row
+    with no finite entry: the peaks masked to -inf, the rest shifted by the
+    peak and exponentiated, summed through log1p over the peak count."""
+    out = np.full(len(rows), -np.inf)
+    peak = rows.max(axis=1, keepdims=True)
+    live = np.isfinite(peak[:, 0])
+    if not live.all():
+        rows, peak = rows[live], peak[live]
+    at_peak = rows == peak
+    rest = np.where(at_peak, -np.inf, rows)
+    rest -= peak
+    np.exp(rest, out=rest)
+    total = rest.sum(axis=1, keepdims=True)
+    count = at_peak.sum(axis=1, keepdims=True)
+    out[live] = (np.log1p(total / count) + np.log(count) + peak)[:, 0]
+    return out
+
+
 def reference_posterior(tables, config, v1_all, u_selected, z_seq):
     if z_seq.shape != (config.n,):
         raise UsageError(f"z sequence must have length {config.n}")
@@ -62,7 +81,7 @@ def reference_posterior(tables, config, v1_all, u_selected, z_seq):
     per_coord = tables.log_weight[z_seq]
     loglik = per_coord[coords[None, None, :], u_selected,
                        v1_all[None, :, :]].sum(axis=2)
-    log_posts = _log_sum_exp(loglik)
+    log_posts = reference_log_sum_exp(loglik)
     if not np.isfinite(log_posts).any():
         raise UsageError("observed z sequence has zero probability under the model")
     shifted = np.exp(log_posts - log_posts.max())

@@ -368,6 +368,22 @@ def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+def test_gaussian_scan_refuses_a_correlation_matrix_below_the_psd_floor(tmp_path, capsys):
+    # the determinant, -8.1e-13, passes GaussianWiretapParams' test; the
+    # correlation matrix's least eigenvalue, about -3e-7, fails the one PSD
+    # test of each covariance stack, which _cov_stack takes on its base
+    rho = {"rho_xv1": 1.0, "rho_xv2": 1.0, "rho_v1v2": 0.9999991}
+    params = GaussianWiretapParams(p=1.0, q1=1.0, q2=1.0, n1=1.0, n2=1.0, **rho)
+    assert -1e-12 < params.correlation_determinant < 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gaussian-scan", "--rho-xv1", "1", "--rho-xv2", "1",
+                     "--rho-v1v2", "0.9999991", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not PSD" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_gaussian_scan_on_a_singular_block_prints_no_warning(tmp_path, capsys):
     # at p = 1e-300 the LU of a covariance block meets a zero pivot, and
     # numpy's det flags a division by zero; the scan still exits 0, and no

@@ -17,7 +17,8 @@ from wiretapsi import (
     mutual_information,
 )
 from wiretapsi.discrete import _dirichlet_draws
-from wiretapsi.probability import _seeded_generators
+from wiretapsi.probability import _pcg64_outputs, _seeded_generators
+from wiretapsi.simulator import _trial_draws
 
 # independently derived: -0.25*log2(0.25) - 0.75*log2(0.75)
 H_QUARTER = 0.8112781244591328
@@ -196,10 +197,38 @@ def test_seeded_generators_follow_default_rng(seed):
                         for i in range(first, first + 6)]
                 np.testing.assert_array_equal(
                     _dirichlet_draws(seed, first, 6, n_cells, outcomes), want)
-        # the simulator's trials: generator (seed, 1, t), then its draws
-        for t, rng in enumerate(_seeded_generators((seed, 1), first, 6), first):
-            want = np.random.default_rng([seed, 1, t])
-            n, m = 16, 1 + t % 1000
-            np.testing.assert_array_equal(rng.random(n), want.random(n))
-            assert rng.integers(1, m + 1) == want.integers(1, m + 1)
-            np.testing.assert_array_equal(rng.random((3, n)), want.random((3, n)))
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64, 2 ** 100])
+def test_trial_draws_follow_default_rng(seed):
+    # The simulator's trial t draws random(n), integers(1, m + 1) and
+    # random((3, n)) from default_rng([seed, 1, t]).  _pcg64_outputs
+    # reimplements PCG64's step and output function, and _trial_draws
+    # numpy's next_double and its buffered 32-bit Lemire draw, which for a
+    # power-of-two m takes one output and never rejects.  A numpy that
+    # changes any of the three fails here, by name.  The second index range
+    # crosses 2^32.
+    for first in (0, 2 ** 32 - 3):
+        words = _pcg64_outputs((seed, 1), first, 6, 65)
+        for t in range(6):
+            raw = np.random.default_rng([seed, 1, first + t]).bit_generator.random_raw(65)
+            assert np.array_equal(words[t], raw), "PCG64's output function changed"
+        for n in (1, 8, 16):
+            for m in (2, 4, 2 ** 10, 2 ** 20):
+                messages, draws = _trial_draws(seed, m, n, first, 6)
+                for t in range(6):
+                    rng = np.random.default_rng([seed, 1, first + t])
+                    assert np.array_equal(draws[t, 0], rng.random(n)), "next_double changed"
+                    assert messages[t] == rng.integers(1, m + 1), (
+                        "the buffered 32-bit Lemire draw changed")
+                    assert np.array_equal(draws[t, 1:], rng.random((3, n))), (
+                        "next_double changed")
+
+
+def test_seeded_generators_share_the_kernel_seeding():
+    # one seeding path: each placed generator's next outputs are the
+    # kernel's, across the 2^32 crossing and past a batch of 4096 indices
+    for first, count in ((2 ** 32 - 3, 8), (0, 4100)):
+        words = _pcg64_outputs((5,), first, count, 3)
+        for row, rng in zip(words, _seeded_generators((5,), first, count)):
+            assert np.array_equal(rng.bit_generator.random_raw(3), row)

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretapsi import (
     DiscreteWiretapModel,
@@ -44,6 +46,7 @@ from conftest import (
 )
 from simulator_reference import (
     reference_decode,
+    reference_log_sum_exp,
     reference_posterior,
     reference_run_experiment,
     reference_selection_table,
@@ -290,6 +293,30 @@ def test_log_sum_exp_rows():
     assert got[3] == -np.inf
 
 
+def _lse_rows(draw):
+    """Rows of a few shared values, so peaks tie, shifted towards exp's
+    underflow, with -inf entries and whole -inf rows."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 9)))
+    pool = draw(st.lists(st.one_of(st.floats(-60.0, 60.0), st.just(-np.inf)),
+                         min_size=1, max_size=4))
+    rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=shape[0] * shape[1],
+                                  max_size=shape[0] * shape[1]))).reshape(shape)
+    shift = draw(st.sampled_from([0.0, -700.0, -745.0, -745.5, -800.0]))
+    return rows + shift
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_fused_log_sum_exp_matches_the_reference(data):
+    # the fused form takes rows - peak once and zeroes the peaks after exp;
+    # the reference masks them to -inf first: the same terms, the same sums
+    rows = _lse_rows(data.draw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log_sum_exp(rows)
+    assert got.tobytes() == reference_log_sum_exp(rows).tobytes()
+
+
 def test_run_experiment_deterministic():
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=6, rate=0.17,
@@ -365,6 +392,25 @@ def test_infeasible_rates(noiseless):
     with pytest.raises(InfeasibleRateError, match="not positive"):
         build_codebook(SimConfig(model=model, policy=policy, n=4, rate=0.3,
                                  epsilon_typ=1.5, trials=1, seed=0))
+
+
+def test_message_count_is_a_power_of_two_from_two_up(noiseless):
+    # the trial draws take the message from one PCG64 output, which holds
+    # only for m a power of two in [2, 2^20]: at m = 1 numpy's integers
+    # draws nothing at all, and SimConfig refuses that rate
+    model, policy = noiseless
+    for n in range(1, MAX_BLOCK_LENGTH + 1):
+        for rate in (0.05, 0.1, 0.3, 0.5, 1.0, 1.25):
+            try:
+                config = SimConfig(model=model, policy=policy, n=n, rate=rate,
+                                   epsilon_typ=0.25, trials=1, seed=0)
+            except UsageError as exc:
+                assert n * rate < 1 or n * rate >= 21, (n, rate, exc)
+                continue
+            assert 2 <= config.m <= 2 ** 20 and config.m & (config.m - 1) == 0
+    with pytest.raises(UsageError, match="need at least 2"):
+        SimConfig(model=model, policy=policy, n=4, rate=0.2, epsilon_typ=0.25,
+                  trials=1, seed=0)
 
 
 def test_state_enumeration_cap(posterior_model):
