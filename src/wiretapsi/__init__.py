@@ -7,9 +7,14 @@ secrecy-rate / distortion trade-offs for finite-alphabet models, closed-form
 and numeric rate curves for the additive Gaussian family, and Monte Carlo
 estimates from an explicit random-binning code.
 
+Importing the package loads only the error classes.  Every other public name
+is resolved on first use (PEP 562): ``wiretapsi.leakage`` imports
+``wiretapsi.gaussian`` and no other layer, so a caller of one layer pays for
+compiling that layer alone.
+
 Environment: WIRETAPSI_THREADS, when set, is exported to the BLAS thread
-variables (unless they are set already) before the first import below loads
-numpy; unset means machine default.
+variables (unless they are set already) before anything below loads numpy;
+unset means machine default.
 """
 
 import os as _os
@@ -18,20 +23,8 @@ if _os.environ.get("WIRETAPSI_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["WIRETAPSI_THREADS"])
 
-from .discrete import (
-    AuxiliaryPolicy,
-    DiscreteWiretapModel,
-    RateTriplet,
-    RegionPoint,
-    RegionPointSet,
-    SearchConfig,
-    achievable_points,
-    main_channel_capacity,
-    rate_triplet,
-    search_summary,
-    secrecy_rate,
-    secrecy_upper_bound,
-)
+import importlib as _importlib
+
 from .errors import (
     DegenerateGeometryError,
     InfeasibleRateError,
@@ -39,47 +32,79 @@ from .errors import (
     UsageError,
     ValidationError,
 )
-from .gaussian import (
-    CaseRegion,
-    GaussianWiretapParams,
-    LeakageProfile,
-    admissible_power,
-    alpha_star,
-    alpha_star_closed_form,
-    case1_region,
-    case1_thresholds,
-    case2_region,
-    case2_thresholds,
-    joint_covariance,
-    leakage,
-    leakage_roots,
-    main_capacity,
-    oracle_mi,
-    r_alpha,
-    rz_alpha,
-    scan_leakage,
-)
-from .probability import (
-    JointPmf,
-    Pmf,
-    TransitionKernel,
-    compose,
-    conditional_mutual_information,
-    entropy,
-    joint_entropy,
-    marginalize,
-    mutual_information,
-)
-from .simulator import (
-    Codebook,
-    SimConfig,
-    SimulationReport,
-    build_codebook,
-    decode,
-    eavesdropper_posterior,
-    encode,
-    run_experiment,
-)
+
+# public name -> the module that defines it, imported on first access
+_HOMES = {name: module for module, names in {
+    "discrete": (
+        "AuxiliaryPolicy",
+        "DiscreteWiretapModel",
+        "RateTriplet",
+        "RegionPoint",
+        "RegionPointSet",
+        "SearchConfig",
+        "achievable_points",
+        "main_channel_capacity",
+        "rate_triplet",
+        "search_summary",
+        "secrecy_rate",
+        "secrecy_upper_bound",
+    ),
+    "gaussian": (
+        "CaseRegion",
+        "GaussianWiretapParams",
+        "LeakageProfile",
+        "admissible_power",
+        "alpha_star",
+        "alpha_star_closed_form",
+        "case1_region",
+        "case1_thresholds",
+        "case2_region",
+        "case2_thresholds",
+        "joint_covariance",
+        "leakage",
+        "leakage_roots",
+        "main_capacity",
+        "oracle_mi",
+        "r_alpha",
+        "rz_alpha",
+        "scan_leakage",
+    ),
+    "probability": (
+        "JointPmf",
+        "Pmf",
+        "TransitionKernel",
+        "compose",
+        "conditional_mutual_information",
+        "entropy",
+        "joint_entropy",
+        "marginalize",
+        "mutual_information",
+    ),
+    "simulator": (
+        "Codebook",
+        "SimConfig",
+        "SimulationReport",
+        "build_codebook",
+        "decode",
+        "eavesdropper_posterior",
+        "encode",
+        "run_experiment",
+    ),
+}.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A public name from its home module, which this first access imports.
+    The value is not cached here, so it is always the home module's."""
+    module = _HOMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_HOMES))
+
 
 __version__ = "0.1.0"
 

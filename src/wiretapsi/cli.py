@@ -12,6 +12,12 @@ override --config file entries, which override built-in defaults.
 Exit codes: 0 success, 1 validation-suite failure, 2 usage or input error
 (including arithmetic that overflows on extreme finite inputs).
 
+Each handler imports the layers it runs and nothing else, so a call compiles
+only its own modules: discrete-region loads discrete and probability,
+gaussian-scan and gaussian-region load gaussian alone, simulate loads the
+simulator with discrete, probability and nodesums, and validate loads every
+layer.  Importing this module loads only errors and modelio.
+
 Environment: WIRETAPSI_THREADS caps the BLAS thread pools; the package's
 __init__ exports it before numpy loads.
 """
@@ -21,17 +27,26 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import os
 import sys
 
 import numpy as np
 
-from . import __version__, gaussian, modelio
-# search_summary is unused here; the benchmark's tracer wraps it in this namespace
-from .discrete import SearchConfig, achievable_points, search_summary  # noqa: F401
+from . import __version__, modelio
 from .errors import ToolkitError, UsageError
-from .simulator import run_experiment
-from .validate import run_suites
+
+# Layer functions the benchmark's tracer reads and rebinds in this namespace,
+# resolved on first access; the handlers call them through their own modules.
+_LAYER_FUNCTIONS = {"achievable_points": "discrete", "search_summary": "discrete",
+                    "run_experiment": "simulator", "run_suites": "validate"}
+
+
+def __getattr__(name: str):
+    module = _LAYER_FUNCTIONS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
 _CHOICES = {"mode": ("v1v2", "v1"), "case": ("1", "2")}
@@ -174,18 +189,20 @@ def _write_manifest(out: str, subcommand: str, settings: dict) -> None:
 
 
 def _cmd_discrete_region(args: argparse.Namespace) -> int:
+    from . import discrete
+
     settings = _resolve_settings(args)
     if not settings.get("model"):
         raise UsageError("discrete-region needs --model (or a config providing it)")
     settings["model"] = os.path.abspath(settings["model"])
     model = modelio.load_model(settings["model"])
-    search = SearchConfig(u_card=settings["u_card"],
-                          n_random=settings["n_random"],
-                          grid_steps=settings["grid_steps"],
-                          seed=settings["seed"],
-                          mode=settings["mode"],
-                          curve_points=settings["curve_points"])
-    region = achievable_points(model, search)
+    search = discrete.SearchConfig(u_card=settings["u_card"],
+                                   n_random=settings["n_random"],
+                                   grid_steps=settings["grid_steps"],
+                                   seed=settings["seed"],
+                                   mode=settings["mode"],
+                                   curve_points=settings["curve_points"])
+    region = discrete.achievable_points(model, search)
     summary = dict(region.summary, max_r_u1=region.max_r_u1, points=len(region.r))
 
     out = _out_dir(args)
@@ -196,6 +213,8 @@ def _cmd_discrete_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_gaussian_scan(args: argparse.Namespace) -> int:
+    from . import gaussian
+
     settings = _resolve_settings(args)
     params = gaussian.GaussianWiretapParams(
         settings["p"], settings["q1"], settings["q2"],
@@ -229,6 +248,8 @@ def _cmd_gaussian_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_gaussian_region(args: argparse.Namespace) -> int:
+    from . import gaussian
+
     settings = _resolve_settings(args)
     builder = gaussian.case1_region if settings["case"] == "1" else gaussian.case2_region
     region = builder(settings["p"], settings["q"], settings["n1"],
@@ -251,6 +272,8 @@ def _cmd_gaussian_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import simulator
+
     settings = _resolve_settings(args)
     path = settings.get("sim_config")
     if not path:
@@ -260,20 +283,21 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if settings.get("seed") is not None:
         config = dataclasses.replace(config, seed=settings["seed"])
 
-    report = run_experiment(config)
+    report = simulator.run_experiment(config)
     out = _out_dir(args)
     modelio.write_json(os.path.join(out, "report.json"), report.to_dict())
     if settings.get("dump_codebook"):
-        from .simulator import build_codebook
         modelio.dump_codebook_text(os.path.join(out, "codebook.txt"),
-                                   build_codebook(config), config.rate)
+                                   simulator.build_codebook(config), config.rate)
     _write_manifest(out, args.subcommand, settings)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from . import validate
+
     settings = _resolve_settings(args)
-    report = run_suites(seed=settings["seed"])
+    report = validate.run_suites(seed=settings["seed"])
     out = _out_dir(args)
     modelio.write_json(os.path.join(out, "validation.json"), report.to_dict())
     _write_manifest(out, args.subcommand, settings)

@@ -25,16 +25,16 @@ from typing import Iterator
 import numpy as np
 
 from . import probability
+from .clamp import _clamp_mi
 from .errors import UsageError
+from .modelio import BLOCK_ROWS
 # marginalize is unused here; the benchmark's tracer wraps it in this namespace
 from .probability import (JointPmf, TransitionKernel, compose, marginalize,  # noqa: F401
-                          mutual_information, _check_stack, _clamp_mi,
-                          _entropy_bits_batch)
+                          mutual_information, _check_stack, _entropy_bits_batch)
 
 U_CARD_SLACK = 4           # auxiliary alphabet may exceed |x||v1||v2| by this much
 GRID_POLICY_CAP = 300_000  # refuse grids that would enumerate more policies
 RATE_FLOOR = 1e-12
-BLOCK_ROWS = 1_024         # region rows per layout step and per region.csv write
 # what a region search holds, charged by _check_budget (tracemalloc-measured)
 POLICY_BYTES = 128         # profile rows of both streams, the kept id, summary temporaries
 POINT_BYTES = 24           # a point's r, d and policy_id
@@ -375,22 +375,57 @@ def _mi_profiles(model: DiscreteWiretapModel, tables: np.ndarray) -> np.ndarray:
                      mi_uv1], axis=1)
 
 
-def _sweep(model: DiscreteWiretapModel,
-           search: SearchConfig) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Each policy stack of the stream with its (mi_uy, mi_uv, mi_uz, mi_uv1) rows."""
+def _leading_v1(tables: np.ndarray) -> np.ndarray:
+    """The 'v1' stack of a 'v1v2' stack of random draws: draw i of the 'v1'
+    stream equals the first |v1| cells of draw i of the 'v1v2' stream bit for
+    bit (each cell is normalised by its own sum), laid out as _policy_chunks
+    lays out a 'v1' stack."""
+    count, c_v1, c_v2 = tables.shape[:3]
+    cells = tables.reshape(count, c_v1 * c_v2, *tables.shape[3:])[:, :c_v1]
+    return np.repeat(cells[:, :, None], c_v2, axis=2)
+
+
+def _sweep(model: DiscreteWiretapModel, search: SearchConfig,
+           v1_rows: np.ndarray | None = None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Each policy stack of the stream with its (mi_uy, mi_uv, mi_uz, mi_uv1) rows.
+
+    Given v1_rows, an (n_random, 4) array, a 'v1v2' sweep also fills it with
+    the rows of the 'v1' stream's random draws: both streams cut their draws
+    into stacks at the same offsets, so each random stack leads the 'v1'
+    stack of the same ids (_leading_v1), whose rows equal those of a sweep
+    of the 'v1' stream bit for bit."""
+    grid_total, _ = _stream_plan(model, search)
+    first = 0
     for tables in _policy_chunks(model, search):
+        if v1_rows is not None and first >= grid_total:
+            at = first - grid_total
+            v1_rows[at:at + len(tables)] = _mi_profiles(model, _leading_v1(tables))
         yield tables, _mi_profiles(model, tables)
+        first += len(tables)
 
 
-def _profiles(model: DiscreteWiretapModel, search: SearchConfig) -> np.ndarray:
-    """The profile rows of the search's stream, filled into one array."""
+def _profiles(model: DiscreteWiretapModel, search: SearchConfig,
+              v1_rows: np.ndarray | None = None) -> np.ndarray:
+    """The profile rows of the search's stream, filled into one array (and
+    v1_rows, as _sweep fills it)."""
     grid_total, _ = _stream_plan(model, search)
     mi = np.empty((grid_total + search.n_random, 4))
     first = 0
-    for _, rows in _sweep(model, search):
+    for _, rows in _sweep(model, search, v1_rows):
         mi[first:first + len(rows)] = rows
         first += len(rows)
     return mi
+
+
+def _v1_stream(model: DiscreteWiretapModel, search: SearchConfig,
+               v1_rows: np.ndarray | None) -> np.ndarray | None:
+    """Every row of the 'v1' stream of a 'v1v2' search: its grid block, swept
+    on its own, then v1_rows, which _sweep took from the search's draws.
+    None in a 'v1' search, whose own rows are that stream's."""
+    if v1_rows is None or not search.grid_steps:
+        return v1_rows
+    grid = _profiles(model, dataclasses.replace(search, mode="v1", n_random=0))
+    return np.concatenate([grid, v1_rows])
 
 
 def _best(values) -> tuple[float, int]:
@@ -399,10 +434,11 @@ def _best(values) -> tuple[float, int]:
     return (float(values[pid]), pid) if values[pid] > 0.0 else (0.0, -1)
 
 
-def _summary(mi: np.ndarray, mi_v1: np.ndarray) -> dict:
+def _summary(mi: np.ndarray, mi_v1: np.ndarray | None = None) -> dict:
     """Every searched result from the profile rows of the search's stream and
-    of the 'v1' stream, which holds the capacity; a result of one stream
-    alone takes its rows for both.  Ties keep the first policy id."""
+    of the 'v1' stream, which holds the capacity; without mi_v1 the search's
+    own rows stand for both.  Ties keep the first policy id."""
+    mi_v1 = mi if mi_v1 is None else mi_v1
     rate = _best(_triplets(mi)[0])
     state, capacity = (_best(rows[:, 0] - rows[:, 3]) for rows in (mi, mi_v1))
     tap = _best(mi[:, 0] - mi[:, 2])
@@ -415,19 +451,10 @@ def _summary(mi: np.ndarray, mi_v1: np.ndarray) -> dict:
     }
 
 
-def _v1_profiles(model: DiscreteWiretapModel, search: SearchConfig,
-                 mi: np.ndarray | None = None) -> np.ndarray:
-    """Rows of the 'v1' stream of the search's budget: mi, the rows of the
-    search's own stream, when that is the 'v1' stream, else a sweep of it."""
-    if search.mode == "v1" and mi is not None:
-        return mi
-    return _profiles(model, dataclasses.replace(search, mode="v1"))
-
-
 def secrecy_rate(model: DiscreteWiretapModel, search: SearchConfig) -> float:
     """Largest max(r_u1, 0) over the searched policies."""
     mi = _profiles(model, search)
-    return _summary(mi, mi)["secrecy_rate"]
+    return _summary(mi)["secrecy_rate"]
 
 
 def secrecy_upper_bound(model: DiscreteWiretapModel, search: SearchConfig) -> float:
@@ -438,7 +465,7 @@ def secrecy_upper_bound(model: DiscreteWiretapModel, search: SearchConfig) -> fl
     This keeps secrecy_rate <= secrecy_upper_bound for any matched budget.
     """
     mi = _profiles(model, search)
-    return _summary(mi, mi)["secrecy_upper_bound"]
+    return _summary(mi)["secrecy_upper_bound"]
 
 
 def main_channel_capacity(model: DiscreteWiretapModel, search: SearchConfig) -> float:
@@ -447,8 +474,8 @@ def main_channel_capacity(model: DiscreteWiretapModel, search: SearchConfig) -> 
     The conditioning is forced to the encoder-visible state regardless of
     search.mode, matching the interference-cancellation capacity target.
     """
-    mi = _v1_profiles(model, search)
-    return _summary(mi, mi)["main_channel_capacity"]
+    mi = _profiles(model, dataclasses.replace(search, mode="v1"))
+    return _summary(mi)["main_channel_capacity"]
 
 
 def search_summary(model: DiscreteWiretapModel, search: SearchConfig) -> dict:
@@ -457,8 +484,9 @@ def search_summary(model: DiscreteWiretapModel, search: SearchConfig) -> dict:
     Ties break to the first policy in iteration order so identical seeds
     give identical ids.
     """
-    mi = _profiles(model, search)
-    return _summary(mi, _v1_profiles(model, search, mi))
+    v1_rows = np.empty((search.n_random, 4)) if search.mode == "v1v2" else None
+    mi = _profiles(model, search, v1_rows)
+    return _summary(mi, _v1_stream(model, search, v1_rows))
 
 
 def _check_budget(model: DiscreteWiretapModel, search: SearchConfig) -> int:
@@ -525,9 +553,10 @@ def achievable_points(model: DiscreteWiretapModel,
     kept = np.empty(policies, dtype=np.int64)
     tables = np.empty((policies, model.card_v1, model.card_v2, search.u_card, model.card_x))
     step = max(1, BLOCK_ROWS // search.curve_points)    # policies per layout step
+    v1_rows = np.empty((search.n_random, 4)) if search.mode == "v1v2" else None
     first = n_kept = 0
     n = 1
-    for stack, rows in _sweep(model, search):
+    for stack, rows in _sweep(model, search, v1_rows):
         mi[first:first + len(rows)] = rows
         r_u1, r_u2, d_u2 = _triplets(rows)
         keep = np.flatnonzero(~(r_u1 < -RATE_FLOOR))
@@ -544,4 +573,4 @@ def achievable_points(model: DiscreteWiretapModel,
         n_kept += len(keep)
         first += len(rows)
     return RegionPointSet(r[:n], d[:n], ids[:n], kept[:n_kept], tables[:n_kept],
-                          _summary(mi, _v1_profiles(model, search, mi)))
+                          _summary(mi, _v1_stream(model, search, v1_rows)))

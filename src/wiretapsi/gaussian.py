@@ -40,8 +40,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .clamp import _clamp_mi
 from .errors import DegenerateGeometryError, UsageError, ValidationError
-from .probability import _clamp_mi
 
 AXES = ("u", "v1", "v2", "y", "z")
 

@@ -24,15 +24,18 @@ import itertools
 import json
 import os
 import tempfile
-from typing import Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .discrete import BLOCK_ROWS, AuxiliaryPolicy, DiscreteWiretapModel, RegionPointSet
 from .errors import UsageError, ValidationError
-from .probability import JointPmf, TransitionKernel
+
+if TYPE_CHECKING:
+    from .discrete import AuxiliaryPolicy, DiscreteWiretapModel, RegionPointSet
+    from .simulator import SimConfig
 
 FLOAT_FMT = "%.12g"
+BLOCK_ROWS = 1_024         # rows per CSV write; discrete lays out its region in the same blocks
 
 
 def load_json(path: str) -> Any:
@@ -80,6 +83,10 @@ def _array_field(doc: dict, key: str, where: str, shape: tuple[int, ...]) -> np.
 
 
 def model_from_dict(doc: dict, where: str = "model") -> DiscreteWiretapModel:
+    # imported here, as in every loader: the writers need neither layer
+    from .discrete import DiscreteWiretapModel
+    from .probability import JointPmf, TransitionKernel
+
     cards = _field(doc, "cards", where)
     card = {name: _int_field(cards, name, f"{where}.cards")
             for name in ("x", "y", "z", "v1", "v2")}
@@ -100,6 +107,9 @@ def model_from_dict(doc: dict, where: str = "model") -> DiscreteWiretapModel:
 
 def policy_from_dict(doc: dict, model: DiscreteWiretapModel,
                      where: str = "policy") -> AuxiliaryPolicy:
+    from .discrete import AuxiliaryPolicy
+    from .probability import TransitionKernel
+
     u_card = _int_field(doc, "u_card", where)
     table = _array_field(doc, "table", where,
                          (model.card_v1, model.card_v2, u_card, model.card_x))
@@ -130,8 +140,7 @@ def load_model(path: str) -> DiscreteWiretapModel:
     return model_from_dict(load_json(path), where=path)
 
 
-def load_sim_config(path: str):
-    # Imported lazily: simulator depends on this module's loaders.
+def load_sim_config(path: str) -> SimConfig:
     from .simulator import SimConfig
 
     doc = load_json(path)

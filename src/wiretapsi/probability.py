@@ -14,10 +14,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .clamp import _clamp_mi
 from .errors import UsageError, ValidationError
 
 MASS_TOL = 1e-12
-MI_CLAMP = 1e-10
 MAX_TABLE_ENTRIES = 10_000_000
 BYTE_BUDGET = 2 ** 30   # what a simulation or a region search holds whole, checked first
 
@@ -61,17 +61,6 @@ def _entropy_bits_batch(tables: np.ndarray) -> np.ndarray:
         rows = counts == count
         out[rows] = -terms[rows, :count].sum(axis=1)
     return out
-
-
-def _clamp_mi(value):
-    """Zero a mutual information in [-MI_CLAMP, 0): rounding noise.
-
-    Anything further below is left visible so broken inputs fail loudly in
-    tests.  Scalars and arrays alike.
-    """
-    if isinstance(value, np.ndarray):
-        return np.where((value >= -MI_CLAMP) & (value < 0.0), 0.0, value)
-    return 0.0 if -MI_CLAMP <= value < 0.0 else value
 
 
 def _check_stack(table: np.ndarray, mass_axes: tuple[int, ...], what: str) -> None:

@@ -176,16 +176,18 @@ def test_validate_redraws_a_uniform_posterior_codebook(tmp_path):
 
 
 def test_validate_exit_one_on_failure(tmp_path, monkeypatch, capsys):
-    import wiretapsi.cli as cli
     import wiretapsi.validate as validate
 
+    run_suites = validate.run_suites
+
     def broken(seed):
-        report = validate.run_suites(seed=seed)
+        report = run_suites(seed=seed)
         failed = [validate.CheckResult(c.name, False, c.detail)
                   for c in report.checks]
         return validate.ValidationReport(tuple(failed), report.discrepancies)
 
-    monkeypatch.setattr(cli, "run_suites", broken)
+    # the handler calls run_suites through its home module
+    monkeypatch.setattr(validate, "run_suites", broken)
     assert main(["validate", "--out", str(tmp_path / "v")]) == 1
     assert "[FAIL]" in capsys.readouterr().out
 

@@ -324,10 +324,10 @@ def test_chunked_sweep_gives_identical_artifacts(trend, tmp_path, monkeypatch):
                 == (tmp_path / "chunked" / name).read_bytes())
 
 
-@pytest.mark.parametrize("mode,streams", [("v1", {"v1": 30}), ("v1v2", {"v1v2": 30, "v1": 30})])
+@pytest.mark.parametrize("mode,streams", [("v1", {"v1": 30}), ("v1v2", {"v1v2": 30})])
 def test_cli_sweeps_each_stream_once(trend, tmp_path, monkeypatch, mode, streams):
     # region.csv and summary.json come from one sweep of the mode's stream;
-    # 'v1v2' adds one sweep of the 'v1' stream for the capacity
+    # 'v1v2' takes the capacity's 'v1' policies from its own draws
     model, _ = trend
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_to_dict(model)))
@@ -343,6 +343,43 @@ def test_cli_sweeps_each_stream_once(trend, tmp_path, monkeypatch, mode, streams
     assert main(["discrete-region", "--model", str(path), "--random", "30", "--mode", mode,
                  "--out", str(tmp_path / "o")]) == 0
     assert rows == streams
+
+
+# (|v1|, |v2|, grid steps, policies per stack or None for the whole stream)
+V1_REUSE_CASES = [(2, 2, 0, None), (2, 2, 1, None), (2, 2, 1, 7), (3, 2, 0, 5),
+                  (1, 3, 2, 4), (2, 3, 0, 1)]
+
+
+@pytest.mark.parametrize("card_v1,card_v2,grid,per_stack", V1_REUSE_CASES)
+def test_v1v2_search_takes_the_v1_rows_from_its_own_draws(monkeypatch, card_v1, card_v2,
+                                                          grid, per_stack):
+    # the 'v1' rows a 'v1v2' sweep fills from its own random draws equal a
+    # separate sweep of the 'v1' stream bit for bit, in whole and in small
+    # stacks; only the 'v1' grid block is enumerated again, and the random
+    # draws are placed once
+    model = random_binary_model(np.random.default_rng(card_v1 * 10 + card_v2),
+                                card_v1=card_v1, card_v2=card_v2)
+    search = SearchConfig(u_card=2, n_random=23, grid_steps=grid, seed=4)
+    if per_stack:
+        joint = (search.u_card * model.card_x * card_v1 * card_v2
+                 * model.card_y * model.card_z)
+        monkeypatch.setattr(probability, "MAX_TABLE_ENTRIES", per_stack * joint)
+    v1 = dataclasses.replace(search, mode="v1")
+    separate = _profiles(model, v1)
+    whole = _profiles(model, search)
+
+    placed = []
+    generators = probability._seeded_generators
+
+    def counted(prefix, first, count):
+        placed.append(count)
+        return generators(prefix, first, count)
+
+    monkeypatch.setattr(probability, "_seeded_generators", counted)
+    v1_rows = np.empty((search.n_random, 4))
+    np.testing.assert_array_equal(_profiles(model, search, v1_rows), whole)
+    assert sum(placed) == search.n_random
+    np.testing.assert_array_equal(discrete._v1_stream(model, search, v1_rows), separate)
 
 
 def test_region_max_r_u1_is_the_best_curve_rate(trend):

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiretapsi import SimConfig, UsageError, build_codebook
-from wiretapsi.discrete import BLOCK_ROWS
 from wiretapsi.modelio import (
+    BLOCK_ROWS,
     FLOAT_FMT,
     atomic_write_text,
     dump_codebook_text,
