@@ -52,7 +52,6 @@ _HOMES = {name: module for module, names in {
     "gaussian": (
         "CaseRegion",
         "GaussianWiretapParams",
-        "LeakageProfile",
         "admissible_power",
         "alpha_star",
         "alpha_star_closed_form",
@@ -67,14 +66,12 @@ _HOMES = {name: module for module, names in {
         "oracle_mi",
         "r_alpha",
         "rz_alpha",
-        "scan_leakage",
     ),
     "probability": (
         "JointPmf",
         "Pmf",
         "TransitionKernel",
         "compose",
-        "conditional_mutual_information",
         "entropy",
         "joint_entropy",
         "marginalize",
@@ -108,57 +105,5 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxiliaryPolicy",
-    "CaseRegion",
-    "Codebook",
-    "DegenerateGeometryError",
-    "DiscreteWiretapModel",
-    "GaussianWiretapParams",
-    "InfeasibleRateError",
-    "JointPmf",
-    "LeakageProfile",
-    "Pmf",
-    "RateTriplet",
-    "RegionPoint",
-    "RegionPointSet",
-    "SearchConfig",
-    "SimConfig",
-    "SimulationReport",
-    "ToolkitError",
-    "TransitionKernel",
-    "UsageError",
-    "ValidationError",
-    "achievable_points",
-    "admissible_power",
-    "alpha_star",
-    "alpha_star_closed_form",
-    "build_codebook",
-    "case1_region",
-    "case1_thresholds",
-    "case2_region",
-    "case2_thresholds",
-    "compose",
-    "conditional_mutual_information",
-    "decode",
-    "eavesdropper_posterior",
-    "encode",
-    "entropy",
-    "joint_covariance",
-    "joint_entropy",
-    "leakage",
-    "leakage_roots",
-    "main_capacity",
-    "main_channel_capacity",
-    "marginalize",
-    "mutual_information",
-    "oracle_mi",
-    "r_alpha",
-    "rate_triplet",
-    "run_experiment",
-    "rz_alpha",
-    "scan_leakage",
-    "search_summary",
-    "secrecy_rate",
-    "secrecy_upper_bound",
-]
+__all__ = sorted(["DegenerateGeometryError", "InfeasibleRateError", "ToolkitError",
+                  "UsageError", "ValidationError", *_HOMES])

@@ -276,12 +276,6 @@ def _powers(base: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
     return np.array(out), True
 
 
-def _oracle_stack(cov: np.ndarray, group_a: Sequence[str],
-                  group_b: Sequence[str]) -> np.ndarray:
-    """I(group_a; group_b) in bits for each covariance of an (N, 5, 5) stack."""
-    return _oracle_pairs(cov, group_a, [group_b])[0]
-
-
 def _oracle_pairs(cov: np.ndarray, group_a: Sequence[str],
                   groups_b: Sequence[Sequence[str]]) -> list[np.ndarray]:
     """I(group_a; group_b) in bits for each covariance of an (N, 5, 5)
@@ -342,12 +336,12 @@ def _oracle_pairs(cov: np.ndarray, group_a: Sequence[str],
 def oracle_mi(cov: np.ndarray, group_a: Sequence[str], group_b: Sequence[str]) -> float:
     """MI in bits from determinant ratios; +inf marks a singular joint.
 
-    A one-element _oracle_stack: rank-deficient marginals are projected onto
-    their positive eigenspace, so I(u; v1, v2) stays finite when v2 is a
-    deterministic copy of v1.
+    A one-matrix, one-group _oracle_pairs: rank-deficient marginals are
+    projected onto their positive eigenspace, so I(u; v1, v2) stays finite
+    when v2 is a deterministic copy of v1.
     """
     with np.errstate(over="ignore", divide="ignore"):
-        return float(_oracle_stack(cov[np.newaxis], group_a, group_b)[0])
+        return float(_oracle_pairs(cov[np.newaxis], group_a, [group_b])[0][0])
 
 
 def mi_stack(params: GaussianWiretapParams, alphas,
@@ -520,15 +514,6 @@ def leakage_curve(params: GaussianWiretapParams, alphas: np.ndarray) -> np.ndarr
         out = mi_z - mi_v
     out[vu <= EIG_REL_TOL * max(1.0, p)] = 0.0
     return out
-
-
-@dataclass(frozen=True)
-class LeakageProfile:
-    alpha_grid: tuple[float, ...]
-    delta_i: tuple[float, ...]
-    alpha_star: float
-    alpha_root_neg: Optional[float]
-    alpha_root_pos: Optional[float]
 
 
 def _gaps(params: GaussianWiretapParams, alphas: list[float],
@@ -707,18 +692,6 @@ def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optio
                                        width_tol=ROOT_ALPHA_TOL)):
         roots[side] = root
     return roots[0], roots[1]
-
-
-def scan_leakage(params: GaussianWiretapParams, alphas: Sequence[float]) -> LeakageProfile:
-    grid = np.asarray(list(alphas), dtype=float)
-    delta = leakage_curve(params, grid)
-    neg, pos = leakage_roots(params)
-    try:
-        star = alpha_star(params)
-    except DegenerateGeometryError:
-        star = math.nan
-    return LeakageProfile(tuple(grid.tolist()), tuple(float(v) for v in delta),
-                          star, neg, pos)
 
 
 def scan_alphas(alpha_min: float, alpha_max: float, step: float) -> list[float]:

@@ -26,7 +26,7 @@ def _sum_tree(n: int):
     eight accumulators start at a_0 .. a_7 (at n = 16 each also takes
     a_{j+8}) and combine as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)); the tail
     a_8 .. a_{n-1} is then added one term at a time.  A numpy that sums in
-    another order fails test_node_sums_follow_numpy_row_sums.
+    another order fails the row-sum guard in tests/test_simulator.py.
     """
     if n < 8:
         tree, tail = 0, range(1, n)
@@ -56,10 +56,9 @@ class _NodeSums:
     the subtree's partial sum, added in the tree's order, for every joint
     symbol of its c coordinates C, widths[t] = card^c entries per row for
     card symbols each; symbol s of coordinate C[j] adds s * card^j to the
-    index (weight[t] holds these place values, 0 off the node), so an index
-    splits into a codeword part plus a state or observation part.  A row
-    sum is one gather per table, combined in the tree's order: numpy's .sum
-    of the row, bit for bit.  The tree's digit order numbers every symbol
+    index (weight[t] holds these place values, 0 off the node).  A row sum
+    is one gather per table, combined in the tree's order: numpy's .sum of
+    the row, bit for bit.  The tree's digit order numbers every symbol
     sequence by its node indices, node 0's minor; block() sums a range of
     it.
     """
@@ -75,16 +74,16 @@ class _NodeSums:
         for t, node in enumerate(nodes):
             coords = list(_leaves(node))
             self.weight[t, coords] = card ** np.arange(len(coords))
-        self.weight.setflags(write=False)       # one cut serves every caller, see _node_sums
+        self.weight.setflags(write=False)       # one cut serves every caller, see _shared_cut
 
     def tables(self, per_coord) -> list[np.ndarray]:
         """The (B, card^c) node tables, from per_coord(i), the (B, card)
         values of coordinate i in B independent rows."""
         return [_node_table(node, per_coord) for node in self.nodes]
 
-    def sequence_codes(self, symbols: np.ndarray, scale: int) -> np.ndarray:
-        """(G, R) index parts of R symbol rows (R, n), each symbol times scale."""
-        return (scale * self.weight) @ symbols.T
+    def sequence_codes(self, symbols: np.ndarray) -> np.ndarray:
+        """(G, R) index parts of R symbol rows (R, n)."""
+        return self.weight @ symbols.T
 
     def state_codes(self, card: int) -> np.ndarray:
         """(G, card^n) index parts of every state sequence, lexicographic."""

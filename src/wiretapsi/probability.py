@@ -207,14 +207,6 @@ def marginalize(joint: JointPmf, keep: Sequence[str]) -> JointPmf:
     return JointPmf(axes, table)
 
 
-def _group_entropies(joint: JointPmf, groups: Sequence[tuple[str, ...]]) -> list[float]:
-    out = []
-    for group in groups:
-        sub = marginalize(joint, group) if set(group) != set(joint.axis_names) else joint
-        out.append(_entropy_bits(sub.table))
-    return out
-
-
 def mutual_information(joint: JointPmf, group_a: Iterable[str],
                        group_b: Iterable[str]) -> float:
     """I(A;B) in bits between two disjoint groups of axes."""
@@ -229,21 +221,6 @@ def mutual_information(joint: JointPmf, group_a: Iterable[str],
     h_a = _entropy_bits(marginalize(sub, a).table)
     h_b = _entropy_bits(marginalize(sub, b).table)
     return _clamp_mi(h_a + h_b - h_ab)
-
-
-def conditional_mutual_information(joint: JointPmf, group_a: Iterable[str],
-                                   group_b: Iterable[str],
-                                   group_c: Iterable[str]) -> float:
-    """I(A;B|C) in bits; the three groups must be pairwise disjoint."""
-    a, b, c = tuple(group_a), tuple(group_b), tuple(group_c)
-    if not a or not b:
-        raise UsageError("conditional mutual information needs nonempty A and B")
-    for left, right in (((a, b)), ((a, c)), ((b, c))):
-        if set(left) & set(right):
-            raise UsageError(f"groups overlap: {sorted(set(left) & set(right))}")
-    sub = marginalize(joint, a + b + c)
-    h_ac, h_bc, h_abc, h_c = _group_entropies(sub, [a + c, b + c, a + b + c, c])
-    return _clamp_mi(h_ac + h_bc - h_abc - h_c)
 
 
 def compose(state_pmf: JointPmf, policy: TransitionKernel,

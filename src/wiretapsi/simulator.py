@@ -19,20 +19,20 @@ over it is refused with a UsageError.
 Everything else is streamed in steps of about GATHER_BYTES, trials included.
 
 Every sequence score is an exact sum of n per-coordinate log-probabilities,
-taken through the node tables of nodesums, bit for bit numpy's .sum.  The
-encoder and the posterior use tables with one row per codeword over the v1
-symbols of the node's coordinates, so a (codeword, v1 sequence) pair's code
-in a table is its row plus the row count times the sequence's state part.
-The kernel serves three callers:
+taken through the node tables of nodesums, bit for bit numpy's .sum.  Every
+table has one row per codeword over the v1 or the y symbols of the node's
+coordinates, and every cut is _row_cut's, so a (codeword, v1 sequence)
+pair's code in a flattened table is its row plus the row count times the
+sequence's state part.  The kernel serves three callers:
 
 * _selection_table replays the encoder for every (message, v1 sequence)
   pair a rank at a time: the bins' r-th members against blocks of v1
   sequences taken in the tree's digit order, each pair stopping at its
   bin's first typical member.  That table is the encoder: each trial
   sends the listed codeword.  It also returns each pick's codes.
-* _decoder builds node tables of log p(u, y) and every codeword's codes
+* _decoder builds codeword-row tables of log p(u, y) over the y symbols
   once per run and scores every codeword against the distinct y of a
-  trial block.
+  trial block through the y rows' codes.
 * _posteriors builds codeword-row tables of log w(z_i | u_i, v1_i) for a
   batch of the block's distinct z and sums every (message, v1 sequence)
   pair through the codes.
@@ -171,32 +171,27 @@ class _Tables:
         return _row_sums(self.config, self.triplet.mi_uy)
 
 
-def _node_sums(n: int, card: int, pairs: int) -> _NodeSums:
-    """The cut for row sums of `pairs` pairs.  A table holds no more entries
-    than there are pairs, so building it costs no more than the gathers it
-    saves, and at most GATHER_BYTES / 64 of them, an eighth of a step's
-    budget at 8 bytes each, so a step's tables stay within its budget.
-    Each (n, card, span) is cut once and the cut shared."""
-    cap, span = min(pairs, GATHER_BYTES // 64), 1
-    while span < n and card ** (span + 1) <= cap:
+def _row_cut(n: int, card: int, rows: int, scores: int) -> _NodeSums:
+    """The cut for tables with `rows` rows over `card` symbols that serve
+    `scores` row sums.  A table holds at most half as many entries as there
+    are scores, so building it costs less than a gather per score, and at
+    most GATHER_BYTES / 16, half a step's budget at 8 bytes each (a lone
+    coordinate always qualifies).  Each (n, card, span) is cut once and the
+    cut shared."""
+    cap, span = max(min(scores // 2, GATHER_BYTES // 16), rows), 1
+    while span < n and rows * card ** (span + 1) <= cap:
         span += 1
     return _shared_cut(n, card, span)
 
 
 def _row_sums(config: SimConfig, mi_uy: float) -> _NodeSums:
     """The cut over v1 symbols for tables with one row per picked codeword,
-    for every (message, v1 sequence) pair.  A table holds, over the config's
-    codebook or over one row per pair if there are fewer pairs, at most half
-    as many entries as there are pairs, so building it costs less than a
-    gather per pair, and at most GATHER_BYTES / 16, half a step's budget at
-    8 bytes each (a lone coordinate always qualifies)."""
+    for every (message, v1 sequence) pair: over the config's codebook, or
+    over one row per pair if there are fewer pairs."""
     n, card = config.n, config.model.card_v1
     pairs = config.m * card ** n
     rows = min(math.ceil(2.0 ** (n * (mi_uy - config.epsilon_typ))), pairs)
-    cap, span = max(min(pairs // 2, GATHER_BYTES // 16), rows), 1
-    while span < n and rows * card ** (span + 1) <= cap:
-        span += 1
-    return _shared_cut(n, card, span)
+    return _row_cut(n, card, rows, pairs)
 
 
 def _typical(mean_log_p: np.ndarray, entropy: float, epsilon: float) -> np.ndarray:
@@ -296,11 +291,7 @@ def _encode(tables: _Tables, codebook: Codebook, config: SimConfig,
 def decode(codebook: Codebook, config: SimConfig,
            y_seq: np.ndarray) -> Optional[int]:
     """Bin of the unique codeword typical with y_seq, or None."""
-    return _decode(_Tables(config), codebook, config, y_seq)
-
-
-def _decode(tables: _Tables, codebook: Codebook, config: SimConfig,
-            y_seq: np.ndarray) -> Optional[int]:
+    tables = _Tables(config)
     y_seq = np.asarray(y_seq)
     if y_seq.shape != (config.n,):
         raise UsageError(f"y sequence must have length {config.n}")
@@ -314,27 +305,25 @@ def _decoder(tables: _Tables, codebook: Codebook, config: SimConfig):
     """decodes(y_rows): the bin of the unique codeword typical with each y
     row (Y, n), 0 where no codeword or several are.
 
-    The node tables of log p(u, y), cut for a run's K * trials scores, and
-    every codeword's codes, (G, K) and no larger than the codebook, are
-    built once.  A call scores every codeword against a chunk of its rows at a
-    time, GATHER_BYTES at a time: per score the sums' buffers (or
-    _typical's three floats) and two typicality masks, this chunk's and
-    the last's.
+    Codeword-row node tables of log p(u, y), one row per codeword over the
+    y symbols of the node's coordinates, cut for a run's K * trials scores,
+    are built once.  A call scores every codeword against a chunk of its
+    rows at a time through the rows' codes alone, GATHER_BYTES at a time:
+    per score the sums' buffers (or _typical's three floats) and two
+    typicality masks, this chunk's and the last's.
     """
     size, n = codebook.sequences.shape
-    card_y = tables.p_uy.shape[1]
-    sums = _node_sums(n, tables.p_uy.size, size * config.trials)
-    node = sums.tables(lambda i: tables.log_p_uy.reshape(1, -1))
-    word_codes = sums.sequence_codes(codebook.sequences, card_y)[:, :, None]   # (G, K, 1)
+    sums = _row_cut(n, tables.p_uy.shape[1], size, size * config.trials)
+    node = sums.tables(lambda i: tables.log_p_uy[codebook.sequences[:, i]])   # (K, widths[t])
     step = max(1, GATHER_BYTES // ((8 * max(sums.buffers, 3) + 2) * size))
 
     def decodes(y_rows: np.ndarray) -> np.ndarray:
-        row_codes = sums.sequence_codes(y_rows, 1)                             # (G, Y)
+        codes = sums.sequence_codes(y_rows)                                     # (G, Y)
         decoded = np.zeros(len(y_rows), dtype=np.int64)
         for lo in range(0, len(y_rows), step):
-            total = sums.total(node, lambda t: word_codes[t] + row_codes[t, lo:lo + step])
+            total = sums.total(node, lambda t: codes[t, lo:lo + step])         # (K, rows)
             total /= n
-            typical = _typical(total, tables.h_uy, config.epsilon_typ)      # (K, rows)
+            typical = _typical(total, tables.h_uy, config.epsilon_typ)
             del total                                   # before the next chunk's
             unique = np.count_nonzero(typical, axis=0) == 1
             decoded[lo:lo + step][unique] = codebook.bin_index[typical.argmax(axis=0)[unique]]
@@ -417,11 +406,12 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     fallback = _fallback_codeword(codebook)
     pick = np.full((m, count), fallback, dtype=np.int64)     # in the digit order
     pending = np.ones((m, count), dtype=bool)
-    # a score holds the sums' buffers (or _typical's three floats), its
-    # pick and a mask
+    # a gathered score holds the sums' buffers (or _typical's three floats),
+    # its pick and a mask; a whole cell's pair its sum, the outer sum's last
+    # factor, a copy of its pick and two masks
     score = 8 * (max(sums.buffers, 3) + 1) + 2
     width = 1
-    while width < count and m * width * card * score <= GATHER_BYTES:
+    while width < count and m * width * card * (3 * 8 + 2) <= GATHER_BYTES:
         width *= card
     left = np.full((m, count // width), width)               # pending pairs per cell
     whole = np.ones(left.shape, dtype=bool)
@@ -502,7 +492,7 @@ def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
     if z_seq.shape != (config.n,):
         raise UsageError(f"z sequence must have length {config.n}")
     _, _, codes = _selection_table(tables, codebook, config)
-    return _posterior(tables, codes, z_seq)
+    return Pmf("message", _posteriors(tables, codes, z_seq[None])[0])
 
 
 def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
@@ -527,11 +517,6 @@ def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
     count = np.count_nonzero(at_peak, axis=1)[:, None]
     out[live] = (np.log1p(total / count) + np.log(count) + peak)[:, 0]
     return out
-
-
-def _posterior(tables: _Tables, codes: _Codes, z_seq: np.ndarray) -> Pmf:
-    """_posteriors of one z sequence, as a Pmf."""
-    return Pmf("message", _posteriors(tables, codes, z_seq[None])[0])
 
 
 def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarray:

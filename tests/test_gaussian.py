@@ -25,12 +25,11 @@ from wiretapsi import (
     oracle_mi,
     r_alpha,
     rz_alpha,
-    scan_leakage,
 )
 from wiretapsi import gaussian
 from wiretapsi.gaussian import (
     _cov_stack,
-    _oracle_stack,
+    _oracle_pairs,
     _region,
     case1_params,
     case2_params,
@@ -204,10 +203,12 @@ def test_case1_leakage_at_zero_closed_form_degenerates():
 
 
 def test_leakage_curve_matches_scalar_path():
+    # a regular geometry and the singular rho_v1v2 = 1 branch
     grid = np.linspace(-2.0, 2.0, 41)
-    curve = leakage_curve(GENERIC, grid)
-    for a, v in zip(grid, curve):
-        assert v == pytest.approx(leakage(GENERIC, float(a)), abs=1e-10)
+    for params in (GENERIC, case1_params(2.0, 1.0, 0.25, 1.0)):
+        curve = leakage_curve(params, grid)
+        for a, v in zip(grid, curve):
+            assert v == pytest.approx(leakage(params, float(a)), abs=1e-10)
 
 
 def test_leakage_roots_bracket_and_vanish():
@@ -227,15 +228,6 @@ def test_case2_boundary_power_root_at_one():
     assert leakage(params, 1.0) == pytest.approx(0.0, abs=1e-12)
     _, pos = leakage_roots(params)
     assert pos == pytest.approx(1.0, abs=1e-9)
-
-
-def test_scan_leakage_profile_consistency():
-    params = case1_params(2.0, 1.0, 0.25, 1.0)
-    profile = scan_leakage(params, np.arange(-1.0, 2.01, 0.25))
-    assert len(profile.alpha_grid) == len(profile.delta_i) == 13
-    for a, v in zip(profile.alpha_grid, profile.delta_i):
-        assert v == pytest.approx(leakage(params, a), abs=1e-10)
-    assert profile.alpha_root_neg < profile.alpha_star < profile.alpha_root_pos
 
 
 def test_threshold_worked_values():
@@ -415,7 +407,7 @@ def test_stacked_oracle_is_bit_identical_to_one_alpha_path(name):
         assert np.array_equal(joint_covariance(params, alpha), expected)
     for group_a, group_b in ORACLE_GROUPS:
         expected = [reference_oracle_mi(c, group_a, group_b) for c in stack]
-        assert _oracle_stack(stack, group_a, group_b).tolist() == expected
+        assert _oracle_pairs(stack, group_a, [group_b])[0].tolist() == expected
         assert [oracle_mi(c, group_a, group_b) for c in stack] == expected
 
 
@@ -426,7 +418,7 @@ def test_stacked_oracle_takes_logs_like_the_one_alpha_path():
     stack = _cov_stack(GENERIC, alphas)
     for group_a, group_b in ORACLE_GROUPS[:3]:
         expected = [reference_oracle_mi(c, group_a, group_b) for c in stack]
-        assert _oracle_stack(stack, group_a, group_b).tolist() == expected
+        assert _oracle_pairs(stack, group_a, [group_b])[0].tolist() == expected
 
 
 def test_stacked_oracle_mixes_regular_and_deterministic_entries():
@@ -438,9 +430,9 @@ def test_stacked_oracle_mixes_regular_and_deterministic_entries():
     stack = np.stack([singular, regular, 2.0 * singular, regular + np.eye(5)])
     for group_a, group_b in ORACLE_GROUPS + ((("u",), ("v1",)),):
         expected = [reference_oracle_mi(c, group_a, group_b) for c in stack]
-        assert _oracle_stack(stack, group_a, group_b).tolist() == expected
-    assert math.isinf(_oracle_stack(stack, ("u",), ("v1",))[0])
-    assert math.isfinite(_oracle_stack(stack, ("u",), ("v1",))[1])
+        assert _oracle_pairs(stack, group_a, [group_b])[0].tolist() == expected
+    assert math.isinf(_oracle_pairs(stack, ("u",), [("v1",)])[0][0])
+    assert math.isfinite(_oracle_pairs(stack, ("u",), [("v1",)])[0][1])
 
 
 @pytest.mark.parametrize("case,p,q,n1,n2", [

@@ -10,7 +10,6 @@ from wiretapsi import (
     UsageError,
     ValidationError,
     compose,
-    conditional_mutual_information,
     entropy,
     joint_entropy,
     marginalize,
@@ -67,18 +66,6 @@ def test_marginalize_sums_and_preserves_axis_order():
     sub = marginalize(joint, ("c", "a"))   # keep order is cosmetic
     assert sub.axis_names == ("a", "c")
     np.testing.assert_allclose(sub.table, table.sum(axis=1), atol=1e-15)
-
-
-def test_conditional_mutual_information_markov_chain_is_zero():
-    # x -> y -> z with z a noisy copy of y: I(x;z|y) = 0
-    rng = np.random.default_rng(5)
-    px = rng.dirichlet(np.ones(2))
-    k_xy = rng.dirichlet(np.ones(2), size=2)
-    k_yz = rng.dirichlet(np.ones(2), size=2)
-    table = px[:, None, None] * k_xy[:, :, None] * k_yz[None, :, :]
-    joint = JointPmf((("x", 2), ("y", 2), ("z", 2)), table)
-    assert conditional_mutual_information(joint, ("x",), ("z",), ("y",)) == 0.0
-    assert mutual_information(joint, ("x",), ("z",)) > 0.0
 
 
 def test_group_errors():

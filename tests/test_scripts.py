@@ -1,11 +1,16 @@
-"""The scripts under scripts/ run end to end on small inputs."""
+"""The scripts under scripts/ and the README quick start run end to end on
+small inputs."""
 
 import csv
+import math
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_gaussian_case_study_writes_its_four_csvs(tmp_path):
@@ -52,3 +57,19 @@ def test_binning_trend_writes_the_trend_and_baseline_csvs(tmp_path):
         assert [row[0] for row in tables[name][1:]] == ["6", "8"]
         assert not any("nan" in cell for row in tables[name] for cell in row)
     assert all(float(row[4]) == 1.0 for row in tables["baseline.csv"][1:])
+
+
+def test_readme_quick_start_runs(tmp_path):
+    # the quick start's python block, in a fresh interpreter: every public
+    # name it imports must stay
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    quick_start = readme[readme.index("## Quick start"):]
+    code = re.search(r"```python\n(.*?)```", quick_start, re.S).group(1)
+    run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    summary, gaussian = run.stdout.splitlines()
+    assert "'secrecy_rate'" in summary
+    assert all(map(math.isfinite, map(float, gaussian.split())))

@@ -29,7 +29,7 @@ from wiretapsi.modelio import model_to_dict, policy_to_dict, write_json
 from wiretapsi.nodesums import _leaves, _NodeSums
 from wiretapsi.probability import JointPmf, TransitionKernel
 from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook, _decoder,
-                                 _log_sum_exp, _node_sums, _posterior,
+                                 _log_sum_exp, _posteriors, _row_cut,
                                  _selection_table, _Tables)
 from wiretapsi.reference import (
     bsc,
@@ -597,7 +597,7 @@ def test_selection_work_follows_the_pending_pairs(monkeypatch):
 
     typical = simulator._typical
     monkeypatch.setattr(simulator, "_typical", counted)
-    monkeypatch.setattr(simulator, "GATHER_BYTES", 2 ** 14)       # blocks of 64
+    monkeypatch.setattr(simulator, "GATHER_BYTES", 2 ** 12)       # blocks of 64
     selection, found, _ = _selection_table(tables, book, config)
     np.testing.assert_array_equal(selection, want_selection)
     np.testing.assert_array_equal(found, want_found)
@@ -625,7 +625,8 @@ def test_decoder_matches_the_reference_row_by_row(monkeypatch, chunk_bytes, name
     monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
     for trials in (1, 10 ** 6):
         config = dataclasses.replace(config, trials=trials)
-        assert len(_node_sums(n, tables.p_uy.size, len(book.sequences) * trials).nodes) > 1
+        size = len(book.sequences)
+        assert len(_row_cut(n, config.model.card_y, size, size * trials).nodes) > 1
         np.testing.assert_array_equal(_decoder(tables, book, config)(y_rows), want)
 
 
@@ -688,7 +689,7 @@ def test_posterior_from_codes_equals_the_reference_bit_for_bit(posterior_model):
     for z in itertools.product(range(2), repeat=3):
         z_seq = np.array(z)
         want = reference_posterior(tables, config, v1_all, book.sequences[selection], z_seq)
-        np.testing.assert_array_equal(_posterior(tables, codes, z_seq).probs, want.probs)
+        np.testing.assert_array_equal(_posteriors(tables, codes, z_seq[None])[0], want.probs)
         np.testing.assert_array_equal(
             eavesdropper_posterior(book, config, z_seq).probs, want.probs)
 
@@ -758,7 +759,7 @@ def test_node_sums_follow_numpy_row_sums(n, card):
     assert np.isinf(want_sum).any() and np.isfinite(want_sum).any()
     for span in (1, 2, 16 // (card.bit_length() - 1)):      # tables of at most 2^16 entries
         sums = _NodeSums(n, card, span)
-        codes = sums.sequence_codes(symbols, 1)
+        codes = sums.sequence_codes(symbols)
         pair = sums.total(sums.tables(lambda i: values[:, i]), lambda t: codes[t])
         np.testing.assert_array_equal(pair, want_sum)
         np.testing.assert_array_equal(pair / n, want_mean)
