@@ -203,12 +203,23 @@ def test_case1_leakage_at_zero_closed_form_degenerates():
 
 
 def test_leakage_curve_matches_scalar_path():
-    # a regular geometry and the singular rho_v1v2 = 1 branch
     grid = np.linspace(-2.0, 2.0, 41)
-    for params in (GENERIC, case1_params(2.0, 1.0, 0.25, 1.0)):
-        curve = leakage_curve(params, grid)
-        for a, v in zip(grid, curve):
-            assert v == pytest.approx(leakage(params, float(a)), abs=1e-10)
+    curve = leakage_curve(GENERIC, grid)
+    for a, v in zip(grid, curve):
+        assert v == pytest.approx(leakage(GENERIC, float(a)), abs=1e-10)
+
+
+def test_case1_leakage_curve_and_roots_are_consistent():
+    # the singular rho_v1v2 = 1 branch: the stacked curve matches the scalar
+    # path, and the two roots bracket the leakage minimiser
+    params = case1_params(2.0, 1.0, 0.25, 1.0)
+    grid = np.arange(-1.0, 2.01, 0.25)
+    curve = leakage_curve(params, grid)
+    assert len(grid) == len(curve) == 13
+    for a, v in zip(grid, curve):
+        assert v == pytest.approx(leakage(params, float(a)), abs=1e-10)
+    neg, pos = leakage_roots(params)
+    assert neg < alpha_star(params) < pos
 
 
 def test_leakage_roots_bracket_and_vanish():
