@@ -12,11 +12,14 @@ Hard caps keep everything exactly enumerable: block length <= 16, state
 alphabet product <= 4, codebook <= 2^20 codewords, and the posterior's state
 enumeration |V1|^N * |V2|^N <= 2^20.  On top of the caps, one byte budget,
 probability.BYTE_BUDGET, which the region search shares, bounds what a run
-holds whole: the (m, S) selection and found tables, one (m, S) code array
-per codeword-row table (m messages, S = |V1|^N state sequences) and one
-equivocation per trial.  It is checked before anything is allocated; a run
-over it is refused with a UsageError.
-Everything else is streamed in steps of about GATHER_BYTES, trials included.
+holds.  Held whole: the int32 (m, S) selection and bool found tables, one
+intp (m, S) code array per codeword-row table (m messages, S = |V1|^N
+state sequences), the codebook, the decoder's tables and one equivocation
+per trial.  Beside them, one posterior step: its message rows of S pairs,
+GATHER_BYTES of them or one row past that, and GATHER_BYTES each for its
+tables and its gathers.  It is checked before anything is allocated; a run
+over it is refused with a UsageError.  Every other step, trials included,
+works in about GATHER_BYTES, so none outgrows the posterior's.
 
 Every sequence score is an exact sum of n per-coordinate log-probabilities,
 taken through the node tables of nodesums, bit for bit numpy's .sum.  Every
@@ -35,7 +38,7 @@ sequence's state part.  The kernel serves three callers:
   trial block through the y rows' codes.
 * _posteriors builds codeword-row tables of log w(z_i | u_i, v1_i) for a
   batch of the block's distinct z and sums every (message, v1 sequence)
-  pair through the codes.
+  pair through the codes, a block of message rows at a time.
 
 A trial draws its states, message and uniforms as its own generator
 default_rng([seed, 1, t]) would, but no generator is built: the lane-wise
@@ -69,6 +72,9 @@ MAX_STATE_PRODUCT = 4
 MAX_CODEBOOK = 2 ** 20
 MAX_STATE_ENUM_BITS = 20.0
 GATHER_BYTES = 2 ** 19    # working set of one selection, decode, posterior or trial step
+# a posterior message row per (message, v1 sequence) pair: its log-likelihood,
+# which _log_sum_exp shifts in place, and the peak mask
+_ROW_PAIR_BYTES = 8 + 1
 WILSON_Z = 1.959963984540054
 
 
@@ -190,8 +196,12 @@ def _row_sums(config: SimConfig, mi_uy: float) -> _NodeSums:
     over one row per pair if there are fewer pairs."""
     n, card = config.n, config.model.card_v1
     pairs = config.m * card ** n
-    rows = min(math.ceil(2.0 ** (n * (mi_uy - config.epsilon_typ))), pairs)
-    return _row_cut(n, card, rows, pairs)
+    return _row_cut(n, card, min(_codebook_size(config, mi_uy), pairs), pairs)
+
+
+def _codebook_size(config: SimConfig, mi_uy: float) -> int:
+    """ceil(2^(n (I(u;y) - epsilon))), the codewords _build_codebook draws."""
+    return math.ceil(2.0 ** (config.n * (mi_uy - config.epsilon_typ)))
 
 
 def _typical(mean_log_p: np.ndarray, entropy: float, epsilon: float) -> np.ndarray:
@@ -221,7 +231,7 @@ def _build_codebook(config: SimConfig, tables: _Tables) -> Codebook:
     if exponent <= 0:
         raise InfeasibleRateError(
             f"codebook exponent n*(I(u;y) - epsilon) = {exponent:.6g} is not positive")
-    size = math.ceil(2.0 ** exponent)
+    size = _codebook_size(config, tables.triplet.mi_uy)
     if size > MAX_CODEBOOK:
         raise UsageError(f"codebook of {size} codewords exceeds the {MAX_CODEBOOK} cap")
     m = config.m
@@ -332,26 +342,40 @@ def _decoder(tables: _Tables, codebook: Codebook, config: SimConfig):
     return decodes
 
 
-def _check_enumeration(tables: _Tables) -> None:
+def _check_enumeration(tables: _Tables) -> int:
     """Refuse, before any large allocation, a run whose state enumeration
-    breaks the 2^20 cap or whose whole-run arrays break BYTE_BUDGET."""
+    breaks the 2^20 cap or whose arrays, as the module docstring lists
+    them, break BYTE_BUDGET; return the bytes charged."""
     config = tables.config
     product = config.model.card_v1 * config.model.card_v2
     if config.n * math.log2(product) > MAX_STATE_ENUM_BITS + 1e-9:
         raise UsageError(
             f"state enumeration needs n*log2(|v1||v2|) <= {MAX_STATE_ENUM_BITS}, "
             f"got {config.n * math.log2(product):.3f}")
-    # int64 selection and bool found, (m, S); one intp code per codeword-row
-    # table, (G, m, S); one float equivocation per trial.  The selection's
-    # own whole arrays, at most 17 bytes a pair, are freed before the codes.
-    cells = config.m * config.model.card_v1 ** config.n
-    need = cells * (8 + 1 + 8 * len(tables.row_sums.nodes)) + 8 * config.trials
+    # int32 selection and bool found, (m, S); one intp code per codeword-row
+    # table, (G, m, S); one float equivocation per trial; and one posterior
+    # step: its message rows of S pairs, GATHER_BYTES of them or one row
+    # past that, beside GATHER_BYTES each for its tables and its gathers.
+    # The selection's own whole arrays, at most 9 bytes a pair (the picks
+    # in both orders and found), are freed before the codes.
+    states = config.model.card_v1 ** config.n
+    cells = config.m * states
+    need = (cells * (4 + 1 + 8 * len(tables.row_sums.nodes)) + 8 * config.trials
+            + max(_ROW_PAIR_BYTES * states, GATHER_BYTES) + 2 * GATHER_BYTES)
+    # the codebook's K sequences with their bins and subbins, and the
+    # decoder's tables, one row per codeword; a codebook past its cap is
+    # refused when it is drawn
+    size = _codebook_size(config, tables.triplet.mi_uy)
+    if size <= MAX_CODEBOOK:
+        decoder = _row_cut(config.n, tables.p_uy.shape[1], size, size * config.trials)
+        need += 8 * size * (config.n + 2 + decoder.entries)
     if need > BYTE_BUDGET:
         raise UsageError(
-            f"{config.m} messages x {cells // config.m} state sequences at n={config.n} "
+            f"{config.m} messages x {states} state sequences at n={config.n} "
             f"and {config.trials} trials need {need / 2 ** 20:.0f} MiB, over the "
             f"{BYTE_BUDGET // 2 ** 20} MiB budget; lower the rate, the block length "
             f"or the trials")
+    return need
 
 
 @dataclass(frozen=True)
@@ -368,9 +392,57 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
                      ) -> tuple[np.ndarray, np.ndarray, _Codes]:
     """The encoder's choice for every (message, v1 sequence).
 
-    Returns the (m, S) codeword indices, the (m, S) mask of bins holding a
-    typical member (the rest fall back to bin 1's first codeword) and the
-    picks' _Codes, the posterior's input.
+    Returns the (m, S) int32 codeword indices, the (m, S) mask of bins
+    holding a typical member (the rest fall back to bin 1's first codeword)
+    and the picks' _Codes, the posterior's input.  _first_typical finds the
+    picks in the tree's digit order; they are then put in lexicographic
+    order and their codes written GATHER_BYTES of picks at a time, which
+    makes no whole-run temporary.
+    """
+    sequences = codebook.sequences
+    card, m = tables.p_uv1.shape[1], codebook.bin_count
+    count = card ** config.n
+    sums = tables.row_sums
+    node = sums.tables(lambda i: tables.log_p_uv1[sequences[:, i]])      # (K, widths[t])
+    places = np.cumprod((1,) + sums.widths[:-1])
+    pick, pending = _first_typical(tables, codebook, config, node, places)
+    tree_of = places @ sums.state_codes(card)   # each sequence's place in the digit order
+    found = np.take(pending, tree_of, axis=1)
+    np.logical_not(found, out=found)
+    del pending
+    selection = np.take(pick, tree_of, axis=1)
+    del pick                                            # before the codes
+    # a step of picks, copied to intp for indexing as np.take copies them,
+    # and their table rows fit GATHER_BYTES
+    picks, step = selection.reshape(-1), max(1, GATHER_BYTES // 16)
+    picked = np.zeros(len(sequences), dtype=bool)
+    for lo in range(0, picks.size, step):
+        picked[picks[lo:lo + step].astype(np.intp)] = True
+    row = np.cumsum(picked) - 1                         # a picked codeword's table row
+    codes = np.empty((len(node), m, count), dtype=np.intp)
+    for code, place, width in zip(codes, places, sums.widths):
+        # each sequence's state part, its place's digit of this node, in
+        # the first message's row, then copied to the others
+        np.floor_divide(tree_of, place, out=code[0])
+        code[0] %= width
+        code[0] *= row[-1] + 1                          # row[-1] + 1 rows in all
+        code[1:] = code[0]
+    del tree_of
+    for lo in range(0, picks.size, step):
+        rows = np.take(row, picks[lo:lo + step], mode="clip")
+        for code in codes.reshape(len(node), -1):
+            code[lo:lo + step] += rows
+    return selection, found, _Codes(sequences[picked], codes)
+
+
+def _first_typical(tables: _Tables, codebook: Codebook, config: SimConfig,
+                   node: list[np.ndarray], places: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The int32 picks (m, S) and the mask of pairs still pending, with no
+    typical member in their bin, in the tree's digit order: the encoder
+    replayed for every (message, v1 sequence) pair from `node`, the
+    codeword-row tables of log p(u, v1), whose node t holds digit
+    place // places[t] % widths[t].
 
     Rank r scores every bin's r-th member against the pairs still pending,
     so a pair stops at its bin's first typical member, as encode does.  The
@@ -381,17 +453,13 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     thinner cell's pending pairs join a list scored by gathers; once no
     cell is scored whole, the list takes as many ranks at a time as fit.
     Scores are numpy's row sums of log p(u, v1), so the picks are encode's.
+    Its own function, so the loops' last arrays are freed on return.
     """
-    sequences = codebook.sequences
     n, m = config.n, codebook.bin_count
     card = tables.p_uv1.shape[1]
     sums = tables.row_sums
-    node = sums.tables(lambda i: tables.log_p_uv1[sequences[:, i]])      # (K, widths[t])
     flat = [table.reshape(1, -1) for table in node]
-    state_codes = sums.state_codes(card)                                  # (G, S)
-    count = state_codes.shape[1]
-    places = np.cumprod((1,) + sums.widths[:-1])
-    tree_of = places @ state_codes              # each sequence's place in the digit order
+    count = card ** n
 
     # members[j, r]: the r-th codeword of bin j + 1.  Bins one short repeat
     # their last member, which cannot hit again: a pair reaching the repeat
@@ -404,7 +472,7 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     depth = members.shape[1]
 
     fallback = _fallback_codeword(codebook)
-    pick = np.full((m, count), fallback, dtype=np.int64)     # in the digit order
+    pick = np.full((m, count), fallback, dtype=np.int32)     # in the digit order
     pending = np.ones((m, count), dtype=bool)
     # a gathered score holds the sums' buffers (or _typical's three floats),
     # its pick and a mask; a whole cell's pair its sum, the outer sum's last
@@ -462,20 +530,7 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
             keep[lo + got] = False
         loose = loose[keep]
         rank += ranks
-
-    found = np.take(pending, tree_of, axis=1)
-    np.logical_not(found, out=found)
-    del pending, loose
-    selection = np.take(pick, tree_of, axis=1)
-    del pick                                            # before the codes
-    picked = np.zeros(len(sequences), dtype=bool)
-    picked[selection] = True
-    row = np.cumsum(picked) - 1                         # a picked codeword's table row
-    codes = np.empty((len(node), m, count), dtype=np.intp)
-    for code, part in zip(codes, state_codes):
-        np.take(row, selection, out=code, mode="clip")
-        code += part * (row[-1] + 1)                    # row[-1] + 1 rows in all
-    return selection, found, _Codes(sequences[picked], codes)
+    return pick, pending
 
 
 def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
@@ -501,50 +556,59 @@ def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
 
     Each row is shifted by its maximum; the entries at the maximum are
     counted and the rest enter through log1p, which keeps precision when
-    one entry dominates.  One array holds the shift, its exponential and,
-    with the peaks zeroed, the terms of the sum.
+    one entry dominates.  The rows themselves hold the shift, its
+    exponential and, with the peaks zeroed, the terms of the sum: they are
+    overwritten, and every caller passes an array it discards.
     """
-    out = np.full(len(rows), -np.inf)
     peak = rows.max(axis=1, keepdims=True)
     live = np.isfinite(peak[:, 0])
     if not live.all():
-        rows, peak = rows[live], peak[live]
-    rest = rows - peak
-    at_peak = rest == 0.0               # exactly the entries equal to the peak
-    np.exp(rest, out=rest)
-    np.copyto(rest, 0.0, where=at_peak)
-    total = rest.sum(axis=1, keepdims=True)
-    count = np.count_nonzero(at_peak, axis=1)[:, None]
-    out[live] = (np.log1p(total / count) + np.log(count) + peak)[:, 0]
-    return out
+        out = np.full(len(rows), -np.inf)
+        if live.any():
+            out[live] = _log_sum_exp(rows[live])
+        return out
+    rows -= peak
+    at_peak = rows == 0.0               # exactly the entries equal to the peak
+    np.exp(rows, out=rows)
+    np.copyto(rows, 0.0, where=at_peak)
+    total = rows.sum(axis=1, keepdims=True)
+    count = at_peak.sum(axis=1, keepdims=True)
+    return (np.log1p(total / count) + np.log(count) + peak)[:, 0]
 
 
 def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarray:
     """Message posteriors (Z, m) of the z rows (Z, n), from the _Codes of
     _selection_table.
 
-    A step takes a batch of rows: codeword-row tables of
-    log w(z_i | u_i, v1_i) for each row, the log-likelihood of every
-    (message, v1 sequence) pair gathered through the codes a chunk of pairs
-    at a time, and one _log_sum_exp over the batch's stacked (m, S) rows.  A
-    batch is sized by what its rows hold within GATHER_BYTES: per row the
-    log weights its tables are built from, its tables twice over while they
-    are built, its log-likelihood, and the log-sum-exp's float and mask per
-    pair and five floats per message.  The gather buffers of a chunk, for
-    every row of the batch, are counted once: they take GATHER_BYTES at
-    most and are freed before the log-sum-exp.  A row too large for
-    GATHER_BYTES alone is gathered in chunks of that size.
+    A batch of z rows gets codeword-row tables of log w(z_i | u_i, v1_i),
+    one set per row.  A step then takes a block of (z row, message) rows,
+    each the log-likelihoods of one message's S (message, v1 sequence)
+    pairs, gathered through the codes a chunk of pairs at a time, and
+    reduces each row by _log_sum_exp; rows never mix, so the step's shape
+    does not change a bit of the result.  Per z row a batch holds the log
+    weights its tables are built from and its tables twice over while they
+    are built, per message row _ROW_PAIR_BYTES a pair and five floats.
+    While a z row with all its message rows fits GATHER_BYTES, a batch
+    takes as many such rows as fit, in one step.  Otherwise it takes as
+    many z rows as fit with one message row each, and a step as many of
+    their message rows as fit GATHER_BYTES on their own, at least one.  The
+    gather buffers of a chunk, for every z row of the batch, take
+    GATHER_BYTES at most.  _check_enumeration charges a step's rows, one
+    row past GATHER_BYTES at most, beside GATHER_BYTES each for its tables
+    and its gathers.
     """
     sums = tables.row_sums
     count, m, states = codes.codes.shape
-    pairs = m * states
-    flat_codes = codes.codes.reshape(count, pairs)
     sequences = codes.sequences
     card = tables.log_weight.shape[2]
-    entries = len(sequences) * sums.entries
     columns = sequences.T[:, None, None, :], np.arange(card)[:, None]
-    gathered = card * len(sequences) * z_rows.shape[1]  # log weights per row, for the tables
-    batch = max(1, GATHER_BYTES // (8 * (gathered + 2 * entries + 2 * pairs + 5 * m) + pairs))
+    per_z = 8 * len(sequences) * (card * z_rows.shape[1] + 2 * sums.entries)
+    per_row = _ROW_PAIR_BYTES * states + 8 * 5
+    if per_z + m * per_row <= GATHER_BYTES:
+        batch, messages = GATHER_BYTES // (per_z + m * per_row), m
+    else:
+        batch = max(1, GATHER_BYTES // (per_z + per_row))
+        messages = min(m, max(1, GATHER_BYTES // (batch * per_row)))
     chunk = max(1, GATHER_BYTES // (8 * sums.buffers * batch))
     log_posts = np.empty((len(z_rows), m))
     for lo in range(0, len(z_rows), batch):
@@ -552,12 +616,14 @@ def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarra
         values = tables.log_weight[(rows.T[:, :, None, None],) + columns]   # (n, Z, card, K)
         node = [table.reshape(len(rows), -1) for table in sums.tables(lambda i: values[i])]
         del values
-        loglik = np.empty((len(rows), pairs))
-        for p in range(0, pairs, chunk):
-            loglik[:, p:p + chunk] = sums.total(node, lambda t: flat_codes[t, p:p + chunk])
-        del node                                        # before the log-sum-exp
-        log_posts[lo:lo + len(rows)] = _log_sum_exp(loglik.reshape(-1, states)).reshape(-1, m)
-        del loglik                                      # before the next batch's
+        for first in range(0, m, messages):
+            step = codes.codes[:, first:first + messages].reshape(count, -1)
+            loglik = np.empty((len(rows), step.shape[1]))
+            for p in range(0, step.shape[1], chunk):
+                loglik[:, p:p + chunk] = sums.total(node, lambda t: step[t, p:p + chunk])
+            log_posts[lo:lo + len(rows), first:first + messages] = _log_sum_exp(
+                loglik.reshape(-1, states)).reshape(len(rows), -1)
+            del loglik                                  # before the next step's
     if not np.isfinite(log_posts).any(axis=1).all():
         raise UsageError("observed z sequence has zero probability under the model")
     shifted = np.exp(log_posts - log_posts.max(axis=1, keepdims=True))

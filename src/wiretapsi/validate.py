@@ -17,10 +17,10 @@ import numpy as np
 from . import gaussian, reference
 from .discrete import rate_triplet
 from .errors import DegenerateGeometryError, UsageError
-from .probability import Pmf
-# encode is not called here, but bench/spans.py times it under this
-# module's name as well
-from .simulator import (SimConfig, _encode, _Tables, build_codebook,  # noqa: F401
+# build_codebook, encode and eavesdropper_posterior are not called here, but
+# bench/spans.py times them under this module's name as well
+from .simulator import (SimConfig, _build_codebook, _encode, _posteriors,  # noqa: F401
+                        _selection_table, _Tables, build_codebook,
                         eavesdropper_posterior, encode, run_experiment)
 
 MI_AGREEMENT_TOL = 1e-6
@@ -201,20 +201,22 @@ def _check_thresholds(report: ValidationReport, seed: int) -> None:
         f"P1={p1:.6f} P2={p2:.6f} P3={p3:.6f} P4={p4:.6f}"))
 
 
-def brute_force_posterior(codebook, config: SimConfig, z_seq: np.ndarray) -> Pmf:
-    """Full enumeration over (v1, v2, x) sequence tuples through the public
+def brute_force_posterior(codebook, config: SimConfig, z_rows: np.ndarray) -> np.ndarray:
+    """Message posteriors (Z, m) of the observations z_rows (Z, n) by full
+    enumeration over (v1, v2, x) sequence tuples through the public
     encoder; exponential in n, usable only on tiny instances.
 
     The codeword choice in encode() is deterministic, so only its sampled x
     output is discarded; the input law is enumerated explicitly instead.
-    The tables are built once and shared by every encoder call.
+    The tables are built once and each (v1 sequence, message) pick made
+    once; every term is then taken for all observations at once.
     """
     model = config.model
     n = config.n
     state = model.state_pmf.table
-    tap = model.wiretap_kernel.table
+    taps = model.wiretap_kernel.table[:, :, z_rows.T]     # (x, v2, n, Z)
     tables = _Tables(config)
-    weights = np.zeros(codebook.bin_count)
+    weights = np.zeros((len(z_rows), codebook.bin_count))
     for v1_tuple in product(range(model.card_v1), repeat=n):
         v1_seq = np.array(v1_tuple)
         for j in range(1, codebook.bin_count + 1):
@@ -225,13 +227,12 @@ def brute_force_posterior(codebook, config: SimConfig, z_seq: np.ndarray) -> Pmf
                 if prior == 0.0:
                     continue
                 for x_tuple in product(range(model.card_x), repeat=n):
-                    term = prior
+                    term = np.full(len(z_rows), prior)
                     for i in range(n):
                         term *= (tables.x_dist[u_seq[i], v1_tuple[i], x_tuple[i]]
-                                 * tap[x_tuple[i], v2_tuple[i], z_seq[i]])
-                    weights[j - 1] += term
-    total = weights.sum()
-    return Pmf("message", weights / total)
+                                 * taps[x_tuple[i], v2_tuple[i], i])
+                    weights[:, j - 1] += term
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def _check_posterior_brute_force(report: ValidationReport, seed: int) -> None:
@@ -240,21 +241,23 @@ def _check_posterior_brute_force(report: ValidationReport, seed: int) -> None:
     A codebook whose bins all look alike to the eavesdropper gives a uniform
     posterior, and agreeing on that proves little.  Such a codebook is
     redrawn from a derived seed, up to POSTERIOR_CODEBOOK_DRAWS times; the
-    check fails if every draw is uniform.
+    check fails if every draw is uniform.  Each draw builds its tables and
+    selection once and scores its four observations in one batch.
     """
     model, policy = reference.trend_instance()
     for redraws in range(POSTERIOR_CODEBOOK_DRAWS):
         config = SimConfig(model=model, policy=policy, n=4, rate=0.3, epsilon_typ=0.25,
                            trials=1, seed=seed + 3 + CODEBOOK_SEED_STRIDE * redraws)
-        codebook = build_codebook(config)
+        tables = _Tables(config)
+        codebook = _build_codebook(config, tables)
+        _, _, codes = _selection_table(tables, codebook, config)
         rng = np.random.default_rng([seed, 31])
-        z_seqs = [rng.integers(0, model.card_z, size=config.n) for _ in range(4)]
-        posts = [eavesdropper_posterior(codebook, config, z_seq) for z_seq in z_seqs]
-        spread = max(float(np.max(np.abs(post.probs - 1.0 / config.m))) for post in posts)
+        z_rows = np.array([rng.integers(0, model.card_z, size=config.n) for _ in range(4)])
+        posts = _posteriors(tables, codes, z_rows)
+        spread = float(np.max(np.abs(posts - 1.0 / config.m)))
         if spread > 1e-3:
             break
-    worst = max(float(np.max(np.abs(post.probs - brute_force_posterior(
-        codebook, config, z_seq).probs))) for post, z_seq in zip(posts, z_seqs))
+    worst = float(np.max(np.abs(posts - brute_force_posterior(codebook, config, z_rows))))
     detail = f"max abs posterior gap = {worst:.2e}, nonuniformity = {spread:.3f}"
     if redraws:
         detail += f", codebook seed {config.seed}"

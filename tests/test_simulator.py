@@ -28,9 +28,9 @@ from wiretapsi.discrete import AuxiliaryPolicy
 from wiretapsi.modelio import model_to_dict, policy_to_dict, write_json
 from wiretapsi.nodesums import _leaves, _NodeSums
 from wiretapsi.probability import JointPmf, TransitionKernel
-from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook, _decoder,
-                                 _log_sum_exp, _posteriors, _row_cut,
-                                 _selection_table, _Tables)
+from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook,
+                                 _check_enumeration, _decoder, _log_sum_exp,
+                                 _posteriors, _row_cut, _selection_table, _Tables)
 from wiretapsi.reference import (
     bsc,
     constant_wiretap_instance,
@@ -285,7 +285,7 @@ def test_log_sum_exp_rows():
     rows[3, :] = -np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _log_sum_exp(rows)
+        got = _log_sum_exp(rows.copy())          # it overwrites its rows
     live = [0, 1, 2, 4]
     # direct sum after a shift by 700, which keeps exp(row) representable
     want = np.log(np.exp(rows[live] + 700.0).sum(axis=1)) - 700.0
@@ -313,7 +313,7 @@ def test_fused_log_sum_exp_matches_the_reference(data):
     rows = _lse_rows(data.draw)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _log_sum_exp(rows)
+        got = _log_sum_exp(rows.copy())          # it overwrites its rows
     assert got.tobytes() == reference_log_sum_exp(rows).tobytes()
 
 
@@ -451,6 +451,26 @@ def four_state_instance():
     return model, policy
 
 
+def three_state_instance():
+    """|v1| = 3 and |v2| = 1, so S = 3^n is no power of two: y is x flipped
+    when v1 = 1 through a BSC(0.05), z is x through a BSC(0.2), u = x XOR
+    [v1 = 1], biased when v1 = 2."""
+    main, tap = np.zeros((2, 3, 2)), np.zeros((2, 1, 2))
+    table = np.zeros((3, 1, 2, 2))
+    for x in range(2):
+        tap[x, 0] = bsc(0.2)[x]
+        for v1 in range(3):
+            main[x, v1] = bsc(0.05)[x ^ (v1 == 1)]
+            table[v1, 0, x, x ^ (v1 == 1)] = 0.5 + (0.2 if x else -0.2) * (v1 == 2)
+    model = DiscreteWiretapModel(
+        state_pmf=JointPmf((("v1", 3), ("v2", 1)), np.array([[0.5], [0.3], [0.2]])),
+        main_kernel=TransitionKernel((("x", 2), ("v1", 3)), (("y", 2),), main),
+        wiretap_kernel=TransitionKernel((("x", 2), ("v2", 1)), (("z", 2),), tap))
+    policy = AuxiliaryPolicy(2, TransitionKernel(
+        (("v1", 3), ("v2", 1)), (("u", 2), ("x", 2)), table))
+    return model, policy
+
+
 def _fixture(name):
     if name == "trend":
         return trend_instance()
@@ -460,6 +480,8 @@ def _fixture(name):
         return make_correlated_sim_instance()
     if name == "four":
         return four_state_instance()
+    if name == "three":
+        return three_state_instance()
     model = stateless_model(bsc(0.05), bsc(0.2))
     return model, uniform_input_policy(model)
 
@@ -548,6 +570,7 @@ TREES = [
     ("trend", 14, 0.17, 0.45, 1),           # a chain tree, five tables
     ("trend", 5, 0.25, 0.3, 3),             # shorter than numpy's eight accumulators
     ("four", 6, 0.34, 0.2, 3),              # |v1| = 4
+    ("three", 9, 0.23, 0.2, 1),             # |v1| = 3: 19,683 sequences, a chain tree
 ]
 
 
@@ -572,6 +595,69 @@ def test_selection_and_posterior_follow_the_reference_on_every_tree(
     for z_seq, row in zip(z_rows, got):
         want = reference_posterior(tables, config, v1_all, book.sequences[want_selection], z_seq)
         np.testing.assert_array_equal(row, want.probs)
+
+
+# GATHER_BYTES and the posterior steps it gives: for |v1| = 3 at n = 9,
+# 19,683 pairs a message row, the default takes two z rows of one message
+# a step, gathered 10,922 pairs at a time, and 2^12 one row a step in
+# gathers of 170 pairs; at n = 10, 2^10 gathers one row 42 pairs at a time
+@pytest.mark.parametrize("name,n,rate,eps,seed,chunk_bytes,rows,pairs", [
+    ("three", 9, 0.23, 0.2, 1, 2 ** 19, 2, 10922),
+    ("three", 9, 0.23, 0.2, 1, 2 ** 12, 1, 170),
+    ("trend", 10, 0.3, 0.45, 3, 2 ** 10, 1, 42),
+])
+def test_posterior_steps_follow_the_reference_bit_for_bit(
+        monkeypatch, name, n, rate, eps, seed, chunk_bytes, rows, pairs):
+    # a step reduces whole message rows, each alone, so neither the rows a
+    # step takes nor the chunks a row is gathered in move a bit
+    config, tables, book = _tables_and_book(name, n, rate, eps, seed)
+    v1_all, want_selection, _ = _reference_selection(tables, book, config)
+    _, _, codes = _selection_table(tables, book, config)
+    steps, gathers = [], []
+
+    def reduce(loglik):
+        steps.append(loglik.shape)
+        return log_sum_exp(loglik)
+
+    def gather(sums, node, code):
+        gathers.append(code(0).size)
+        return total(sums, node, code)
+
+    log_sum_exp, total = simulator._log_sum_exp, _NodeSums.total
+    monkeypatch.setattr(simulator, "_log_sum_exp", reduce)
+    monkeypatch.setattr(_NodeSums, "total", gather)
+    monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
+    z_rows = np.random.default_rng(seed).integers(0, config.model.card_z, size=(5, n))
+    got = simulator._posteriors(tables, codes, z_rows)
+    states = len(v1_all)
+    assert steps[0] == (rows, states) and len(steps) == -(-5 // rows) * config.m
+    assert max(gathers) == min(pairs, states)
+    assert len(gathers) == len(steps) * -(-states // pairs)
+    for z_seq, row in zip(z_rows, got):
+        want = reference_posterior(tables, config, v1_all, book.sequences[want_selection], z_seq)
+        np.testing.assert_array_equal(row, want.probs)
+
+
+@pytest.mark.parametrize("n,rate,eps,trials", [
+    (16, 0.17, 0.45, 6),                    # the benchmark's trend_n16: 4 messages
+    (16, 0.25, 0.2, 2),                     # 16 messages, 1,048,576 pairs
+])
+def test_run_holds_no_more_than_it_is_charged(n, rate, eps, trials):
+    # the budget charges the whole-run arrays and one posterior step, whose
+    # message row of 65,536 pairs alone breaks GATHER_BYTES; the run's
+    # traced peak stays within that charge, and the charge within four
+    # gather budgets of the peak
+    model, policy = trend_instance()
+    config = SimConfig(model=model, policy=policy, n=n, rate=rate,
+                       epsilon_typ=eps, trials=trials, seed=0)
+    need = _check_enumeration(_Tables(config))
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= need < peak + 4 * simulator.GATHER_BYTES
 
 
 def test_selection_work_follows_the_pending_pairs(monkeypatch):
@@ -698,13 +784,20 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=8, rate=0.25,
                        epsilon_typ=0.45, trials=3, seed=0)
-    # selection, found and one code per codeword-row table for each
-    # (message, v1 sequence), plus one equivocation per trial; at n=8 with
-    # 1,024 pairs and 8 codewords the two halves of the summation tree are
-    # the tables
-    node_tables = len(_Tables(config).row_sums.nodes)
+    # an int32 selection, a bool found and one intp code per codeword-row
+    # table for each (message, v1 sequence), one equivocation per trial, the
+    # 8 codewords of 8 symbols with their bins and subbins, the decoder's
+    # eight 2-entry tables per codeword, and one posterior step: a gather
+    # budget each for its message rows (four of 256 pairs at 9 bytes fit),
+    # its tables and its gathers; at n=8 with 1,024 pairs and 8 codewords
+    # the two halves of the summation tree are the tables
+    tables = _Tables(config)
+    node_tables = len(tables.row_sums.nodes)
     assert node_tables == 2
-    need = config.m * 2 ** 8 * (8 + 1 + 8 * node_tables) + 8 * config.trials
+    assert simulator._codebook_size(config, tables.triplet.mi_uy) == 8
+    assert _row_cut(8, 2, 8, 8 * config.trials).entries == 8 * 2
+    need = (config.m * 2 ** 8 * (4 + 1 + 8 * node_tables) + 8 * config.trials
+            + 8 * 8 * (8 + 2 + 8 * 2) + 3 * simulator.GATHER_BYTES)
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need)
     run_experiment(config)                               # exactly at the budget
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need - 1)
@@ -721,7 +814,7 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
 
 def test_over_budget_simulation_exits_two_before_allocating(tmp_path, capsys):
     # n=16 at rate 0.75 gives 4096 messages over 65,536 state sequences:
-    # about 2 GiB of selection and 32 GiB of codes
+    # about 1 GiB of selection and 32 GiB of codes
     model, policy = trend_instance()
     (tmp_path / "model.json").write_text(json.dumps(model_to_dict(model)))
     (tmp_path / "policy.json").write_text(json.dumps(policy_to_dict(policy)))
@@ -791,17 +884,28 @@ def test_unbounded_trials_exit_two_before_allocating(tmp_path, capsys):
 
 
 def test_brute_force_posterior_builds_its_tables_once(monkeypatch):
+    # one table build and one encoder pick per (v1 sequence, message) serve
+    # every observation, and each row is the one-observation enumeration's
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=3, rate=0.4,
                        epsilon_typ=0.45, trials=1, seed=5)
     book = build_codebook(config)
-    built = []
+    z_rows = np.array([[0, 1, 0], [1, 1, 0]])
+    want = [validate.brute_force_posterior(book, config, z[None]) for z in z_rows]
+    built, picks = [], []
 
     class Counted(_Tables):
         def __init__(self, config):
             built.append(config)
             super().__init__(config)
 
+    def counted(*args):
+        picks.append(args[3])
+        return encode(*args)
+
+    encode = validate._encode
     monkeypatch.setattr(validate, "_Tables", Counted)
-    validate.brute_force_posterior(book, config, np.array([0, 1, 0]))
-    assert len(built) == 1
+    monkeypatch.setattr(validate, "_encode", counted)
+    got = validate.brute_force_posterior(book, config, z_rows)
+    assert len(built) == 1 and len(picks) == 2 ** 3 * book.bin_count
+    np.testing.assert_array_equal(got, np.concatenate(want))
