@@ -223,12 +223,10 @@ def _cmd_gaussian_scan(args: argparse.Namespace) -> int:
     alphas = gaussian.scan_alphas(settings["alpha_min"], settings["alpha_max"],
                                   settings["step"])
     uy, uv, uz = gaussian.mi_stack(params, alphas, ("y",), ("v1", "v2"), ("z",))
-    columns = (uy, uv, uz,
+    columns = (np.asarray(alphas), uy, uv, uz,
                gaussian._gap(uz, uv, "leakage", "mi_uz - mi_uv12"),
                gaussian._gap(uy, uv, "rate", "mi_uy - mi_uv12"),
                gaussian._gap(uy, uz, "rate cap", "mi_uy - mi_uz"))
-    rows = [(float(alpha), *values)
-            for alpha, *values in zip(alphas, *(c.tolist() for c in columns))]
 
     neg, pos = gaussian.leakage_roots(params)
     try:
@@ -237,9 +235,9 @@ def _cmd_gaussian_scan(args: argparse.Namespace) -> int:
         star = None
 
     out = _out_dir(args)
-    modelio.write_csv(os.path.join(out, "sweep.csv"),
-                      ("alpha", "mi_uy", "mi_uv12", "mi_uz", "deltaI", "R", "RZ"),
-                      rows)
+    modelio.write_columns_csv(os.path.join(out, "sweep.csv"),
+                              ("alpha", "mi_uy", "mi_uv12", "mi_uz", "deltaI", "R", "RZ"),
+                              (modelio.FLOAT_FMT,) * len(columns), columns)
     modelio.write_json(os.path.join(out, "scan_roots.json"), {
         "alpha_star": star, "alpha_root_neg": neg, "alpha_root_pos": pos,
     })

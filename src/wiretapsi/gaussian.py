@@ -3,18 +3,27 @@
 The transmit symbol x has power p; the main channel adds a state v1 (variance
 q1, known at the encoder) and noise of variance n1, the wiretap channel adds
 v2 (variance q2, hidden) and noise of variance n2.  The auxiliary variable is
-linear, u = x + alpha*v1, so every information quantity is a determinant
-ratio of the jointly Gaussian vector (u, v1, v2, y, z).
+linear, u = x + alpha*v1 (Costa's dirty-paper auxiliary).
 
-One oracle computes every mutual information.  _cov_stack assembles the
-covariances of a whole alpha stack, (N, 5, 5), and _oracle_pairs takes MI
-from their determinants, with rank reduction where a group is singular;
-det(u) is taken once for all groups, and a block that does not depend on
-alpha, such as (v1, v2), has its determinant and eigenspace taken once per
-stack.  This stack is authoritative: mi_stack feeds the scan rows, the
-region rate inversion, the leakage root walk and the validation scan, and
-joint_covariance, oracle_mi, r_alpha, rz_alpha and leakage are one-alpha
-views of it.
+One kernel computes every I(u; G).  Each group G the package asks for, (y),
+(z) or (v1, v2), does not depend on alpha, so
+
+    I(u; G) = 1/2 log2(var_u(alpha) / var(u | G)(alpha)),
+
+and both variances are quadratics in alpha: var_u from the covariance B of
+(x, v1), var(u | G) from its Schur complement K = B - C S+ C^T given G,
+where S+ inverts G's covariance on the positive eigenspace of its
+correlation matrix.  A _Kernel takes B and every K once per public call, so
+a duplicated or constant coordinate of G (rho = +-1, q = 0) drops out once;
+an alpha stack is then a few vector operations over all its groups at once.
+Every test is relative: a row whose var(u | G) is at most EIG_REL_TOL *
+var_u is +inf (u is determined by G, or the MI lies beyond what float64
+resolves, about 20 bits), and a row whose var_u vanishes against its own
+terms is 0.  mi_stack feeds the scan rows, the region rate inversion, the
+leakage root walk, leakage_curve and the validation scan, and r_alpha,
+rz_alpha and leakage are one-alpha views of it.  oracle_mi is the general
+path for any two groups of one covariance, by determinant ratios with rank
+reduction, and the second path the kernel is tested against.
 
 The leakage roots and the rate inversion are plain bisections, and one
 walk, _walk, serves both: each round predicts every open bracket's
@@ -24,18 +33,15 @@ each value only while its point is the plain walk's next midpoint.  Every
 root, knee and rate is the plain walk's, bit for bit, in a handful of
 stacks.
 
-leakage_curve is a checked fast path for long alpha grids: the same
-determinant arithmetic written as explicit 2x2/3x3 minors, tested against
-leakage.  The mi_uy/mi_uv12/mi_uz/alpha_star_closed_form functions carry
-the hand-derived closed forms exactly as written; they are the validation
-target the suite diffs against the oracle, and nothing else consumes them.
+The mi_uy/mi_uv12/mi_uz/alpha_star_closed_form functions carry the
+hand-derived closed forms exactly as written; they are the validation
+target the suite diffs against the kernel, and nothing else consumes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,12 +53,12 @@ AXES = ("u", "v1", "v2", "y", "z")
 
 LN2 = math.log(2.0)
 EIG_REL_TOL = 1e-12
-DET_SAFE_REL = 1e-9      # fast determinant path only when dets clear this
+DET_SAFE_REL = 1e-9      # oracle_mi's determinant-ratio path only when dets clear this
+PSD_FLOOR = -1e-9        # least eigenvalue a correlation matrix of (x, v1, v2) may have
 ROOT_ALPHA_CAP = 1e3
 ROOT_ALPHA_TOL = 1e-12
 RATE_BISECT_TOL = 1e-10
 POINT_CAP = 100_000      # refuse scans and region grids with more alphas or rows
-_TINY = np.finfo(float).tiny
 _VALUE_NOISE = 1e-14     # a walk's prediction trusts no value difference below this
 
 
@@ -132,6 +138,7 @@ def case2_params(p: float, q: float, n1: float, n2: float) -> GaussianWiretapPar
     return GaussianWiretapParams(p, q, q, n1, n2, 0.0, 0.0, 0.0)
 
 
+
 # Rows of the mixing matrix express each output in the independent-source
 # basis (x, v1, v2, eta1, eta2); entry [0, 1] is alpha.
 _MIX = np.array([
@@ -143,17 +150,16 @@ _MIX = np.array([
 ])
 
 
-def _cov_stack(params: GaussianWiretapParams, alphas) -> np.ndarray:
-    """Covariances of (u, v1, v2, y, z), one per alpha: an (N, 5, 5) stack
-    assembled by bilinearity, mix @ base @ mix.T, where the x/v1/v2 block of
-    base carries the correlations.  An entry that overflows raises
-    OverflowError; the public callers silence numpy's warning for it.
+def joint_covariance(params: GaussianWiretapParams, alpha: float) -> np.ndarray:
+    """Covariance of (u, v1, v2, y, z) at one alpha, assembled by bilinearity
+    as mix @ base @ mix.T, where the x/v1/v2 block of base carries the
+    correlations.  An entry that overflows raises OverflowError.
 
-    Every mix has determinant 1, so by Sylvester's law of inertia each
-    matrix is PSD exactly when base is: one eigvalsh of base, against
-    -1e-9 * max(1, its largest variance), decides the whole stack.
+    The mix has determinant 1, so by Sylvester's law of inertia the matrix
+    is PSD exactly when base is, and base is when the correlation matrix of
+    (x, v1, v2) is: a least eigenvalue below PSD_FLOOR raises
+    ValidationError, whatever the variances' scale.
     """
-    alphas = np.asarray(alphas, dtype=float)
     base = np.array([
         [params.p, params.c_xv1, params.c_xv2, 0.0, 0.0],
         [params.c_xv1, params.q1, params.c_v12, 0.0, 0.0],
@@ -161,20 +167,16 @@ def _cov_stack(params: GaussianWiretapParams, alphas) -> np.ndarray:
         [0.0, 0.0, 0.0, params.n1, 0.0],
         [0.0, 0.0, 0.0, 0.0, params.n2],
     ])
-    mix = _MIX[np.newaxis].repeat(alphas.size, axis=0)
-    mix[:, 0, 1] = alphas
-    cov = mix @ base @ mix.transpose(0, 2, 1)
+    mix = _MIX.copy()
+    mix[0, 1] = alpha
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = mix @ base @ mix.T
     if not np.isfinite(cov).all():
         raise OverflowError("covariance overflows")
-    if np.linalg.eigvalsh(base).min() < -1e-9 * max(1.0, base.diagonal().max()):
+    a, b, c = params.rho_xv1, params.rho_xv2, params.rho_v1v2
+    if np.linalg.eigvalsh(np.array([[1.0, a, b], [a, 1.0, c], [b, c, 1.0]]))[0] < PSD_FLOOR:
         raise ValidationError("assembled covariance is not PSD within tolerance")
-    return 0.5 * (cov + cov.transpose(0, 2, 1))
-
-
-def joint_covariance(params: GaussianWiretapParams, alpha: float) -> np.ndarray:
-    """Covariance of (u, v1, v2, y, z) at one alpha: a one-element _cov_stack."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _cov_stack(params, [alpha])[0]
+    return 0.5 * (cov + cov.T)
 
 
 def _indices(group: Sequence[str]) -> list[int]:
@@ -188,173 +190,126 @@ def _indices(group: Sequence[str]) -> list[int]:
     return out
 
 
-def _positive_eigenspace(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues, eigenvectors and rank of each matrix in a stack.
-
-    eigh sorts eigenvalues ascending, so the kept (positive) eigenspace of
-    rank r is the last r columns.  A block that is the same in every matrix
-    of the stack, such as (v1, v2) over an alpha stack, is decomposed once.
-    """
-    if len(block) > 1 and (block == block[:1]).all():
-        w, vec = np.linalg.eigh(block[0])
-        w, vec = (np.broadcast_to(m, (len(block),) + m.shape) for m in (w, vec))
-    else:
-        w, vec = np.linalg.eigh(block)
-    floor = EIG_REL_TOL * np.maximum(1.0, w[:, -1])
-    return w, vec, (w > floor[:, np.newaxis]).sum(axis=-1)
-
-
-def _reduced_mi(joint: np.ndarray, size_a: int) -> np.ndarray:
-    """MI in bits of each joint in a stack, after projecting both groups
-    onto their positive eigenspaces; +inf marks a singular reduced joint."""
-    size_b = joint.shape[1] - size_a
-    w_a, vec_a, rank_a = _positive_eigenspace(joint[:, :size_a, :size_a])
-    w_b, vec_b, rank_b = _positive_eigenspace(joint[:, size_a:, size_a:])
-    out = np.zeros(len(joint))
-    for ra, rb in set(zip(rank_a.tolist(), rank_b.tolist())):
-        if ra == 0 or rb == 0:
-            continue    # a constant group shares no information
-        sel = np.flatnonzero((rank_a == ra) & (rank_b == rb))
-        logdet = (np.log(w_a[sel, size_a - ra:]).sum(axis=-1)
-                  + np.log(w_b[sel, size_b - rb:]).sum(axis=-1))
-        basis_a = vec_a[sel, :, size_a - ra:]
-        trans = np.zeros((len(basis_a), size_a + size_b, ra + rb))
-        trans[:, :size_a, :ra] = basis_a
-        trans[:, size_a:, ra:] = vec_b[sel, :, size_b - rb:]
-        reduced = trans.transpose(0, 2, 1) @ joint[sel] @ trans
-        w = np.linalg.eigvalsh(0.5 * (reduced + reduced.transpose(0, 2, 1)))
-        singular = w[:, 0] <= EIG_REL_TOL * np.maximum(1.0, w[:, -1])
-        # Nonsingular rows have every eigenvalue above EIG_REL_TOL, so the
-        # floor changes only singular rows, whose logs are discarded.
-        logdet_j = np.log(np.maximum(w, _TINY)).sum(axis=-1)
-        out[sel] = np.where(singular, math.inf, _clamp_mi(0.5 * (logdet - logdet_j) / LN2))
-    return out
-
-
-def _logs(det: np.ndarray) -> np.ndarray:
-    """math.log of each positive determinant, NaN elsewhere (math.log, not
-    np.log: the two differ in the last bit on some inputs).  A determinant
-    that overflows raises OverflowError."""
-    dets = det.tolist()
-    if math.inf in dets:
-        raise OverflowError("covariance determinant overflows")
-    try:
-        return np.array(list(map(math.log, dets)))
-    except ValueError:      # a determinant <= 0
-        return np.array([math.log(d) if d > 0.0 else math.nan for d in dets])
-
-
-def _group_det(cov: np.ndarray, index: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """det of one group's block at every matrix of a stack, and its logs.
-    A block that is the same in every matrix, such as (v1, v2) or y over an
-    alpha stack, gives a single det, shape (1,), that broadcasts."""
-    block = cov.take(index, axis=1).take(index, axis=2)
-    if len(block) > 1 and (block == block[:1]).all():
-        block = block[:1]
-    det = np.linalg.det(block)
-    return det, _logs(det)
-
-
-def _powers(base: np.ndarray, k: int) -> tuple[np.ndarray, bool]:
-    """base ** k entry by entry with the C library's pow, as the one-alpha
-    algorithm raises its thresholds in Python floats (numpy's power may
-    round differently), with inf where the power overflows, and whether
-    any did."""
-    if k == 1:
-        return base, False
-    base = base.tolist()
-    try:
-        return np.array(list(map(math.pow, base, repeat(k)))), False
-    except OverflowError:
-        pass
-    out = []
-    for b in base:
-        try:
-            out.append(math.pow(b, k))
-        except OverflowError:
-            out.append(math.inf)
-    return np.array(out), True
-
-
-def _oracle_pairs(cov: np.ndarray, group_a: Sequence[str],
-                  groups_b: Sequence[Sequence[str]]) -> list[np.ndarray]:
-    """I(group_a; group_b) in bits for each covariance of an (N, 5, 5)
-    stack, one array per group_b.
+def oracle_mi(cov: np.ndarray, group_a: Sequence[str], group_b: Sequence[str]) -> float:
+    """MI in bits between two disjoint groups of one covariance of
+    (u, v1, v2, y, z); +inf marks a singular joint.
 
     Where the determinants of both groups and of their union clear
     DET_SAFE_REL * scale per dimension, MI is a determinant ratio.
-    Elsewhere rank-deficient marginals (a constant or a duplicated
-    coordinate) are projected onto their positive eigenspace first, so
-    quantities like I(u; v1, v2) stay finite when v2 is a deterministic copy
-    of v1; +inf marks a singular joint.  The thresholds are powers taken in
-    Python floats and the logs are math.log, row by row, as the one-alpha
-    algorithm takes them; the tests and the ratio are numpy's IEEE
-    arithmetic in the same order.  group_a's determinant is taken once for
-    all groups.  A determinant that overflows raises OverflowError; the
-    public callers silence numpy's warning for it, and LAPACK's for the zero
-    pivot of a singular block.
+    Elsewhere each group is projected onto its positive eigenspace first,
+    so I(u; v1, v2) stays finite when v2 is a deterministic copy of v1.  A
+    determinant or threshold that overflows raises OverflowError.
     """
-    ia = _indices(group_a)
-    ibs = [_indices(group_b) for group_b in groups_b]
-    if any(set(ia) & set(ib) for ib in ibs):
+    ia, ib = _indices(group_a), _indices(group_b)
+    if set(ia) & set(ib):
         raise UsageError("groups must be disjoint")
-    if not ia:
-        return [np.zeros(len(cov)) for _ in ibs]
-    ka = len(ia)
-    det_a, log_a = _group_det(cov, ia)
-    out = []
-    for ib in ibs:
-        if not ib:
-            out.append(np.zeros(len(cov)))
-            continue
-        kb = len(ib)
-        det_b, log_b = _group_det(cov, ib)
-        joint = cov.take(ia + ib, axis=1).take(ia + ib, axis=2)
-        det_j = np.linalg.det(joint)
-        # -inf (a negative det) takes the eigen-reduction below like any other
-        log_j = _logs(det_j)
-        safe = DET_SAFE_REL * np.maximum(1.0, joint.diagonal(0, 1, 2).max(axis=1))
-        (bound_a, over_a), (bound_b, over_b), (bound_j, over_j) = (
-            _powers(safe, k) for k in (ka, kb, ka + kb))
-        pass_a, pass_b = det_a > bound_a, det_b > bound_b
-        # the one-alpha test raises the bounds in turn, and raises where a
-        # bound it reaches overflows
-        if (over_a or over_b or over_j) and (
-                (bound_a == math.inf) | pass_a & ((bound_b == math.inf)
-                                                  | pass_b & (bound_j == math.inf))).any():
-            raise OverflowError("determinant threshold overflows")
-        fast = pass_a & pass_b & (det_j > bound_j)
-        # rows off the fast path are all overwritten below
-        values = _clamp_mi(0.5 * (log_a + log_b - log_j) / LN2)
-        if not fast.all():
-            slow = np.flatnonzero(~fast)
-            values[slow] = _reduced_mi(joint.take(slow, axis=0), ka)
-        out.append(values)
-    return out
+    if not ia or not ib:
+        return 0.0
+    joint = cov[np.ix_(ia + ib, ia + ib)]
+    blocks = (joint[:len(ia), :len(ia)], joint[len(ia):, len(ia):], joint)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        dets = [float(np.linalg.det(block)) for block in blocks]
+    if math.inf in dets:
+        raise OverflowError("covariance determinant overflows")
+    safe = DET_SAFE_REL * max(1.0, float(joint.diagonal().max()))
+    if all(det > safe ** len(block) for det, block in zip(dets, blocks)):
+        return _clamp_mi(0.5 * (math.log(dets[0]) + math.log(dets[1])
+                                - math.log(dets[2])) / LN2)
+
+    def reduce(block):
+        w, vec = np.linalg.eigh(block)
+        keep = w > EIG_REL_TOL * max(1.0, float(w.max(initial=0.0)))
+        return vec[:, keep], float(np.log(w[keep]).sum())
+
+    (basis_a, logdet_a), (basis_b, logdet_b) = reduce(blocks[0]), reduce(blocks[1])
+    ra, rb = basis_a.shape[1], basis_b.shape[1]
+    if ra == 0 or rb == 0:
+        return 0.0      # a constant group shares no information
+    trans = np.zeros((len(joint), ra + rb))
+    trans[:len(ia), :ra] = basis_a
+    trans[len(ia):, ra:] = basis_b
+    reduced = trans.T @ joint @ trans
+    w = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
+    if float(w.min()) <= EIG_REL_TOL * max(1.0, float(w.max())):
+        return math.inf
+    return _clamp_mi(0.5 * (logdet_a + logdet_b - float(np.log(w).sum())) / LN2)
 
 
-def oracle_mi(cov: np.ndarray, group_a: Sequence[str], group_b: Sequence[str]) -> float:
-    """MI in bits from determinant ratios; +inf marks a singular joint.
+def _quadratic(m: np.ndarray) -> tuple[float, float, float]:
+    """Coefficients of [1, alpha] m [1, alpha]^T for a symmetric 2x2 m."""
+    return float(m[0, 0]), 2.0 * float(m[0, 1]), float(m[1, 1])
 
-    A one-matrix, one-group _oracle_pairs: rank-deficient marginals are
-    projected onto their positive eigenspace, so I(u; v1, v2) stays finite
-    when v2 is a deterministic copy of v1.
+
+def _explained(cov: np.ndarray, index: list[int]) -> np.ndarray:
+    """C S+ C^T: the covariance of (x, v1) that the group at index explains,
+    with cov the covariance of (x, v1, v2, y, z).  S+ inverts the group's
+    covariance on the positive eigenspace of its correlation matrix, so a
+    constant coordinate, or one that duplicates another, drops out."""
+    index = [i for i in index if cov[i, i] > 0.0]
+    sd = np.sqrt(cov.diagonal()[index])
+    w, vec = np.linalg.eigh(cov[index][:, index] / sd / sd[:, np.newaxis])
+    keep = w > EIG_REL_TOL * w.max(initial=0.0)
+    proj = (cov[:2, index] / sd) @ vec[:, keep]
+    return (proj / w[keep]) @ proj.T
+
+
+class _Kernel:
+    """The constants of I(u; G) for alpha-free groups G, taken once per
+    public call and kept no longer.
+
+    var_u and var(u | G) are quadratics c0 + alpha*(c1 + alpha*c2): var_u's
+    from B, the covariance of (x, v1), and each group's from its Schur
+    complement B - C S+ C^T (_explained).  Building one raises what
+    joint_covariance raises, and UsageError for a group that is not a set of
+    axes other than u.
     """
-    with np.errstate(over="ignore", divide="ignore"):
-        return float(_oracle_pairs(cov[np.newaxis], group_a, [group_b])[0][0])
+
+    __slots__ = ("var_u", "conditional")
+
+    def __init__(self, params: GaussianWiretapParams, groups: Sequence[Sequence[str]]):
+        cov = joint_covariance(params, 0.0)     # of (x, v1, v2, y, z): u = x at alpha 0
+        self.var_u = _quadratic(cov[:2, :2])
+        self.conditional = {}
+        for group in groups:
+            index = _indices(group)
+            if 0 in index:
+                raise UsageError("groups must be disjoint")
+            self.conditional[tuple(group)] = _quadratic(cov[:2, :2] - _explained(cov, index))
+
+    def __call__(self, alphas, groups: Sequence[Sequence[str]]) -> list[np.ndarray]:
+        alphas = np.asarray(alphas, dtype=float)
+        u0, u1, u2 = self.var_u
+        var_u = u0 + alphas * (u1 + alphas * u2)
+        if not np.isfinite(var_u).all():
+            raise OverflowError("covariance overflows")
+        # each coefficient as a column, one row per group
+        k0, k1, k2 = np.reshape([self.conditional[tuple(group)] for group in groups],
+                                (-1, 3)).T[:, :, np.newaxis]
+        var_c = k0 + alphas * (k1 + alphas * k2)
+        # +inf where u is determined by the group, or the MI is past what
+        # float64 resolves; 0 where var_u vanishes against its own terms
+        values = np.where(var_c > EIG_REL_TOL * var_u,
+                          _clamp_mi(0.5 * np.log2(var_u / var_c)), math.inf)
+        values[:, var_u <= EIG_REL_TOL * (u0 + alphas * alphas * u2)] = 0.0
+        return list(values)
 
 
 def mi_stack(params: GaussianWiretapParams, alphas,
              *groups: Sequence[str]) -> list[np.ndarray]:
-    """I(u; group) in bits at every alpha, one array per group, all from
-    one covariance stack."""
+    """I(u; group) in bits at every alpha, one array per group.
+
+    params are the parameters, or the _Kernel a public call built from them
+    for these groups.  +inf marks a point where u is determined by the group
+    (or the MI exceeds what float64 resolves), 0 one where u is constant.
+    A var_u that overflows raises OverflowError.
+    """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        cov = _cov_stack(params, alphas)
-        return _oracle_pairs(cov, ("u",), groups)
+        kernel = params if isinstance(params, _Kernel) else _Kernel(params, groups)
+        return kernel(alphas, groups)
 
 
 # --- hand-derived closed forms, kept exactly as written ------------------
-# These are an isolated code path for agreement testing against oracle_mi;
+# These are an isolated code path for agreement testing against the kernel;
 # nothing downstream consumes them.
 
 def _half_log2(numerator: float, denominator: float, expression: str) -> float:
@@ -415,7 +370,8 @@ def alpha_star_closed_form(params: GaussianWiretapParams) -> float:
     return -numerator / denominator
 
 
-# --- oracle-backed quantities ---------------------------------------------
+# --- kernel-backed quantities ---------------------------------------------
+# Each takes the parameters, or the _Kernel its caller built from them.
 
 def _mi_at(params: GaussianWiretapParams, alpha: float,
            *groups: Sequence[str]) -> list[float]:
@@ -476,55 +432,23 @@ def alpha_star(params: GaussianWiretapParams) -> float:
 
 
 def leakage_curve(params: GaussianWiretapParams, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized leakage over an alpha grid.
-
-    Same determinant arithmetic as the oracle path, written with explicit
-    2x2/3x3 minors so sweeps stay cheap; rank-deficient state blocks are
-    resolved structurally (q=0 or |rho_v1v2|=1) instead of eigendecomposed.
-    """
-    alphas = np.asarray(alphas, dtype=float)
-    p, q1, q2 = params.p, params.q1, params.q2
-    c1, c2, c3 = params.c_xv1, params.c_xv2, params.c_v12
-    vu = p + alphas * alphas * q1 + 2.0 * alphas * c1
-    vz = params.var_z
-    cuz = (p + c2) + alphas * (c1 + c3)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        den_uz = vu * vz - cuz * cuz
-        mi_z = np.where(den_uz > 0, 0.5 * np.log2(vu * vz / den_uz), np.inf)
-
-        if q1 == 0.0 and q2 == 0.0:
-            mi_v = np.zeros_like(alphas)
-        elif q2 == 0.0 or abs(params.rho_v1v2) == 1.0 or q1 == 0.0:
-            # (v1, v2) spans one dimension; pick the nondegenerate one.
-            if q1 > 0:
-                qs, cus = q1, c1 + alphas * q1
-            else:
-                qs, cus = q2, np.full_like(alphas, c2)
-            den_uv = vu * qs - cus * cus
-            mi_v = np.where(den_uv > 0, 0.5 * np.log2(vu * qs / den_uv), np.inf)
-        else:
-            det_states = q1 * q2 * (1.0 - params.rho_v1v2 ** 2)
-            cuv1 = c1 + alphas * q1
-            cuv2 = c2 + alphas * c3
-            det3 = (vu * det_states - cuv1 * (cuv1 * q2 - cuv2 * c3)
-                    + cuv2 * (cuv1 * c3 - cuv2 * q1))
-            mi_v = np.where(det3 > 0, 0.5 * np.log2(vu * det_states / det3), np.inf)
-
-        out = mi_z - mi_v
-    out[vu <= EIG_REL_TOL * max(1.0, p)] = 0.0
-    return out
+    """Leakage I(u;z) - I(u;v1,v2) over an alpha grid, from one stack; NaN
+    where both terms diverge, where leakage would raise."""
+    uz, uv = mi_stack(params, alphas, ("z",), ("v1", "v2"))
+    with np.errstate(invalid="ignore"):
+        return uz - uv
 
 
-def _gaps(params: GaussianWiretapParams, alphas: list[float],
+def _gaps(kernel: _Kernel, alphas: list[float],
           first: Sequence[str], second: Sequence[str]) -> list[float]:
     """I(u; first) - I(u; second) at every alpha from one stack, NaN where
     the stack cannot value a point: where both terms diverge, and at every
-    point when the stack raises.  A walk revalues a NaN alone, and only if
-    it visits the point, so a point it never visits cannot raise."""
+    point when the stack raises (var_u overflows at one of them).  A walk
+    revalues a NaN alone, and only if it visits the point, so a point it
+    never visits cannot raise."""
     try:
-        a, b = mi_stack(params, alphas, first, second)
-    except (ValidationError, ArithmeticError, np.linalg.LinAlgError):
+        a, b = mi_stack(kernel, alphas, first, second)
+    except ArithmeticError:
         return [math.nan] * len(alphas)
     with np.errstate(invalid="ignore"):
         return (a - b).tolist()
@@ -648,18 +572,19 @@ def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optio
     whole ladder of both sides is valued in one stack, and both sides then
     bisect in _walk, a predicted path per side per stack.  Only a point the
     walk visits is revalued alone when its stack reads NaN, so only a
-    visited point raises.
+    visited point raises.  Every stack shares one _Kernel.
     """
     try:
         star = alpha_star(params)
     except DegenerateGeometryError:
         return None, None
+    kernel = _Kernel(params, (("z",), ("v1", "v2")))
 
     def gaps(points: list[float]) -> list[float]:
-        return _gaps(params, points, ("z",), ("v1", "v2"))
+        return _gaps(kernel, points, ("z",), ("v1", "v2"))
 
     def visit(value: float, alpha: float) -> float:
-        return leakage(params, alpha) if math.isnan(value) else value
+        return leakage(kernel, alpha) if math.isnan(value) else value
 
     ladders = []
     for direction in (-1.0, 1.0):
@@ -755,7 +680,7 @@ def case2_thresholds(q: float, n1: float, n2: float) -> tuple[float, float]:
     return p3, p4
 
 
-def _solve_alphas_for_rates(params: GaussianWiretapParams, alpha_top: float,
+def _solve_alphas_for_rates(kernel: _Kernel, alpha_top: float,
                             targets: Sequence[float]) -> list[float]:
     """Invert R(alpha) = target on the increasing segment alpha <= alpha_top.
 
@@ -769,10 +694,10 @@ def _solve_alphas_for_rates(params: GaussianWiretapParams, alpha_top: float,
     never raises.
     """
     def gaps(points: list[float]) -> list[float]:
-        return _gaps(params, points, ("y",), ("v1", "v2"))
+        return _gaps(kernel, points, ("y",), ("v1", "v2"))
 
     def visit(value: float, alpha: float) -> float:
-        return r_alpha(params, alpha) if math.isnan(value) else value
+        return r_alpha(kernel, alpha) if math.isnan(value) else value
 
     goal = [float(target) for target in targets]
     step = 1.0
@@ -827,15 +752,22 @@ def _region(case_id: str, params: GaussianWiretapParams, p: float, n1: float,
             knee_alpha = root_pos
         else:
             knee_alpha = 1.0
-        knee_rate = r_alpha(params, knee_alpha)
-        knee_cap = knee_rate if regime == "mid" else rz_alpha(params, knee_alpha)
+        kernel = _Kernel(params, (("y",), ("v1", "v2"), ("z",)))
+        knee_rate = r_alpha(kernel, knee_alpha)
+        knee_cap = knee_rate if regime == "mid" else rz_alpha(kernel, knee_alpha)
         caps = [knee_cap] * len(rates)
         above = [k for k, rate in enumerate(rates) if not rate <= knee_rate + 1e-12]
         if above:
-            alphas = _solve_alphas_for_rates(params, alpha_top, [rates[k] for k in above])
-            uy, uz = mi_stack(params, alphas, ("y",), ("z",))
+            alphas = _solve_alphas_for_rates(kernel, alpha_top, [rates[k] for k in above])
+            uy, uz = mi_stack(kernel, alphas, ("y",), ("z",))
             for k, cap in zip(above, _gap(uy, uz, "rate cap", "mi_uy - mi_uz").tolist()):
                 caps[k] = cap
+        # every mutual information of a region is finite, so an infinite
+        # rate marks one beyond what float64 resolves, not a cap to clip
+        if not (math.isfinite(knee_rate) and all(map(math.isfinite, caps))):
+            raise DegenerateGeometryError(
+                "rate cap is unresolved: a mutual information exceeds what float64 resolves",
+                expression="mi_uy - mi_uz")
 
     boundary = tuple((rate, min(max(cap, 0.0), c_m)) for rate, cap in zip(rates, caps))
     return CaseRegion(case_id, thresholds, regime, boundary, c_m)

@@ -219,12 +219,19 @@ def write_json(path: str, obj: Any) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_region_csv(path: str, region: RegionPointSet) -> None:
-    """region.csv from the region's columns, BLOCK_ROWS rows at a time."""
-    columns = (region.r, region.d, region.policy_id)
+def write_columns_csv(path: str, header: Sequence[str], formats: Sequence[str],
+                      columns: Sequence[np.ndarray]) -> None:
+    """A CSV of equal-length numpy columns under header, through the one
+    block writer, BLOCK_ROWS rows at a time; formats[i] for column i."""
     blocks = (zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns))
-              for start in range(0, len(region.r), BLOCK_ROWS))
-    _write_blocks(path, ("R", "d", "policy_id"), (FLOAT_FMT, FLOAT_FMT, "%d"), blocks)
+              for start in range(0, len(columns[0]), BLOCK_ROWS))
+    _write_blocks(path, header, formats, blocks)
+
+
+def write_region_csv(path: str, region: RegionPointSet) -> None:
+    """region.csv from the region's columns."""
+    write_columns_csv(path, ("R", "d", "policy_id"), (FLOAT_FMT, FLOAT_FMT, "%d"),
+                      (region.r, region.d, region.policy_id))
 
 
 def dump_codebook_text(path: str, codebook, rate: float) -> None:

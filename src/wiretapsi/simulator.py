@@ -19,7 +19,8 @@ per trial.  Beside them, one posterior step: its message rows of S pairs,
 GATHER_BYTES of them or one row past that, and GATHER_BYTES each for its
 tables and its gathers.  It is checked before anything is allocated; a run
 over it is refused with a UsageError.  Every other step, trials included,
-works in about GATHER_BYTES, so none outgrows the posterior's.
+works in about GATHER_BYTES, so none outgrows the posterior's; a selection
+step gathers one state's m pairs at least, and the charge covers that too.
 
 Every sequence score is an exact sum of n per-coordinate log-probabilities,
 taken through the node tables of nodesums, bit for bit numpy's .sum.  Every
@@ -342,6 +343,12 @@ def _decoder(tables: _Tables, codebook: Codebook, config: SimConfig):
     return decodes
 
 
+def _gather_score_bytes(sums: _NodeSums) -> int:
+    """Bytes of one gathered (pair, rank) score of the selection: the sums'
+    buffers (or _typical's three floats), its pick and a mask."""
+    return 8 * (max(sums.buffers, 3) + 1) + 2
+
+
 def _check_enumeration(tables: _Tables) -> int:
     """Refuse, before any large allocation, a run whose state enumeration
     breaks the 2^20 cap or whose arrays, as the module docstring lists
@@ -356,12 +363,15 @@ def _check_enumeration(tables: _Tables) -> int:
     # table, (G, m, S); one float equivocation per trial; and one posterior
     # step: its message rows of S pairs, GATHER_BYTES of them or one row
     # past that, beside GATHER_BYTES each for its tables and its gathers.
-    # The selection's own whole arrays, at most 9 bytes a pair (the picks
-    # in both orders and found), are freed before the codes.
+    # A selection step gathers one state's m pairs at least.  The
+    # selection's own whole arrays, at most 9 bytes a pair (the picks in
+    # both orders and found), are freed before the codes.
     states = config.model.card_v1 ** config.n
     cells = config.m * states
+    step = max(_ROW_PAIR_BYTES * states, GATHER_BYTES,
+               _gather_score_bytes(tables.row_sums) * config.m)
     need = (cells * (4 + 1 + 8 * len(tables.row_sums.nodes)) + 8 * config.trials
-            + max(_ROW_PAIR_BYTES * states, GATHER_BYTES) + 2 * GATHER_BYTES)
+            + step + 2 * GATHER_BYTES)
     # the codebook's K sequences with their bins and subbins, and the
     # decoder's tables, one row per codeword; a codebook past its cap is
     # refused when it is drawn
@@ -474,10 +484,9 @@ def _first_typical(tables: _Tables, codebook: Codebook, config: SimConfig,
     fallback = _fallback_codeword(codebook)
     pick = np.full((m, count), fallback, dtype=np.int32)     # in the digit order
     pending = np.ones((m, count), dtype=bool)
-    # a gathered score holds the sums' buffers (or _typical's three floats),
-    # its pick and a mask; a whole cell's pair its sum, the outer sum's last
-    # factor, a copy of its pick and two masks
-    score = 8 * (max(sums.buffers, 3) + 1) + 2
+    score = _gather_score_bytes(sums)
+    # a whole cell's pair holds its sum, the outer sum's last factor, a copy
+    # of its pick and two masks
     width = 1
     while width < count and m * width * card * (3 * 8 + 2) <= GATHER_BYTES:
         width *= card
@@ -513,7 +522,7 @@ def _first_typical(tables: _Tables, codebook: Codebook, config: SimConfig,
                 pick[cells], pending[cells] = cell_pick, cell_pending
         ranks = 1 if whole.any() else min(depth - rank,
                                           max(1, GATHER_BYTES // (score * loose.size)))
-        step = max(1, GATHER_BYTES // (score * ranks))
+        step = max(m, GATHER_BYTES // (score * ranks))      # one state's pairs at least
         keep = np.ones(loose.size, dtype=bool)
         for lo in range(0, loose.size, step):
             pair = loose[lo:lo + step]

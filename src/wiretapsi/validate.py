@@ -1,9 +1,9 @@
 """Built-in cross-check suites.
 
 Three families: the hand-derived Gaussian closed forms against the
-covariance determinant oracle (disagreements become discrepancy records,
-never silent preferences), threshold arithmetic and ordering, and the
-simulator's posterior against a hand-rolled full enumeration.
+covariance kernel's mutual informations (disagreements become discrepancy
+records, never silent preferences), threshold arithmetic and ordering, and
+the simulator's posterior against a hand-rolled full enumeration.
 """
 
 from __future__ import annotations

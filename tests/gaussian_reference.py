@@ -1,11 +1,15 @@
-"""The Gaussian oracle walked one alpha at a time.
+"""The Gaussian layer walked one alpha at a time.
 
-These references compute every quantity with scalar arithmetic, one
-covariance per alpha, as the toolkit did before it evaluated alpha stacks.
-The tests require the stacked code to reproduce them bit for bit, errors
-included.  Like the stack, they raise OverflowError where a covariance entry
-or a determinant overflows, and DegenerateGeometryError where a leakage,
-rate or rate cap is indeterminate because both of its terms diverge.
+reference_covariance_scalar and reference_oracle_mi are the determinant
+oracle with scalar arithmetic, one covariance per alpha; the tests hold the
+kernel's values to it at a stated tolerance.
+
+The walks below (roots, rate inversion, scan, region) are the plain ones,
+one alpha per value.  They take each value from the kernel at that one
+alpha, so the tests require the stacked walks to reproduce them bit for
+bit, errors included: they raise OverflowError where var_u overflows, and
+DegenerateGeometryError where a leakage, rate or rate cap is indeterminate
+because both of its terms diverge.
 """
 
 import math
@@ -22,7 +26,7 @@ from wiretapsi import (
     case2_thresholds,
     main_capacity,
 )
-from wiretapsi.gaussian import POINT_CAP, _gap, case1_params, case2_params
+from wiretapsi.gaussian import POINT_CAP, _gap, case1_params, case2_params, mi_stack
 
 AXES = ("u", "v1", "v2", "y", "z")
 
@@ -90,8 +94,8 @@ def reference_oracle_mi(cov, group_a, group_b):
 
 
 def reference_mis(params, alpha, *groups):
-    cov = reference_covariance_scalar(params, alpha)
-    return [reference_oracle_mi(cov, ("u",), group) for group in groups]
+    """The kernel's values at one alpha: a one-element stack."""
+    return [float(values[0]) for values in mi_stack(params, [alpha], *groups)]
 
 
 def reference_leakage(params, alpha):
@@ -224,4 +228,6 @@ def reference_region(case, p, q, n1, n2, grid_size):
             cap = reference_rz_alpha(
                 params, reference_solve_alpha_for_rate(params, alpha_top, rate))
         boundary.append((rate, min(max(cap, 0.0), c_m)))
+        if regime != "low" and not (math.isfinite(knee_rate) and math.isfinite(cap)):
+            raise DegenerateGeometryError("rate cap is unresolved")
     return thresholds, regime, tuple(boundary), c_m

@@ -354,12 +354,13 @@ def test_argparse_usage_failure():
     ["gaussian-scan", "--q1", "1e300"],                    # determinant overflow
     ["gaussian-scan", "--alpha-min", "1e300", "--alpha-max", "1e300"],   # covariance overflow
     ["gaussian-region", "--n1", "1e-300", "--p", "1e9"],   # p / n1 overflows
-    ["gaussian-region", "--case", "2", "--p", "1e50"],     # knee rate is inf - inf
+    ["gaussian-region", "--case", "2", "--p", "1e50"],     # knee rate cap is inf - inf
     ["gaussian-region", "--p", "1e16", "--q", "1e6"],      # knee rate cap is inf - inf
-    # a rate on the inversion's bracket ladder or bisection is inf - inf
+    # the knee rate's I(u; y), 26 bits, is beyond what float64 resolves
     ["gaussian-region", "--p", "56234132.5", "--q", "1e-6", "--n1", "1e-8"],
-    # both terms of deltaI diverge on every row
-    ["gaussian-scan", "--step", "0.25", "--q1", "1e150", "--n1", "1e150", "--rho-xv2", "-1"],
+    # x, v1 and v2 are copies and n2 = 1e-20: both terms of deltaI diverge
+    ["gaussian-scan", "--step", "0.25", "--rho-xv1", "1", "--rho-xv2", "1",
+     "--rho-v1v2", "1", "--n2", "1e-20"],
 ])
 def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     with warnings.catch_warnings():
@@ -370,10 +371,45 @@ def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("noise", ["1e8", "1e12", "1e16"])
+def test_gaussian_scan_resolves_large_noise(tmp_path, noise):
+    # a large but well-conditioned noise is not rank loss: I(u; y) and
+    # I(u; z) stay finite and match their closed forms
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["gaussian-scan", "--step", "0.25", "--n1", noise, "--n2", noise,
+                     "--rho-v1v2", "0.5", "--out", str(out)]) == 0
+    params = GaussianWiretapParams(1.0, 1.0, 1.0, float(noise), float(noise), 0.0, 0.0, 0.5)
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 17
+    for row in rows:
+        cells = dict(zip(header.split(","), map(float, row.split(","))))
+        assert not any(math.isnan(v) for v in cells.values())
+        for name, closed in (("mi_uy", gaussian.mi_uy), ("mi_uz", gaussian.mi_uz)):
+            want = closed(params, cells["alpha"])
+            assert math.isfinite(cells[name]) and cells[name] >= 0.0
+            assert abs(cells[name] - want) <= 1e-14 + 1e-11 * want
+
+
+def test_gaussian_scan_with_a_pure_noise_wiretap_exits_zero(tmp_path):
+    # x = -v2 leaves z = eta2 alone: I(u; z) = 0, u = -v2 + alpha*v1 is
+    # determined by (v1, v2), and with q1 = n1 = 1e150 I(u; y) is 1/2 bit
+    # wherever alpha != 0, so no difference is inf - inf
+    out = tmp_path / "o"
+    assert main(["gaussian-scan", "--step", "0.25", "--q1", "1e150", "--n1", "1e150",
+                 "--rho-xv2", "-1", "--out", str(out)]) == 0
+    header, *rows = (out / "sweep.csv").read_text().splitlines()
+    for row in rows:
+        cells = dict(zip(header.split(","), map(float, row.split(","))))
+        assert cells["mi_uz"] == 0.0 and cells["mi_uv12"] == math.inf
+        assert cells["mi_uy"] == pytest.approx(0.0 if cells["alpha"] == 0.0 else 0.5, abs=1e-12)
+
+
 def test_gaussian_scan_refuses_a_correlation_matrix_below_the_psd_floor(tmp_path, capsys):
     # the determinant, -8.1e-13, passes GaussianWiretapParams' test; the
     # correlation matrix's least eigenvalue, about -3e-7, fails the one PSD
-    # test of each covariance stack, which _cov_stack takes on its base
+    # test that joint_covariance takes on it
     rho = {"rho_xv1": 1.0, "rho_xv2": 1.0, "rho_v1v2": 0.9999991}
     params = GaussianWiretapParams(p=1.0, q1=1.0, q2=1.0, n1=1.0, n2=1.0, **rho)
     assert -1e-12 < params.correlation_determinant < 0.0

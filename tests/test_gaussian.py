@@ -27,9 +27,9 @@ from wiretapsi import (
     rz_alpha,
 )
 from wiretapsi import gaussian
+from wiretapsi.clamp import MI_CLAMP
 from wiretapsi.gaussian import (
-    _cov_stack,
-    _oracle_pairs,
+    EIG_REL_TOL,
     _region,
     case1_params,
     case2_params,
@@ -315,6 +315,13 @@ def test_region_high_regime_knee_segment():
     assert region.boundary[-1][1] == pytest.approx(top_cap, abs=1e-4)
 
 
+def test_region_refuses_a_cap_past_float64s_resolution():
+    # at p = 1e13 and n1 = 1, I(u; y) at the knee is 21.6 bits, past what
+    # the kernel resolves; an infinite knee cap must not be clipped to c_m
+    with pytest.raises(DegenerateGeometryError, match="unresolved"):
+        case1_region(1e13, 1.0, 1.0, 1e6, grid_size=4)
+
+
 def test_region_cap_continuity_at_low_mid_threshold():
     # approaching the first threshold from above, the knee cap meets c_m
     q = n1 = n2 = 1.0
@@ -388,9 +395,12 @@ def test_rate_decomposition_identity(params, alpha):
     assert r - rz == pytest.approx(lk, abs=1e-9)
 
 
-# --- the stacked oracle against the one-alpha algorithms ---------------------
-# The references in gaussian_reference walk one alpha at a time with scalar
-# arithmetic; the stacks must reproduce them bit for bit.
+# --- the kernel against the determinant oracle ------------------------------
+# gaussian_reference's determinant oracle takes one covariance at a time with
+# scalar arithmetic; the one-matrix path must reproduce it bit for bit, and
+# the kernel must agree with it within KERNEL_TOL.  The reference walks take
+# their values from the kernel at one alpha, so the stacked walks must
+# reproduce them bit for bit.
 
 STACK_PARAMS = {
     "regular": GENERIC,
@@ -404,46 +414,109 @@ STACK_PARAMS = {
 }
 ORACLE_GROUPS = ((("u",), ("y",)), (("u",), ("v1", "v2")), (("u",), ("z",)),
                  (("u", "y"), ("v1", "z")), (("v1",), ("v2",)))
+KERNEL_GROUPS = (("y",), ("v1", "v2"), ("z",))
+# alpha = 1 makes u = x + v1 constant on the x_is_v1 parameters
+STACK_ALPHAS = np.linspace(-3.0, 3.0, 41).tolist() + [1.0, 0.0, -0.0, 1e3, -1e3]
+# Both paths lose a factor var_u / var(u | G) = 2^(2I) of float64's
+# resolution to cancellation: the kernel in var(u | G), the oracle in its
+# joint determinant.  The worst gap on STACK_PARAMS is 8.9e-11 bits, on
+# (v1, v2) at alpha = 1e3, where the two lie 6.6e-11 and 4.1e-11 bits from
+# the exact value on either side; for |alpha| <= 3 it is 1.8e-15.
+KERNEL_TOL = 1e-9
+# The least MI the kernel reports as +inf: var(u | G) <= EIG_REL_TOL * var_u.
+RESOLVED_BITS = 0.5 * math.log2(1.0 / EIG_REL_TOL)
+
+
+def _kind(value):
+    """zero (within the clamp), beyond (what float64 resolves) or finite."""
+    if value <= MI_CLAMP:
+        return "zero"
+    return "beyond" if value >= RESOLVED_BITS else "finite"
 
 
 @pytest.mark.parametrize("name", sorted(STACK_PARAMS))
-def test_stacked_oracle_is_bit_identical_to_one_alpha_path(name):
+def test_one_matrix_oracle_is_bit_identical_to_the_reference(name):
     params = STACK_PARAMS[name]
-    # alpha = 1 makes u = x + v1 constant on the x_is_v1 parameters
-    alphas = np.linspace(-3.0, 3.0, 41).tolist() + [1.0, 0.0, -0.0, 1e3, -1e3]
-    stack = _cov_stack(params, alphas)
-    for k, alpha in enumerate(alphas):
-        expected = reference_covariance_scalar(params, alpha)
-        assert np.array_equal(stack[k], expected)
-        assert np.array_equal(joint_covariance(params, alpha), expected)
-    for group_a, group_b in ORACLE_GROUPS:
-        expected = [reference_oracle_mi(c, group_a, group_b) for c in stack]
-        assert _oracle_pairs(stack, group_a, [group_b])[0].tolist() == expected
-        assert [oracle_mi(c, group_a, group_b) for c in stack] == expected
+    for alpha in STACK_ALPHAS:
+        cov = joint_covariance(params, alpha)
+        assert np.array_equal(cov, reference_covariance_scalar(params, alpha))
+        for group_a, group_b in ORACLE_GROUPS:
+            assert oracle_mi(cov, group_a, group_b) == reference_oracle_mi(cov, group_a, group_b)
 
 
-def test_stacked_oracle_takes_logs_like_the_one_alpha_path():
-    # np.log and math.log differ in the last bit on about 1 input in 1000;
-    # a dense stack finds such inputs on the determinant-ratio path
+@pytest.mark.parametrize("name", sorted(STACK_PARAMS))
+def test_kernel_agrees_with_the_determinant_oracle(name):
+    params = STACK_PARAMS[name]
+    stack = mi_stack(params, STACK_ALPHAS, *KERNEL_GROUPS)
+    for k, alpha in enumerate(STACK_ALPHAS):
+        cov = reference_covariance_scalar(params, alpha)
+        for group, values in zip(KERNEL_GROUPS, stack):
+            got, want = float(values[k]), reference_oracle_mi(cov, ("u",), group)
+            assert _kind(got) == _kind(want), (group, alpha, got, want)
+            if _kind(want) == "finite":
+                assert abs(got - want) <= KERNEL_TOL, (group, alpha, got, want)
+
+
+def test_kernel_values_do_not_depend_on_the_stack():
+    # the walks value points in stacks of any length and the reference walks
+    # one alpha at a time, so each value must not depend on its neighbours
     alphas = np.random.default_rng(5).uniform(-3.0, 3.0, 3000).tolist()
-    stack = _cov_stack(GENERIC, alphas)
-    for group_a, group_b in ORACLE_GROUPS[:3]:
-        expected = [reference_oracle_mi(c, group_a, group_b) for c in stack]
-        assert _oracle_pairs(stack, group_a, [group_b])[0].tolist() == expected
+    for params in STACK_PARAMS.values():
+        stack = mi_stack(params, alphas, *KERNEL_GROUPS)
+        kernel = gaussian._Kernel(params, KERNEL_GROUPS)
+        for k in range(0, len(alphas), 7):
+            one = mi_stack(kernel, [alphas[k]], *KERNEL_GROUPS)
+            assert [float(v[0]) for v in one] == [float(v[k]) for v in stack]
+        assert [float(v[0]) for v in mi_stack(params, [alphas[0]], *KERNEL_GROUPS)] == [
+            float(v[0]) for v in stack]
 
 
-def test_stacked_oracle_mixes_regular_and_deterministic_entries():
+def test_kernel_is_scale_invariant_on_a_log_uniform_sweep():
+    # Every test of the kernel is relative, so a large but well-conditioned
+    # variance does not read as rank loss.  Wherever a closed form lies in
+    # [MI_CLAMP, RESOLVED_BITS - 0.1] bits the kernel is finite and agrees
+    # within both paths' cancellation, 2^(2I) times float64's resolution;
+    # below MI_CLAMP it gives 0 to within the clamp, not +inf.
+    rng = np.random.default_rng(1)
+    alphas = [-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0]
+    closed_forms = (mi_uy, mi_uv12, mi_uz)      # in KERNEL_GROUPS order
+    resolved = below = 0
+    for _ in range(400):
+        p, q1, q2, n1, n2 = (float(v) for v in 10.0 ** rng.uniform(-12.0, 12.0, 5))
+        rho = (float(v) for v in rng.uniform(-0.95, 0.95, 3))
+        try:
+            params = GaussianWiretapParams(p, q1, q2, n1, n2, *rho)
+            stack = mi_stack(params, alphas, *KERNEL_GROUPS)
+        except ValidationError:
+            continue
+        for closed, values in zip(closed_forms, stack):
+            for alpha, got in zip(alphas, values.tolist()):
+                try:
+                    want = closed(params, alpha)
+                except DegenerateGeometryError:
+                    continue
+                if want < MI_CLAMP:
+                    below += 1
+                    assert 0.0 <= got <= MI_CLAMP, (params, alpha, want, got)
+                elif want <= RESOLVED_BITS - 0.1:
+                    resolved += 1
+                    tol = 1e-14 + 1e-15 * 2.0 ** (2.0 * want)
+                    assert abs(got - want) <= tol, (params, alpha, want, got)
+    assert resolved > 5000 and below > 300
+
+
+def test_one_matrix_oracle_on_regular_and_deterministic_entries():
     # u = v1 exactly in the first matrix: +inf there, finite elsewhere
     regular = joint_covariance(GaussianWiretapParams(1.0, 1.0, 1.0, 0.5, 0.5), 1.0)
     singular = regular.copy()
     singular[0, :] = singular[1, :]
     singular[:, 0] = singular[:, 1]
-    stack = np.stack([singular, regular, 2.0 * singular, regular + np.eye(5)])
+    covs = [singular, regular, 2.0 * singular, regular + np.eye(5)]
     for group_a, group_b in ORACLE_GROUPS + ((("u",), ("v1",)),):
-        expected = [reference_oracle_mi(c, group_a, group_b) for c in stack]
-        assert _oracle_pairs(stack, group_a, [group_b])[0].tolist() == expected
-    assert math.isinf(_oracle_pairs(stack, ("u",), [("v1",)])[0][0])
-    assert math.isfinite(_oracle_pairs(stack, ("u",), [("v1",)])[0][1])
+        for cov in covs:
+            assert oracle_mi(cov, group_a, group_b) == reference_oracle_mi(cov, group_a, group_b)
+    assert math.isinf(oracle_mi(covs[0], ("u",), ("v1",)))
+    assert math.isfinite(oracle_mi(covs[1], ("u",), ("v1",)))
 
 
 @pytest.mark.parametrize("case,p,q,n1,n2", [
@@ -677,14 +750,21 @@ def test_walks_value_in_a_handful_of_stacks(monkeypatch):
 
 
 def test_indeterminate_rates_raise_instead_of_nan():
-    # at p = 1e50 every mutual information at alpha = 1 diverges, so each
-    # difference is inf - inf
-    params = case2_params(1e50, 1.0, 1.0, 1.0)
+    # every state a copy of x and both noises 1e-20: at alpha = 1 every
+    # mutual information is beyond what float64 resolves, so each difference
+    # is inf - inf
+    copies = GaussianWiretapParams(1.0, 1.0, 1.0, 1e-20, 1e-20, 1.0, 1.0, 1.0)
+    # at p = 1e50, u = x + v1 is determined by y and by z within float64 but
+    # shares 7e-51 bits with (v1, v2): only the rate cap is inf - inf
+    large = case2_params(1e50, 1.0, 1.0, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for rate in (leakage, r_alpha, rz_alpha):
             with pytest.raises(DegenerateGeometryError, match="indeterminate"):
-                rate(params, 1.0)
+                rate(copies, 1.0)
+        with pytest.raises(DegenerateGeometryError, match="indeterminate"):
+            rz_alpha(large, 1.0)
+        assert leakage(large, 1.0) == r_alpha(large, 1.0) == math.inf
 
 
 def test_mi_stack_matches_rate_functions():

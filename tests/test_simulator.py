@@ -575,8 +575,8 @@ TREES = [
 
 
 # 2^15 bytes cuts the sequences into blocks of 64 scored whole, many of
-# them; one byte scores every pair alone by gathers, which is kept to the
-# binary trees of at most 512 sequences
+# them; one byte scores one state's pairs a step by gathers, which is kept
+# to the binary trees of at most 512 sequences
 @pytest.mark.parametrize("name,n,rate,eps,seed,chunk_bytes", [
     tree + (chunk,) for tree in TREES for chunk in (None, 2 ** 15, 1)
     if chunk != 1 or (tree[0] == "trend" and tree[1] <= 9)])
