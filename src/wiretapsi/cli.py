@@ -235,9 +235,9 @@ def _cmd_gaussian_scan(args: argparse.Namespace) -> int:
         star = None
 
     out = _out_dir(args)
-    modelio.write_columns_csv(os.path.join(out, "sweep.csv"),
-                              ("alpha", "mi_uy", "mi_uv12", "mi_uz", "deltaI", "R", "RZ"),
-                              (modelio.FLOAT_FMT,) * len(columns), columns)
+    modelio.write_csv(os.path.join(out, "sweep.csv"),
+                      ("alpha", "mi_uy", "mi_uv12", "mi_uz", "deltaI", "R", "RZ"),
+                      columns=columns)
     modelio.write_json(os.path.join(out, "scan_roots.json"), {
         "alpha_star": star, "alpha_root_neg": neg, "alpha_root_pos": pos,
     })

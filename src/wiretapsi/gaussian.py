@@ -16,14 +16,16 @@ where S+ inverts G's covariance on the positive eigenspace of its
 correlation matrix.  A _Kernel takes B and every K once per public call, so
 a duplicated or constant coordinate of G (rho = +-1, q = 0) drops out once;
 an alpha stack is then a few vector operations over all its groups at once.
-Every test is relative: a row whose var(u | G) is at most EIG_REL_TOL *
-var_u is +inf (u is determined by G, or the MI lies beyond what float64
-resolves, about 20 bits), and a row whose var_u vanishes against its own
-terms is 0.  mi_stack feeds the scan rows, the region rate inversion, the
-leakage root walk, leakage_curve and the validation scan, and r_alpha,
-rz_alpha and leakage are one-alpha views of it.  oracle_mi is the general
-path for any two groups of one covariance, by determinant ratios with rank
-reduction, and the second path the kernel is tested against.
+Every test is relative: a row whose var(u | G) is within rounding of the
+terms it cancels is +inf (u is determined by G, or the MI lies beyond what
+float64 resolves, about 22 bits where the cancellation is full), and a row
+whose var_u vanishes against its own terms is 0.  A leakage, rate or rate
+cap with an infinite term raises: the two cannot be told apart.  mi_stack
+feeds the scan rows, the region rate inversion, the leakage root walk,
+leakage_curve and the validation scan, and r_alpha, rz_alpha and leakage
+are one-alpha views of it.  oracle_mi is the general path for any two
+groups of one covariance, by determinant ratios with rank reduction, and
+the second path the kernel is tested against.
 
 The leakage roots and the rate inversion are plain bisections, and one
 walk, _walk, serves both: each round predicts every open bracket's
@@ -54,7 +56,7 @@ AXES = ("u", "v1", "v2", "y", "z")
 LN2 = math.log(2.0)
 EIG_REL_TOL = 1e-12
 DET_SAFE_REL = 1e-9      # oracle_mi's determinant-ratio path only when dets clear this
-PSD_FLOOR = -1e-9        # least eigenvalue a correlation matrix of (x, v1, v2) may have
+CANCEL_REL = 2.0 ** -45    # 64 float64 steps of 2*(E00 + alpha^2*E11): var(u | G) noise
 ROOT_ALPHA_CAP = 1e3
 ROOT_ALPHA_TOL = 1e-12
 RATE_BISECT_TOL = 1e-10
@@ -93,10 +95,11 @@ class GaussianWiretapParams:
             raise ValidationError("q1=0 requires rho_xv1 = rho_v1v2 = 0")
         if self.q2 == 0 and (self.rho_xv2 != 0 or self.rho_v1v2 != 0):
             raise ValidationError("q2=0 requires rho_xv2 = rho_v1v2 = 0")
-        d = self.correlation_determinant
-        if d < -1e-12:
+        a, b, c = self.rho_xv1, self.rho_xv2, self.rho_v1v2
+        least = float(np.linalg.eigvalsh(np.array([[1.0, a, b], [a, 1.0, c], [b, c, 1.0]]))[0])
+        if least < -1e-12:
             raise ValidationError(
-                f"(x, v1, v2) correlation matrix is not PSD: determinant {d}")
+                f"(x, v1, v2) correlation matrix is not PSD: least eigenvalue {least}")
 
     @property
     def correlation_determinant(self) -> float:
@@ -153,12 +156,9 @@ _MIX = np.array([
 def joint_covariance(params: GaussianWiretapParams, alpha: float) -> np.ndarray:
     """Covariance of (u, v1, v2, y, z) at one alpha, assembled by bilinearity
     as mix @ base @ mix.T, where the x/v1/v2 block of base carries the
-    correlations.  An entry that overflows raises OverflowError.
-
-    The mix has determinant 1, so by Sylvester's law of inertia the matrix
-    is PSD exactly when base is, and base is when the correlation matrix of
-    (x, v1, v2) is: a least eigenvalue below PSD_FLOOR raises
-    ValidationError, whatever the variances' scale.
+    correlations.  An entry that overflows raises OverflowError.  The mix
+    has determinant 1, so the matrix is PSD exactly when base is, which
+    GaussianWiretapParams checks on its correlation matrix.
     """
     base = np.array([
         [params.p, params.c_xv1, params.c_xv2, 0.0, 0.0],
@@ -173,9 +173,6 @@ def joint_covariance(params: GaussianWiretapParams, alpha: float) -> np.ndarray:
         cov = mix @ base @ mix.T
     if not np.isfinite(cov).all():
         raise OverflowError("covariance overflows")
-    a, b, c = params.rho_xv1, params.rho_xv2, params.rho_v1v2
-    if np.linalg.eigvalsh(np.array([[1.0, a, b], [a, 1.0, c], [b, c, 1.0]]))[0] < PSD_FLOOR:
-        raise ValidationError("assembled covariance is not PSD within tolerance")
     return 0.5 * (cov + cov.T)
 
 
@@ -247,9 +244,12 @@ def _explained(cov: np.ndarray, index: list[int]) -> np.ndarray:
     constant coordinate, or one that duplicates another, drops out."""
     index = [i for i in index if cov[i, i] > 0.0]
     sd = np.sqrt(cov.diagonal()[index])
+    proj = cov[:2, index] / sd
+    if len(index) < 2:
+        return proj @ proj.T
     w, vec = np.linalg.eigh(cov[index][:, index] / sd / sd[:, np.newaxis])
-    keep = w > EIG_REL_TOL * w.max(initial=0.0)
-    proj = (cov[:2, index] / sd) @ vec[:, keep]
+    keep = w > EIG_REL_TOL * w.max()
+    proj = proj @ vec[:, keep]
     return (proj / w[keep]) @ proj.T
 
 
@@ -257,40 +257,48 @@ class _Kernel:
     """The constants of I(u; G) for alpha-free groups G, taken once per
     public call and kept no longer.
 
-    var_u and var(u | G) are quadratics c0 + alpha*(c1 + alpha*c2): var_u's
+    var_u and var(u | G) are quadratics c0 + alpha*c1 + alpha^2*c2: var_u's
     from B, the covariance of (x, v1), and each group's from its Schur
-    complement B - C S+ C^T (_explained).  Building one raises what
-    joint_covariance raises, and UsageError for a group that is not a set of
-    axes other than u.
+    complement B - E, E = C S+ C^T (_explained).  Rounding leaves var(u | G)
+    off by a few float64 steps of the terms it cancels, at most
+    2*(E00 + alpha^2*E11) as E is PSD, so each group also carries
+    CANCEL_REL*(E00 + alpha^2*E11): a var(u | G) at or below it cannot be
+    told from 0.  Building one raises what joint_covariance raises, and
+    UsageError for a group that is not a set of axes other than u.
     """
 
     __slots__ = ("var_u", "conditional")
 
     def __init__(self, params: GaussianWiretapParams, groups: Sequence[Sequence[str]]):
         cov = joint_covariance(params, 0.0)     # of (x, v1, v2, y, z): u = x at alpha 0
-        self.var_u = _quadratic(cov[:2, :2])
+        b = cov[:2, :2]
+        self.var_u = _quadratic(b)
         self.conditional = {}
         for group in groups:
             index = _indices(group)
             if 0 in index:
                 raise UsageError("groups must be disjoint")
-            self.conditional[tuple(group)] = _quadratic(cov[:2, :2] - _explained(cov, index))
+            e = _explained(cov, index)
+            self.conditional[tuple(group)] = (*_quadratic(b - e), CANCEL_REL * e[0, 0],
+                                              CANCEL_REL * e[1, 1])
 
     def __call__(self, alphas, groups: Sequence[Sequence[str]]) -> list[np.ndarray]:
         alphas = np.asarray(alphas, dtype=float)
+        square = alphas * alphas
         u0, u1, u2 = self.var_u
-        var_u = u0 + alphas * (u1 + alphas * u2)
+        var_u = u0 + alphas * u1 + square * u2
         if not np.isfinite(var_u).all():
             raise OverflowError("covariance overflows")
         # each coefficient as a column, one row per group
-        k0, k1, k2 = np.reshape([self.conditional[tuple(group)] for group in groups],
-                                (-1, 3)).T[:, :, np.newaxis]
-        var_c = k0 + alphas * (k1 + alphas * k2)
-        # +inf where u is determined by the group, or the MI is past what
-        # float64 resolves; 0 where var_u vanishes against its own terms
-        values = np.where(var_c > EIG_REL_TOL * var_u,
-                          _clamp_mi(0.5 * np.log2(var_u / var_c)), math.inf)
-        values[:, var_u <= EIG_REL_TOL * (u0 + alphas * alphas * u2)] = 0.0
+        k0, k1, k2, e0, e2 = np.reshape([self.conditional[tuple(group)] for group in groups],
+                                        (-1, 5)).T[:, :, np.newaxis]
+        var_c = k0 + alphas * k1 + square * k2
+        # +inf where var(u | G) is rounding noise: u is determined by the
+        # group, or the MI is past what float64 resolves; 0 where var_u
+        # vanishes against its own terms
+        var_c[var_c <= e0 + square * e2] = 0.0
+        values = _clamp_mi(0.5 * np.log2(var_u / var_c))
+        values[:, var_u <= EIG_REL_TOL * (u0 + square * u2)] = 0.0
         return list(values)
 
 
@@ -379,12 +387,14 @@ def _mi_at(params: GaussianWiretapParams, alpha: float,
 
 
 def _gap(first, second, name: str, expression: str):
-    """first - second for MI values or stacks; where both diverge the
-    difference is indeterminate, and that raises instead of giving NaN."""
-    if np.any(np.isinf(first) & np.isinf(second)):
+    """first - second for MI values or stacks.  An infinite term is u
+    determined by its group or an MI past what float64 resolves, which the
+    kernel cannot tell apart, so the difference is indeterminate: that
+    raises instead of giving an infinite rate or NaN."""
+    if np.any(np.isinf(first) | np.isinf(second)):
         raise DegenerateGeometryError(
-            f"{name} is indeterminate: both mutual informations diverge",
-            expression=expression)
+            f"{name} is indeterminate: a mutual information diverges or is "
+            f"past what float64 resolves", expression=expression)
     return first - second
 
 
@@ -433,16 +443,18 @@ def alpha_star(params: GaussianWiretapParams) -> float:
 
 def leakage_curve(params: GaussianWiretapParams, alphas: np.ndarray) -> np.ndarray:
     """Leakage I(u;z) - I(u;v1,v2) over an alpha grid, from one stack; NaN
-    where both terms diverge, where leakage would raise."""
+    where a term is infinite, where leakage would raise."""
     uz, uv = mi_stack(params, alphas, ("z",), ("v1", "v2"))
     with np.errstate(invalid="ignore"):
-        return uz - uv
+        gap = uz - uv
+    gap[~np.isfinite(gap)] = math.nan
+    return gap
 
 
 def _gaps(kernel: _Kernel, alphas: list[float],
           first: Sequence[str], second: Sequence[str]) -> list[float]:
     """I(u; first) - I(u; second) at every alpha from one stack, NaN where
-    the stack cannot value a point: where both terms diverge, and at every
+    the stack cannot value a point: where a term is infinite, and at every
     point when the stack raises (var_u overflows at one of them).  A walk
     revalues a NaN alone, and only if it visits the point, so a point it
     never visits cannot raise."""
@@ -451,7 +463,9 @@ def _gaps(kernel: _Kernel, alphas: list[float],
     except ArithmeticError:
         return [math.nan] * len(alphas)
     with np.errstate(invalid="ignore"):
-        return (a - b).tolist()
+        gap = a - b
+    gap[~np.isfinite(gap)] = math.nan
+    return gap.tolist()
 
 
 class _Bracket:
@@ -762,12 +776,6 @@ def _region(case_id: str, params: GaussianWiretapParams, p: float, n1: float,
             uy, uz = mi_stack(kernel, alphas, ("y",), ("z",))
             for k, cap in zip(above, _gap(uy, uz, "rate cap", "mi_uy - mi_uz").tolist()):
                 caps[k] = cap
-        # every mutual information of a region is finite, so an infinite
-        # rate marks one beyond what float64 resolves, not a cap to clip
-        if not (math.isfinite(knee_rate) and all(map(math.isfinite, caps))):
-            raise DegenerateGeometryError(
-                "rate cap is unresolved: a mutual information exceeds what float64 resolves",
-                expression="mi_uy - mi_uz")
 
     boundary = tuple((rate, min(max(cap, 0.0), c_m)) for rate, cap in zip(rates, caps))
     return CaseRegion(case_id, thresholds, regime, boundary, c_m)

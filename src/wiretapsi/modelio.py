@@ -24,7 +24,7 @@ import itertools
 import json
 import os
 import tempfile
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -204,11 +204,17 @@ def _write_blocks(path: str, header: Sequence[str], formats: Sequence[str],
             fh.write(line * (len(cells) // len(formats)) % cells)
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Rows under header, through the one block writer: a column whose first
-    cell is a float takes FLOAT_FMT, any other column %s."""
-    rows = iter(rows)
-    blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence] = (), *,
+              columns: Optional[Sequence[np.ndarray]] = None) -> None:
+    """Rows under header, or the rows of equal-length numpy columns taken
+    BLOCK_ROWS at a time, through the one block writer: a column whose
+    first cell is a float takes FLOAT_FMT, any other column %s."""
+    if columns is None:
+        rows = iter(rows)
+        blocks = iter(lambda: list(itertools.islice(rows, BLOCK_ROWS)), [])
+    else:
+        blocks = (list(zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns)))
+                  for start in range(0, len(columns[0]), BLOCK_ROWS))
     first = next(blocks, [])
     formats = ([FLOAT_FMT if isinstance(cell, float) else "%s" for cell in first[0]]
                if first else ["%s"] * len(header))
@@ -219,19 +225,9 @@ def write_json(path: str, obj: Any) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_columns_csv(path: str, header: Sequence[str], formats: Sequence[str],
-                      columns: Sequence[np.ndarray]) -> None:
-    """A CSV of equal-length numpy columns under header, through the one
-    block writer, BLOCK_ROWS rows at a time; formats[i] for column i."""
-    blocks = (zip(*(c[start:start + BLOCK_ROWS].tolist() for c in columns))
-              for start in range(0, len(columns[0]), BLOCK_ROWS))
-    _write_blocks(path, header, formats, blocks)
-
-
 def write_region_csv(path: str, region: RegionPointSet) -> None:
     """region.csv from the region's columns."""
-    write_columns_csv(path, ("R", "d", "policy_id"), (FLOAT_FMT, FLOAT_FMT, "%d"),
-                      (region.r, region.d, region.policy_id))
+    write_csv(path, ("R", "d", "policy_id"), columns=(region.r, region.d, region.policy_id))
 
 
 def dump_codebook_text(path: str, codebook, rate: float) -> None:

@@ -9,7 +9,7 @@ one alpha per value.  They take each value from the kernel at that one
 alpha, so the tests require the stacked walks to reproduce them bit for
 bit, errors included: they raise OverflowError where var_u overflows, and
 DegenerateGeometryError where a leakage, rate or rate cap is indeterminate
-because both of its terms diverge.
+because one of its terms is infinite.
 """
 
 import math
@@ -100,21 +100,21 @@ def reference_mis(params, alpha, *groups):
 
 def reference_leakage(params, alpha):
     uz, uv = reference_mis(params, alpha, ("z",), ("v1", "v2"))
-    if math.isinf(uz) and math.isinf(uv):
+    if math.isinf(uz) or math.isinf(uv):
         raise DegenerateGeometryError("leakage is indeterminate")
     return uz - uv
 
 
 def reference_r_alpha(params, alpha):
     uy, uv = reference_mis(params, alpha, ("y",), ("v1", "v2"))
-    if math.isinf(uy) and math.isinf(uv):
+    if math.isinf(uy) or math.isinf(uv):
         raise DegenerateGeometryError("rate is indeterminate")
     return uy - uv
 
 
 def reference_rz_alpha(params, alpha):
     uy, uz = reference_mis(params, alpha, ("y",), ("z",))
-    if math.isinf(uy) and math.isinf(uz):
+    if math.isinf(uy) or math.isinf(uz):
         raise DegenerateGeometryError("rate cap is indeterminate")
     return uy - uz
 
@@ -228,6 +228,4 @@ def reference_region(case, p, q, n1, n2, grid_size):
             cap = reference_rz_alpha(
                 params, reference_solve_alpha_for_rate(params, alpha_top, rate))
         boundary.append((rate, min(max(cap, 0.0), c_m)))
-        if regime != "low" and not (math.isfinite(knee_rate) and math.isfinite(cap)):
-            raise DegenerateGeometryError("rate cap is unresolved")
     return thresholds, regime, tuple(boundary), c_m

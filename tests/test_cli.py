@@ -14,7 +14,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from gaussian_reference import reference_region, reference_scan
-from wiretapsi import GaussianWiretapParams, ToolkitError, gaussian
+from wiretapsi import GaussianWiretapParams, ToolkitError, ValidationError, gaussian
 from wiretapsi import cli
 from wiretapsi.cli import _DEFAULTS, main
 from wiretapsi.modelio import (
@@ -354,13 +354,12 @@ def test_argparse_usage_failure():
     ["gaussian-scan", "--q1", "1e300"],                    # determinant overflow
     ["gaussian-scan", "--alpha-min", "1e300", "--alpha-max", "1e300"],   # covariance overflow
     ["gaussian-region", "--n1", "1e-300", "--p", "1e9"],   # p / n1 overflows
-    ["gaussian-region", "--case", "2", "--p", "1e50"],     # knee rate cap is inf - inf
+    ["gaussian-region", "--case", "2", "--p", "1e50"],     # knee rate is inf - inf
     ["gaussian-region", "--p", "1e16", "--q", "1e6"],      # knee rate cap is inf - inf
-    # the knee rate's I(u; y), 26 bits, is beyond what float64 resolves
+    # a rate on the inversion's bracket ladder or bisection is inf - inf
     ["gaussian-region", "--p", "56234132.5", "--q", "1e-6", "--n1", "1e-8"],
-    # x, v1 and v2 are copies and n2 = 1e-20: both terms of deltaI diverge
-    ["gaussian-scan", "--step", "0.25", "--rho-xv1", "1", "--rho-xv2", "1",
-     "--rho-v1v2", "1", "--n2", "1e-20"],
+    # both terms of deltaI diverge on every row
+    ["gaussian-scan", "--step", "0.25", "--q1", "1e150", "--n1", "1e150", "--rho-xv2", "-1"],
 ])
 def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     with warnings.catch_warnings():
@@ -392,27 +391,15 @@ def test_gaussian_scan_resolves_large_noise(tmp_path, noise):
             assert abs(cells[name] - want) <= 1e-14 + 1e-11 * want
 
 
-def test_gaussian_scan_with_a_pure_noise_wiretap_exits_zero(tmp_path):
-    # x = -v2 leaves z = eta2 alone: I(u; z) = 0, u = -v2 + alpha*v1 is
-    # determined by (v1, v2), and with q1 = n1 = 1e150 I(u; y) is 1/2 bit
-    # wherever alpha != 0, so no difference is inf - inf
-    out = tmp_path / "o"
-    assert main(["gaussian-scan", "--step", "0.25", "--q1", "1e150", "--n1", "1e150",
-                 "--rho-xv2", "-1", "--out", str(out)]) == 0
-    header, *rows = (out / "sweep.csv").read_text().splitlines()
-    for row in rows:
-        cells = dict(zip(header.split(","), map(float, row.split(","))))
-        assert cells["mi_uz"] == 0.0 and cells["mi_uv12"] == math.inf
-        assert cells["mi_uy"] == pytest.approx(0.0 if cells["alpha"] == 0.0 else 0.5, abs=1e-12)
-
-
 def test_gaussian_scan_refuses_a_correlation_matrix_below_the_psd_floor(tmp_path, capsys):
-    # the determinant, -8.1e-13, passes GaussianWiretapParams' test; the
-    # correlation matrix's least eigenvalue, about -3e-7, fails the one PSD
-    # test that joint_covariance takes on it
+    # the correlation matrix's determinant is only -8.1e-13, but its least
+    # eigenvalue, about -3e-7, fails the PSD test GaussianWiretapParams
+    # takes at construction
     rho = {"rho_xv1": 1.0, "rho_xv2": 1.0, "rho_v1v2": 0.9999991}
-    params = GaussianWiretapParams(p=1.0, q1=1.0, q2=1.0, n1=1.0, n2=1.0, **rho)
-    assert -1e-12 < params.correlation_determinant < 0.0
+    a, b, c = rho.values()
+    assert -1e-12 < 1.0 - a * a - b * b - c * c + 2.0 * a * b * c < 0.0
+    with pytest.raises(ValidationError, match="not PSD"):
+        GaussianWiretapParams(p=1.0, q1=1.0, q2=1.0, n1=1.0, n2=1.0, **rho)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["gaussian-scan", "--rho-xv1", "1", "--rho-xv2", "1",
@@ -423,14 +410,17 @@ def test_gaussian_scan_refuses_a_correlation_matrix_below_the_psd_floor(tmp_path
 
 
 def test_gaussian_scan_on_a_singular_block_prints_no_warning(tmp_path, capsys):
-    # at p = 1e-300 the LU of a covariance block meets a zero pivot, and
-    # numpy's det flags a division by zero; the scan still exits 0, and no
-    # warning reaches stderr
+    # at p = 1e-300, var(u | v1, v2) = p lies far below the rounding of
+    # q1 - E11, so I(u; v1, v2), about 500 bits wherever alpha != 0, is past
+    # what float64 resolves: the scan refuses with one error line, and no
+    # numpy warning reaches stderr
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["gaussian-scan", "--p", "1e-300", "--rho-v1v2", "1e-300",
-                     "--out", str(tmp_path / "o")]) == 0
-    assert capsys.readouterr().err == ""
+                     "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "indeterminate" in err and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 GAUSSIAN_FLAGS = {
