@@ -28,12 +28,13 @@ groups of one covariance, by determinant ratios with rank reduction, and
 the second path the kernel is tested against.
 
 The leakage roots and the rate inversion are plain bisections, and one
-walk, _walk, serves both: each round predicts every open bracket's
-crossing by the secant through its end values, values the midpoints that
-bisection would visit if the prediction were right in one stack, and keeps
-each value only while its point is the plain walk's next midpoint.  Every
-root, knee and rate is the plain walk's, bit for bit, in a handful of
-stacks.
+walk, _walk, serves both.  Each crossing it seeks, I(u; first) -
+I(u; second) = goal, is var(u | second) = 4^goal * var(u | first): the
+root of one quadratic the kernel already holds (_crossings).  Each round
+values, in one stack, the midpoints bisection would visit if every side
+were that root's, and keeps each value only while its point is the plain
+walk's next midpoint.  The root only steers: every root, knee and rate is
+the plain walk's, bit for bit, in a stack or two.
 
 The mi_uy/mi_uv12/mi_uz/alpha_star_closed_form functions carry the
 hand-derived closed forms exactly as written; they are the validation
@@ -43,6 +44,7 @@ target the suite diffs against the kernel, and nothing else consumes them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
@@ -61,7 +63,16 @@ ROOT_ALPHA_CAP = 1e3
 ROOT_ALPHA_TOL = 1e-12
 RATE_BISECT_TOL = 1e-10
 POINT_CAP = 100_000      # refuse scans and region grids with more alphas or rows
-_VALUE_NOISE = 1e-14     # a walk's prediction trusts no value difference below this
+
+
+def _root_product(a: float, b: float) -> float:
+    """sqrt(a*b) for a, b >= 0, taken as sqrt(a)*sqrt(b) where the product
+    is not a normal finite float, so it neither underflows to 0 nor
+    overflows to inf."""
+    product = a * b
+    if sys.float_info.min <= product < math.inf:
+        return math.sqrt(product)
+    return math.sqrt(a) * math.sqrt(b)
 
 
 @dataclass(frozen=True)
@@ -109,15 +120,15 @@ class GaussianWiretapParams:
     # Covariance terms shared by every formula below.
     @property
     def c_xv1(self) -> float:
-        return self.rho_xv1 * math.sqrt(self.p * self.q1)
+        return self.rho_xv1 * _root_product(self.p, self.q1)
 
     @property
     def c_xv2(self) -> float:
-        return self.rho_xv2 * math.sqrt(self.p * self.q2)
+        return self.rho_xv2 * _root_product(self.p, self.q2)
 
     @property
     def c_v12(self) -> float:
-        return self.rho_v1v2 * math.sqrt(self.q1 * self.q2)
+        return self.rho_v1v2 * _root_product(self.q1, self.q2)
 
     @property
     def var_y(self) -> float:
@@ -470,48 +481,47 @@ def _gaps(kernel: _Kernel, alphas: list[float],
 
 class _Bracket:
     """One bisection walk toward the crossing of goal.  lo is the end whose
-    side a midpoint takes when its value lies on lo's side of goal; f_lo
-    and f_hi are the values at the ends (f_hi is NaN where the end was
-    never valued) and last is the end most recently moved off, as
-    (alpha, value), or None."""
+    side a midpoint takes when its value lies on lo's side of goal."""
 
-    __slots__ = ("lo", "hi", "f_lo", "f_hi", "goal", "last", "levels", "found")
+    __slots__ = ("lo", "hi", "goal", "levels", "found")
 
-    def __init__(self, lo: float, hi: float, f_lo: float, f_hi: float,
-                 goal: float = 0.0, last: Optional[tuple[float, float]] = None):
-        self.lo, self.hi, self.f_lo, self.f_hi = lo, hi, f_lo, f_hi
-        self.goal, self.last = goal, last
+    def __init__(self, lo: float, hi: float, goal: float = 0.0):
+        self.lo, self.hi, self.goal = lo, hi, goal
         self.levels = 0
         self.found: Optional[float] = None
 
 
-def _prediction(bracket: _Bracket, hit_tol: float) -> tuple[float, float]:
-    """The secant's crossing of goal, clamped into the bracket, and a radius
-    within which the side a midpoint takes is uncertain: the quadratic term
-    through the last moved-off end, or 1/32 of the bracket before there is
-    one, and never below the value resolution over the slope.  Without a
-    usable secant the crossing is the midpoint and the radius infinite."""
-    lo, hi, f_lo, f_hi = bracket.lo, bracket.hi, bracket.f_lo, bracket.f_hi
-    rise, run = f_hi - f_lo, hi - lo
-    slope = rise / run if math.isfinite(rise) and rise != 0.0 and run != 0.0 else 0.0
-    if not (slope != 0.0 and math.isfinite(slope)):
-        return 0.5 * (lo + hi), math.inf
-    crossing = min(max(lo + (bracket.goal - f_lo) / slope, min(lo, hi)), max(lo, hi))
-    radius = abs(run) / 32.0
-    if bracket.last is not None:
-        x3, f3 = bracket.last
-        if math.isfinite(f3) and x3 != lo and x3 != hi:
-            curvature = ((f3 - f_hi) / (x3 - hi) - slope) / (x3 - lo)
-            quadratic = abs(curvature / slope) * abs(crossing - lo) * abs(crossing - hi)
-            if math.isfinite(quadratic):
-                radius = quadratic
-    return crossing, max(radius, max(hit_tol, _VALUE_NOISE) / abs(slope))
+def _crossings(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
+               brackets: list[_Bracket]) -> list[float]:
+    """Per bracket, where I(u; first) - I(u; second) meets its goal in exact
+    arithmetic: var(u | second) = 4^goal * var(u | first), the root of one
+    quadratic.  Of its real roots, by the stable formula, the one nearest
+    [lo, hi], clamped into it; a discriminant below 0 counts as 0 (rounding
+    turns a double root, a goal at the curve's peak, into none), and a
+    bracket whose quadratic has no finite root takes its midpoint.  It
+    never raises and never gives NaN."""
+    f, s = (np.array(kernel.conditional[tuple(group)][:3])[:, np.newaxis]
+            for group in (first, second))
+    goal, low, high = np.array([(b.goal, min(b.lo, b.hi), max(b.lo, b.hi))
+                                for b in brackets]).reshape(-1, 3).T
+    with np.errstate(all="ignore"):
+        c0, c1, c2 = s - np.exp2(2.0 * goal) * f
+        q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 - 4.0 * c0 * c2, 0.0)), c1))
+        roots = np.array([q / c2, c0 / q])
+        miss = np.maximum(np.maximum(low - roots, roots - high), 0.0)
+    miss[~np.isfinite(roots)] = np.inf
+    nearest = roots[np.argmin(miss, axis=0), np.arange(len(brackets))]
+    crossing = np.where(np.isfinite(miss.min(axis=0)), np.clip(nearest, low, high),
+                        0.5 * (low + high))
+    return crossing.tolist()
 
 
-def _walk(brackets: list[_Bracket], gaps, visit, *, rising: bool,
+def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
+          second: Sequence[str], visit, *, rising: bool,
           width_tol: float = -math.inf, hit_tol: float = -math.inf,
           max_levels: float = math.inf) -> list[float]:
-    """Bisect every bracket the plain way, with its values taken in stacks.
+    """Bisect every bracket the plain way, with its values
+    I(u; first) - I(u; second) taken in stacks.
 
     The plain walk halves [lo, hi] at mid = 0.5*(lo + hi) while
     |hi - lo| > width_tol, fewer than max_levels midpoints are behind it
@@ -522,44 +532,42 @@ def _walk(brackets: list[_Bracket], gaps, visit, *, rising: bool,
     f >= goal) and hi when it does not.  It returns the mid it stopped at,
     or 0.5*(lo + hi).
 
-    Each round predicts the crossing of every open bracket by the secant
-    through its two end values, and lays out the midpoints the plain walk
-    would visit if that prediction were right: a path, down to the first
-    midpoint whose side the prediction cannot tell.  One gaps(points) stack
-    values every path of the round.  The walk then takes a path's values
-    in order, while each point is its exact next midpoint, so every
-    decision, stop and result is the plain walk's.  gaps gives NaN where
-    it cannot value a point; visit(value, alpha) passes a visited value on
-    and revalues a NaN alone, raising where the plain walk raises.
+    Each bracket steers toward its crossing (_crossings), taken once.  Each round lays
+    out, per open bracket, the midpoints the plain walk would visit if
+    every side were the crossing's, down to the walk's own stops, and one
+    _gaps stack values every path of the round.  The walk then takes a
+    path's values in order, while each point is its exact next midpoint,
+    so the crossing only decides which points are valued: every decision,
+    stop and result is the plain walk's.  _gaps gives NaN where it cannot
+    value a point; visit(value, alpha) passes a visited value on and
+    revalues a NaN alone, raising where the plain walk raises.
     """
     def halves(b) -> bool:
         mid = 0.5 * (b.lo + b.hi)
         return (b.found is None and b.levels < max_levels
                 and abs(b.hi - b.lo) > width_tol and b.lo != mid != b.hi)
 
+    crossings = _crossings(kernel, first, second, brackets)
     while True:
-        live = [b for b in brackets if halves(b)]
+        live = [(b, crossing) for b, crossing in zip(brackets, crossings) if halves(b)]
         if not live:
             break
         paths = []
-        for b in live:
-            crossing, radius = _prediction(b, hit_tol)
+        for b, crossing in live:
             path, lo, hi, room = [], b.lo, b.hi, max_levels - b.levels
             while len(path) < room and abs(hi - lo) > width_tol:
                 mid = 0.5 * (lo + hi)
                 if mid in (lo, hi):
                     break
                 path.append(mid)
-                if not abs(mid - crossing) > radius:
-                    break
                 if (mid - crossing) * (lo - crossing) > 0.0:
                     lo = mid
                 else:
                     hi = mid
             paths.append(path)
         points = list(dict.fromkeys(mid for path in paths for mid in path))
-        values = dict(zip(points, gaps(points)))
-        for b, path in zip(live, paths):
+        values = dict(zip(points, _gaps(kernel, points, first, second)))
+        for (b, _), path in zip(live, paths):
             for mid in path:
                 if not (halves(b) and mid == 0.5 * (b.lo + b.hi)):
                     break
@@ -568,9 +576,9 @@ def _walk(brackets: list[_Bracket], gaps, visit, *, rising: bool,
                 if abs(value - b.goal) <= hit_tol:
                     b.found = mid
                 elif (value < b.goal) == rising:
-                    b.last, b.lo, b.f_lo = (b.lo, b.f_lo), mid, value
+                    b.lo = mid
                 else:
-                    b.last, b.hi, b.f_hi = (b.hi, b.f_hi), mid, value
+                    b.hi = mid
     return [0.5 * (b.lo + b.hi) if b.found is None else b.found for b in brackets]
 
 
@@ -584,18 +592,16 @@ def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optio
     The walk is the plain one, a doubling ladder and then bisection to
     ROOT_ALPHA_TOL, keeping the end where the leakage is >= 0 as lo.  The
     whole ladder of both sides is valued in one stack, and both sides then
-    bisect in _walk, a predicted path per side per stack.  Only a point the
-    walk visits is revalued alone when its stack reads NaN, so only a
-    visited point raises.  Every stack shares one _Kernel.
+    bisect in _walk, a path per side per stack.  Only a point the walk
+    visits is revalued alone when its stack reads NaN, so only a visited
+    point raises.  Every stack shares one _Kernel.
     """
     try:
         star = alpha_star(params)
     except DegenerateGeometryError:
         return None, None
-    kernel = _Kernel(params, (("z",), ("v1", "v2")))
-
-    def gaps(points: list[float]) -> list[float]:
-        return _gaps(kernel, points, ("z",), ("v1", "v2"))
+    groups = (("z",), ("v1", "v2"))
+    kernel = _Kernel(params, groups)
 
     def visit(value: float, alpha: float) -> float:
         return leakage(kernel, alpha) if math.isnan(value) else value
@@ -607,7 +613,7 @@ def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optio
             rungs.append(star + direction * step)
             step *= 2.0
         ladders.append(rungs)
-    first = gaps([star] + ladders[0] + ladders[1])
+    first = _gaps(kernel, [star] + ladders[0] + ladders[1], *groups)
     at_star = visit(first[0], star)
     if not at_star > 0.0:
         return None, None
@@ -616,18 +622,18 @@ def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optio
     sides, brackets = [], []
     ladder_values = (first[1:1 + len(ladders[0])], first[1 + len(ladders[0]):])
     for side, (rungs, rung_values) in enumerate(zip(ladders, ladder_values)):
-        inner, last = (star, at_star), None
+        inner = star
         for outer, value in zip(rungs, rung_values):
             value = visit(value, outer)
             if value < 0.0:
                 sides.append(side)
-                brackets.append(_Bracket(inner[0], outer, inner[1], value, last=last))
+                brackets.append(_Bracket(inner, outer))
                 break
             if value == 0.0:
                 roots[side] = outer
                 break
-            inner, last = (outer, value), inner
-    for side, root in zip(sides, _walk(brackets, gaps, visit, rising=False,
+            inner = outer
+    for side, root in zip(sides, _walk(brackets, kernel, *groups, visit, rising=False,
                                        width_tol=ROOT_ALPHA_TOL)):
         roots[side] = root
     return roots[0], roots[1]
@@ -701,41 +707,32 @@ def _solve_alphas_for_rates(kernel: _Kernel, alpha_top: float,
     Each target takes the plain walk: a ladder lo = alpha_top - 2^k until
     R(lo) <= target, then bisection of [lo, alpha_top] until
     |R(mid) - target| <= RATE_BISECT_TOL or 200 midpoints.  The ladder is
-    shared, so each rung is valued once; R(alpha_top) rides in the first
-    rung's stack, so _walk's secant has a value at both ends, and _walk
-    bisects every target at once.  A rung or midpoint whose stack reads NaN
-    is revalued alone through r_alpha; R(alpha_top) is never visited, so it
-    never raises.
+    shared, so each rung is valued once, and _walk bisects every target at
+    once.  A rung or midpoint whose stack reads NaN is revalued alone
+    through r_alpha.
     """
-    def gaps(points: list[float]) -> list[float]:
-        return _gaps(kernel, points, ("y",), ("v1", "v2"))
+    groups = (("y",), ("v1", "v2"))
 
     def visit(value: float, alpha: float) -> float:
         return r_alpha(kernel, alpha) if math.isnan(value) else value
 
     goal = [float(target) for target in targets]
-    step = 1.0
-    at_top, value = gaps([alpha_top, alpha_top - step])
-    rungs = [(alpha_top - step, visit(value, alpha_top - step))]
-    lo = [0] * len(goal)
-    ladder = [k for k in range(len(goal)) if rungs[-1][1] > goal[k]]
+    lo, ladder, step = [0.0] * len(goal), list(range(len(goal))), 1.0
     while ladder:
-        step *= 2.0
-        for k in ladder:
-            lo[k] = len(rungs)
         if step > 1e6:
             raise DegenerateGeometryError(
                 "rate inversion bracket did not close",
                 expression="r_alpha(lo) <= target", value=goal[ladder[0]])
         alpha = alpha_top - step
-        rungs.append((alpha, visit(gaps([alpha])[0], alpha)))
-        ladder = [k for k in ladder if rungs[-1][1] > goal[k]]
+        value = visit(_gaps(kernel, [alpha], *groups)[0], alpha)
+        for k in ladder:
+            lo[k] = alpha
+        ladder = [k for k in ladder if value > goal[k]]
+        step *= 2.0
 
-    brackets = []
-    for target, rung in zip(goal, lo):
-        (alpha, value), last = rungs[rung], (rungs[rung - 1] if rung else None)
-        brackets.append(_Bracket(alpha, alpha_top, value, at_top, target, last=last))
-    return _walk(brackets, gaps, visit, rising=True, hit_tol=RATE_BISECT_TOL, max_levels=200)
+    brackets = [_Bracket(alpha, alpha_top, target) for alpha, target in zip(lo, goal)]
+    return _walk(brackets, kernel, *groups, visit, rising=True,
+                 hit_tol=RATE_BISECT_TOL, max_levels=200)
 
 
 def _region(case_id: str, params: GaussianWiretapParams, p: float, n1: float,

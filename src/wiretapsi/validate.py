@@ -116,6 +116,7 @@ def formula_discrepancy_scan(seed: int = 0, count: int = 40) -> list[Discrepancy
     """
     findings: list[Discrepancy] = []
     alphas = [a / 4.0 for a in range(-8, 9)]
+    zero = alphas.index(0.0)
     closed_forms = (("mi_uy", gaussian.mi_uy), ("mi_uv12", gaussian.mi_uv12),
                     ("mi_uz", gaussian.mi_uz))
     for params in _param_grid(seed, count):
@@ -133,7 +134,9 @@ def formula_discrepancy_scan(seed: int = 0, count: int = 40) -> list[Discrepancy
                                                 alpha, value, ref))
         try:
             zero_form = gaussian.leakage_at_zero_closed_form(params)
-            true_zero = gaussian.leakage(params, 0.0)
+            # leakage(params, 0.0), from the stack already valued
+            true_zero = gaussian._gap(oracle[2][zero], oracle[1][zero],
+                                      "leakage", "mi_uz - mi_uv12")
             if math.isfinite(true_zero) and abs(zero_form - true_zero) > MI_AGREEMENT_TOL:
                 findings.append(Discrepancy("leakage_at_zero", _params_dict(params),
                                             0.0, zero_form, true_zero))

@@ -351,14 +351,20 @@ def test_argparse_usage_failure():
     ["gaussian-scan", "--step", "1e-9"],
     ["gaussian-region", "--grid", "1000000000"],
     ["gaussian-scan", "--p", "1e300"],
-    ["gaussian-scan", "--q1", "1e300"],                    # determinant overflow
+    # I(u; y) and I(u; v1, v2) are past what float64 resolves at every
+    # alpha but 0, so deltaI is indeterminate
+    ["gaussian-scan", "--q1", "1e300"],
     ["gaussian-scan", "--alpha-min", "1e300", "--alpha-max", "1e300"],   # covariance overflow
     ["gaussian-region", "--n1", "1e-300", "--p", "1e9"],   # p / n1 overflows
     ["gaussian-region", "--case", "2", "--p", "1e50"],     # knee rate is inf - inf
-    ["gaussian-region", "--p", "1e16", "--q", "1e6"],      # knee rate cap is inf - inf
-    # a rate on the inversion's bracket ladder or bisection is inf - inf
+    # high regime: I(u; y) at the knee alpha = 1 is past what float64
+    # resolves, so the knee rate is indeterminate
+    ["gaussian-region", "--p", "1e16", "--q", "1e6"],
+    # high regime as well: the knee rate is indeterminate the same way,
+    # before any rate is inverted
     ["gaussian-region", "--p", "56234132.5", "--q", "1e-6", "--n1", "1e-8"],
-    # both terms of deltaI diverge on every row
+    # x = -v2, so u is fixed by (v1, v2): I(u; v1, v2) is infinite on every
+    # row while I(u; z) is 0, and deltaI is indeterminate
     ["gaussian-scan", "--step", "0.25", "--q1", "1e150", "--n1", "1e150", "--rho-xv2", "-1"],
 ])
 def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):

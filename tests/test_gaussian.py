@@ -144,6 +144,18 @@ def test_params_validation():
                 GaussianWiretapParams(*values)
 
 
+def test_covariance_terms_survive_a_variance_product_out_of_range():
+    # q1*q2 = 1e-400 underflows to 0, which would drop rho_v1v2 before any
+    # mutual information is taken; p*q1 = 1e400 overflows, and 0 * inf is NaN
+    tiny = GaussianWiretapParams(1.0, 1e-200, 1e-200, 1.0, 1.0, 0.5, 0.3, 0.2)
+    assert tiny.c_v12 == pytest.approx(0.2e-200, rel=1e-15)
+    (uv,) = mi_stack(tiny, [0.0], ("v1", "v2"))
+    assert float(uv[0]) == pytest.approx(mi_uv12(tiny, 0.0), abs=1e-12)
+    huge = GaussianWiretapParams(1e200, 1e200, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0)
+    assert huge.c_xv1 == 0.0
+    assert np.isfinite(joint_covariance(huge, 0.5)).all()
+
+
 def test_alpha_star_special_cases():
     # fully correlated equal states: maximizer p/(p+n2)
     c1 = case1_params(2.0, 1.0, 0.25, 1.0)
@@ -738,8 +750,11 @@ def test_region_walk_raises_at_a_visited_point_as_the_reference_does(monkeypatch
 
 def test_walks_value_in_a_handful_of_stacks(monkeypatch):
     # A level-by-level walk takes 15 stacks for the roots and 50 for this
-    # mid region; the predicted paths take a handful.  The counts are
-    # deterministic, so a walk that falls back to one level per stack fails.
+    # mid region.  Steered by the kernel's crossing, the roots take the
+    # ladder's stack and one for the bisection, and the region adds the knee
+    # rate, one rung, one bisection stack and the caps.  The counts are
+    # deterministic, so a walk that steers badly, or falls back to one
+    # level per stack, fails.
     real = gaussian.mi_stack
     stacks = []
 
@@ -751,11 +766,40 @@ def test_walks_value_in_a_handful_of_stacks(monkeypatch):
     for params in STACK_PARAMS.values():
         stacks.clear()
         leakage_roots(params)
-        assert len(stacks) <= 7
+        assert len(stacks) <= 2
     stacks.clear()
     region = case1_region(0.5, 1.0, 1.0, 1.0, grid_size=128)
     assert region.regime == "mid"
-    assert len(stacks) <= 18
+    assert len(stacks) <= 6
+
+
+@pytest.mark.parametrize("wrong", ["nan", "lo", "hi"])
+def test_a_wrong_crossing_only_costs_stacks(monkeypatch, wrong):
+    # The crossing only picks which points a round values: steered to NaN
+    # or to either end, every walk still takes the plain walk's values.
+    def steer(kernel, first, second, brackets):
+        return [{"nan": math.nan, "lo": b.lo, "hi": b.hi}[wrong] for b in brackets]
+
+    monkeypatch.setattr(gaussian, "_crossings", steer)
+    for params in STACK_PARAMS.values():
+        assert leakage_roots(params) == reference_leakage_roots(params)
+    for case, args in REGION_WALKS:
+        region = (case1_region if case == "1" else case2_region)(*args, grid_size=64)
+        assert (region.thresholds, region.regime, region.boundary,
+                region.c_m) == reference_region(case, *args, 64)
+
+
+def test_crossings_are_the_quadratic_roots_and_never_nan():
+    params = STACK_PARAMS["case1"]
+    kernel = gaussian._Kernel(params, KERNEL_GROUPS)
+    star, roots = alpha_star(params), leakage_roots(params)
+    brackets = [gaussian._Bracket(star, -1e3), gaussian._Bracket(star, 1e3)]
+    assert gaussian._crossings(kernel, ("z",), ("v1", "v2"), brackets) == pytest.approx(
+        list(roots), abs=1e-12)
+    # goals the rate never reaches, or where 4^goal overflows or underflows
+    brackets = [gaussian._Bracket(-2.0, 0.5, goal) for goal in (50.0, 1e6, -1e6)]
+    for crossing in gaussian._crossings(kernel, ("y",), ("v1", "v2"), brackets):
+        assert -2.0 <= crossing <= 0.5
 
 
 def test_indeterminate_rates_raise_instead_of_nan():
