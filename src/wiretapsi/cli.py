@@ -9,8 +9,13 @@ manifest holds the fully resolved settings, so
 reproduces the artifacts byte for byte.  Precedence: command-line flags
 override --config file entries, which override built-in defaults.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 usage or input error
-(including arithmetic that overflows on extreme finite inputs).
+Every setting is declared once, in _SETTINGS: its default and its kind (a
+type, or the strings it may take).  The parser, the defaults, the check on
+config values and each flag's --help line are all read from that table.
+
+Exit codes: 0 success, 1 validation-suite failure, 2 usage or input error,
+including an input file that cannot be read as JSON, an --out that cannot
+be written, and arithmetic that overflows on extreme finite inputs.
 
 Each handler imports the layers it runs and nothing else, so a call compiles
 only its own modules: discrete-region loads discrete and probability,
@@ -49,103 +54,73 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(f"{__package__}.{module}"), name)
 
 
-_CHOICES = {"mode": ("v1v2", "v1"), "case": ("1", "2")}
-# type of the settings whose default is None: the type of their flag
-_NONE_DEFAULT_TYPES = {"seed": int, "model": str, "sim_config": str}
+# subcommand -> setting -> (default, kind).  The kind is the type of the
+# setting's flag and config value, or the tuple of strings it may take; a
+# setting whose default is None may also be null in a config file.
+_SETTINGS = {
+    "discrete-region": {"seed": (0, int), "model": (None, str), "u_card": (2, int),
+                        "n_random": (2000, int), "grid_steps": (0, int),
+                        "mode": ("v1v2", ("v1v2", "v1")), "curve_points": (33, int)},
+    "gaussian-scan": {"seed": (0, int), "p": (1.0, float), "q1": (1.0, float),
+                      "q2": (1.0, float), "n1": (1.0, float), "n2": (1.0, float),
+                      "rho_xv1": (0.0, float), "rho_xv2": (0.0, float),
+                      "rho_v1v2": (0.0, float), "alpha_min": (-2.0, float),
+                      "alpha_max": (2.0, float), "step": (0.05, float)},
+    "gaussian-region": {"seed": (0, int), "case": ("1", ("1", "2")), "p": (1.0, float),
+                        "q": (1.0, float), "n1": (1.0, float), "n2": (1.0, float),
+                        "grid_size": (64, int)},
+    "simulate": {"seed": (None, int), "sim_config": (None, str),
+                 "dump_codebook": (False, bool)},
+    "validate": {"seed": (0, int)},
+}
+_DEFAULTS = {subcommand: {key: default for key, (default, _) in table.items()}
+             for subcommand, table in _SETTINGS.items()}
+# the flags that are not "--" plus the setting's name with "-" for "_"
+_FLAGS = {"n_random": "--random", "grid_steps": "--grid", "grid_size": "--grid"}
+_ABOUT = {"seed": "64-bit RNG seed", "model": "model JSON file",
+          "n_random": "random policies to sample",
+          "grid_steps": "deterministic simplex grid resolution",
+          "sim_config": "simulation JSON (model, policy, n, rate, ...)"}
 
 
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args leaves it unchanged."""
+    """The parser, built once per process: parse_args leaves it unchanged.
+    Every flag defaults to None, so a flag given on the command line is
+    one that is not None."""
     parser = argparse.ArgumentParser(
         prog="wiretapsi",
         description="Wiretap-channel-with-side-information toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+    for subcommand, table in _SETTINGS.items():
+        p = sub.add_parser(subcommand, help=_DISPATCH[subcommand].__doc__)
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with flag defaults (a manifest works)")
-
-    p = sub.add_parser("discrete-region", help="achievable region by policy search")
-    common(p)
-    p.add_argument("--model", type=str, default=None, help="model JSON file")
-    p.add_argument("--u-card", dest="u_card", type=int, default=None)
-    p.add_argument("--random", dest="n_random", type=int, default=None,
-                   help="random policies to sample")
-    p.add_argument("--grid", dest="grid_steps", type=int, default=None,
-                   help="deterministic simplex grid resolution")
-    p.add_argument("--mode", choices=_CHOICES["mode"], default=None)
-    p.add_argument("--curve-points", dest="curve_points", type=int, default=None)
-
-    p = sub.add_parser("gaussian-scan", help="alpha sweep of rates and leakage")
-    common(p)
-    for flag in ("p", "q1", "q2", "n1", "n2"):
-        p.add_argument(f"--{flag}", type=float, default=None)
-    for flag in ("rho-xv1", "rho-xv2", "rho-v1v2"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"),
-                       type=float, default=None)
-    p.add_argument("--alpha-min", dest="alpha_min", type=float, default=None)
-    p.add_argument("--alpha-max", dest="alpha_max", type=float, default=None)
-    p.add_argument("--step", type=float, default=None)
-
-    p = sub.add_parser("gaussian-region", help="case thresholds and boundary")
-    common(p)
-    p.add_argument("--case", choices=_CHOICES["case"], default=None)
-    for flag in ("p", "q", "n1", "n2"):
-        p.add_argument(f"--{flag}", type=float, default=None)
-    p.add_argument("--grid", dest="grid_size", type=int, default=None)
-
-    p = sub.add_parser("simulate", help="random-binning Monte Carlo")
-    common(p)
-    p.add_argument("--sim-config", dest="sim_config", type=str, default=None,
-                   help="simulation JSON (model, policy, n, rate, ...)")
-    p.add_argument("--dump-codebook", dest="dump_codebook",
-                   action="store_true", default=None)
-
-    p = sub.add_parser("validate", help="run the built-in cross-check suites")
-    common(p)
+        for key, (default, kind) in table.items():
+            shown = "none" if default is None else default
+            options = ({"action": "store_true"} if kind is bool else
+                       {"choices": kind} if isinstance(kind, tuple) else {"type": kind})
+            p.add_argument(_FLAGS.get(key, "--" + key.replace("_", "-")), dest=key,
+                           default=None,
+                           help=f"{_ABOUT.get(key, '')} (default: {shown})".lstrip(),
+                           **options)
     return parser
 
 
-_DEFAULTS = {
-    "discrete-region": {"seed": 0, "model": None, "u_card": 2,
-                        "n_random": 2000, "grid_steps": 0, "mode": "v1v2",
-                        "curve_points": 33},
-    "gaussian-scan": {"seed": 0, "p": 1.0, "q1": 1.0, "q2": 1.0,
-                      "n1": 1.0, "n2": 1.0, "rho_xv1": 0.0, "rho_xv2": 0.0,
-                      "rho_v1v2": 0.0, "alpha_min": -2.0, "alpha_max": 2.0,
-                      "step": 0.05},
-    "gaussian-region": {"seed": 0, "case": "1", "p": 1.0, "q": 1.0,
-                        "n1": 1.0, "n2": 1.0, "grid_size": 64},
-    "simulate": {"seed": None, "sim_config": None, "dump_codebook": False},
-    "validate": {"seed": 0},
-}
-
-
-def _check_setting(path: str, key: str, value, default) -> None:
-    """A config value must have its default's type: int, float (an int
-    will do), str or bool; a bool is not a number.  Where the default is
-    None, null is accepted and otherwise the flag's type is required."""
-    if default is None:
-        if value is None:
-            return
-        kind = _NONE_DEFAULT_TYPES[key]
-    else:
-        kind = type(default)
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise UsageError(f"{path}: setting {key!r} must be {kind.__name__}, "
+def _check_setting(path: str, key: str, value, default, kind) -> None:
+    """A config value must be of its setting's kind, by modelio's rule for
+    JSON values; null will do where the default is None."""
+    if value is None and default is None:
+        return
+    choices = kind if isinstance(kind, tuple) else ()
+    expected = str if choices else kind
+    if not modelio.is_kind(value, expected):
+        raise UsageError(f"{path}: setting {key!r} must be {expected.__name__}, "
                          f"got {type(value).__name__} {value!r}")
-    if key in _CHOICES and value not in _CHOICES[key]:
+    if choices and value not in choices:
         raise UsageError(f"{path}: setting {key!r} must be one of "
-                         f"{', '.join(_CHOICES[key])}, got {value!r}")
+                         f"{', '.join(choices)}, got {value!r}")
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
@@ -165,13 +140,18 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
                 continue
             if key not in settings:
                 raise UsageError(f"{args.config}: unknown setting {key!r}")
-            _check_setting(args.config, key, value, _DEFAULTS[args.subcommand][key])
+            _check_setting(args.config, key, value, *_SETTINGS[args.subcommand][key])
             settings[key] = value
     for key in settings:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
     return settings
+
+
+def _from_settings(cls, settings: dict):
+    """The dataclass cls built from the settings named as its fields."""
+    return cls(**{field.name: settings[field.name] for field in dataclasses.fields(cls)})
 
 
 def _out_dir(args: argparse.Namespace) -> str:
@@ -189,6 +169,7 @@ def _write_manifest(out: str, subcommand: str, settings: dict) -> None:
 
 
 def _cmd_discrete_region(args: argparse.Namespace) -> int:
+    """achievable region by policy search"""
     from . import discrete
 
     settings = _resolve_settings(args)
@@ -196,13 +177,7 @@ def _cmd_discrete_region(args: argparse.Namespace) -> int:
         raise UsageError("discrete-region needs --model (or a config providing it)")
     settings["model"] = os.path.abspath(settings["model"])
     model = modelio.load_model(settings["model"])
-    search = discrete.SearchConfig(u_card=settings["u_card"],
-                                   n_random=settings["n_random"],
-                                   grid_steps=settings["grid_steps"],
-                                   seed=settings["seed"],
-                                   mode=settings["mode"],
-                                   curve_points=settings["curve_points"])
-    region = discrete.achievable_points(model, search)
+    region = discrete.achievable_points(model, _from_settings(discrete.SearchConfig, settings))
     summary = dict(region.summary, max_r_u1=region.max_r_u1, points=len(region.r))
 
     out = _out_dir(args)
@@ -213,13 +188,11 @@ def _cmd_discrete_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_gaussian_scan(args: argparse.Namespace) -> int:
+    """alpha sweep of rates and leakage"""
     from . import gaussian
 
     settings = _resolve_settings(args)
-    params = gaussian.GaussianWiretapParams(
-        settings["p"], settings["q1"], settings["q2"],
-        settings["n1"], settings["n2"], settings["rho_xv1"],
-        settings["rho_xv2"], settings["rho_v1v2"])
+    params = _from_settings(gaussian.GaussianWiretapParams, settings)
     alphas = gaussian.scan_alphas(settings["alpha_min"], settings["alpha_max"],
                                   settings["step"])
     uy, uv, uz = gaussian.mi_stack(params, alphas, ("y",), ("v1", "v2"), ("z",))
@@ -246,6 +219,7 @@ def _cmd_gaussian_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_gaussian_region(args: argparse.Namespace) -> int:
+    """case thresholds and boundary"""
     from . import gaussian
 
     settings = _resolve_settings(args)
@@ -270,6 +244,7 @@ def _cmd_gaussian_region(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    """random-binning Monte Carlo"""
     from . import simulator
 
     settings = _resolve_settings(args)
@@ -292,6 +267,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    """run the built-in cross-check suites"""
     from . import validate
 
     settings = _resolve_settings(args)
@@ -327,6 +303,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OverflowError, np.linalg.LinAlgError) as exc:
         # inputs finite but so large that the arithmetic overflows
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # --out cannot be made or written; the atomic writer removed its temp file
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

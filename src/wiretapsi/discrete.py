@@ -250,7 +250,12 @@ def _triplet_from_profile(mi_uy: float, mi_uv: float, mi_uz: float) -> RateTripl
 def rate_triplet(model: DiscreteWiretapModel, policy: AuxiliaryPolicy) -> RateTriplet:
     """Evaluate one policy; r_u1 may be negative and is returned as is."""
     _check_policy(model, policy)
-    joint = compose(model.state_pmf, policy.table, model.main_kernel, model.wiretap_kernel)
+    return _joint_triplet(compose(model.state_pmf, policy.table,
+                                  model.main_kernel, model.wiretap_kernel))
+
+
+def _joint_triplet(joint: JointPmf) -> RateTriplet:
+    """The triplet of a policy's composed (u, x, v1, v2, y, z) joint."""
     return _triplet_from_profile(mutual_information(joint, ("u",), ("y",)),
                                  mutual_information(joint, ("u",), ("v1", "v2")),
                                  mutual_information(joint, ("u",), ("z",)))

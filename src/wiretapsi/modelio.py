@@ -47,26 +47,42 @@ def load_json(path: str) -> Any:
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # not UTF-8, nested past the decoder's depth, or an integer past
+        # Python's digit limit
+        raise UsageError(f"{path}: not readable as JSON: {exc}") from exc
+
+
+def is_kind(value: Any, kind: type) -> bool:
+    """Whether a JSON value is of kind int, float, str or bool: an int is a
+    number and will do for a float, a bool is neither."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _object(doc: Any, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise UsageError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _field(doc: dict, key: str, where: str) -> Any:
-    if not isinstance(doc, dict):
-        raise UsageError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    if key not in doc:
+    if key not in _object(doc, where):
         raise UsageError(f"{where}: missing field {key!r}")
     return doc[key]
 
 
 def _int_field(doc: dict, key: str, where: str, minimum: int = 1) -> int:
     value = _field(doc, key, where)
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+    if not is_kind(value, int) or value < minimum:
         raise UsageError(f"{where}.{key}: expected an integer >= {minimum}, got {value!r}")
     return value
 
 
 def _num_field(doc: dict, key: str, where: str) -> float:
     value = _field(doc, key, where)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not is_kind(value, float):
         raise UsageError(f"{where}.{key}: expected a number, got {value!r}")
     return float(value)
 
@@ -143,7 +159,7 @@ def load_model(path: str) -> DiscreteWiretapModel:
 def load_sim_config(path: str) -> SimConfig:
     from .simulator import SimConfig
 
-    doc = load_json(path)
+    doc = _object(load_json(path), path)
     where = path
     base = os.path.dirname(os.path.abspath(path))
 

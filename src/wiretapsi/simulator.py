@@ -61,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .discrete import (AuxiliaryPolicy, DiscreteWiretapModel, RateTriplet,
-                       _check_policy, rate_triplet)
+                       _check_policy, _joint_triplet)
 from .errors import InfeasibleRateError, UsageError
 from .nodesums import _NodeSums, _shared_cut
 from .probability import (BYTE_BUDGET, Pmf, _check_stack, _entropy_bits,
@@ -139,6 +139,8 @@ class _Tables:
         self.config = config
         joint = compose(model.state_pmf, policy.table,
                         model.main_kernel, model.wiretap_kernel)
+        # shared by the codebook and the report; the joint is not kept
+        self.triplet: RateTriplet = _joint_triplet(joint)
         t = joint.table  # axes (u, x, v1, v2, y, z)
         self.p_u = t.sum(axis=(1, 2, 3, 4, 5))
         self.p_uv1 = t.sum(axis=(1, 3, 4, 5))
@@ -165,11 +167,6 @@ class _Tables:
             self.log_weight = np.log(weight)
             self.log_p_uv1 = np.log2(self.p_uv1)
             self.log_p_uy = np.log2(self.p_uy)
-
-    @functools.cached_property
-    def triplet(self) -> RateTriplet:
-        """rate_triplet of the policy, shared by the codebook and the report."""
-        return rate_triplet(self.config.model, self.config.policy)
 
     @functools.cached_property
     def row_sums(self) -> _NodeSums:

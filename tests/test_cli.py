@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -340,6 +341,94 @@ def test_argparse_usage_failure():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+# Each subcommand's flags: flag -> (setting, default).  Manifests written by
+# earlier versions replay only while these hold.
+CLI_FLAGS = {
+    "discrete-region": {"--seed": ("seed", 0), "--model": ("model", None),
+                        "--u-card": ("u_card", 2), "--random": ("n_random", 2000),
+                        "--grid": ("grid_steps", 0), "--mode": ("mode", "v1v2"),
+                        "--curve-points": ("curve_points", 33)},
+    "gaussian-scan": {"--seed": ("seed", 0), "--p": ("p", 1.0), "--q1": ("q1", 1.0),
+                      "--q2": ("q2", 1.0), "--n1": ("n1", 1.0), "--n2": ("n2", 1.0),
+                      "--rho-xv1": ("rho_xv1", 0.0), "--rho-xv2": ("rho_xv2", 0.0),
+                      "--rho-v1v2": ("rho_v1v2", 0.0), "--alpha-min": ("alpha_min", -2.0),
+                      "--alpha-max": ("alpha_max", 2.0), "--step": ("step", 0.05)},
+    "gaussian-region": {"--seed": ("seed", 0), "--case": ("case", "1"), "--p": ("p", 1.0),
+                        "--q": ("q", 1.0), "--n1": ("n1", 1.0), "--n2": ("n2", 1.0),
+                        "--grid": ("grid_size", 64)},
+    "simulate": {"--seed": ("seed", None), "--sim-config": ("sim_config", None),
+                 "--dump-codebook": ("dump_codebook", False)},
+    "validate": {"--seed": ("seed", 0)},
+}
+
+
+def test_flags_map_to_their_settings_and_defaults():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(CLI_FLAGS) == set(_DEFAULTS)
+    for subcommand, flags in CLI_FLAGS.items():
+        dests = {action.option_strings[0]: action.dest
+                 for action in sub.choices[subcommand]._actions}
+        assert dests == {"-h": "help", "--out": "out", "--config": "config",
+                         **{flag: key for flag, (key, _) in flags.items()}}, subcommand
+        assert _DEFAULTS[subcommand] == dict(flags.values()), subcommand
+        # a flag left out is None, so the config file or the default holds
+        assert vars(parser.parse_args([subcommand])) == {
+            "subcommand": subcommand, "out": None, "config": None,
+            **{key: None for key, _ in flags.values()}}
+
+
+@pytest.mark.parametrize("subcommand", sorted(CLI_FLAGS))
+def test_help_names_every_flag_with_its_default(capsys, subcommand):
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--help"])
+    assert exc.value.code == 0
+    options = " ".join(capsys.readouterr().out.split()).split(" options: ", 1)[1]
+    for flag, (_, default) in CLI_FLAGS[subcommand].items():
+        entry = options.split(f" {flag} ", 1)[1].split("(default: ", 1)
+        assert " --" not in entry[0], flag
+        assert entry[1].startswith(f"{'none' if default is None else default})"), flag
+
+
+# contents that no loader can take as a JSON object
+UNREADABLE = {"not utf-8": b"\xff\xfe{", "nested past the decoder's depth": b"[" * 100_000,
+              "an int past the digit limit": b'{"seed": ' + b"7" * 5_000 + b"}",
+              "a number": b"3"}
+
+
+@pytest.mark.parametrize("content", sorted(UNREADABLE))
+@pytest.mark.parametrize("where", ["config", "model", "sim-config", "model_file"])
+def test_unreadable_input_files_exit_two(tmp_path, capsys, sim_file, where, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE[content])
+    if where == "model_file":
+        sim_file.write_text(json.dumps(dict(json.loads(sim_file.read_text()),
+                                            model_file="bad.json")))
+    argv = {"config": ["validate", "--config", str(bad)],
+            "model": ["discrete-region", "--model", str(bad)],
+            "sim-config": ["simulate", "--sim-config", str(bad)],
+            "model_file": ["simulate", "--sim-config", str(sim_file)]}[where]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "bad.json" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub", "taken"])
+def test_an_unwritable_out_exits_two(tmp_path, capsys, out):
+    # --out is a file, lies under a file, or holds a directory where an
+    # artifact goes; a directory without write permission fails the same
+    # way, but a test run as root cannot make one
+    (tmp_path / "file").touch()
+    (tmp_path / "taken" / "sweep.csv").mkdir(parents=True)
+    assert main(["gaussian-scan", "--step", "0.5", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not list(tmp_path.rglob(".tmp-*"))
 
 
 @pytest.mark.parametrize("argv", [
