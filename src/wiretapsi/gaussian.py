@@ -516,6 +516,44 @@ def _crossings(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
     return crossing.tolist()
 
 
+def _reaches(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
+             brackets: list[_Bracket], crossings: list[float], hit_tol: float) -> list[float]:
+    """Per bracket, a distance from its crossing within which every alpha
+    gives |I(u; first) - I(u; second) - goal| <= hit_tol by the kernel's
+    quadratics, with the kernel's rounding added; -inf where there is none.
+
+    With F = var(u | first), S = var(u | second) and the crossing quadratic
+    q = S - 4^goal F, the gap is log1p(q / (4^goal F)) / (2 ln 2), at most
+    |q| / (4^goal F ln 2) while that ratio is at most 1/2.  Within the
+    distance F keeps at least half its value at the crossing c, and |q|,
+    bounded by |q(c)| + |q'(c)| d + |q''/2| d^2 with q(c)'s rounding, keeps
+    within what leaves hit_tol for twice the rounding the kernel carries
+    at c (CANCEL_REL, relative to F and to S).  Only a wasted or a missing
+    point turns on the distance: the walk decides on the values alone.  A
+    walk that never hits, hit_tol -inf, has no reach to take."""
+    if not hit_tol > 0.0:
+        return [-math.inf] * len(brackets)
+    f, s = (np.array(kernel.conditional[tuple(group)])[:, np.newaxis]
+            for group in (first, second))
+    goal = np.array([b.goal for b in brackets])
+    c = np.array(crossings)
+    with np.errstate(all="ignore"):
+        scale = np.exp2(2.0 * goal)
+        c0, c1, c2 = s[:3] - scale * f[:3]
+        big_f, big_s = (v[0] + c * v[1] + c * c * v[2] for v in (f, s))
+        noise_f, noise_s = (v[3] + c * c * v[4] for v in (f, s))
+        rounding = (noise_f / big_f + noise_s / big_s) / (2.0 * math.log(2.0))
+        room = (hit_tol - 2.0 * rounding) * math.log(2.0) * scale * big_f / 2.0
+        room -= np.abs(c0 + c * c1 + c * c * c2) + 2.0 ** -50 * (big_s + scale * big_f)
+        slope, bend = np.abs(c1 + 2.0 * c * c2), np.abs(c2)
+        reach = 2.0 * room / (slope + np.sqrt(slope * slope + 4.0 * bend * room))
+        f_slope, f_bend = np.abs(f[1] + 2.0 * c * f[2]), np.abs(f[2])
+        keep = big_f / (f_slope + np.sqrt(f_slope * f_slope + 2.0 * f_bend * big_f))
+        reach = np.minimum(reach, keep)
+        valid = (big_f > noise_f) & (big_s > noise_s) & (room > 0.0)
+    return np.where(valid, reach, -math.inf).tolist()
+
+
 def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
           second: Sequence[str], visit, *, rising: bool,
           width_tol: float = -math.inf, hit_tol: float = -math.inf,
@@ -534,8 +572,10 @@ def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
 
     Each bracket steers toward its crossing (_crossings), taken once.  Each round lays
     out, per open bracket, the midpoints the plain walk would visit if
-    every side were the crossing's, down to the walk's own stops, and one
-    _gaps stack values every path of the round.  The walk then takes a
+    every side were the crossing's, down to the walk's own stops or to the
+    first midpoint within the crossing's reach (_reaches), where the
+    quadratics say the walk hits its goal, and one _gaps stack values every
+    path of the round.  The walk then takes a
     path's values in order, while each point is its exact next midpoint,
     so the crossing only decides which points are valued: every decision,
     stop and result is the plain walk's.  _gaps gives NaN where it cannot
@@ -548,18 +588,22 @@ def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
                 and abs(b.hi - b.lo) > width_tol and b.lo != mid != b.hi)
 
     crossings = _crossings(kernel, first, second, brackets)
+    reaches = _reaches(kernel, first, second, brackets, crossings, hit_tol)
     while True:
-        live = [(b, crossing) for b, crossing in zip(brackets, crossings) if halves(b)]
+        live = [(b, crossing, reach) for b, crossing, reach
+                in zip(brackets, crossings, reaches) if halves(b)]
         if not live:
             break
         paths = []
-        for b, crossing in live:
+        for b, crossing, reach in live:
             path, lo, hi, room = [], b.lo, b.hi, max_levels - b.levels
             while len(path) < room and abs(hi - lo) > width_tol:
                 mid = 0.5 * (lo + hi)
                 if mid in (lo, hi):
                     break
                 path.append(mid)
+                if abs(mid - crossing) <= reach:
+                    break                   # the walk stops here by the quadratics
                 if (mid - crossing) * (lo - crossing) > 0.0:
                     lo = mid
                 else:
@@ -567,7 +611,7 @@ def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
             paths.append(path)
         points = list(dict.fromkeys(mid for path in paths for mid in path))
         values = dict(zip(points, _gaps(kernel, points, first, second)))
-        for (b, _), path in zip(live, paths):
+        for (b, _, _), path in zip(live, paths):
             for mid in path:
                 if not (halves(b) and mid == 0.5 * (b.lo + b.hi)):
                     break

@@ -190,13 +190,18 @@ def load_sim_config(path: str) -> SimConfig:
 
 @contextlib.contextmanager
 def _atomic_file(path: str) -> Iterator:
-    """A text file that replaces path when the block exits cleanly."""
+    """A text file that replaces path when the block exits cleanly.  A
+    failed replace is reported against path alone, since the temp file it
+    names is gone."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

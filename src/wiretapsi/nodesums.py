@@ -5,8 +5,8 @@ numpy sums a contiguous row of n <= 16 float64 terms in a fixed tree
 its coordinates (a node table), indexed by an additive code.  _NodeSums
 cuts the tree into such tables; a row then costs one gather per table, or a
 block of rows one outer sum of table rows, combined in the tree's own
-order, and equals numpy's .sum bit for bit.  The simulator scores every
-sequence through it.
+order, and equals numpy's .sum bit for bit.  The simulator takes every
+typicality score through it.
 """
 
 from __future__ import annotations

@@ -13,33 +13,45 @@ alphabet product <= 4, codebook <= 2^20 codewords, and the posterior's state
 enumeration |V1|^N * |V2|^N <= 2^20.  On top of the caps, one byte budget,
 probability.BYTE_BUDGET, which the region search shares, bounds what a run
 holds.  Held whole: the int32 (m, S) selection and bool found tables, one
-intp (m, S) code array per codeword-row table (m messages, S = |V1|^N
-state sequences), the codebook, the decoder's tables and one equivocation
-per trial.  Beside them, one posterior step: its message rows of S pairs,
-GATHER_BYTES of them or one row past that, and GATHER_BYTES each for its
-tables and its gathers.  It is checked before anything is allocated; a run
-over it is refused with a UsageError.  Every other step, trials included,
-works in about GATHER_BYTES, so none outgrows the posterior's; a selection
-step gathers one state's m pairs at least, and the charge covers that too.
+intp (m, S) code array per posterior group (m messages, S = |V1|^N state
+sequences), the codebook, the decoder's tables and one equivocation per
+trial.  Beside them, one posterior step: its message rows of S pairs at 16
+bytes a pair, GATHER_BYTES of them or one row past that, and GATHER_BYTES
+each for a batch's tables (more only where one z row's tables take more)
+and for the rest of the trial block.  It is checked before anything is
+allocated; a run over it is refused with a UsageError.  Every other step,
+trials included, works in about GATHER_BYTES, so none outgrows the
+posterior's; a selection step gathers one state's m pairs at least, and
+the charge covers that too.
 
-Every sequence score is an exact sum of n per-coordinate log-probabilities,
-taken through the node tables of nodesums, bit for bit numpy's .sum.  Every
-table has one row per codeword over the v1 or the y symbols of the node's
-coordinates, and every cut is _row_cut's, so a (codeword, v1 sequence)
-pair's code in a flattened table is its row plus the row count times the
-sequence's state part.  The kernel serves three callers:
+Every typicality score is an exact sum of n per-coordinate
+log-probabilities, taken through the node tables of nodesums, bit for bit
+numpy's .sum.  Those tables have one row per codeword over the v1 or the y
+symbols of the node's coordinates, and every cut is _row_cut's, so a
+(codeword, v1 sequence) pair's code in a flattened table is its row plus
+the row count times the sequence's state part.  The kernel serves two
+callers:
 
 * _selection_table replays the encoder for every (message, v1 sequence)
   pair a rank at a time: the bins' r-th members against blocks of v1
   sequences taken in the tree's digit order, each pair stopping at its
   bin's first typical member.  That table is the encoder: each trial
-  sends the listed codeword.  It also returns each pick's codes.
+  sends the listed codeword.  It also returns each pick's codes into the
+  posterior's tables.
 * _decoder builds codeword-row tables of log p(u, y) over the y symbols
   once per run and scores every codeword against the distinct y of a
   trial block through the y rows' codes.
-* _posteriors builds codeword-row tables of log w(z_i | u_i, v1_i) for a
-  batch of the block's distinct z and sums every (message, v1 sequence)
-  pair through the codes, a block of message rows at a time.
+
+The eavesdropper's posterior works in the probability domain instead
+(_posteriors).  The coordinates are split into a few groups of consecutive
+ones (_groups: two on every benchmark config); for a batch of the block's
+distinct z, each group gets a table of exp(L_g), L_g the group's log
+weights log w(z_i | u_i, v1_i), each less its z symbol's largest, summed
+left to right, one row per picked codeword over the group's v1 symbols.
+A (message, v1 sequence) pair then costs one gather per group and the
+products between them, and each message's S products one contiguous sum.
+A z row whose largest message total falls below 2^-900 is rescored by
+log sums, so an extreme wiretap cannot underflow the posterior.
 
 A trial draws its states, message and uniforms as its own generator
 default_rng([seed, 1, t]) would, but no generator is built: the lane-wise
@@ -73,9 +85,11 @@ MAX_STATE_PRODUCT = 4
 MAX_CODEBOOK = 2 ** 20
 MAX_STATE_ENUM_BITS = 20.0
 GATHER_BYTES = 2 ** 19    # working set of one selection, decode, posterior or trial step
-# a posterior message row per (message, v1 sequence) pair: its log-likelihood,
-# which _log_sum_exp shifts in place, and the peak mask
-_ROW_PAIR_BYTES = 8 + 1
+# a posterior message row per (message, v1 sequence) pair: its product and
+# one gathered factor
+_ROW_PAIR_BYTES = 8 + 8
+# a z row whose largest message total falls below this is rescored by log sums
+_RESCORE_BELOW = 2.0 ** -900
 WILSON_Z = 1.959963984540054
 
 
@@ -167,34 +181,63 @@ class _Tables:
             self.log_weight = np.log(weight)
             self.log_p_uv1 = np.log2(self.p_uv1)
             self.log_p_uy = np.log2(self.p_uy)
+        # the posterior's factors: each z symbol's log weights less their
+        # largest, which every message shares; a symbol no pair emits keeps
+        # its -inf weights
+        peak = self.log_weight.max(axis=(1, 2), keepdims=True)
+        self.tap_log_weight = self.log_weight - np.where(np.isfinite(peak), peak, 0.0)
 
     @functools.cached_property
     def row_sums(self) -> _NodeSums:
-        """The codeword-row cut the selection table scores with and whose
-        codes the posterior gathers through."""
-        return _row_sums(self.config, self.triplet.mi_uy)
+        """The codeword-row cut the selection table scores with."""
+        return _row_cut(self.config.n, self.config.model.card_v1,
+                        *_pick_rows(self.config, self.triplet.mi_uy))
+
+    @functools.cached_property
+    def groups(self) -> tuple[tuple[int, int], ...]:
+        """The posterior's coordinate groups, see _groups."""
+        return _groups(self.config.n, self.config.model.card_v1,
+                       *_pick_rows(self.config, self.triplet.mi_uy))
+
+
+def _entry_cap(rows: int, scores: int) -> int:
+    """Entries a codeword-row table with `rows` rows may hold when it
+    serves `scores` scores: at most half as many as there are scores, so
+    building it costs less than a gather per score, and at most
+    GATHER_BYTES / 16, half a step's budget at 8 bytes each.  Callers let
+    a table over a lone coordinate pass it."""
+    return max(min(scores // 2, GATHER_BYTES // 16), rows)
 
 
 def _row_cut(n: int, card: int, rows: int, scores: int) -> _NodeSums:
     """The cut for tables with `rows` rows over `card` symbols that serve
-    `scores` row sums.  A table holds at most half as many entries as there
-    are scores, so building it costs less than a gather per score, and at
-    most GATHER_BYTES / 16, half a step's budget at 8 bytes each (a lone
-    coordinate always qualifies).  Each (n, card, span) is cut once and the
-    cut shared."""
-    cap, span = max(min(scores // 2, GATHER_BYTES // 16), rows), 1
+    `scores` row sums: the widest whose tables keep to _entry_cap.  Each
+    (n, card, span) is cut once and the cut shared."""
+    cap, span = _entry_cap(rows, scores), 1
     while span < n and rows * card ** (span + 1) <= cap:
         span += 1
     return _shared_cut(n, card, span)
 
 
-def _row_sums(config: SimConfig, mi_uy: float) -> _NodeSums:
-    """The cut over v1 symbols for tables with one row per picked codeword,
-    for every (message, v1 sequence) pair: over the config's codebook, or
-    over one row per pair if there are fewer pairs."""
-    n, card = config.n, config.model.card_v1
-    pairs = config.m * card ** n
-    return _row_cut(n, card, min(_codebook_size(config, mi_uy), pairs), pairs)
+def _groups(n: int, card: int, rows: int, scores: int) -> tuple[tuple[int, int], ...]:
+    """The posterior's groups of consecutive coordinates, as (first, last)
+    ranges, for tables with `rows` rows over `card` symbols that serve
+    `scores` pairs: two (one at n = 1), split as evenly as the coordinates
+    allow, and as many more as it takes for every table to keep to
+    _entry_cap."""
+    cap, count = _entry_cap(rows, scores), min(n, 2)
+    while count < n and rows * card ** -(-n // count) > cap:
+        count += 1
+    bounds = [n * g // count for g in range(count + 1)]
+    return tuple(zip(bounds[:-1], bounds[1:]))
+
+
+def _pick_rows(config: SimConfig, mi_uy: float) -> tuple[int, int]:
+    """(rows, pairs): the row count of tables with one row per picked
+    codeword, bounded by the config's codebook, or by one row per (message,
+    v1 sequence) pair if there are fewer pairs, and the pair count."""
+    pairs = config.m * config.model.card_v1 ** config.n
+    return min(_codebook_size(config, mi_uy), pairs), pairs
 
 
 def _codebook_size(config: SimConfig, mi_uy: float) -> int:
@@ -356,19 +399,22 @@ def _check_enumeration(tables: _Tables) -> int:
         raise UsageError(
             f"state enumeration needs n*log2(|v1||v2|) <= {MAX_STATE_ENUM_BITS}, "
             f"got {config.n * math.log2(product):.3f}")
-    # int32 selection and bool found, (m, S); one intp code per codeword-row
-    # table, (G, m, S); one float equivocation per trial; and one posterior
-    # step: its message rows of S pairs, GATHER_BYTES of them or one row
-    # past that, beside GATHER_BYTES each for its tables and its gathers.
-    # A selection step gathers one state's m pairs at least.  The
-    # selection's own whole arrays, at most 9 bytes a pair (the picks in
-    # both orders and found), are freed before the codes.
+    # int32 selection and bool found, (m, S); one intp code per group, (G,
+    # m, S); one float equivocation per trial; and one posterior step: its
+    # message rows of S pairs, GATHER_BYTES of them or one row past that,
+    # beside GATHER_BYTES for a batch's tables, or one z row's tables where
+    # they are larger, and GATHER_BYTES for the rest of the trial block.  A
+    # selection step gathers one state's m pairs at least.  The selection's
+    # own whole arrays, at most 9 bytes a pair (the picks in both orders and
+    # found), are freed before the codes.
     states = config.model.card_v1 ** config.n
     cells = config.m * states
+    rows, _ = _pick_rows(config, tables.triplet.mi_uy)
     step = max(_ROW_PAIR_BYTES * states, GATHER_BYTES,
                _gather_score_bytes(tables.row_sums) * config.m)
-    need = (cells * (4 + 1 + 8 * len(tables.row_sums.nodes)) + 8 * config.trials
-            + step + 2 * GATHER_BYTES)
+    batch = _tap_table_bytes(tables, rows)
+    need = (cells * (4 + 1 + 8 * len(tables.groups)) + 8 * config.trials
+            + step + max(GATHER_BYTES, batch) + GATHER_BYTES)
     # the codebook's K sequences with their bins and subbins, and the
     # decoder's tables, one row per codeword; a codebook past its cap is
     # refused when it is drawn
@@ -388,9 +434,10 @@ def _check_enumeration(tables: _Tables) -> int:
 @dataclass(frozen=True)
 class _Codes:
     """Each (message, v1 sequence) pair's pick as codes into the
-    codeword-row tables of _Tables.row_sums, (G, m, S): the pick's row plus
-    the row count times the sequence's state part.  The rows are the
-    picked codewords, `sequences`, in codebook order."""
+    posterior's tables, one per group of _Tables.groups, (G, m, S): the
+    pick's row times the group's width plus the sequence's digits over the
+    group's coordinates, lexicographic.  The rows are the picked
+    codewords, `sequences`, in codebook order."""
     sequences: np.ndarray
     codes: np.ndarray
 
@@ -413,32 +460,32 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     node = sums.tables(lambda i: tables.log_p_uv1[sequences[:, i]])      # (K, widths[t])
     places = np.cumprod((1,) + sums.widths[:-1])
     pick, pending = _first_typical(tables, codebook, config, node, places)
+    del node
     tree_of = places @ sums.state_codes(card)   # each sequence's place in the digit order
     found = np.take(pending, tree_of, axis=1)
     np.logical_not(found, out=found)
     del pending
     selection = np.take(pick, tree_of, axis=1)
-    del pick                                            # before the codes
+    del pick, tree_of                                   # before the codes
     # a step of picks, copied to intp for indexing as np.take copies them,
-    # and their table rows fit GATHER_BYTES
-    picks, step = selection.reshape(-1), max(1, GATHER_BYTES // 16)
+    # their table rows and one group's multiple of them fit GATHER_BYTES
+    picks, step = selection.reshape(-1), max(1, GATHER_BYTES // 24)
     picked = np.zeros(len(sequences), dtype=bool)
     for lo in range(0, picks.size, step):
         picked[picks[lo:lo + step].astype(np.intp)] = True
     row = np.cumsum(picked) - 1                         # a picked codeword's table row
-    codes = np.empty((len(node), m, count), dtype=np.intp)
-    for code, place, width in zip(codes, places, sums.widths):
-        # each sequence's state part, its place's digit of this node, in
-        # the first message's row, then copied to the others
-        np.floor_divide(tree_of, place, out=code[0])
-        code[0] %= width
-        code[0] *= row[-1] + 1                          # row[-1] + 1 rows in all
+    groups = tables.groups
+    codes = np.empty((len(groups), m, count), dtype=np.intp)
+    for code, (first, last) in zip(codes, groups):
+        # each sequence's digits over the group, in the first message's
+        # row, then copied to the others
+        code[0].reshape(card ** first, card ** (last - first), -1)[...] = (
+            np.arange(card ** (last - first))[:, None])
         code[1:] = code[0]
-    del tree_of
     for lo in range(0, picks.size, step):
         rows = np.take(row, picks[lo:lo + step], mode="clip")
-        for code in codes.reshape(len(node), -1):
-            code[lo:lo + step] += rows
+        for code, (first, last) in zip(codes.reshape(len(groups), -1), groups):
+            code[lo:lo + step] += rows * card ** (last - first)
     return selection, found, _Codes(sequences[picked], codes)
 
 
@@ -582,60 +629,142 @@ def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
     return (np.log1p(total / count) + np.log(count) + peak)[:, 0]
 
 
-def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarray:
-    """Message posteriors (Z, m) of the z rows (Z, n), from the _Codes of
-    _selection_table.
+def _tap_table_bytes(tables: _Tables, rows: int) -> int:
+    """Bytes a z row's posterior tables take while they are built, for
+    `rows` picked codewords: the row's log weights, gathered per coordinate,
+    and each group's table of log sums, twice over as its last coordinate
+    is added."""
+    card = tables.tap_log_weight.shape[2]
+    entries = sum(card ** (last - first) for first, last in tables.groups)
+    return 8 * rows * (card * tables.config.n + 2 * entries)
 
-    A batch of z rows gets codeword-row tables of log w(z_i | u_i, v1_i),
-    one set per row.  A step then takes a block of (z row, message) rows,
-    each the log-likelihoods of one message's S (message, v1 sequence)
-    pairs, gathered through the codes a chunk of pairs at a time, and
-    reduces each row by _log_sum_exp; rows never mix, so the step's shape
-    does not change a bit of the result.  Per z row a batch holds the log
-    weights its tables are built from and its tables twice over while they
-    are built, per message row _ROW_PAIR_BYTES a pair and five floats.
-    While a z row with all its message rows fits GATHER_BYTES, a batch
-    takes as many such rows as fit, in one step.  Otherwise it takes as
-    many z rows as fit with one message row each, and a step as many of
-    their message rows as fit GATHER_BYTES on their own, at least one.  The
-    gather buffers of a chunk, for every z row of the batch, take
-    GATHER_BYTES at most.  _check_enumeration charges a step's rows, one
-    row past GATHER_BYTES at most, beside GATHER_BYTES each for its tables
-    and its gathers.
-    """
-    sums = tables.row_sums
+
+def _tap_tables(tables: _Tables, sequences: np.ndarray, z_rows: np.ndarray
+                ) -> list[np.ndarray]:
+    """Per group, the (Z, R * width) tables of L_g for the z rows (Z, n) and
+    the R picked codewords `sequences`: the sum of the normalized log
+    weights log w(z_i | u_i, v1_i) over the group's coordinates, left to
+    right, for every row and every v1 symbol sequence of the group; row r's
+    entry for digits d sits at r * width + d, the group's lexicographic
+    digits."""
+    n, card = z_rows.shape[1], tables.tap_log_weight.shape[2]
+    # the rows' weights for each z symbol, (card_z, n, R, card), then each
+    # z row's, (Z, n, R, card), copied R * card at a time
+    values = tables.tap_log_weight[:, sequences.T][z_rows, np.arange(n)]
+    out = []
+    for first, last in tables.groups:
+        table = values[:, first]
+        for i in range(first + 1, last):
+            # coordinate i's symbol is the new last digit; one add per
+            # symbol keeps numpy's inner loop over the table's digits
+            wider = np.empty(table.shape + (card,))
+            for s in range(card):
+                np.add(table, values[:, i, :, s, None], out=wider[..., s])
+            table = wider.reshape(*table.shape[:2], -1)
+        out.append(np.ascontiguousarray(table).reshape(len(z_rows), -1))
+    return out
+
+
+def _pair_totals(factors: list[np.ndarray], codes: np.ndarray) -> np.ndarray:
+    """(Z, M) message totals from the groups' tables of exp(L_g), (Z,
+    entries), and the codes (G, M, S) of M message rows: each pair's
+    entries, gathered one group at a time and multiplied left to right, and
+    each message's S products summed as one contiguous row in lexicographic
+    v1 order."""
+    rows, (count, messages, states) = len(factors[0]), codes.shape
+    flat = codes.reshape(count, -1)
+
+    def gather(t, out=None):
+        table = factors[t][0] if rows == 1 else factors[t]
+        return np.take(table, flat[t], axis=-1, out=out, mode="clip")
+
+    product = gather(0)
+    if count > 1:
+        factor = np.empty_like(product)
+        for t in range(1, count):
+            product *= gather(t, factor)
+    return product.reshape(rows, messages, states).sum(axis=2)
+
+
+def _rescored(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarray:
+    """exp(log P(z, message) less its largest) for each z row (Z, n), by
+    log sums: each pair's gathered group sums L_g added left to right, and
+    each message row reduced by _log_sum_exp.  It takes a z row at a time
+    and as many of its message rows as fit GATHER_BYTES at 16 bytes a pair,
+    one at least, and raises a UsageError for a z row no message can
+    give."""
     count, m, states = codes.codes.shape
-    sequences = codes.sequences
-    card = tables.log_weight.shape[2]
-    columns = sequences.T[:, None, None, :], np.arange(card)[:, None]
-    per_z = 8 * len(sequences) * (card * z_rows.shape[1] + 2 * sums.entries)
-    per_row = _ROW_PAIR_BYTES * states + 8 * 5
-    if per_z + m * per_row <= GATHER_BYTES:
-        batch, messages = GATHER_BYTES // (per_z + m * per_row), m
-    else:
-        batch = max(1, GATHER_BYTES // (per_z + per_row))
-        messages = min(m, max(1, GATHER_BYTES // (batch * per_row)))
-    chunk = max(1, GATHER_BYTES // (8 * sums.buffers * batch))
+    messages = min(m, max(1, GATHER_BYTES // (_ROW_PAIR_BYTES * states)))
     log_posts = np.empty((len(z_rows), m))
-    for lo in range(0, len(z_rows), batch):
-        rows = z_rows[lo:lo + batch]
-        values = tables.log_weight[(rows.T[:, :, None, None],) + columns]   # (n, Z, card, K)
-        node = [table.reshape(len(rows), -1) for table in sums.tables(lambda i: values[i])]
-        del values
+    for z, row in enumerate(z_rows):
+        sums = [table[0] for table in _tap_tables(tables, codes.sequences, row[None])]
         for first in range(0, m, messages):
             step = codes.codes[:, first:first + messages].reshape(count, -1)
-            loglik = np.empty((len(rows), step.shape[1]))
-            for p in range(0, step.shape[1], chunk):
-                loglik[:, p:p + chunk] = sums.total(node, lambda t: step[t, p:p + chunk])
-            log_posts[lo:lo + len(rows), first:first + messages] = _log_sum_exp(
-                loglik.reshape(-1, states)).reshape(len(rows), -1)
-            del loglik                                  # before the next step's
+            loglik = np.take(sums[0], step[0])
+            for t in range(1, count):
+                loglik += np.take(sums[t], step[t])
+            log_posts[z, first:first + messages] = _log_sum_exp(loglik.reshape(-1, states))
     if not np.isfinite(log_posts).any(axis=1).all():
         raise UsageError("observed z sequence has zero probability under the model")
-    shifted = np.exp(log_posts - log_posts.max(axis=1, keepdims=True))
-    probs = shifted / shifted.sum(axis=1, keepdims=True)
-    _check_stack(probs, (1,), "pmf 'message'")
-    return probs
+    return np.exp(log_posts - log_posts.max(axis=1, keepdims=True))
+
+
+def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarray:
+    """Message posteriors (Z, m) of the z rows (Z, n), from the _Codes of
+    _selection_table, in the probability domain.
+
+    A batch of z rows gets, per group of _Tables.groups, its table of
+    exp(L_g) (_tap_tables), one per z row.  Each log weight was reduced by
+    its z symbol's largest, so every entry lies in [0, 1] and the factor
+    dropped is one every message shares.  A step takes a block of (z row,
+    message) rows, each one message's S (message, v1 sequence) pairs: a
+    pair costs one gather per group and the products between them, and each
+    row one contiguous .sum of its S products (_pair_totals); rows never
+    mix, so the shape of a batch or a step does not change a bit of the
+    result.  Each z row is divided by its largest message total, then by
+    its sum.
+
+    A z row whose largest total falls below 2^-900, which takes normalized
+    weights spread over more than about 2^(900/n), may have lost terms to
+    underflow; it is rescored by log sums (_rescored).  An observation no
+    message can give ends there with a UsageError.
+
+    A batch takes as many z rows as their tables, _tap_table_bytes a z row,
+    fit in GATHER_BYTES, one at least.  A step holds _ROW_PAIR_BYTES, 16
+    bytes, a pair (its product and one gathered factor): while a z row's
+    message rows all fit GATHER_BYTES, it takes as many such z rows as fit;
+    otherwise one z row and as many of its message rows as fit, one at
+    least.  _check_enumeration charges a step, one message row past
+    GATHER_BYTES at most, beside a batch's tables.
+    """
+    count, m, states = codes.codes.shape
+    batch = max(1, GATHER_BYTES // _tap_table_bytes(tables, len(codes.sequences)))
+    per_row = _ROW_PAIR_BYTES * states
+    if m * per_row <= GATHER_BYTES:
+        rows, messages = GATHER_BYTES // (m * per_row), m
+    else:
+        rows, messages = 1, min(m, max(1, GATHER_BYTES // per_row))
+    totals = np.empty((len(z_rows), m))
+    for lo in range(0, len(z_rows), batch):
+        factors = _tap_tables(tables, codes.sequences, z_rows[lo:lo + batch])
+        for table in factors:
+            np.exp(table, out=table)
+        for at in range(0, len(factors[0]), rows):
+            part = [table[at:at + rows] for table in factors]
+            out = totals[lo + at:lo + at + len(part[0])]
+            for first in range(0, m, messages):
+                out[:, first:first + messages] = _pair_totals(
+                    part, codes.codes[:, first:first + messages])
+        del factors, part, out                          # before the next batch's
+    peak = totals.max(axis=1, keepdims=True)
+    low = np.flatnonzero(peak[:, 0] < _RESCORE_BELOW)
+    if low.size:
+        totals[low] = _rescored(tables, codes, z_rows[low])
+        peak[low] = 1.0
+    totals /= peak
+    totals /= totals.sum(axis=1, keepdims=True)
+    _check_stack(totals, (1,), "pmf 'message'")
+    return totals
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,13 @@
 ``_encode``, gathers the whole K x S x n typicality tensor at once in
 ``reference_selection_table``, decodes each y from a K x n gather in
 ``reference_decode``, and takes each posterior from an (m, S, n) array of
-selected codewords through ``reference_log_sum_exp``.  Each trial draws
-from its own ``default_rng``.  The tests require the streamed simulator to
-reproduce these reports byte for byte and these tables element for element.
+selected codewords in ``reference_posterior``, a pair at a time in array
+form: the probability-domain definition the simulator's posterior follows.
+``reference_log_posterior`` is the log-domain posterior that came before
+it, each pair's n log weights summed by numpy and each message reduced by
+``reference_log_sum_exp``.  Each trial draws from its own ``default_rng``.
+The tests require the streamed simulator to reproduce these reports byte
+for byte and these tables element for element.
 """
 
 import math
@@ -74,13 +78,52 @@ def reference_log_sum_exp(rows):
     return out
 
 
-def reference_posterior(tables, config, v1_all, u_selected, z_seq):
+def reference_log_posterior(tables, config, v1_all, u_selected, z_seq):
+    """Each pair's log-likelihood as numpy's sum of its n log weights, each
+    message's by reference_log_sum_exp, shifted by the largest and
+    normalized."""
     if z_seq.shape != (config.n,):
         raise UsageError(f"z sequence must have length {config.n}")
     coords = np.arange(config.n)
     per_coord = tables.log_weight[z_seq]
     loglik = per_coord[coords[None, None, :], u_selected,
                        v1_all[None, :, :]].sum(axis=2)
+    log_posts = reference_log_sum_exp(loglik)
+    if not np.isfinite(log_posts).any():
+        raise UsageError("observed z sequence has zero probability under the model")
+    shifted = np.exp(log_posts - log_posts.max())
+    return Pmf("message", shifted / shifted.sum())
+
+
+def reference_posterior(tables, config, v1_all, u_selected, z_seq):
+    """The posterior in the probability domain.  Per group of coordinates
+    (tables.groups), each pair's normalized log weights (tables.tap_log_weight)
+    are summed left to right; each pair's product of the groups'
+    exponentials, left to right; each message's S products summed as one
+    contiguous row in lexicographic v1 order; the totals divided by their
+    largest, then by their sum.  A z sequence whose largest total is below
+    2^-900 is scored from the same group sums in the log domain instead."""
+    if z_seq.shape != (config.n,):
+        raise UsageError(f"z sequence must have length {config.n}")
+    # (n, m, S): coordinate i's factor for every (message, v1 sequence) pair
+    terms = tables.tap_log_weight[z_seq[:, None, None], np.moveaxis(u_selected, 2, 0),
+                                  v1_all.T[:, None, :]]
+    sums = []
+    for first, last in tables.groups:
+        total = terms[first]
+        for i in range(first + 1, last):
+            total = total + terms[i]
+        sums.append(total)
+    product = np.exp(sums[0])
+    for total in sums[1:]:
+        product = product * np.exp(total)
+    totals = np.array([row.sum() for row in product])
+    if totals.max() >= 2.0 ** -900:
+        scaled = totals / totals.max()
+        return Pmf("message", scaled / scaled.sum())
+    loglik = sums[0]
+    for total in sums[1:]:
+        loglik = loglik + total
     log_posts = reference_log_sum_exp(loglik)
     if not np.isfinite(log_posts).any():
         raise UsageError("observed z sequence has zero probability under the model")

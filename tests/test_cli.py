@@ -431,6 +431,18 @@ def test_an_unwritable_out_exits_two(tmp_path, capsys, out):
     assert not list(tmp_path.rglob(".tmp-*"))
 
 
+def test_a_failed_artifact_replace_names_the_artifact(tmp_path, capsys, monkeypatch):
+    # the writer removes its temp file before the error is printed, so the
+    # line names the artifact that could not be written and no temp file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "od" / "sweep.csv").mkdir(parents=True)
+    assert main(["gaussian-scan", "--step", "0.5", "--out", "od"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ") and err.endswith(": 'od/sweep.csv'\n"), err
+    assert ".tmp-" not in err and err.count("\n") == 1
+    assert not list(tmp_path.rglob(".tmp-*"))
+
+
 @pytest.mark.parametrize("argv", [
     ["gaussian-scan", "--q1", "nan"],
     ["gaussian-scan", "--p", "inf"],

@@ -773,6 +773,62 @@ def test_walks_value_in_a_handful_of_stacks(monkeypatch):
     assert len(stacks) <= 6
 
 
+def test_rate_paths_end_where_the_quadratics_hit_the_goal(monkeypatch):
+    # A rate path is laid out no further than its first midpoint within the
+    # crossing's reach, so the bisection stack holds no more points than
+    # the walks visit (targets share their first midpoints); laid out down
+    # to float resolution it held 6,275 for these 3,914 visits.  No walk
+    # takes another round for it.
+    stacks, walks = [], []
+    gaps, walk = gaussian._gaps, gaussian._walk
+
+    def counted_gaps(kernel, alphas, *groups):
+        stacks.append(len(alphas))
+        return gaps(kernel, alphas, *groups)
+
+    def counted_walk(brackets, *args, **kwargs):
+        roots = walk(brackets, *args, **kwargs)
+        walks.append(sum(b.levels for b in brackets))
+        return roots
+
+    monkeypatch.setattr(gaussian, "_gaps", counted_gaps)
+    monkeypatch.setattr(gaussian, "_walk", counted_walk)
+    case1_region(0.5, 1.0, 1.0, 1.0, grid_size=128)
+    assert len(stacks) == 4 and walks[-1] == 3914
+    assert stacks[-1] <= walks[-1]
+
+
+@pytest.mark.parametrize("case,p,q,n1,n2", _sweep_regions()[::3])
+def test_a_crossings_reach_is_within_the_rate_tolerance(monkeypatch, case, p, q, n1, n2):
+    # every rate bracket of these regions has a reach, and the alphas it
+    # covers, valued by the kernel, are within RATE_BISECT_TOL of the
+    # target: both ends of each reach and the crossing itself
+    seen = []
+    walk = gaussian._walk
+
+    def capture(brackets, kernel, first, second, *args, **kwargs):
+        if kwargs.get("hit_tol", -math.inf) > 0.0:
+            seen.append((kernel, first, second,
+                         [gaussian._Bracket(b.lo, b.hi, b.goal) for b in brackets]))
+        return walk(brackets, kernel, first, second, *args, **kwargs)
+
+    monkeypatch.setattr(gaussian, "_walk", capture)
+    (case1_region if case == "1" else case2_region)(p, q, n1, n2, grid_size=32)
+    covered = 0
+    for kernel, first, second, brackets in seen:
+        crossings = gaussian._crossings(kernel, first, second, brackets)
+        reaches = gaussian._reaches(kernel, first, second, brackets, crossings,
+                                    gaussian.RATE_BISECT_TOL)
+        for b, crossing, reach in zip(brackets, crossings, reaches):
+            if reach < 0.0:
+                continue
+            covered += 1
+            alphas = [crossing - reach, crossing, crossing + reach]
+            for value in gaussian._gaps(kernel, alphas, first, second):
+                assert abs(value - b.goal) <= gaussian.RATE_BISECT_TOL
+    assert covered == sum(len(brackets) for *_, brackets in seen) > 0
+
+
 @pytest.mark.parametrize("wrong", ["nan", "lo", "hi"])
 def test_a_wrong_crossing_only_costs_stacks(monkeypatch, wrong):
     # The crossing only picks which points a round values: steered to NaN

@@ -27,7 +27,7 @@ from wiretapsi.cli import main
 from wiretapsi.discrete import AuxiliaryPolicy
 from wiretapsi.modelio import model_to_dict, policy_to_dict, write_json
 from wiretapsi.nodesums import _leaves, _NodeSums
-from wiretapsi.probability import JointPmf, TransitionKernel
+from wiretapsi.probability import JointPmf, TransitionKernel, _entropy_bits_batch
 from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook,
                                  _check_enumeration, _decoder, _log_sum_exp,
                                  _posteriors, _row_cut, _selection_table, _Tables)
@@ -46,6 +46,7 @@ from conftest import (
 )
 from simulator_reference import (
     reference_decode,
+    reference_log_posterior,
     reference_log_sum_exp,
     reference_posterior,
     reference_run_experiment,
@@ -64,8 +65,7 @@ def noiseless():
     return model, uniform_input_policy(model)
 
 
-@pytest.fixture(scope="module")
-def biased_encoder():
+def biased_encoder_instance():
     """Noiseless y = x with a binary uniform v1 the channel ignores; the
     policy sends u = x ~ Bernoulli(0.25).  Only codewords with exactly one
     set symbol are typical at n=4, epsilon 0.25, which makes the encoder's
@@ -87,6 +87,11 @@ def biased_encoder():
     policy = AuxiliaryPolicy(2, TransitionKernel(
         (("v1", 2), ("v2", 1)), (("u", 2), ("x", 2)), table))
     return model, policy
+
+
+@pytest.fixture(scope="module")
+def biased_encoder():
+    return biased_encoder_instance()
 
 
 @pytest.fixture(scope="module")
@@ -528,17 +533,19 @@ def _reference_selection(tables, book, config):
 
 
 def _assert_codes(tables, book, config, codes, selection, v1_all):
-    # the codeword-row tables cover every coordinate once, and their rows
-    # are the picked codewords in codebook order; a pick's code in a table
-    # over coordinates C is its row plus the row count times the state
-    # part sum_j v1_{C[j]} * |v1|^j
-    coords = [_leaves(node) for node in tables.row_sums.nodes]
-    assert sorted(i for c in coords for i in c) == list(range(config.n))
+    # the groups split the coordinates into consecutive runs, and the
+    # tables' rows are the picked codewords in codebook order; a pick's code
+    # in a group's table is its row times the group's width plus the
+    # group's digits of the v1 sequence, lexicographic
+    groups = tables.groups
+    assert [first for first, _ in groups] == [0] + [last for _, last in groups[:-1]]
+    assert groups[-1][1] == config.n and all(first < last for first, last in groups)
     picked = np.unique(selection)
     np.testing.assert_array_equal(codes.sequences, book.sequences[picked])
     rows, card = np.searchsorted(picked, selection), config.model.card_v1
-    want = [rows + len(picked) * sum(v1_all[:, i] * card ** j for j, i in enumerate(c))
-            for c in coords]
+    want = [rows * card ** (last - first)
+            + sum(v1_all[:, i] * card ** (last - 1 - i) for i in range(first, last))
+            for first, last in groups]
     np.testing.assert_array_equal(codes.codes, want)
 
 
@@ -597,42 +604,124 @@ def test_selection_and_posterior_follow_the_reference_on_every_tree(
         np.testing.assert_array_equal(row, want.probs)
 
 
-# GATHER_BYTES and the posterior steps it gives: for |v1| = 3 at n = 9,
-# 19,683 pairs a message row, the default takes two z rows of one message
-# a step, gathered 10,922 pairs at a time, and 2^12 one row a step in
-# gathers of 170 pairs; at n = 10, 2^10 gathers one row 42 pairs at a time
-@pytest.mark.parametrize("name,n,rate,eps,seed,chunk_bytes,rows,pairs", [
-    ("three", 9, 0.23, 0.2, 1, 2 ** 19, 2, 10922),
-    ("three", 9, 0.23, 0.2, 1, 2 ** 12, 1, 170),
-    ("trend", 10, 0.3, 0.45, 3, 2 ** 10, 1, 42),
-])
-def test_posterior_steps_follow_the_reference_bit_for_bit(
-        monkeypatch, name, n, rate, eps, seed, chunk_bytes, rows, pairs):
-    # a step reduces whole message rows, each alone, so neither the rows a
-    # step takes nor the chunks a row is gathered in move a bit
+@pytest.mark.parametrize("name,n,rate,eps,seed", TREES)
+def test_posterior_stays_within_1e_14_of_the_log_domain_reference(name, n, rate, eps, seed):
+    # the probability-domain posterior rounds otherwise than the log-domain
+    # one it replaced, a few units in the last place of a pair's n-term log
+    # sum; each probability stays within 1e-14 of it, relative, and each
+    # equivocation within 1e-14 bits
     config, tables, book = _tables_and_book(name, n, rate, eps, seed)
     v1_all, want_selection, _ = _reference_selection(tables, book, config)
     _, _, codes = _selection_table(tables, book, config)
-    steps, gathers = [], []
+    z_rows = np.random.default_rng(seed).integers(0, config.model.card_z, size=(20, n))
+    got = _posteriors(tables, codes, z_rows)
+    want = np.array([reference_log_posterior(tables, config, v1_all,
+                                             book.sequences[want_selection], z_seq).probs
+                     for z_seq in z_rows])
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(_entropy_bits_batch(got), _entropy_bits_batch(want),
+                               rtol=0, atol=1e-14)
 
-    def reduce(loglik):
-        steps.append(loglik.shape)
-        return log_sum_exp(loglik)
 
-    def gather(sums, node, code):
-        gathers.append(code(0).size)
-        return total(sums, node, code)
+def faint_tap_instance():
+    """biased_encoder_instance's model with a wiretap that copies x but for a 1e-150
+    chance of the other bit, and a third z symbol it never emits.  A
+    pair's weight is 1e-150 to the power of the coordinates where z differs
+    from its codeword, so a z two symbols from every pick falls below
+    2^-900 and three or more underflow to zero in the probability domain."""
+    model, policy = biased_encoder_instance()
+    tap = np.zeros((2, 1, 3))
+    tap[:, 0, :2] = [[1.0, 1e-150], [1e-150, 1.0]]
+    model = dataclasses.replace(model, wiretap_kernel=TransitionKernel(
+        (("x", 2), ("v2", 1)), (("z", 3),), tap))
+    return model, policy
 
-    log_sum_exp, total = simulator._log_sum_exp, _NodeSums.total
-    monkeypatch.setattr(simulator, "_log_sum_exp", reduce)
-    monkeypatch.setattr(_NodeSums, "total", gather)
+
+# 2^12 bytes rescores one message row of 256 pairs a step, over more groups
+@pytest.mark.parametrize("chunk_bytes", [None, 2 ** 12])
+def test_underflowing_rows_are_rescored_by_log_sums(monkeypatch, chunk_bytes):
+    model, policy = faint_tap_instance()
+    config = SimConfig(model=model, policy=policy, n=8, rate=0.25,
+                       epsilon_typ=0.25, trials=1, seed=0)
+    tables = _Tables(config)
+    book = _build_codebook(config, tables)
+    v1_all, want_selection, _ = _reference_selection(tables, book, config)
+    if chunk_bytes is not None:
+        monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
+    _, _, codes = _selection_table(tables, book, config)
+    u_selected = book.sequences[want_selection]
+    z_rows = state_sequences(2, 8)
+    distance = (z_rows[:, None, :] != codes.sequences[None]).sum(axis=2).min(axis=1)
+    assert {0, 1, 2, 3} <= set(distance.tolist())
+    rescored = []
+
+    def counted(tables, codes, z_rows):
+        rescored.extend(map(tuple, z_rows))
+        return rescore(tables, codes, z_rows)
+
+    rescore = simulator._rescored
+    monkeypatch.setattr(simulator, "_rescored", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # no underflow, 0/0 or log(0) warning
+        got = _posteriors(tables, codes, z_rows)
+    assert rescored == [tuple(z) for z in z_rows[distance >= 2]]
+    for z_seq, row, far in zip(z_rows, got, distance >= 2):
+        np.testing.assert_array_equal(
+            row, reference_posterior(tables, config, v1_all, u_selected, z_seq).probs)
+        if far:
+            want = reference_log_posterior(tables, config, v1_all, u_selected, z_seq).probs
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
+    impossible = z_rows[:2].copy()
+    impossible[1, 3] = 2                        # the symbol the tap never emits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match="zero probability"):
+            _posteriors(tables, codes, impossible)
+
+
+# GATHER_BYTES and the posterior steps it gives for five z rows, as (z rows,
+# groups, messages, pairs) a step.  |v1| = 3 at n = 9: 19,683 pairs a
+# message row, 315 KB at 16 bytes a pair, so a step is one message row of
+# one z row; by default the two groups' tables, 130 KB a z row, are built
+# four z rows at a time, and at 2^12 bytes, five groups, one at a time.
+# At n = 10, 8 messages of 1,024 pairs: by default a step takes four z rows
+# with all their message rows and one batch builds all five z rows'
+# tables; at 2^14 bytes a step is one message row and a batch one z row
+# (14 KB of tables); at 2^10 bytes the same, over five groups.
+@pytest.mark.parametrize("name,n,rate,eps,seed,chunk_bytes,groups,batches,rows,messages", [
+    ("three", 9, 0.23, 0.2, 1, 2 ** 19, 2, [4, 1], 1, 1),
+    ("three", 9, 0.23, 0.2, 1, 2 ** 12, 5, [1] * 5, 1, 1),
+    ("trend", 10, 0.3, 0.45, 3, 2 ** 19, 2, [5], 4, 8),
+    ("trend", 10, 0.3, 0.45, 3, 2 ** 14, 2, [1] * 5, 1, 1),
+    ("trend", 10, 0.3, 0.45, 3, 2 ** 10, 5, [1] * 5, 1, 1),
+])
+def test_posterior_steps_follow_the_reference_bit_for_bit(
+        monkeypatch, name, n, rate, eps, seed, chunk_bytes, groups, batches, rows, messages):
+    # a step sums whole message rows, each alone, so neither the z rows a
+    # batch or a step takes nor the message rows of a step move a bit
+    config, tables, book = _tables_and_book(name, n, rate, eps, seed)
+    v1_all, want_selection, _ = _reference_selection(tables, book, config)
     monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
+    _, _, codes = _selection_table(tables, book, config)
+    built, steps = [], []
+
+    def build(tables, sequences, z_rows):
+        built.append(len(z_rows))
+        return tap_tables(tables, sequences, z_rows)
+
+    def step(node, codes):
+        steps.append((len(node[0]),) + codes.shape)
+        return pair_totals(node, codes)
+
+    tap_tables, pair_totals = simulator._tap_tables, simulator._pair_totals
+    monkeypatch.setattr(simulator, "_tap_tables", build)
+    monkeypatch.setattr(simulator, "_pair_totals", step)
     z_rows = np.random.default_rng(seed).integers(0, config.model.card_z, size=(5, n))
     got = simulator._posteriors(tables, codes, z_rows)
     states = len(v1_all)
-    assert steps[0] == (rows, states) and len(steps) == -(-5 // rows) * config.m
-    assert max(gathers) == min(pairs, states)
-    assert len(gathers) == len(steps) * -(-states // pairs)
+    assert len(tables.groups) == groups and built == batches
+    assert steps[0] == (rows, groups, messages, states)
+    assert len(steps) == sum(-(-b // rows) for b in batches) * -(-config.m // messages)
     for z_seq, row in zip(z_rows, got):
         want = reference_posterior(tables, config, v1_all, book.sequences[want_selection], z_seq)
         np.testing.assert_array_equal(row, want.probs)
@@ -784,19 +873,20 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=8, rate=0.25,
                        epsilon_typ=0.45, trials=3, seed=0)
-    # an int32 selection, a bool found and one intp code per codeword-row
-    # table for each (message, v1 sequence), one equivocation per trial, the
-    # 8 codewords of 8 symbols with their bins and subbins, the decoder's
-    # eight 2-entry tables per codeword, and one posterior step: a gather
-    # budget each for its message rows (four of 256 pairs at 9 bytes fit),
-    # its tables and its gathers; at n=8 with 1,024 pairs and 8 codewords
-    # the two halves of the summation tree are the tables
+    # an int32 selection, a bool found and one intp code per posterior
+    # group for each (message, v1 sequence), one equivocation per trial,
+    # the 8 codewords of 8 symbols with their bins and subbins, the
+    # decoder's eight 2-entry tables per codeword, and one posterior step:
+    # a gather budget each for its message rows (four of 256 pairs at 16
+    # bytes fit), its batch of tables (5,120 bytes a z row for 8 codewords
+    # over two groups of 16 entries) and the rest of the trial block; at
+    # n=8 with 1,024 pairs and 8 codewords the groups are the two halves
     tables = _Tables(config)
-    node_tables = len(tables.row_sums.nodes)
-    assert node_tables == 2
+    assert tables.groups == ((0, 4), (4, 8))
     assert simulator._codebook_size(config, tables.triplet.mi_uy) == 8
+    assert simulator._tap_table_bytes(tables, 8) == 8 * 8 * (2 * 8 + 2 * 2 * 16)
     assert _row_cut(8, 2, 8, 8 * config.trials).entries == 8 * 2
-    need = (config.m * 2 ** 8 * (4 + 1 + 8 * node_tables) + 8 * config.trials
+    need = (config.m * 2 ** 8 * (4 + 1 + 8 * 2) + 8 * config.trials
             + 8 * 8 * (8 + 2 + 8 * 2) + 3 * simulator.GATHER_BYTES)
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need)
     run_experiment(config)                               # exactly at the budget
@@ -814,7 +904,7 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
 
 def test_over_budget_simulation_exits_two_before_allocating(tmp_path, capsys):
     # n=16 at rate 0.75 gives 4096 messages over 65,536 state sequences:
-    # about 1 GiB of selection and 32 GiB of codes
+    # about 1 GiB of selection and 16 GiB of codes, eight groups of two
     model, policy = trend_instance()
     (tmp_path / "model.json").write_text(json.dumps(model_to_dict(model)))
     (tmp_path / "policy.json").write_text(json.dumps(policy_to_dict(policy)))
