@@ -70,6 +70,9 @@ class _NodeSums:
         self.buffers = _buffers(self.shape)                # floats per row in total()
         self.widths = tuple(card ** len(_leaves(node)) for node in nodes)
         self.entries = sum(self.widths)
+        # node t's digit is place // places[t] % widths[t] in the digit order
+        self.places = np.cumprod((1,) + self.widths[:-1])
+        self.places.setflags(write=False)
         self.weight = np.zeros((len(nodes), n), dtype=np.intp)
         for t, node in enumerate(nodes):
             coords = list(_leaves(node))
@@ -85,9 +88,11 @@ class _NodeSums:
         """(G, R) index parts of R symbol rows (R, n)."""
         return self.weight @ symbols.T
 
-    def state_codes(self, card: int) -> np.ndarray:
-        """(G, card^n) index parts of every state sequence, lexicographic."""
-        return _lex_codes(self.weight, card)
+    def digit_order(self, card: int) -> np.ndarray:
+        """(card^n,) each state sequence's place in the tree's digit order,
+        sequences lexicographic: the place value of each coordinate's
+        symbol, summed, built as one row."""
+        return _lex_codes((self.places @ self.weight)[None], card)[0]
 
     def total(self, tables: list[np.ndarray], code) -> np.ndarray:
         """Row sums: code(t) is node t's whole index, any shape R.  With

@@ -12,32 +12,38 @@ Hard caps keep everything exactly enumerable: block length <= 16, state
 alphabet product <= 4, codebook <= 2^20 codewords, and the posterior's state
 enumeration |V1|^N * |V2|^N <= 2^20.  On top of the caps, one byte budget,
 probability.BYTE_BUDGET, which the region search shares, bounds what a run
-holds.  Held whole: the int32 (m, S) selection and bool found tables, one
-intp (m, S) code array per posterior group (m messages, S = |V1|^N state
-sequences), the codebook, the decoder's tables and one equivocation per
-trial.  Beside them, one posterior step: its message rows of S pairs at 16
-bytes a pair, GATHER_BYTES of them or one row past that, and GATHER_BYTES
-each for a batch's tables (more only where one z row's tables take more)
-and for the rest of the trial block.  It is checked before anything is
-allocated; a run over it is refused with a UsageError.  Every other step,
-trials included, works in about GATHER_BYTES, so none outgrows the
-posterior's; a selection step gathers one state's m pairs at least, and
-the charge covers that too.
+holds.  Held whole, for m messages and S = |V1|^N state sequences: each
+(message, v1 sequence) pair's rank in its bin, (m, S) in the narrowest
+unsigned dtype that also holds "none" (uint8 up to 255 members a bin), and
+one int32 (m, S) code array per posterior group, 9 bytes a pair at two
+groups; the bins' member table, the codebook, the decoder's tables and one
+equivocation per trial.  Beside them, one posterior step: its products, 8
+bytes a pair, and its gather buffer, which together fit GATHER_BYTES,
+unless a single message row outgrows it, when the step is that row and a
+buffer of half of GATHER_BYTES; and GATHER_BYTES each for a batch's tables
+(more only where one z row's tables take more) and for the rest of the
+trial block.  It is checked before anything is allocated; a run over it is
+refused with a UsageError.  Every other step, trials included, works in
+about GATHER_BYTES, so none outgrows the posterior's; a selection step
+gathers one state's m pairs at least, and the charge covers that too.
 
 Every typicality score is an exact sum of n per-coordinate
 log-probabilities, taken through the node tables of nodesums, bit for bit
 numpy's .sum.  Those tables have one row per codeword over the v1 or the y
 symbols of the node's coordinates, and every cut is _row_cut's, so a
 (codeword, v1 sequence) pair's code in a flattened table is its row plus
-the row count times the sequence's state part.  The kernel serves two
+the row count times the sequence's state part.  A raw sum is typical when
+it lies in one interval, found once per run (_typical_sums): the sums t
+with |fl(fl(t / n) + H)| <= epsilon, exactly the ones _typical's mean
+calls typical, so a score costs two comparisons.  The kernel serves two
 callers:
 
 * _selection_table replays the encoder for every (message, v1 sequence)
   pair a rank at a time: the bins' r-th members against blocks of v1
   sequences taken in the tree's digit order, each pair stopping at its
-  bin's first typical member.  That table is the encoder: each trial
-  sends the listed codeword.  It also returns each pick's codes into the
-  posterior's tables.
+  bin's first typical member.  That table of ranks is the encoder: each
+  trial sends its pair's member.  It also holds each pair's codes into
+  the posterior's tables.
 * _decoder builds codeword-row tables of log p(u, y) over the y symbols
   once per run and scores every codeword against the distinct y of a
   trial block through the y rows' codes.
@@ -67,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -85,9 +92,9 @@ MAX_STATE_PRODUCT = 4
 MAX_CODEBOOK = 2 ** 20
 MAX_STATE_ENUM_BITS = 20.0
 GATHER_BYTES = 2 ** 19    # working set of one selection, decode, posterior or trial step
-# a posterior message row per (message, v1 sequence) pair: its product and
-# one gathered factor
-_ROW_PAIR_BYTES = 8 + 8
+# a posterior message row per (message, v1 sequence) pair: its product; the
+# factors are gathered into a buffer of their own
+_ROW_PAIR_BYTES = 8
 # a z row whose largest message total falls below this is rescored by log sums
 _RESCORE_BELOW = 2.0 ** -900
 WILSON_Z = 1.959963984540054
@@ -257,6 +264,62 @@ def _typical(mean_log_p: np.ndarray, entropy: float, epsilon: float) -> np.ndarr
     return mean_log_p <= epsilon
 
 
+def _float_place(x: float) -> int:
+    """x's place among the float64s in their order, 0.0 and -0.0 both 0."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return -(bits & ~(1 << 63)) if bits >> 63 else bits
+
+
+def _place_float(place: int) -> float:
+    """The float64 at a place of _float_place's order."""
+    return struct.unpack("<d", struct.pack("<Q", -place | 1 << 63 if place < 0 else place))[0]
+
+
+@functools.lru_cache(maxsize=64)
+def _typical_sums(n: int, entropy: float, epsilon: float) -> tuple[float, float]:
+    """(lo, hi) such that a sum t of n log2-probabilities is typical as
+    _typical rounds its mean, |fl(fl(t / n) + entropy)| <= epsilon,
+    exactly when lo <= t <= hi; (inf, -inf) when no t is.
+
+    t -> fl(fl(t / n) + entropy) never falls as t rises, since each
+    rounding is monotone, so the typical sums are one run of the float64s
+    in their order, infinities included; each end is a bisection over that
+    order, in the same float64 arithmetic numpy's arrays take."""
+    def first(holds) -> int:
+        # the first place from -inf up whose sum holds, or one past +inf
+        lo, hi = _float_place(-math.inf), _float_place(math.inf) + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if holds(_place_float(mid) / n + entropy):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    low = first(lambda mean: mean >= -epsilon)
+    high = first(lambda mean: mean > epsilon) - 1
+    if low > high:
+        return math.inf, -math.inf
+    return _place_float(low), _place_float(high)
+
+
+def _within(sums: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+    """The typicality mask of raw row sums against _typical_sums' bounds."""
+    hit = sums >= bounds[0]
+    hit &= sums <= bounds[1]
+    return hit
+
+
+def _symbols(seq, config: SimConfig, card: int, name: str) -> np.ndarray:
+    """seq as an array of n integer symbols in [0, card), or a UsageError."""
+    seq = np.asarray(seq)
+    if seq.shape != (config.n,):
+        raise UsageError(f"{name} sequence must have length {config.n}")
+    if seq.dtype.kind not in "iu" or not ((seq >= 0) & (seq < card)).all():
+        raise UsageError(f"{name} symbols must be integers in [0, {card})")
+    return seq
+
+
 def _sample(probs: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """Inverse-CDF symbol per row of probs (..., card) from uniform draws (...)."""
     return (probs.cumsum(axis=-1) < draws[..., None]).sum(axis=-1)
@@ -321,9 +384,7 @@ def _encode(tables: _Tables, codebook: Codebook, config: SimConfig,
             ) -> tuple[np.ndarray, np.ndarray, bool]:
     if not 1 <= message <= codebook.bin_count:
         raise UsageError(f"message {message} outside [1, {codebook.bin_count}]")
-    v1_seq = np.asarray(v1_seq)
-    if v1_seq.shape != (config.n,):
-        raise UsageError(f"v1 sequence must have length {config.n}")
+    v1_seq = _symbols(v1_seq, config, config.model.card_v1, "v1")
 
     members = np.flatnonzero(codebook.bin_index == message)
     typical = _typical(tables.log_p_uv1[codebook.sequences[members], v1_seq].mean(axis=-1),
@@ -342,13 +403,8 @@ def _encode(tables: _Tables, codebook: Codebook, config: SimConfig,
 def decode(codebook: Codebook, config: SimConfig,
            y_seq: np.ndarray) -> Optional[int]:
     """Bin of the unique codeword typical with y_seq, or None."""
+    y_seq = _symbols(y_seq, config, config.model.card_y, "y")
     tables = _Tables(config)
-    y_seq = np.asarray(y_seq)
-    if y_seq.shape != (config.n,):
-        raise UsageError(f"y sequence must have length {config.n}")
-    card_y = tables.p_uy.shape[1]
-    if not ((y_seq >= 0) & (y_seq < card_y)).all():
-        raise UsageError(f"y symbols must lie in [0, {card_y})")
     return int(_decoder(tables, codebook, config)(y_seq[None])[0]) or None
 
 
@@ -360,21 +416,22 @@ def _decoder(tables: _Tables, codebook: Codebook, config: SimConfig):
     y symbols of the node's coordinates, cut for a run's K * trials scores,
     are built once.  A call scores every codeword against a chunk of its
     rows at a time through the rows' codes alone, GATHER_BYTES at a time:
-    per score the sums' buffers (or _typical's three floats) and two
-    typicality masks, this chunk's and the last's.
+    per score the sums' buffers and three masks, this chunk's typicality
+    and its temporary and the last chunk's typicality.  A sum is typical
+    within _typical_sums' bounds, as _typical would call its mean.
     """
     size, n = codebook.sequences.shape
     sums = _row_cut(n, tables.p_uy.shape[1], size, size * config.trials)
     node = sums.tables(lambda i: tables.log_p_uy[codebook.sequences[:, i]])   # (K, widths[t])
-    step = max(1, GATHER_BYTES // ((8 * max(sums.buffers, 3) + 2) * size))
+    step = max(1, GATHER_BYTES // ((8 * sums.buffers + 3) * size))
+    bounds = _typical_sums(n, float(tables.h_uy), config.epsilon_typ)
 
     def decodes(y_rows: np.ndarray) -> np.ndarray:
         codes = sums.sequence_codes(y_rows)                                     # (G, Y)
         decoded = np.zeros(len(y_rows), dtype=np.int64)
         for lo in range(0, len(y_rows), step):
             total = sums.total(node, lambda t: codes[t, lo:lo + step])         # (K, rows)
-            total /= n
-            typical = _typical(total, tables.h_uy, config.epsilon_typ)
+            typical = _within(total, bounds)
             del total                                   # before the next chunk's
             unique = np.count_nonzero(typical, axis=0) == 1
             decoded[lo:lo + step][unique] = codebook.bin_index[typical.argmax(axis=0)[unique]]
@@ -385,8 +442,8 @@ def _decoder(tables: _Tables, codebook: Codebook, config: SimConfig):
 
 def _gather_score_bytes(sums: _NodeSums) -> int:
     """Bytes of one gathered (pair, rank) score of the selection: the sums'
-    buffers (or _typical's three floats), its pick and a mask."""
-    return 8 * (max(sums.buffers, 3) + 1) + 2
+    buffers, its pick, and its typicality mask and the mask's temporary."""
+    return 8 * (sums.buffers + 1) + 2
 
 
 def _check_enumeration(tables: _Tables) -> int:
@@ -399,26 +456,30 @@ def _check_enumeration(tables: _Tables) -> int:
         raise UsageError(
             f"state enumeration needs n*log2(|v1||v2|) <= {MAX_STATE_ENUM_BITS}, "
             f"got {config.n * math.log2(product):.3f}")
-    # int32 selection and bool found, (m, S); one intp code per group, (G,
-    # m, S); one float equivocation per trial; and one posterior step: its
-    # message rows of S pairs, GATHER_BYTES of them or one row past that,
-    # beside GATHER_BYTES for a batch's tables, or one z row's tables where
-    # they are larger, and GATHER_BYTES for the rest of the trial block.  A
-    # selection step gathers one state's m pairs at least.  The selection's
-    # own whole arrays, at most 9 bytes a pair (the picks in both orders and
-    # found), are freed before the codes.
+    # a rank and one int32 code per group for each (message, v1 sequence)
+    # pair, (m, S); the (m, depth + 1) member table; one float equivocation
+    # per trial; and one posterior step: its products, 8 bytes a pair, and
+    # its gather buffer within GATHER_BYTES, or one message row that
+    # outgrows it and a buffer of half of it (_step_shape, _combined),
+    # beside GATHER_BYTES each for a batch's tables (or one z row's where
+    # they are larger) and for the rest of the trial block.  A selection
+    # step gathers one state's m pairs at least.  The selection's own
+    # whole arrays, the ranks in the digit order and each sequence's place
+    # in it, are freed before the codes are written.
     states = config.model.card_v1 ** config.n
     cells = config.m * states
     rows, _ = _pick_rows(config, tables.triplet.mi_uy)
-    step = max(_ROW_PAIR_BYTES * states, GATHER_BYTES,
+    size = _codebook_size(config, tables.triplet.mi_uy)
+    depth = -(-size // config.m)
+    step = max(_ROW_PAIR_BYTES * states + GATHER_BYTES // 2, GATHER_BYTES,
                _gather_score_bytes(tables.row_sums) * config.m)
     batch = _tap_table_bytes(tables, rows)
-    need = (cells * (4 + 1 + 8 * len(tables.groups)) + 8 * config.trials
+    need = (cells * (np.min_scalar_type(depth).itemsize + 4 * len(tables.groups))
+            + 8 * config.m * (depth + 1) + 8 * config.trials
             + step + max(GATHER_BYTES, batch) + GATHER_BYTES)
     # the codebook's K sequences with their bins and subbins, and the
     # decoder's tables, one row per codeword; a codebook past its cap is
     # refused when it is drawn
-    size = _codebook_size(config, tables.triplet.mi_uy)
     if size <= MAX_CODEBOOK:
         decoder = _row_cut(config.n, tables.p_uy.shape[1], size, size * config.trials)
         need += 8 * size * (config.n + 2 + decoder.entries)
@@ -432,107 +493,127 @@ def _check_enumeration(tables: _Tables) -> int:
 
 
 @dataclass(frozen=True)
-class _Codes:
-    """Each (message, v1 sequence) pair's pick as codes into the
-    posterior's tables, one per group of _Tables.groups, (G, m, S): the
-    pick's row times the group's width plus the sequence's digits over the
-    group's coordinates, lexicographic.  The rows are the picked
-    codewords, `sequences`, in codebook order."""
+class _Selection:
+    """The encoder replayed for every (message, v1 sequence) pair, the v1
+    sequences in lexicographic order.
+
+    members (m, depth + 1): bin j + 1's r-th codeword at [j, r], a bin one
+    short repeating its last, and the fallback codeword, bin 1's first, in
+    the last column.  ranks (m, S): each pair's rank in its bin, depth
+    where no member is typical, in the narrowest unsigned dtype that holds
+    depth; the pair sends members[message - 1, rank].  sequences: the
+    picked codewords in codebook order, the rows of the posterior's
+    tables.  codes (G, m, S), int32: each pair's code in each group's table
+    (_Tables.groups), its pick's row times the group's width plus the
+    sequence's digits over the group's coordinates, lexicographic."""
+    members: np.ndarray
+    ranks: np.ndarray
     sequences: np.ndarray
     codes: np.ndarray
 
 
-def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
-                     ) -> tuple[np.ndarray, np.ndarray, _Codes]:
-    """The encoder's choice for every (message, v1 sequence).
+def _bin_members(codebook: Codebook) -> np.ndarray:
+    """_Selection's member table.  A bin one short repeats its last member,
+    which cannot hit again: a pair reaching the repeat has found that
+    member atypical already."""
+    m = codebook.bin_count
+    sizes = np.bincount(codebook.bin_index, minlength=m + 1)[1:]
+    order = np.argsort(codebook.bin_index, kind="stable")
+    ends = np.cumsum(sizes)
+    members = order[np.minimum(ends[:, None] - sizes[:, None] + np.arange(sizes.max() + 1),
+                               ends[:, None] - 1)]
+    members[:, -1] = _fallback_codeword(codebook)
+    return members
 
-    Returns the (m, S) int32 codeword indices, the (m, S) mask of bins
-    holding a typical member (the rest fall back to bin 1's first codeword)
-    and the picks' _Codes, the posterior's input.  _first_typical finds the
-    picks in the tree's digit order; they are then put in lexicographic
-    order and their codes written GATHER_BYTES of picks at a time, which
-    makes no whole-run temporary.
+
+def _member_places(ranks: np.ndarray, members: np.ndarray, lo: int, step: int
+                   ) -> np.ndarray:
+    """The places in the flattened member table of the pairs lo .. lo +
+    step - 1 of the flattened ranks (m, S): message times the table's
+    width plus rank."""
+    count, size = ranks.shape[1], ranks.size
+    return (ranks.reshape(-1)[lo:lo + step]
+            + np.arange(lo, min(lo + step, size)) // count * members.shape[1])
+
+
+def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
+                     ) -> _Selection:
+    """The encoder's choice for every (message, v1 sequence), the posterior's
+    input.
+
+    _first_typical finds the ranks in the tree's digit order; they are then
+    put in lexicographic order and the codes written GATHER_BYTES of pairs
+    at a time, which makes no whole-run temporary.
     """
     sequences = codebook.sequences
-    card, m = tables.p_uv1.shape[1], codebook.bin_count
-    count = card ** config.n
+    card = tables.p_uv1.shape[1]
     sums = tables.row_sums
+    members = _bin_members(codebook)
+    m = codebook.bin_count
     node = sums.tables(lambda i: tables.log_p_uv1[sequences[:, i]])      # (K, widths[t])
-    places = np.cumprod((1,) + sums.widths[:-1])
-    pick, pending = _first_typical(tables, codebook, config, node, places)
+    ranks = _first_typical(tables, config, node, members)
     del node
-    tree_of = places @ sums.state_codes(card)   # each sequence's place in the digit order
-    found = np.take(pending, tree_of, axis=1)
-    np.logical_not(found, out=found)
-    del pending
-    selection = np.take(pick, tree_of, axis=1)
-    del pick, tree_of                                   # before the codes
-    # a step of picks, copied to intp for indexing as np.take copies them,
-    # their table rows and one group's multiple of them fit GATHER_BYTES
-    picks, step = selection.reshape(-1), max(1, GATHER_BYTES // 24)
+    ranks = np.take(ranks, sums.digit_order(card), axis=1)
+    count = ranks.shape[1]
+    # a step of pairs' places in members, their table rows and one group's
+    # multiple of them, 8 bytes each, fit GATHER_BYTES; m pairs at least,
+    # as a selection step takes, so a tiny budget does not write a pair at
+    # a time
+    step = max(m, GATHER_BYTES // 24)
+    steps = range(0, ranks.size, step)
+    used = np.zeros(members.size, dtype=bool)           # the members some pair takes
+    for lo in steps:
+        used[_member_places(ranks, members, lo, step)] = True
     picked = np.zeros(len(sequences), dtype=bool)
-    for lo in range(0, picks.size, step):
-        picked[picks[lo:lo + step].astype(np.intp)] = True
-    row = np.cumsum(picked) - 1                         # a picked codeword's table row
+    picked[members.reshape(-1)[used]] = True
+    member_rows = (np.cumsum(picked) - 1)[members]      # a picked member's table row
     groups = tables.groups
-    codes = np.empty((len(groups), m, count), dtype=np.intp)
+    codes = np.empty((len(groups), m, count), dtype=np.int32)
     for code, (first, last) in zip(codes, groups):
         # each sequence's digits over the group, in the first message's
         # row, then copied to the others
         code[0].reshape(card ** first, card ** (last - first), -1)[...] = (
             np.arange(card ** (last - first))[:, None])
         code[1:] = code[0]
-    for lo in range(0, picks.size, step):
-        rows = np.take(row, picks[lo:lo + step], mode="clip")
+    for lo in steps:
+        picks = np.take(member_rows, _member_places(ranks, members, lo, step))
         for code, (first, last) in zip(codes.reshape(len(groups), -1), groups):
-            code[lo:lo + step] += rows * card ** (last - first)
-    return selection, found, _Codes(sequences[picked], codes)
+            code[lo:lo + step] += picks * card ** (last - first)
+    return _Selection(members, ranks, sequences[picked], codes)
 
 
-def _first_typical(tables: _Tables, codebook: Codebook, config: SimConfig,
-                   node: list[np.ndarray], places: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """The int32 picks (m, S) and the mask of pairs still pending, with no
-    typical member in their bin, in the tree's digit order: the encoder
-    replayed for every (message, v1 sequence) pair from `node`, the
-    codeword-row tables of log p(u, v1), whose node t holds digit
-    place // places[t] % widths[t].
+def _first_typical(tables: _Tables, config: SimConfig, node: list[np.ndarray],
+                   members: np.ndarray) -> np.ndarray:
+    """Each (message, v1 sequence) pair's rank in its bin, (m, S) in the
+    tree's digit order, depth where none is typical: the encoder replayed
+    for every pair from `node`, the codeword-row tables of log p(u, v1),
+    and _Selection's `members`.
 
     Rank r scores every bin's r-th member against the pairs still pending,
-    so a pair stops at its bin's first typical member, as encode does.  The
-    v1 sequences are taken in the tree's digit order, in blocks of `width`
-    that fit GATHER_BYTES for all m messages.  A (message, block) cell with
-    at least a quarter of its pairs pending, and at least 16, is scored
-    whole: one outer sum of the members' table rows, contiguous adds.  A
-    thinner cell's pending pairs join a list scored by gathers; once no
-    cell is scored whole, the list takes as many ranks at a time as fit.
-    Scores are numpy's row sums of log p(u, v1), so the picks are encode's.
-    Its own function, so the loops' last arrays are freed on return.
+    those at depth, so a pair stops at its bin's first typical member, as
+    encode does.  The v1 sequences are taken in the tree's digit order, in
+    blocks of `width` that fit GATHER_BYTES for all m messages.  A
+    (message, block) cell with at least a quarter of its pairs pending, and
+    at least 16, is scored whole: one outer sum of the members' table rows,
+    contiguous adds.  A thinner cell's pending pairs join a list scored by
+    gathers; once no cell is scored whole, the list takes as many ranks at
+    a time as fit, each pair its first hit.  Scores are numpy's row sums of
+    log p(u, v1), typical within _typical_sums' bounds, so the ranks are
+    encode's.  Its own function, so the loops' last arrays are freed on
+    return.
     """
-    n, m = config.n, codebook.bin_count
-    card = tables.p_uv1.shape[1]
-    sums = tables.row_sums
+    n, card, sums = config.n, tables.p_uv1.shape[1], tables.row_sums
+    m, depth = members.shape[0], members.shape[1] - 1
     flat = [table.reshape(1, -1) for table in node]
     count = card ** n
+    bounds = _typical_sums(n, float(tables.h_uv1), config.epsilon_typ)
 
-    # members[j, r]: the r-th codeword of bin j + 1.  Bins one short repeat
-    # their last member, which cannot hit again: a pair reaching the repeat
-    # has found that member atypical already.
-    sizes = np.bincount(codebook.bin_index, minlength=m + 1)[1:]
-    order = np.argsort(codebook.bin_index, kind="stable")
-    ends = np.cumsum(sizes)
-    members = order[np.minimum(ends[:, None] - sizes[:, None] + np.arange(sizes.max()),
-                               ends[:, None] - 1)]
-    depth = members.shape[1]
-
-    fallback = _fallback_codeword(codebook)
-    pick = np.full((m, count), fallback, dtype=np.int32)     # in the digit order
-    pending = np.ones((m, count), dtype=bool)
+    ranks = np.full((m, count), depth, dtype=np.min_scalar_type(depth))
     score = _gather_score_bytes(sums)
     # a whole cell's pair holds its sum, the outer sum's last factor, a copy
-    # of its pick and two masks
+    # of its rank and three masks
     width = 1
-    while width < count and m * width * card * (3 * 8 + 2) <= GATHER_BYTES:
+    while width < count and m * width * card * (2 * 8 + 4) <= GATHER_BYTES:
         width *= card
     left = np.full((m, count // width), width)               # pending pairs per cell
     whole = np.ones(left.shape, dtype=bool)
@@ -543,7 +624,7 @@ def _first_typical(tables: _Tables, codebook: Codebook, config: SimConfig,
         if thin.any():
             whole &= ~thin
             ids = np.flatnonzero(thin)                   # message * blocks + block
-            at = np.flatnonzero(pending.reshape(-1, width)[ids])
+            at = np.flatnonzero(ranks.reshape(-1, width)[ids] == depth)
             loose = np.concatenate([loose, ids[at // width] * width + at % width])
         if not (loose.size or whole.any()):
             break
@@ -553,37 +634,43 @@ def _first_typical(tables: _Tables, codebook: Codebook, config: SimConfig,
             cells = rows, slice(block * width, (block + 1) * width)
             total = sums.block([table[members[rows, rank]] for table in node],
                                block * width, width)
-            total /= n
-            hit = _typical(total, tables.h_uv1, config.epsilon_typ)
+            hit = _within(total, bounds)
             del total                                   # before the next block's
-            # views of the cells when every message is scored, else copies
-            cell_pick, cell_pending = pick[cells], pending[cells]
-            hit &= cell_pending
+            # a view of the cells when every message is scored, else a copy;
+            # at rank 0 every pair is pending
+            cell = ranks[cells]
+            if rank:
+                hit &= cell == depth
             left[rows, block] -= np.count_nonzero(hit, axis=1)
-            np.copyto(cell_pick, members[rows, rank, None], where=hit)
-            np.copyto(cell_pending, False, where=hit)
+            # a hit takes its pair from depth down to rank
+            cell -= np.multiply(hit, depth - rank, dtype=ranks.dtype)
             if not isinstance(rows, slice):
-                pick[cells], pending[cells] = cell_pick, cell_pending
-        ranks = 1 if whole.any() else min(depth - rank,
-                                          max(1, GATHER_BYTES // (score * loose.size)))
-        step = max(m, GATHER_BYTES // (score * ranks))      # one state's pairs at least
+                ranks[cells] = cell
+        window = 1 if whole.any() else min(depth - rank,
+                                           max(1, GATHER_BYTES // (score * loose.size)))
+        step = max(m, GATHER_BYTES // (score * window))     # one state's pairs at least
         keep = np.ones(loose.size, dtype=bool)
         for lo in range(0, loose.size, step):
             pair = loose[lo:lo + step]
             message, place = np.divmod(pair, count)
-            picks = members[message[:, None], np.arange(rank, rank + ranks)]
+            picks = members[message[:, None], np.arange(rank, rank + window)]
             total = sums.total(flat, lambda t: picks * sums.widths[t]
-                               + (place // places[t] % sums.widths[t])[:, None])
-            total /= n
-            hit = _typical(total, tables.h_uv1, config.epsilon_typ)
-            del total                                   # before the next step's
-            got = np.flatnonzero(hit.any(axis=1))
-            pick.reshape(-1)[pair[got]] = picks[got, hit[got].argmax(axis=1)]
-            pending.reshape(-1)[pair[got]] = False
+                               + (place // sums.places[t] % sums.widths[t])[:, None])
+            hit = _within(total, bounds)
+            del total, message, place, picks
+            # the hits in pair-major order; a pair's first one is its rank
+            at = np.flatnonzero(hit)
+            hit_pair = at // window
+            first = np.ones(at.size, dtype=bool)
+            first[1:] = hit_pair[1:] != hit_pair[:-1]
+            got = hit_pair[first]
+            ranks.reshape(-1)[pair[got]] = rank + at[first] - got * window
             keep[lo + got] = False
+            # no step's arrays outlive it, into the next rank's blocks
+            del pair, hit, at, hit_pair, first, got
         loose = loose[keep]
-        rank += ranks
-    return pick, pending
+        rank += window
+    return ranks
 
 
 def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
@@ -596,11 +683,9 @@ def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
     """
     tables = _Tables(config)
     _check_enumeration(tables)
-    z_seq = np.asarray(z_seq)
-    if z_seq.shape != (config.n,):
-        raise UsageError(f"z sequence must have length {config.n}")
-    _, _, codes = _selection_table(tables, codebook, config)
-    return Pmf("message", _posteriors(tables, codes, z_seq[None])[0])
+    z_seq = _symbols(z_seq, config, config.model.card_z, "z")
+    selection = _selection_table(tables, codebook, config)
+    return Pmf("message", _posteriors(tables, selection, z_seq[None])[0])
 
 
 def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
@@ -665,53 +750,85 @@ def _tap_tables(tables: _Tables, sequences: np.ndarray, z_rows: np.ndarray
     return out
 
 
+def _step_shape(m: int, states: int) -> tuple[int, int]:
+    """(z rows, message rows) of a posterior step over m message rows of
+    `states` pairs each.  A pair holds its product, _ROW_PAIR_BYTES, and
+    while gathered, 8 bytes a z row of factor and 8 of code copied to intp
+    (_combined): as many z rows with all their message rows as fit
+    GATHER_BYTES so, else one z row and as many of its message rows as
+    fit, one at least."""
+    rows = (GATHER_BYTES // (_ROW_PAIR_BYTES * m * states) - 1) // 2
+    if rows >= 1:
+        return rows, m
+    return 1, min(m, max(1, GATHER_BYTES // (3 * _ROW_PAIR_BYTES * states)))
+
+
+def _combined(tables: list[np.ndarray], codes: np.ndarray, combine) -> np.ndarray:
+    """(Z, P): each of P pairs' entries in the groups' tables (Z, entries)
+    at its codes (G, P), combined left to right, combine(combine(t_0, t_1),
+    t_2) and so on.
+
+    The result is the only whole array.  The first group's entries are
+    gathered into it and each later group's into one reused buffer, a block
+    at a time: the buffer and the block's codes, copied to intp as np.take
+    does with int32 codes, fit the room the result leaves in GATHER_BYTES,
+    half of it at least.  A block is whole z rows while one row's pairs fit
+    so, else one z row's pairs in chunks (256 at least).  A block is
+    contiguous, so combining in place makes no temporary."""
+    rows, pairs = len(tables[0]), codes.shape[1]
+    room = max(GATHER_BYTES // 8 - rows * pairs, GATHER_BYTES // 16)   # 8-byte entries
+    if 2 * pairs <= room:
+        block, chunk = min(rows, room // pairs - 1), pairs
+    else:
+        block, chunk = 1, min(pairs, max(room // 2, 2 ** 8))
+    out = np.empty((rows, pairs))
+    buffer = np.empty(block * chunk)
+    for at in range(0, rows, block):
+        for lo in range(0, pairs, chunk):
+            part = out[at:at + block, lo:lo + chunk]
+            gathered = buffer[:part.size].reshape(part.shape)
+            for t, table in enumerate(tables):
+                np.take(table[at:at + block], codes[t, lo:lo + chunk], axis=1,
+                        out=gathered if t else part, mode="clip")
+                if t:
+                    combine(part, gathered, out=part)
+    return out
+
+
 def _pair_totals(factors: list[np.ndarray], codes: np.ndarray) -> np.ndarray:
     """(Z, M) message totals from the groups' tables of exp(L_g), (Z,
     entries), and the codes (G, M, S) of M message rows: each pair's
-    entries, gathered one group at a time and multiplied left to right, and
-    each message's S products summed as one contiguous row in lexicographic
-    v1 order."""
+    entries multiplied left to right (_combined), and each message's S
+    products summed as one contiguous row in lexicographic v1 order."""
     rows, (count, messages, states) = len(factors[0]), codes.shape
-    flat = codes.reshape(count, -1)
-
-    def gather(t, out=None):
-        table = factors[t][0] if rows == 1 else factors[t]
-        return np.take(table, flat[t], axis=-1, out=out, mode="clip")
-
-    product = gather(0)
-    if count > 1:
-        factor = np.empty_like(product)
-        for t in range(1, count):
-            product *= gather(t, factor)
+    product = _combined(factors, codes.reshape(count, -1), np.multiply)
     return product.reshape(rows, messages, states).sum(axis=2)
 
 
-def _rescored(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarray:
+def _rescored(tables: _Tables, selection: _Selection, z_rows: np.ndarray) -> np.ndarray:
     """exp(log P(z, message) less its largest) for each z row (Z, n), by
-    log sums: each pair's gathered group sums L_g added left to right, and
-    each message row reduced by _log_sum_exp.  It takes a z row at a time
-    and as many of its message rows as fit GATHER_BYTES at 16 bytes a pair,
-    one at least, and raises a UsageError for a z row no message can
+    log sums: each pair's gathered group sums L_g added left to right
+    (_combined), and each message row reduced by _log_sum_exp.  It takes a
+    z row at a time and its message rows as a posterior step would
+    (_step_shape), and raises a UsageError for a z row no message can
     give."""
-    count, m, states = codes.codes.shape
-    messages = min(m, max(1, GATHER_BYTES // (_ROW_PAIR_BYTES * states)))
+    count, m, states = selection.codes.shape
+    messages = _step_shape(m, states)[1]
     log_posts = np.empty((len(z_rows), m))
     for z, row in enumerate(z_rows):
-        sums = [table[0] for table in _tap_tables(tables, codes.sequences, row[None])]
+        sums = _tap_tables(tables, selection.sequences, row[None])
         for first in range(0, m, messages):
-            step = codes.codes[:, first:first + messages].reshape(count, -1)
-            loglik = np.take(sums[0], step[0])
-            for t in range(1, count):
-                loglik += np.take(sums[t], step[t])
+            step = selection.codes[:, first:first + messages].reshape(count, -1)
+            loglik = _combined(sums, step, np.add)[0]
             log_posts[z, first:first + messages] = _log_sum_exp(loglik.reshape(-1, states))
     if not np.isfinite(log_posts).any(axis=1).all():
         raise UsageError("observed z sequence has zero probability under the model")
     return np.exp(log_posts - log_posts.max(axis=1, keepdims=True))
 
 
-def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarray:
-    """Message posteriors (Z, m) of the z rows (Z, n), from the _Codes of
-    _selection_table, in the probability domain.
+def _posteriors(tables: _Tables, selection: _Selection, z_rows: np.ndarray) -> np.ndarray:
+    """Message posteriors (Z, m) of the z rows (Z, n), from the codes and
+    picked codewords of _selection_table, in the probability domain.
 
     A batch of z rows gets, per group of _Tables.groups, its table of
     exp(L_g) (_tap_tables), one per z row.  Each log weight was reduced by
@@ -730,23 +847,19 @@ def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarra
     message can give ends there with a UsageError.
 
     A batch takes as many z rows as their tables, _tap_table_bytes a z row,
-    fit in GATHER_BYTES, one at least.  A step holds _ROW_PAIR_BYTES, 16
-    bytes, a pair (its product and one gathered factor): while a z row's
-    message rows all fit GATHER_BYTES, it takes as many such z rows as fit;
-    otherwise one z row and as many of its message rows as fit, one at
-    least.  _check_enumeration charges a step, one message row past
-    GATHER_BYTES at most, beside a batch's tables.
+    fit in GATHER_BYTES, one at least.  A step holds _ROW_PAIR_BYTES, 8
+    bytes, a pair (its product) beside _combined's gather buffer, sized by
+    _step_shape so that both fit GATHER_BYTES.  Only a message row whose
+    products, factors and codes outgrow GATHER_BYTES goes past it: the
+    step is that row and a buffer of half of GATHER_BYTES, which
+    _check_enumeration charges beside a batch's tables.
     """
-    count, m, states = codes.codes.shape
-    batch = max(1, GATHER_BYTES // _tap_table_bytes(tables, len(codes.sequences)))
-    per_row = _ROW_PAIR_BYTES * states
-    if m * per_row <= GATHER_BYTES:
-        rows, messages = GATHER_BYTES // (m * per_row), m
-    else:
-        rows, messages = 1, min(m, max(1, GATHER_BYTES // per_row))
+    count, m, states = selection.codes.shape
+    batch = max(1, GATHER_BYTES // _tap_table_bytes(tables, len(selection.sequences)))
+    rows, messages = _step_shape(m, states)
     totals = np.empty((len(z_rows), m))
     for lo in range(0, len(z_rows), batch):
-        factors = _tap_tables(tables, codes.sequences, z_rows[lo:lo + batch])
+        factors = _tap_tables(tables, selection.sequences, z_rows[lo:lo + batch])
         for table in factors:
             np.exp(table, out=table)
         for at in range(0, len(factors[0]), rows):
@@ -754,12 +867,12 @@ def _posteriors(tables: _Tables, codes: _Codes, z_rows: np.ndarray) -> np.ndarra
             out = totals[lo + at:lo + at + len(part[0])]
             for first in range(0, m, messages):
                 out[:, first:first + messages] = _pair_totals(
-                    part, codes.codes[:, first:first + messages])
+                    part, selection.codes[:, first:first + messages])
         del factors, part, out                          # before the next batch's
     peak = totals.max(axis=1, keepdims=True)
     low = np.flatnonzero(peak[:, 0] < _RESCORE_BELOW)
     if low.size:
-        totals[low] = _rescored(tables, codes, z_rows[low])
+        totals[low] = _rescored(tables, selection, z_rows[low])
         peak[low] = 1.0
     totals /= peak
     totals /= totals.sum(axis=1, keepdims=True)
@@ -806,15 +919,15 @@ def run_experiment(config: SimConfig) -> SimulationReport:
     Those are 4n + 1 PCG64 outputs, because m is a power of two and numpy's
     32-bit Lemire draw then takes exactly one; _trial_draws takes them for a
     whole block from the lane-wise kernel probability._pcg64_outputs, bit
-    for bit.  The selection table is the encoder: trial t sends the codeword
-    it lists for the trial's (message, v1 sequence).  Trials run in blocks
+    for bit.  The selection table is the encoder: trial t sends the bin
+    member its rank lists for the trial's (message, v1 sequence).  Trials run in blocks
     of about GATHER_BYTES; only their equivocations are kept whole, for the
     mean.
     """
     tables = _Tables(config)
     _check_enumeration(tables)
     codebook = _build_codebook(config, tables)
-    selection, found, codes = _selection_table(tables, codebook, config)
+    selection = _selection_table(tables, codebook, config)
     decodes = _decoder(tables, codebook, config)
 
     model = config.model
@@ -829,7 +942,7 @@ def run_experiment(config: SimConfig) -> SimulationReport:
     equivocations = np.empty(trials)
     for lo in range(0, trials, block):
         messages, fell_back, y, z = _trial_block(
-            tables, codebook, config, selection, found, lo, min(block, trials - lo))
+            tables, codebook, config, selection, lo, min(block, trials - lo))
         fallbacks += int(np.count_nonzero(fell_back))
         # decode and posterior are functions of the observation alone, so
         # each distinct y and z row of a block is evaluated once, all in one
@@ -838,7 +951,7 @@ def run_experiment(config: SimConfig) -> SimulationReport:
         errors += int(np.count_nonzero(decodes(y_rows)[y_of.reshape(-1)] != messages))
         del y, y_rows, y_of                             # before the posteriors' batches
         z_rows, z_of = _distinct(z, model.card_z)
-        entropies = _entropy_bits_batch(_posteriors(tables, codes, z_rows))
+        entropies = _entropy_bits_batch(_posteriors(tables, selection, z_rows))
         equivocations[lo:lo + len(messages)] = entropies[z_of.reshape(-1)] / log_m
 
     return SimulationReport(
@@ -890,7 +1003,7 @@ def _trial_draws(seed: int, m: int, n: int, first: int, count: int
 
 
 def _trial_block(tables: _Tables, codebook: Codebook, config: SimConfig,
-                 selection: np.ndarray, found: np.ndarray, first: int, count: int
+                 selection: _Selection, first: int, count: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Trials first .. first + count - 1: their messages, fallback flags and
     (count, n) channel outputs y and z."""
@@ -903,9 +1016,9 @@ def _trial_block(tables: _Tables, codebook: Codebook, config: SimConfig,
     # rng.choice(size, n, p=...) draws n uniforms and inverts this cdf; the
     # block inverts every trial's at once
     v1, v2 = np.divmod(state_cdf.searchsorted(draws[:, 0], side="right"), model.card_v2)
-    sent = (messages - 1, v1 @ model.card_v1 ** np.arange(n - 1, -1, -1))
-    u = codebook.sequences[selection[sent]]
+    rank = selection.ranks[messages - 1, v1 @ model.card_v1 ** np.arange(n - 1, -1, -1)]
+    u = codebook.sequences[selection.members[messages - 1, rank]]
     x = _sample(tables.x_dist[u, v1], draws[:, 1])
     y = _sample(model.main_kernel.table[x, v1], draws[:, 2])
     z = _sample(model.wiretap_kernel.table[x, v2], draws[:, 3])
-    return messages, ~found[sent], y, z
+    return messages, rank == selection.members.shape[1] - 1, y, z

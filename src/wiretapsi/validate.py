@@ -253,10 +253,10 @@ def _check_posterior_brute_force(report: ValidationReport, seed: int) -> None:
                            trials=1, seed=seed + 3 + CODEBOOK_SEED_STRIDE * redraws)
         tables = _Tables(config)
         codebook = _build_codebook(config, tables)
-        _, _, codes = _selection_table(tables, codebook, config)
+        selection = _selection_table(tables, codebook, config)
         rng = np.random.default_rng([seed, 31])
         z_rows = np.array([rng.integers(0, model.card_z, size=config.n) for _ in range(4)])
-        posts = _posteriors(tables, codes, z_rows)
+        posts = _posteriors(tables, selection, z_rows)
         spread = float(np.max(np.abs(posts - 1.0 / config.m)))
         if spread > 1e-3:
             break

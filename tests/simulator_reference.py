@@ -2,10 +2,12 @@
 
 ``reference_run_experiment`` encodes each trial with the per-bin scan of
 ``_encode``, gathers the whole K x S x n typicality tensor at once in
-``reference_selection_table``, decodes each y from a K x n gather in
-``reference_decode``, and takes each posterior from an (m, S, n) array of
-selected codewords in ``reference_posterior``, a pair at a time in array
-form: the probability-domain definition the simulator's posterior follows.
+``reference_selection_table``, takes each pair's rank in its bin by
+``_encode``'s own scan in ``reference_ranks``, decodes each y from a K x n
+gather in ``reference_decode``, and takes each posterior from an (m, S, n)
+array of selected codewords in ``reference_posterior``, a pair at a time in
+array form: the probability-domain definition the simulator's posterior
+follows.
 ``reference_log_posterior`` is the log-domain posterior that came before
 it, each pair's n log weights summed by numpy and each message reduced by
 ``reference_log_sum_exp``.  Each trial draws from its own ``default_rng``.
@@ -22,7 +24,8 @@ from wiretapsi.discrete import rate_triplet
 from wiretapsi.probability import Pmf, _entropy_bits
 from wiretapsi.simulator import (SimulationReport, _build_codebook,
                                  _check_enumeration, _encode,
-                                 _fallback_codeword, _Tables, _wilson)
+                                 _fallback_codeword, _Tables, _typical,
+                                 _wilson)
 
 
 def state_sequences(card, n):
@@ -48,6 +51,22 @@ def reference_selection_table(tables, codebook, config, v1_all):
         selection[j - 1, found] = members[first[found]]
         found_all[j - 1] = found
     return selection, found_all
+
+
+def reference_ranks(tables, codebook, config, v1_all):
+    """Each (message, v1-sequence) pair's rank in its bin, the position of
+    its first typical member, by _encode's per-bin scan: the mean of the
+    member's log2 p(u, v1) through _typical, each bin's members in codebook
+    order.  The largest bin's size stands for a bin with no typical member."""
+    depth = int(np.bincount(codebook.bin_index)[1:].max())
+    ranks = np.full((codebook.bin_count, len(v1_all)), depth, dtype=np.int64)
+    for j in range(1, codebook.bin_count + 1):
+        members = codebook.sequences[codebook.bin_index == j]
+        log_p = tables.log_p_uv1[members[:, None, :], v1_all[None, :, :]]
+        typical = _typical(log_p.mean(axis=-1), tables.h_uv1, config.epsilon_typ)
+        found = typical.any(axis=0)
+        ranks[j - 1, found] = typical.argmax(axis=0)[found]
+    return ranks
 
 
 def reference_decode(tables, codebook, config, y_seq):

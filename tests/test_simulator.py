@@ -49,6 +49,7 @@ from simulator_reference import (
     reference_log_posterior,
     reference_log_sum_exp,
     reference_posterior,
+    reference_ranks,
     reference_run_experiment,
     reference_selection_table,
     state_sequences,
@@ -532,21 +533,39 @@ def _reference_selection(tables, book, config):
             np.concatenate([p[1] for p in parts], axis=1))
 
 
-def _assert_codes(tables, book, config, codes, selection, v1_all):
+def _assert_codes(tables, book, config, got, selection, v1_all):
     # the groups split the coordinates into consecutive runs, and the
     # tables' rows are the picked codewords in codebook order; a pick's code
-    # in a group's table is its row times the group's width plus the
-    # group's digits of the v1 sequence, lexicographic
+    # in a group's table, int32, is its row times the group's width plus
+    # the group's digits of the v1 sequence, lexicographic
     groups = tables.groups
     assert [first for first, _ in groups] == [0] + [last for _, last in groups[:-1]]
     assert groups[-1][1] == config.n and all(first < last for first, last in groups)
     picked = np.unique(selection)
-    np.testing.assert_array_equal(codes.sequences, book.sequences[picked])
+    np.testing.assert_array_equal(got.sequences, book.sequences[picked])
     rows, card = np.searchsorted(picked, selection), config.model.card_v1
     want = [rows * card ** (last - first)
             + sum(v1_all[:, i] * card ** (last - 1 - i) for i in range(first, last))
             for first, last in groups]
-    np.testing.assert_array_equal(codes.codes, want)
+    assert got.codes.dtype == np.int32
+    np.testing.assert_array_equal(got.codes, want)
+
+
+def _assert_selection(tables, book, config, got, selection, found, v1_all):
+    # each pair's rank is the encoder's own scan's, the largest bin's size
+    # standing for none, in uint8 while that size fits; the pair's member
+    # is the reference's pick, bin 1's first codeword exactly where no
+    # member is typical, and the codes are the picks'
+    depth = int(np.bincount(book.bin_index)[1:].max())
+    assert got.ranks.dtype == (np.uint8 if depth <= 255 else np.uint16)
+    want = np.concatenate([reference_ranks(tables, book, config, v1_all[lo:lo + 4096])
+                           for lo in range(0, len(v1_all), 4096)], axis=1)
+    np.testing.assert_array_equal(got.ranks, want)
+    assert got.members.shape == (book.bin_count, depth + 1)
+    np.testing.assert_array_equal(
+        got.members[np.arange(book.bin_count)[:, None], got.ranks], selection)
+    np.testing.assert_array_equal(got.ranks != depth, found)
+    _assert_codes(tables, book, config, got, selection, v1_all)
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 300, 5000])
@@ -564,10 +583,8 @@ def test_selection_in_small_chunks_matches_the_whole_gather(
     v1_all = state_sequences(config.model.card_v1, config.n)
     want_selection, want_found = reference_selection_table(tables, book, config, v1_all)
     monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
-    selection, found, codes = _selection_table(tables, book, config)
-    np.testing.assert_array_equal(selection, want_selection)
-    np.testing.assert_array_equal(found, want_found)
-    _assert_codes(tables, book, config, codes, want_selection, v1_all)
+    selection = _selection_table(tables, book, config)
+    _assert_selection(tables, book, config, selection, want_selection, want_found, v1_all)
 
 
 TREES = [
@@ -593,12 +610,10 @@ def test_selection_and_posterior_follow_the_reference_on_every_tree(
     v1_all, want_selection, want_found = _reference_selection(tables, book, config)
     if chunk_bytes is not None:
         monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
-    selection, found, codes = _selection_table(tables, book, config)
-    np.testing.assert_array_equal(selection, want_selection)
-    np.testing.assert_array_equal(found, want_found)
-    _assert_codes(tables, book, config, codes, want_selection, v1_all)
+    selection = _selection_table(tables, book, config)
+    _assert_selection(tables, book, config, selection, want_selection, want_found, v1_all)
     z_rows = np.random.default_rng(seed).integers(0, config.model.card_z, size=(3, n))
-    got = simulator._posteriors(tables, codes, z_rows)
+    got = simulator._posteriors(tables, selection, z_rows)
     for z_seq, row in zip(z_rows, got):
         want = reference_posterior(tables, config, v1_all, book.sequences[want_selection], z_seq)
         np.testing.assert_array_equal(row, want.probs)
@@ -612,9 +627,9 @@ def test_posterior_stays_within_1e_14_of_the_log_domain_reference(name, n, rate,
     # equivocation within 1e-14 bits
     config, tables, book = _tables_and_book(name, n, rate, eps, seed)
     v1_all, want_selection, _ = _reference_selection(tables, book, config)
-    _, _, codes = _selection_table(tables, book, config)
+    selection = _selection_table(tables, book, config)
     z_rows = np.random.default_rng(seed).integers(0, config.model.card_z, size=(20, n))
-    got = _posteriors(tables, codes, z_rows)
+    got = _posteriors(tables, selection, z_rows)
     want = np.array([reference_log_posterior(tables, config, v1_all,
                                              book.sequences[want_selection], z_seq).probs
                      for z_seq in z_rows])
@@ -648,22 +663,22 @@ def test_underflowing_rows_are_rescored_by_log_sums(monkeypatch, chunk_bytes):
     v1_all, want_selection, _ = _reference_selection(tables, book, config)
     if chunk_bytes is not None:
         monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
-    _, _, codes = _selection_table(tables, book, config)
+    selection = _selection_table(tables, book, config)
     u_selected = book.sequences[want_selection]
     z_rows = state_sequences(2, 8)
-    distance = (z_rows[:, None, :] != codes.sequences[None]).sum(axis=2).min(axis=1)
+    distance = (z_rows[:, None, :] != selection.sequences[None]).sum(axis=2).min(axis=1)
     assert {0, 1, 2, 3} <= set(distance.tolist())
     rescored = []
 
-    def counted(tables, codes, z_rows):
+    def counted(tables, selection, z_rows):
         rescored.extend(map(tuple, z_rows))
-        return rescore(tables, codes, z_rows)
+        return rescore(tables, selection, z_rows)
 
     rescore = simulator._rescored
     monkeypatch.setattr(simulator, "_rescored", counted)
     with warnings.catch_warnings():
         warnings.simplefilter("error")          # no underflow, 0/0 or log(0) warning
-        got = _posteriors(tables, codes, z_rows)
+        got = _posteriors(tables, selection, z_rows)
     assert rescored == [tuple(z) for z in z_rows[distance >= 2]]
     for z_seq, row, far in zip(z_rows, got, distance >= 2):
         np.testing.assert_array_equal(
@@ -676,22 +691,25 @@ def test_underflowing_rows_are_rescored_by_log_sums(monkeypatch, chunk_bytes):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UsageError, match="zero probability"):
-            _posteriors(tables, codes, impossible)
+            _posteriors(tables, selection, impossible)
 
 
 # GATHER_BYTES and the posterior steps it gives for five z rows, as (z rows,
-# groups, messages, pairs) a step.  |v1| = 3 at n = 9: 19,683 pairs a
-# message row, 315 KB at 16 bytes a pair, so a step is one message row of
-# one z row; by default the two groups' tables, 130 KB a z row, are built
-# four z rows at a time, and at 2^12 bytes, five groups, one at a time.
-# At n = 10, 8 messages of 1,024 pairs: by default a step takes four z rows
-# with all their message rows and one batch builds all five z rows'
-# tables; at 2^14 bytes a step is one message row and a batch one z row
-# (14 KB of tables); at 2^10 bytes the same, over five groups.
+# groups, messages, pairs) a step; a step's r z rows take 8 bytes a pair
+# each for the products and for the gathered factors, and 8 more for the
+# codes.  |v1| = 3 at n = 9: 19,683 pairs a message row, 472 KB at 24 bytes
+# a pair, so a step is one message row of one z row; by default the two
+# groups' tables, 130 KB a z row, are built four z rows at a time, and at
+# 2^12 bytes, five groups, one at a time.
+# At n = 10, 8 messages of 1,024 pairs: by default a step takes three z
+# rows with all their message rows ((2 * 3 + 1) * 8,192 pairs * 8 bytes
+# fit) and one batch builds all five z rows' tables; at 2^14 bytes a step
+# is one message row and a batch one z row (14 KB of tables); at 2^10
+# bytes the same, over five groups.
 @pytest.mark.parametrize("name,n,rate,eps,seed,chunk_bytes,groups,batches,rows,messages", [
     ("three", 9, 0.23, 0.2, 1, 2 ** 19, 2, [4, 1], 1, 1),
     ("three", 9, 0.23, 0.2, 1, 2 ** 12, 5, [1] * 5, 1, 1),
-    ("trend", 10, 0.3, 0.45, 3, 2 ** 19, 2, [5], 4, 8),
+    ("trend", 10, 0.3, 0.45, 3, 2 ** 19, 2, [5], 3, 8),
     ("trend", 10, 0.3, 0.45, 3, 2 ** 14, 2, [1] * 5, 1, 1),
     ("trend", 10, 0.3, 0.45, 3, 2 ** 10, 5, [1] * 5, 1, 1),
 ])
@@ -702,7 +720,7 @@ def test_posterior_steps_follow_the_reference_bit_for_bit(
     config, tables, book = _tables_and_book(name, n, rate, eps, seed)
     v1_all, want_selection, _ = _reference_selection(tables, book, config)
     monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
-    _, _, codes = _selection_table(tables, book, config)
+    selection = _selection_table(tables, book, config)
     built, steps = [], []
 
     def build(tables, sequences, z_rows):
@@ -717,7 +735,7 @@ def test_posterior_steps_follow_the_reference_bit_for_bit(
     monkeypatch.setattr(simulator, "_tap_tables", build)
     monkeypatch.setattr(simulator, "_pair_totals", step)
     z_rows = np.random.default_rng(seed).integers(0, config.model.card_z, size=(5, n))
-    got = simulator._posteriors(tables, codes, z_rows)
+    got = simulator._posteriors(tables, selection, z_rows)
     states = len(v1_all)
     assert len(tables.groups) == groups and built == batches
     assert steps[0] == (rows, groups, messages, states)
@@ -766,16 +784,15 @@ def test_selection_work_follows_the_pending_pairs(monkeypatch):
                for j in range(book.bin_count) for s in range(len(v1_all)))
     tested = []
 
-    def counted(mean_log_p, *args):
-        tested.append(mean_log_p.size)
-        return typical(mean_log_p, *args)
+    def counted(sums, bounds):
+        tested.append(sums.size)
+        return within(sums, bounds)
 
-    typical = simulator._typical
-    monkeypatch.setattr(simulator, "_typical", counted)
+    within = simulator._within                  # every score's typicality test
+    monkeypatch.setattr(simulator, "_within", counted)
     monkeypatch.setattr(simulator, "GATHER_BYTES", 2 ** 12)       # blocks of 64
-    selection, found, _ = _selection_table(tables, book, config)
-    np.testing.assert_array_equal(selection, want_selection)
-    np.testing.assert_array_equal(found, want_found)
+    selection = _selection_table(tables, book, config)
+    _assert_selection(tables, book, config, selection, want_selection, want_found, v1_all)
     assert sum(tested) <= 3 * scan + depth * 64 < depth * book.bin_count * len(v1_all)
 
 
@@ -843,13 +860,16 @@ def test_selection_is_the_encoder(biased_encoder):
         tables = _Tables(config)
         book = _build_codebook(config, tables)
         v1_all = state_sequences(2, 4)
-        selection, found, _ = _selection_table(tables, book, config)
+        selection = _selection_table(tables, book, config)
+        none = selection.members.shape[1] - 1
         for j in range(book.bin_count):
             for s, v1_seq in enumerate(v1_all):
                 u_seq, _, fell_back = encode(book, config, j + 1, v1_seq,
                                              np.random.default_rng(0))
-                np.testing.assert_array_equal(u_seq, book.sequences[selection[j, s]])
-                assert fell_back == (not found[j, s])
+                rank = selection.ranks[j, s]
+                np.testing.assert_array_equal(
+                    u_seq, book.sequences[selection.members[j, rank]])
+                assert fell_back == (rank == none)
 
 
 def test_posterior_from_codes_equals_the_reference_bit_for_bit(posterior_model):
@@ -859,12 +879,12 @@ def test_posterior_from_codes_equals_the_reference_bit_for_bit(posterior_model):
     tables = _Tables(config)
     book = _build_codebook(config, tables)
     v1_all = state_sequences(2, 3)
-    selection, _ = reference_selection_table(tables, book, config, v1_all)
-    _, _, codes = _selection_table(tables, book, config)
+    want_selection, _ = reference_selection_table(tables, book, config, v1_all)
+    selection = _selection_table(tables, book, config)
     for z in itertools.product(range(2), repeat=3):
         z_seq = np.array(z)
-        want = reference_posterior(tables, config, v1_all, book.sequences[selection], z_seq)
-        np.testing.assert_array_equal(_posteriors(tables, codes, z_seq[None])[0], want.probs)
+        want = reference_posterior(tables, config, v1_all, book.sequences[want_selection], z_seq)
+        np.testing.assert_array_equal(_posteriors(tables, selection, z_seq[None])[0], want.probs)
         np.testing.assert_array_equal(
             eavesdropper_posterior(book, config, z_seq).probs, want.probs)
 
@@ -873,21 +893,36 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=8, rate=0.25,
                        epsilon_typ=0.45, trials=3, seed=0)
-    # an int32 selection, a bool found and one intp code per posterior
-    # group for each (message, v1 sequence), one equivocation per trial,
-    # the 8 codewords of 8 symbols with their bins and subbins, the
-    # decoder's eight 2-entry tables per codeword, and one posterior step:
-    # a gather budget each for its message rows (four of 256 pairs at 16
-    # bytes fit), its batch of tables (5,120 bytes a z row for 8 codewords
-    # over two groups of 16 entries) and the rest of the trial block; at
-    # n=8 with 1,024 pairs and 8 codewords the groups are the two halves
+    # a uint8 rank and one int32 code per posterior group for each
+    # (message, v1 sequence), the 4 bins' members, two deep, and the
+    # fallback, one equivocation per trial, the 8 codewords of 8 symbols
+    # with their bins and subbins, the decoder's eight 2-entry tables per
+    # codeword, and one posterior step: a gather budget for its products
+    # (four message rows of 256 pairs at 8 bytes fit half of it) and its
+    # gather buffer (the other half), one for its batch of tables (5,120
+    # bytes a z row for 8 codewords over two groups of 16 entries) and one
+    # for the rest of the trial block; at n=8 with 1,024 pairs and 8
+    # codewords the groups are the two halves
     tables = _Tables(config)
     assert tables.groups == ((0, 4), (4, 8))
     assert simulator._codebook_size(config, tables.triplet.mi_uy) == 8
     assert simulator._tap_table_bytes(tables, 8) == 8 * 8 * (2 * 8 + 2 * 2 * 16)
     assert _row_cut(8, 2, 8, 8 * config.trials).entries == 8 * 2
-    need = (config.m * 2 ** 8 * (4 + 1 + 8 * 2) + 8 * config.trials
+    need = (config.m * 2 ** 8 * (1 + 4 * 2) + 8 * config.m * (2 + 1) + 8 * config.trials
             + 8 * 8 * (8 + 2 + 8 * 2) + 3 * simulator.GATHER_BYTES)
+    assert _check_enumeration(tables) == need
+    # trend_n16: one message row of 65,536 pairs, 512 KiB of products at 8
+    # bytes a pair, outgrows the step's half of the gather budget, so the
+    # step is that row and the buffer's half; 52 codewords, bins 13 deep
+    n16 = dataclasses.replace(config, n=16, rate=0.17, trials=6)
+    tables16 = _Tables(n16)
+    assert tables16.groups == ((0, 8), (8, 16))
+    assert simulator._codebook_size(n16, tables16.triplet.mi_uy) == 52
+    decoder = _row_cut(16, 2, 52, 52 * 6).entries
+    assert _check_enumeration(tables16) == (
+        4 * 2 ** 16 * (1 + 4 * 2) + 8 * 4 * (13 + 1) + 8 * 6
+        + 8 * 52 * (16 + 2 + decoder)
+        + (8 * 2 ** 16 + simulator.GATHER_BYTES // 2) + 2 * simulator.GATHER_BYTES)
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need)
     run_experiment(config)                               # exactly at the budget
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need - 1)
@@ -904,7 +939,7 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
 
 def test_over_budget_simulation_exits_two_before_allocating(tmp_path, capsys):
     # n=16 at rate 0.75 gives 4096 messages over 65,536 state sequences:
-    # about 1 GiB of selection and 16 GiB of codes, eight groups of two
+    # 256 MiB of uint8 ranks and 8 GiB of int32 codes, eight groups of two
     model, policy = trend_instance()
     (tmp_path / "model.json").write_text(json.dumps(model_to_dict(model)))
     (tmp_path / "policy.json").write_text(json.dumps(policy_to_dict(policy)))
@@ -999,3 +1034,123 @@ def test_brute_force_posterior_builds_its_tables_once(monkeypatch):
     got = validate.brute_force_posterior(book, config, z_rows)
     assert len(built) == 1 and len(picks) == 2 ** 3 * book.bin_count
     np.testing.assert_array_equal(got, np.concatenate(want))
+
+
+_MAGNITUDES = st.sampled_from([1e-300, 1e-12, 1e-3, 1.0, 7.0, 1e3, 1e15, 1e300])
+
+
+@given(n=st.integers(1, MAX_BLOCK_LENGTH),
+       entropy=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.tuples(
+           st.floats(0.5, 1.0), _MAGNITUDES).map(lambda p: p[0] * p[1])),
+       epsilon=st.tuples(st.floats(0.5, 1.0), _MAGNITUDES).map(lambda p: p[0] * p[1]),
+       inner=st.floats(0.0, 1.0))
+@settings(max_examples=400, deadline=None)
+def test_typical_sums_are_exactly_the_sums_typical_means_come_from(n, entropy, epsilon, inner):
+    # a raw sum t lies within the bounds exactly when its mean passes
+    # |fl(t / n) + H| <= epsilon, at both ends, at their neighbours in the
+    # float order, at the infinities and at a point in between
+    lo, hi = simulator._typical_sums(n, entropy, epsilon)
+    points = [lo, hi, -np.inf, np.inf, 0.0, -n * entropy]
+    for end in (lo, hi):
+        points += [np.nextafter(end, -np.inf), np.nextafter(end, np.inf)]
+    if lo <= hi:
+        points.append(lo + inner * (hi - lo))
+    else:
+        assert (lo, hi) == (np.inf, -np.inf)
+    sums = np.array(points)
+    with np.errstate(over="ignore"):        # t / n + H may overflow to inf
+        want = np.abs(sums / n + entropy) <= epsilon
+    np.testing.assert_array_equal(simulator._within(sums, (lo, hi)), want)
+    if lo <= hi:
+        assert want[0] and want[1]
+
+
+def wide_bin_instance():
+    """A noiseless main channel, y = x = u with u uniform, so I(u; y) is one
+    bit and n = 10 at epsilon 0.05 draws 725 codewords: two bins of 362 and
+    363.  u agrees with a uniform v1 with probability 0.9, so a codeword is
+    typical with a v1 sequence exactly at Hamming distance one, about one
+    codeword in a hundred: many pairs stop past rank 255 and some find none."""
+    state = np.array([[0.5], [0.5]])
+    main = np.zeros((2, 2, 2))
+    for x in range(2):
+        main[x, :, x] = 1.0
+    tap = np.zeros((2, 1, 2))
+    tap[:, 0, :] = bsc(0.2)
+    model = DiscreteWiretapModel(
+        state_pmf=JointPmf((("v1", 2), ("v2", 1)), state),
+        main_kernel=TransitionKernel((("x", 2), ("v1", 2)), (("y", 2),), main),
+        wiretap_kernel=TransitionKernel((("x", 2), ("v2", 1)), (("z", 2),), tap))
+    table = np.zeros((2, 1, 2, 2))
+    for v1 in range(2):
+        for u in range(2):
+            table[v1, 0, u, u] = 0.9 if u == v1 else 0.1
+    policy = AuxiliaryPolicy(2, TransitionKernel(
+        (("v1", 2), ("v2", 1)), (("u", 2), ("x", 2)), table))
+    return model, policy
+
+
+def test_bins_past_255_members_take_wider_ranks(tmp_path):
+    model, policy = wide_bin_instance()
+    config = SimConfig(model=model, policy=policy, n=10, rate=0.15,
+                       epsilon_typ=0.05, trials=40, seed=0)
+    tables = _Tables(config)
+    book = _build_codebook(config, tables)
+    assert (len(book.sequences), book.bin_count) == (725, 2)
+    v1_all = state_sequences(2, 10)
+    parts = [reference_selection_table(tables, book, config, v1_all[lo:lo + 256])
+             for lo in range(0, len(v1_all), 256)]
+    want_selection = np.concatenate([p[0] for p in parts], axis=1)
+    want_found = np.concatenate([p[1] for p in parts], axis=1)
+    selection = _selection_table(tables, book, config)
+    assert selection.ranks.dtype == np.uint16
+    _assert_selection(tables, book, config, selection, want_selection, want_found, v1_all)
+    found_ranks = selection.ranks[want_found]
+    assert found_ranks.max() > 255 and not want_found.all()
+    got = _report_bytes(run_experiment(config), tmp_path / "got.json")
+    assert got == _report_bytes(reference_run_experiment(config), tmp_path / "want.json")
+
+
+@pytest.mark.parametrize("bad", [-1, "card", 0.5])
+def test_public_functions_refuse_symbols_off_the_alphabet(posterior_model, bad):
+    # a -1 once wrapped to the last symbol, and a symbol past the alphabet
+    # or a float one ended in an IndexError; each now refuses, as decode
+    # always refused a y out of range
+    model, policy = posterior_model
+    config = SimConfig(model=model, policy=policy, n=3, rate=0.4,
+                       epsilon_typ=0.05, trials=1, seed=9)
+    book = build_codebook(config)
+    rng = np.random.default_rng(0)
+    calls = {"v1": (model.card_v1, lambda seq: encode(book, config, 1, seq, rng)),
+             "y": (model.card_y, lambda seq: decode(book, config, seq)),
+             "z": (model.card_z, lambda seq: eavesdropper_posterior(book, config, seq))}
+    for name, (card, call) in calls.items():
+        call(np.zeros(3, dtype=int))                    # in the alphabet
+        seq = np.array([card if bad == "card" else bad, 0, 0])
+        with pytest.raises(UsageError, match=f"{name} symbols must be integers in"):
+            call(seq)
+
+
+@pytest.mark.parametrize("chunk_bytes", [2 ** 19, 2 ** 12])
+def test_a_posterior_step_holds_its_products_and_one_gather_buffer(monkeypatch, chunk_bytes):
+    # one message row of trend_n16, 65,536 pairs: the step allocates its
+    # 8-byte products and a gather buffer of at most half of GATHER_BYTES
+    # (the factors and their codes copied to intp), and its totals are the
+    # plain whole-row gathers', bit for bit
+    config, tables, book = _tables_and_book("trend", 16, 0.17, 0.45, 0)
+    selection = _selection_table(tables, book, config)
+    factors = simulator._tap_tables(tables, selection.sequences, np.array([[0, 1] * 8]))
+    for table in factors:
+        np.exp(table, out=table)
+    codes = selection.codes[:, :1]
+    monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
+    tracemalloc.start()
+    try:
+        got = simulator._pair_totals(factors, codes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 16 + chunk_bytes // 2 + 4096
+    flat = codes.reshape(2, -1).astype(np.intp)
+    want = (factors[0][:, flat[0]] * factors[1][:, flat[1]]).sum(axis=1)
+    np.testing.assert_array_equal(got[:, 0], want)
