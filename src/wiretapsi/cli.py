@@ -34,6 +34,7 @@ import dataclasses
 import functools
 import importlib
 import os
+import re
 import sys
 
 import numpy as np
@@ -83,12 +84,22 @@ _ABOUT = {"seed": "64-bit RNG seed", "model": "model JSON file",
           "sim_config": "simulation JSON (model, policy, n, rate, ...)"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, taking every negative number a float flag accepts as the
+    flag's value: Python 3.11's own pattern misses exponents (-1e-3) and a
+    trailing point (-1.), and sees an option there."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process: parse_args leaves it unchanged.
     Every flag defaults to None, so a flag given on the command line is
     one that is not None."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wiretapsi",
         description="Wiretap-channel-with-side-information toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)

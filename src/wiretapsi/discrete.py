@@ -30,7 +30,8 @@ from .errors import UsageError
 from .modelio import BLOCK_ROWS
 # marginalize is unused here; the benchmark's tracer wraps it in this namespace
 from .probability import (JointPmf, TransitionKernel, compose, marginalize,  # noqa: F401
-                          mutual_information, _check_stack, _entropy_bits_batch)
+                          mutual_information, _check_stack, _entropy_bits_batch,
+                          _ordered_sum)
 
 U_CARD_SLACK = 4           # auxiliary alphabet may exceed |x||v1||v2| by this much
 GRID_POLICY_CAP = 300_000  # refuse grids that would enumerate more policies
@@ -354,6 +355,21 @@ def iter_policies(model: DiscreteWiretapModel,
             yield _policy(table)
 
 
+def _compose_stack(model: DiscreteWiretapModel, tables: np.ndarray) -> np.ndarray:
+    """The C-contiguous (N, u, x, v1, v2, y, z) joints of a policy stack,
+    each bit for bit compose's einsum.  Every index is in einsum's output,
+    so its path is one contraction over the operands reversed, multiplied
+    left to right: ((p(z|x,v2) p(y|x,v1)) p(u,x|v1,v2)) p(v1,v2).  Here
+    the same products are broadcast over the stack."""
+    n, c_v1, c_v2, c_u, c_x = tables.shape
+    channels = (model.wiretap_kernel.table[:, None, :, None, :]
+                * model.main_kernel.table[:, :, None, :, None])       # (x, v1, v2, y, z)
+    joint = np.empty((n, c_u, c_x, c_v1, c_v2, model.card_y, model.card_z))
+    np.multiply(channels, tables.transpose(0, 3, 4, 1, 2)[..., None, None], out=joint)
+    joint *= model.state_pmf.table[:, :, None, None]
+    return joint
+
+
 def _mi_profiles(model: DiscreteWiretapModel, tables: np.ndarray) -> np.ndarray:
     """(I(u;y), I(u;v1,v2), I(u;z), I(u;v1)) per policy of a stack.
 
@@ -362,22 +378,22 @@ def _mi_profiles(model: DiscreteWiretapModel, tables: np.ndarray) -> np.ndarray:
     every row equals the validated single-policy path bit for bit.
     """
     _check_stack(tables, (3, 4), "policy table")
-    joint = np.ascontiguousarray(np.einsum(
-        "ab,Nabux,xay,xbz->Nuxabyz", model.state_pmf.table, tables,
-        model.main_kernel.table, model.wiretap_kernel.table, optimize=True))
+    joint = _compose_stack(model, tables)
     _check_stack(joint, (1, 2, 3, 4, 5, 6), "composed joint")
     h = _entropy_bits_batch
 
-    def mi(sub: np.ndarray, a_axes: tuple[int, ...], b_axes: tuple[int, ...]) -> np.ndarray:
-        # I(A;B) from the (N, A..., B...) marginal: sum out B, then A
-        return _clamp_mi(h(sub.sum(axis=b_axes)) + h(sub.sum(axis=a_axes)) - h(sub))
+    def mi(h_a: np.ndarray, b: np.ndarray, ab: np.ndarray) -> np.ndarray:
+        # I(A;B) from H(A) and the (N, B...) and (N, A..., B...) marginals
+        return _clamp_mi(h_a + h(b) - h(ab))
 
-    uv = joint.sum(axis=(2, 5, 6))                                   # (N, u, v1, v2)
-    mi_uv1 = _clamp_mi(h(uv.sum(axis=(2, 3))) + h(uv.sum(axis=(1, 3))) - h(uv.sum(axis=3)))
-    return np.stack([mi(joint.sum(axis=(2, 3, 4, 6)), (1,), (2,)),
-                     mi(uv, (1,), (2, 3)),
-                     mi(joint.sum(axis=(2, 3, 4, 5)), (1,), (2,)),
-                     mi_uv1], axis=1)
+    uy = _ordered_sum(joint, (2, 3, 4, 6))                          # (N, u, y)
+    uz = _ordered_sum(joint, (2, 3, 4, 5))                          # (N, u, z)
+    uv = _ordered_sum(joint, (2, 5, 6))                             # (N, u, v1, v2)
+    h_u = h(uv.sum(axis=(2, 3)))
+    return np.stack([mi(h(uy.sum(axis=2)), uy.sum(axis=1), uy),
+                     mi(h_u, uv.sum(axis=1), uv),
+                     mi(h(uz.sum(axis=2)), uz.sum(axis=1), uz),
+                     mi(h_u, uv.sum(axis=(1, 3)), uv.sum(axis=3))], axis=1)
 
 
 def _leading_v1(tables: np.ndarray) -> np.ndarray:

@@ -43,6 +43,7 @@ target the suite diffs against the kernel, and nothing else consumes them.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -117,24 +118,25 @@ class GaussianWiretapParams:
         a, b, c = self.rho_xv1, self.rho_xv2, self.rho_v1v2
         return 1.0 - a * a - b * b - c * c + 2.0 * a * b * c
 
-    # Covariance terms shared by every formula below.
-    @property
+    # Covariance terms shared by every formula below, each taken once per
+    # object: the fields are frozen, and the closed forms read them often.
+    @functools.cached_property
     def c_xv1(self) -> float:
         return self.rho_xv1 * _root_product(self.p, self.q1)
 
-    @property
+    @functools.cached_property
     def c_xv2(self) -> float:
         return self.rho_xv2 * _root_product(self.p, self.q2)
 
-    @property
+    @functools.cached_property
     def c_v12(self) -> float:
         return self.rho_v1v2 * _root_product(self.q1, self.q2)
 
-    @property
+    @functools.cached_property
     def var_y(self) -> float:
         return self.p + self.q1 + self.n1 + 2.0 * self.c_xv1
 
-    @property
+    @functools.cached_property
     def var_z(self) -> float:
         return self.p + self.q2 + self.n2 + 2.0 * self.c_xv2
 
@@ -182,9 +184,10 @@ def joint_covariance(params: GaussianWiretapParams, alpha: float) -> np.ndarray:
     mix[0, 1] = alpha
     with np.errstate(over="ignore", invalid="ignore"):
         cov = mix @ base @ mix.T
+        cov = 0.5 * (cov + cov.T)
     if not np.isfinite(cov).all():
         raise OverflowError("covariance overflows")
-    return 0.5 * (cov + cov.T)
+    return cov
 
 
 def _indices(group: Sequence[str]) -> list[int]:

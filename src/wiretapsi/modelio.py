@@ -23,7 +23,6 @@ import contextlib
 import itertools
 import json
 import os
-import tempfile
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -193,8 +192,10 @@ def _atomic_file(path: str) -> Iterator:
     """A text file that replaces path when the block exits cleanly.  A
     failed replace is reported against path alone, since the temp file it
     names is gone."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    # a new file under a random 64-bit name, with the mode open() gives
+    # one, 0o666 less the umask, where mkstemp's would be 0o600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh

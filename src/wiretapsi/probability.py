@@ -43,23 +43,70 @@ def _entropy_bits_batch(tables: np.ndarray) -> np.ndarray:
 
     Each row's positive terms are packed to its front and summed over
     exactly their count, so numpy's pairwise summation groups them as it
-    does for the filtered vector in _entropy_bits.
+    does for the filtered vector in _entropy_bits.  When every entry is
+    positive, the rows are already packed and are summed as they stand.
     """
     flat = tables.reshape(len(tables), -1)
     pos = flat > 0.0
+    if pos.all():
+        terms = np.log2(flat)
+        terms *= flat
+        return -terms.sum(axis=1)
     terms = np.zeros_like(flat)
     np.log2(flat, out=terms, where=pos)
     terms *= flat
     counts = pos.sum(axis=1)
-    if not pos.all():
-        order = np.argsort(~pos, axis=1, kind="stable")
-        terms = np.take_along_axis(terms, order, axis=1)
+    order = np.argsort(~pos, axis=1, kind="stable")
+    terms = np.take_along_axis(terms, order, axis=1)
     out = np.zeros(len(flat))
     # the distinct positive counts, ascending (np.unique would first import
     # numpy.ma, about 0.5 MiB, to test the counts for a mask)
     for count in np.flatnonzero(np.bincount(counts)[1:]) + 1:
         rows = counts == count
         out[rows] = -terms[rows, :count].sum(axis=1)
+    return out
+
+
+def _ordered_sum(a: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """a.sum(axis=axes) of a nonempty C-contiguous float64 array, bit for
+    bit, in a few whole-array numpy calls instead of numpy's one inner loop
+    per run of the last axis.
+
+    numpy's order: length-1 axes drop out and neighbouring axes of one kind
+    (both summed or both kept) merge.  If the last merged axis is summed,
+    each of its runs is summed pairwise, left to right below 8 terms.  Each
+    output entry starts at 0.0 and adds those run sums, or the entries
+    themselves when the last axis is kept, for every other summed index
+    left to right, in C order.  A numpy that sums in another order fails
+    the guard in tests/test_probability.py.
+    """
+    summed = {axis % a.ndim for axis in axes}
+    runs: list[list] = []               # [is summed, length] of each merged axis
+    for axis, n in enumerate(a.shape):
+        if n == 1:
+            continue
+        if runs and runs[-1][0] == (axis in summed):
+            runs[-1][1] *= n
+        else:
+            runs.append([axis in summed, n])
+    part = a.reshape([n for _, n in runs])
+    if runs and runs[-1][0]:
+        n = runs.pop()[1]
+        if n < 8:
+            rows = part
+            part = rows[..., 0] + rows[..., 1]
+            for i in range(2, n):
+                part += rows[..., i]
+        else:
+            part = part.sum(axis=-1)
+    out = np.zeros([n for axis, n in enumerate(a.shape) if axis not in summed])
+    total = out.reshape([n for is_summed, n in runs if not is_summed])
+    outer = [i for i, (is_summed, _) in enumerate(runs) if is_summed]
+    pick: list = [slice(None)] * len(runs)
+    for index in np.ndindex(*(runs[i][1] for i in outer)):
+        for i, j in zip(outer, index):
+            pick[i] = j
+        total += part[tuple(pick)]
     return out
 
 

@@ -477,6 +477,48 @@ def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["gaussian-region", "--p", "1e308", "--case", "1"],
+                                  ["gaussian-region", "--p", "1e308", "--case", "2"],
+                                  ["gaussian-scan", "--p", "1e308"]])
+def test_an_overflowing_covariance_prints_one_error_line(tmp_path, argv):
+    # run as a user runs it, under Python's default warning filters, where
+    # a numpy warning would print above the error line
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    run = subprocess.run([sys.executable, "-m", "wiretapsi.cli", *argv,
+                          "--out", str(tmp_path / "o")],
+                         env=dict(env, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 2
+    assert run.stderr == "error: numerical failure: covariance overflows\n"
+    assert not (tmp_path / "o").exists()
+
+
+# negative numbers as a user may spell them: exponents, a bare trailing or
+# leading point, an integer
+NEGATIVE_SPELLINGS = ("-1e-3", "-5e-1", "-2.5E+1", "-1.", "-.5e0", "-7", "-0.0")
+
+
+def test_every_float_flag_takes_negative_numbers_in_every_spelling():
+    parser = cli._build_parser()
+    flags = [(subcommand, key) for subcommand, table in cli._SETTINGS.items()
+             for key, (_, kind) in table.items() if kind is float]
+    assert len(flags) == 15
+    for subcommand, key in flags:
+        flag = cli._FLAGS.get(key, "--" + key.replace("_", "-"))
+        for text in NEGATIVE_SPELLINGS:
+            args = parser.parse_args([subcommand, flag, text])
+            assert getattr(args, key) == float(text), (flag, text)
+
+
+def test_negative_exponents_reach_the_scan(tmp_path):
+    out = tmp_path / "o"
+    assert main(["gaussian-scan", "--alpha-min", "-1e-3", "--alpha-max", "1e-3",
+                 "--step", "1e-3", "--rho-xv1", "-5e-1", "--out", str(out)]) == 0
+    settings = json.loads((out / "manifest.json").read_text())["settings"]
+    assert (settings["alpha_min"], settings["rho_xv1"]) == (-1e-3, -0.5)
+    assert len((out / "sweep.csv").read_text().splitlines()) == 4
+
+
 @pytest.mark.parametrize("noise", ["1e8", "1e12", "1e16"])
 def test_gaussian_scan_resolves_large_noise(tmp_path, noise):
     # a large but well-conditioned noise is not rank loss: I(u; y) and

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from wiretapsi import (
     AuxiliaryPolicy,
+    DiscreteWiretapModel,
+    JointPmf,
     SearchConfig,
     TransitionKernel,
     UsageError,
@@ -303,6 +305,54 @@ def test_batched_sweep_matches_single_policy_loop(trend, name, mode, n_random, g
     if ties:
         assert max(np.count_nonzero(v == v.max())
                    for v in (ref[:, 0] - ref[:, 3], ref[:, 0] - ref[:, 2])) > 1
+
+
+@given(st.tuples(*[st.integers(1, 3)] * 6), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=120, deadline=None)
+def test_stack_composition_is_composes_einsum_bit_for_bit(cards, seed):
+    # any alphabet may have one letter; the stack mixes random policies
+    # with a deterministic one, and kernels with a deterministic row
+    c_u, c_x, c_y, c_z, c_v1, c_v2 = cards
+    rng = np.random.default_rng(seed)
+    main_table = rng.dirichlet(np.ones(c_y), size=(c_x, c_v1))
+    main_table[0, 0] = np.eye(c_y)[-1]
+    model = DiscreteWiretapModel(
+        state_pmf=JointPmf((("v1", c_v1), ("v2", c_v2)),
+                           rng.dirichlet(np.ones(c_v1 * c_v2)).reshape(c_v1, c_v2)),
+        main_kernel=TransitionKernel((("x", c_x), ("v1", c_v1)), (("y", c_y),), main_table),
+        wiretap_kernel=TransitionKernel((("x", c_x), ("v2", c_v2)), (("z", c_z),),
+                                        rng.dirichlet(np.ones(c_z), size=(c_x, c_v2))))
+    tables = rng.dirichlet(np.ones(c_u * c_x), size=(4, c_v1, c_v2))
+    tables[0] = np.eye(c_u * c_x)[rng.integers(c_u * c_x, size=(c_v1, c_v2))]
+    tables = tables.reshape(4, c_v1, c_v2, c_u, c_x)
+    joints = discrete._compose_stack(model, tables)
+    assert joints.flags.c_contiguous
+    for table, joint in zip(tables, joints):
+        want = compose(model.state_pmf, discrete._policy(table).table, model.main_kernel,
+                       model.wiretap_kernel).table
+        np.testing.assert_array_equal(joint, want)
+
+
+def test_one_stack_at_the_table_cap_holds_at_most_joint_bytes_an_entry():
+    # 19,531 policies of 512 joint entries fill the default table cap in one
+    # stack; at |z| = 2, p(u, y)'s partial sums over z are half a joint
+    rng = np.random.default_rng(2)
+    model = DiscreteWiretapModel(
+        state_pmf=JointPmf((("v1", 2), ("v2", 2)), rng.dirichlet(np.ones(4)).reshape(2, 2)),
+        main_kernel=TransitionKernel((("x", 4), ("v1", 2)), (("y", 8),),
+                                     rng.dirichlet(np.ones(8), size=(4, 2))),
+        wiretap_kernel=TransitionKernel((("x", 4), ("v2", 2)), (("z", 2),),
+                                        rng.dirichlet(np.ones(2), size=(4, 2))))
+    search = SearchConfig(u_card=2, n_random=probability.MAX_TABLE_ENTRIES // 512, seed=0)
+    assert discrete._stream_plan(model, search) == (0, search.n_random)
+    entries = search.n_random * 512
+    tracemalloc.start()
+    try:
+        _profiles(model, search)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 8 * entries < peak <= discrete.JOINT_BYTES * entries
 
 
 def test_chunked_sweep_gives_identical_artifacts(trend, tmp_path, monkeypatch):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -243,3 +244,23 @@ def test_dump_codebook_text(tmp_path, model, policy):
     first = lines[4].split()
     assert len(first) == 2 + config.n
     assert int(first[0]) == book.bin_index[0]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000], ids=oct)
+def test_artifacts_take_the_mode_open_gives_a_new_file(tmp_path, model, policy, umask):
+    # each writer's file is 0o666 less the umask, as from open(), not the
+    # 0o600 of a temp file; the umask is the process's, so it is restored
+    old = os.umask(umask)
+    try:
+        (tmp_path / "plain.txt").write_text("")
+        atomic_write_text(str(tmp_path / "a.txt"), "x\n")
+        write_json(str(tmp_path / "b.json"), {"k": 1})
+        write_csv(str(tmp_path / "c.csv"), ("a", "b"), [(1.0, 2)])
+        config = SimConfig(model=model, policy=policy, n=4, rate=0.3, epsilon_typ=0.25,
+                           trials=1, seed=1)
+        dump_codebook_text(str(tmp_path / "d.txt"), build_codebook(config), config.rate)
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == dict.fromkeys(("plain.txt", "a.txt", "b.json", "c.csv", "d.txt"),
+                                  0o666 & ~umask)

@@ -16,7 +16,8 @@ from wiretapsi import (
     mutual_information,
 )
 from wiretapsi.discrete import _dirichlet_draws
-from wiretapsi.probability import _pcg64_outputs, _seeded_generators
+from wiretapsi.probability import (_entropy_bits, _entropy_bits_batch, _ordered_sum,
+                                   _pcg64_outputs, _seeded_generators)
 from wiretapsi.simulator import _trial_draws
 
 # independently derived: -0.25*log2(0.25) - 0.75*log2(0.75)
@@ -117,6 +118,72 @@ def joint_tables(draw, max_card=3):
     seed = draw(st.integers(0, 2**31 - 1))
     table = np.random.default_rng(seed).dirichlet(np.ones(ca * cb))
     return JointPmf((("a", ca), ("b", cb)), table.reshape(ca, cb))
+
+
+def bits(values) -> np.ndarray:
+    """The float64 bit patterns of values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def wide_values(rng, shape, zeros: float) -> np.ndarray:
+    """Positive entries spread over 30 decades, so that summing in another
+    order changes the result, with a share `zeros` of exact zeros."""
+    values = rng.random(shape) * 10.0 ** rng.integers(-15, 15, size=shape)
+    values[rng.random(shape) < zeros] = 0.0
+    return values
+
+
+# lengths of 1 (numpy drops the axis), below 8 (a left-to-right run), 8 and
+# up (numpy's pairwise blocks) and past 128 (its recursive halves)
+SUM_LENGTHS = st.sampled_from([1, 1, 2, 3, 7, 8, 9, 16, 17, 130])
+
+
+@given(st.lists(SUM_LENGTHS, min_size=1, max_size=6), st.data(),
+       st.integers(0, 2 ** 31 - 1), st.sampled_from([0.0, 0.3, 1.0]))
+@settings(max_examples=400, deadline=None)
+def test_ordered_sum_is_numpys_sum_bit_for_bit(shape, data, seed, zeros):
+    # every set of summed axes: kept runs between summed ones, summed runs
+    # that merge across length-1 axes, no axis or every axis summed
+    if np.prod(shape) > 50_000:
+        shape = shape[:2]
+    axes = data.draw(st.sets(st.integers(0, len(shape) - 1)).map(sorted))
+    a = wide_values(np.random.default_rng(seed), shape, zeros)
+    got, want = _ordered_sum(a, tuple(axes)), a.sum(axis=tuple(axes))
+    assert got.shape == np.shape(want)
+    assert np.array_equal(bits(got), bits(want))
+
+
+@pytest.mark.parametrize("shape,axes", [
+    ((2, 9000), (1,)),                    # one summed run past the 8192-entry buffer
+    ((3, 2, 9000), (0, 2)),               # and kept between two summed axes
+    ((4, 1, 3, 2, 1, 4100), (0, 3, 5)),   # a run of 8200 merged across a length-1 axis
+    ((9000, 3), (0,)),                    # 9000 summed rows onto a kept last axis
+    ((2, 5000, 1, 2), (1, 2)),
+])
+def test_ordered_sum_follows_numpy_past_its_buffer(shape, axes):
+    a = wide_values(np.random.default_rng(7), shape, 0.1)
+    assert np.array_equal(bits(_ordered_sum(a, axes)), bits(a.sum(axis=axes)))
+
+
+def test_ordered_sum_keeps_numpys_signed_zeros():
+    a = np.full((3, 2, 4), -0.0)
+    for axes in ((0, 2), (2,), (0,), (1,), (0, 1, 2)):
+        assert np.array_equal(bits(_ordered_sum(a, axes)), bits(a.sum(axis=axes)))
+
+
+@given(st.integers(1, 40), st.integers(1, 200), st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=150, deadline=None)
+def test_positive_entropy_rows_equal_the_packed_rows(rows, width, seed):
+    # an all-positive stack takes the fast path; a zero put anywhere in
+    # each row sends the same terms through the packed path, and both equal
+    # _entropy_bits of each row
+    rng = np.random.default_rng(seed)
+    tables = wide_values(rng, (rows, width), 0.0) + 1e-300
+    at = rng.integers(0, width + 1)
+    packed = np.insert(tables, at, 0.0, axis=1)
+    fast = _entropy_bits_batch(tables)
+    assert np.array_equal(bits(fast), bits(_entropy_bits_batch(packed)))
+    assert np.array_equal(bits(fast), bits([_entropy_bits(row) for row in tables]))
 
 
 @given(joint_tables())
