@@ -41,6 +41,10 @@ POLICY_BYTES = 128         # profile rows of both streams, the kept id, summary 
 POINT_BYTES = 24           # a point's r, d and policy_id
 ROW_BYTES = 256            # a row of a layout or write block (234 B measured)
 JOINT_BYTES = 32           # a composed joint entry of one stack, draws included (14-21 B measured)
+# a policy of one stack, beside its table and joint: the draws' running sum,
+# the repeated stack, the checks' masks and the profile rows' temporaries,
+# which do not shrink with the joint (up to 57 B measured at 2 joint entries)
+STACK_POLICY_BYTES = 64
 
 
 @dataclass(frozen=True)
@@ -517,8 +521,8 @@ def _check_budget(model: DiscreteWiretapModel, search: SearchConfig) -> int:
     - POINT_BYTES of columns per point of the bound 1 + policies * curve_points;
     - one block of rows being laid out or written, max(BLOCK_ROWS,
       curve_points) rows of ROW_BYTES;
-    - the sweep's working set: one stack's tables and JOINT_BYTES per entry
-      of its composed joints."""
+    - the sweep's working set: one stack's tables, JOINT_BYTES per entry
+      of its composed joints and STACK_POLICY_BYTES per policy."""
     grid_total, size = _stream_plan(model, search)
     policies = grid_total + search.n_random
     entries = model.card_v1 * model.card_v2 * search.u_card * model.card_x
@@ -526,7 +530,7 @@ def _check_budget(model: DiscreteWiretapModel, search: SearchConfig) -> int:
     joint = entries * model.card_y * model.card_z
     need = (policies * (8 * entries + POLICY_BYTES) + points * POINT_BYTES
             + max(BLOCK_ROWS, search.curve_points) * ROW_BYTES
-            + min(policies, size) * (8 * entries + joint * JOINT_BYTES))
+            + min(policies, size) * (8 * entries + joint * JOINT_BYTES + STACK_POLICY_BYTES))
     if need > probability.BYTE_BUDGET:
         raise UsageError(
             f"{policies} policies at {search.curve_points} curve points need "

@@ -8,6 +8,7 @@ bit-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -415,25 +416,35 @@ def _add128(a, b):
     return a[0] + b[0] + (low < a[1]), low
 
 
-def _halves(values: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _halves(values: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """128-bit ints as (high, low) uint64 arrays."""
     return (np.array([v >> 64 for v in values], dtype=np.uint64),
             np.array([v & _MASK64 for v in values], dtype=np.uint64))
 
 
-def _jumps(lanes: int):
-    """(mult^j, 1 + mult + ... + mult^(j-1)) mod 2^128 for j = 1 .. lanes, as
-    halves: j PCG64 steps take state s with increment c to
-    mult^j * s + (1 + ... + mult^(j-1)) * c."""
-    scale, shift = [_PCG_MULT], [1]
-    while len(scale) < lanes:
-        scale.append(scale[-1] * _PCG_MULT & _MASK128)
-        shift.append((shift[-1] * _PCG_MULT + 1) & _MASK128)
-    return _halves(scale), _halves(shift)
+def _jump(steps: int) -> tuple[int, int]:
+    """(mult^steps, 1 + mult + ... + mult^(steps-1)) mod 2^128: `steps`
+    PCG64 steps take state s with increment c to mult^steps * s + (1 + ...
+    + mult^(steps-1)) * c.  Squares and multiplies, as numpy's advance."""
+    scale, shift, step_scale, step_shift = 1, 0, _PCG_MULT, 1
+    while steps:
+        if steps & 1:
+            scale, shift = scale * step_scale & _MASK128, (shift * step_scale + step_shift) & _MASK128
+        step_scale, step_shift = (step_scale * step_scale & _MASK128,
+                                  step_shift * (step_scale + 1) & _MASK128)
+        steps >>= 1
+    return scale, shift
 
 
-_PCG_LANES = 8              # steps _pcg64_outputs takes at once
-_PCG_JUMPS = _jumps(_PCG_LANES)
+def _jumps(counts: range, steps: int = 1):
+    """_jump(j * steps) for each j of `counts`, as (scale, shift) halves."""
+    scales, shifts = zip(*(_jump(j * steps) for j in counts))
+    return _halves(scales), _halves(shifts)
+
+
+_PCG_ROUND = 8              # steps a lane of _pcg64_lanes takes at once
+_PCG_JUMPS = _jumps(range(1, _PCG_ROUND + 1))
+_STREAM_LANES = 512         # lanes _pcg64_stream steps at once at most
 
 
 def _pcg64_seeded(prefix: Sequence[int], first: int, count: int):
@@ -453,49 +464,99 @@ def _pcg64_seeded(prefix: Sequence[int], first: int, count: int):
     return _add128(_mul128(_add128(inc, (seed_high, seed_low)), _PCG_MULT_HALVES), inc), inc
 
 
+def _pcg64_lanes(state, inc, out: np.ndarray) -> None:
+    """Fill `out` (lanes, k) with the next k outputs of each lane, a PCG64
+    generator at `state` with increment `inc`, (high, low) pairs of uint64
+    arrays (lanes, 1); the increments may broadcast.
+
+    PCG64 (O'Neill 2014) steps a 128-bit LCG, state * mult + c, and outputs
+    XSL-RR of the new state: the xor of its halves rotated right by its top
+    six bits.  The 128-bit arithmetic runs on uint64 halves, _PCG_ROUND
+    steps at once: each jumps from the last state through _PCG_JUMPS.
+    Beside `out`, a lane holds eight words a step of the round: the
+    offsets' two halves, the new states' two and _mulhi's four arrays.
+    """
+    (scale_high, scale_low), (shift_high, shift_low) = _PCG_JUMPS
+    state_high, state_low = state
+    off_high, off_low = _mul128(inc, (shift_high, shift_low))      # (lanes or 1, round)
+    k = out.shape[1]
+    for lo in range(0, k, _PCG_ROUND):
+        width = min(_PCG_ROUND, k - lo)
+        high, low = _mul128((state_high, state_low), (scale_high[:width], scale_low[:width]))
+        low += off_low[:, :width]
+        high += off_high[:, :width]
+        high += low < off_low[:, :width]
+        state_high, state_low = high[:, -1:].copy(), low[:, -1:].copy()
+        low ^= high                                 # XSL-RR, in place
+        high >>= 58
+        np.right_shift(low, high, out=out[:, lo:lo + width])
+        np.subtract(64, high, out=high)
+        high &= 63
+        low <<= high
+        out[:, lo:lo + width] |= low
+        del high, low                               # before the next round's
+
+
 def _pcg64_outputs(prefix: Sequence[int], first: int, count: int, k: int) -> np.ndarray:
     """(count, k) uint64: row i - first holds the first k outputs of
     np.random.default_rng([*prefix, i]), bit for bit its bit generator's
-    random_raw(k).
-
-    Every generator is a lane.  PCG64 (O'Neill 2014) steps a 128-bit LCG,
-    state * mult + c, and outputs XSL-RR of the new state: the xor of its
-    halves rotated right by its top six bits.  The 128-bit arithmetic runs
-    on uint64 halves, _PCG_LANES steps at once: each jumps from the last
-    state through _PCG_JUMPS.  The held words are _pcg64_words(k) per
+    random_raw(k).  Every generator is a lane of _pcg64_lanes, seeded a
+    batch of _seed_runs at a time.  The held words are _pcg64_words(k) per
     generator.
     """
-    (scale_high, scale_low), (shift_high, shift_low) = _PCG_JUMPS
     out = np.empty((count, k), dtype=np.uint64)
     for index, stop in _seed_runs(first, count):
-        (state_high, state_low), inc = _pcg64_seeded(prefix, index, stop - index)
-        state_high, state_low = state_high[:, None], state_low[:, None]
-        inc = tuple(half[:, None] for half in inc)
-        off_high, off_low = _mul128(inc, (shift_high, shift_low))      # (rows, lanes)
-        rows = out[index - first:stop - first]
-        for lo in range(0, k, _PCG_LANES):
-            width = min(_PCG_LANES, k - lo)
-            high, low = _mul128((state_high, state_low), (scale_high[:width], scale_low[:width]))
-            low += off_low[:, :width]
-            high += off_high[:, :width]
-            high += low < off_low[:, :width]
-            state_high, state_low = high[:, -1:].copy(), low[:, -1:].copy()
-            low ^= high                                 # XSL-RR, in place
-            high >>= 58
-            np.right_shift(low, high, out=rows[:, lo:lo + width])
-            np.subtract(64, high, out=high)
-            high &= 63
-            low <<= high
-            rows[:, lo:lo + width] |= low
-            del high, low                               # before the next round's
+        state, inc = _pcg64_seeded(prefix, index, stop - index)
+        _pcg64_lanes(tuple(half[:, None] for half in state),
+                     tuple(half[:, None] for half in inc), out[index - first:stop - first])
     return out
 
 
 def _pcg64_words(k: int) -> int:
-    """uint64s _pcg64_outputs holds per generator at most: its k outputs
-    and eight per lane, the lane's two offsets, its state's two halves and
-    _mulhi's four arrays."""
-    return k + 8 * _PCG_LANES
+    """uint64s _pcg64_lanes holds per lane of k outputs at most: the
+    outputs, and eight for each step of a round."""
+    return k + 8 * _PCG_ROUND
+
+
+@functools.lru_cache(maxsize=8)
+def _stream_seed(prefix: tuple[int, ...], index: int) -> tuple[int, int]:
+    """default_rng([*prefix, index])'s PCG64 (state, increment), as ints."""
+    (state_high, state_low), (inc_high, inc_low) = _pcg64_seeded(prefix, index, 1)
+    return (int(state_high[0]) << 64 | int(state_low[0]),
+            int(inc_high[0]) << 64 | int(inc_low[0]))
+
+
+@functools.lru_cache(maxsize=8)
+def _lane_jumps(width: int):
+    """_jump(l * width) for l = 0 .. _STREAM_LANES - 1, as halves."""
+    return _jumps(range(_STREAM_LANES), width)
+
+
+def _pcg64_stream(prefix: Sequence[int], index: int, start: int, count: int) -> np.ndarray:
+    """Outputs start .. start + count - 1 of the one stream of
+    np.random.default_rng([*prefix, index]), bit for bit its bit
+    generator's random_raw(count) after `start` outputs.
+
+    The run is cut into lanes of consecutive outputs that _pcg64_lanes
+    steps together: as few rounds as _STREAM_LANES lanes at most allow.
+    Lane l starts from the state after start + l * width steps, PCG64's
+    jump-ahead: mult^j * s + (1 + mult + ... + mult^(j-1)) * c for j steps
+    from state s with increment c.  The held words are the outputs and
+    _pcg64_words(0) a lane: 8 bytes an output and 256 KiB at most.
+    """
+    state, inc = _stream_seed(tuple(int(value) for value in prefix), int(index))
+    lanes = min(_STREAM_LANES, -(-count // _PCG_ROUND))
+    width = -(-count // (lanes * _PCG_ROUND)) * _PCG_ROUND
+    lanes = -(-count // width)
+    scale, shift = _jump(start)
+    base = _halves([(scale * state + shift * inc) & _MASK128])
+    inc_halves = _halves([inc])
+    scales, shifts = (tuple(half[:lanes] for half in pair) for pair in _lane_jumps(width))
+    starts = _add128(_mul128(scales, base), _mul128(shifts, inc_halves))
+    out = np.empty((lanes, width), dtype=np.uint64)
+    _pcg64_lanes(tuple(half[:, None] for half in starts),
+                 tuple(half[:, None] for half in inc_halves), out)
+    return out.reshape(-1)[:count]
 
 
 def _seeded_generators(prefix: Sequence[int], first: int,

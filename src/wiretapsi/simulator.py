@@ -22,7 +22,10 @@ bytes a pair, and its gather buffer, which together fit GATHER_BYTES,
 unless a single message row outgrows it, when the step is that row and a
 buffer of half of GATHER_BYTES; and GATHER_BYTES each for a batch's tables
 (more only where one z row's tables take more) and for the rest of the
-trial block.  It is checked before anything is allocated; a run over it is
+trial block.  The codebook is drawn before any of that is held: beside
+it, a block of GATHER_BYTES of its stream, or the permutation, its inverse
+and their index, 8 bytes a codeword each, and the charge takes the larger
+phase.  It is checked before anything is allocated; a run over it is
 refused with a UsageError.  Every other step, trials included, works in
 about GATHER_BYTES, so none outgrows the posterior's; a selection step
 gathers one state's m pairs at least, and the charge covers that too.
@@ -63,7 +66,10 @@ A trial draws its states, message and uniforms as its own generator
 default_rng([seed, 1, t]) would, but no generator is built: the lane-wise
 PCG64 kernel of probability gives each trial of a block its 4n + 1 outputs.
 The message takes one of them because m is a power of two: numpy's 32-bit
-Lemire draw then never rejects (see _trial_draws).
+Lemire draw then never rejects (see _trial_draws).  The codebook draws as
+default_rng([seed, 0])'s choice and then permutation would, from the
+kernel's one-stream entry (_build_codebook), so a run never loads
+numpy.random.
 
 The public encode keeps its own per-bin scan; it is the second path that
 validate's brute-force posterior and the tests compare the kernel against.
@@ -84,14 +90,18 @@ from .discrete import (AuxiliaryPolicy, DiscreteWiretapModel, RateTriplet,
 from .errors import InfeasibleRateError, UsageError
 from .nodesums import _NodeSums, _shared_cut
 from .probability import (BYTE_BUDGET, Pmf, _check_stack, _entropy_bits,
-                          _entropy_bits_batch, _pcg64_outputs, _pcg64_words,
-                          compose)
+                          _entropy_bits_batch, _pcg64_outputs, _pcg64_stream,
+                          _pcg64_words, compose)
 
 MAX_BLOCK_LENGTH = 16
 MAX_STATE_PRODUCT = 4
 MAX_CODEBOOK = 2 ** 20
 MAX_STATE_ENUM_BITS = 20.0
 GATHER_BYTES = 2 ** 19    # working set of one selection, decode, posterior or trial step
+# stream outputs a block of the codebook draws: the kernel holds 8 bytes an
+# output and 256 KiB of lanes, the uniforms with their symbols 16 bytes an
+# output, GATHER_BYTES either way
+_CODEBOOK_WORDS = GATHER_BYTES // 16
 # a posterior message row per (message, v1 sequence) pair: its product; the
 # factors are gathered into a buffer of their own
 _ROW_PAIR_BYTES = 8
@@ -331,6 +341,15 @@ def build_codebook(config: SimConfig) -> Codebook:
 
 
 def _build_codebook(config: SimConfig, tables: _Tables) -> Codebook:
+    """The codebook, bit for bit numpy's default_rng([seed, 0]) drawing
+    choice(|u|, (K, n), p=p_u / sum) and then permutation(K), from the
+    stream _pcg64_stream gives.  Outputs 0 .. Kn - 1 are choice's uniforms,
+    next_double's (out >> 11) * 2^-53, inverted through its cdf
+    _CODEBOOK_WORDS at a time; _permutation takes the outputs after them.
+    The permutation deals the codewords round-robin into the m bins: a
+    codeword's place in it, mod m, is its bin less one, and its place // m
+    its rank in the bin.
+    """
     exponent = config.n * (tables.triplet.mi_uy - config.epsilon_typ)
     if exponent <= 0:
         raise InfeasibleRateError(
@@ -343,27 +362,75 @@ def _build_codebook(config: SimConfig, tables: _Tables) -> Codebook:
         raise InfeasibleRateError(
             f"{m} bins cannot be filled from {size} codewords; lower the rate")
 
-    rng = np.random.default_rng([config.seed, 0])
     p = tables.p_u / tables.p_u.sum()
-    sequences = rng.choice(len(p), size=(size, config.n), p=p)
-
-    order = rng.permutation(size)
-    bin_index = np.empty(size, dtype=np.int64)
-    bin_index[order] = np.arange(size) % m + 1
-    within_rank = np.empty(size, dtype=np.int64)
-    within_rank[order] = np.arange(size) // m
-
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    sequences = np.empty((size, config.n), dtype=np.int64)
+    rows = max(1, _CODEBOOK_WORDS // config.n)
+    for lo in range(0, size, rows):
+        part = sequences[lo:lo + rows]
+        words = _pcg64_stream((config.seed,), 0, lo * config.n, part.size)
+        words >>= 11
+        uniforms = words * 2.0 ** -53
+        del words
+        part[...] = cdf.searchsorted(uniforms, side="right").reshape(part.shape)
+        del uniforms                                    # before the next block's
+    order = _permutation(config.seed, sequences.size, size)
+    # each codeword's place in the permutation, then its bin and its subbin
+    place = np.empty(size, dtype=np.int64)
+    place[order] = np.arange(size)
+    del order
+    bin_index = place % m
+    bin_index += 1
     # Subbin capacity targets 2^{n*(I(u;z) - epsilon)} codewords per subbin,
-    # floored at 1 so tiny instances still carry the two-level structure.
+    # floored at 1 so tiny instances still carry the two-level structure;
+    # a codeword's rank in its bin is its place // m.
     capacity = max(1, math.ceil(2.0 ** (config.n * (tables.triplet.mi_uz - config.epsilon_typ))))
     max_occupancy = math.ceil(size / m)
     subbins_per_bin = max(1, math.ceil(max_occupancy / capacity))
-    subbin_index = within_rank // capacity + 1
+    place //= m * capacity
+    place += 1
+    subbin_index = place
 
     for arr in (sequences, bin_index, subbin_index):
         arr.setflags(write=False)
     return Codebook(sequences, bin_index, subbin_index, m,
                     int(subbins_per_bin), config.seed)
+
+
+def _permutation(seed: int, first: int, size: int) -> np.ndarray:
+    """numpy's Generator.permutation(size) from the stream of
+    default_rng([seed, 0]) past its first `first` outputs, bit for bit.
+
+    numpy shuffles arange(size) by Fisher-Yates: for i from size - 1 down
+    to 1 it swaps places i and j, j numpy's random_interval(i), the first
+    32-bit draw that, masked to i's bit length, is at most i.  The draws
+    are numpy's buffered next_uint32's: each output gives its low half,
+    then its high half.  The outputs come at most _CODEBOOK_WORDS at a
+    time, and at most i + 1 while i places are left, where the shuffle
+    takes about 0.7 i on average.
+    """
+    order = np.arange(size)
+    view = memoryview(order)
+    i = size - 1
+    mask = (1 << i.bit_length()) - 1
+    while i:
+        words = _pcg64_stream((seed,), 0, first, min(_CODEBOOK_WORDS, i + 1))
+        first += len(words)
+        halves = np.empty((len(words), 2), dtype=np.uint32)
+        np.bitwise_and(words, 0xFFFF_FFFF, out=halves[:, 0], casting="unsafe")
+        np.right_shift(words, 32, out=halves[:, 1], casting="unsafe")
+        del words
+        for j in memoryview(halves.reshape(-1)):
+            j &= mask
+            if j <= i:
+                view[i], view[j] = view[j], view[i]
+                i -= 1
+                if i == mask >> 1:                  # i's bit length drops
+                    if not i:
+                        break
+                    mask >>= 1
+    return order
 
 
 def _fallback_codeword(codebook: Codebook) -> int:
@@ -446,6 +513,11 @@ def _gather_score_bytes(sums: _NodeSums) -> int:
     return 8 * (sums.buffers + 1) + 2
 
 
+# bytes of each pair of a gathered selection step beside its scores: its
+# message and its place, then a node's digit of the place and its temporary
+_GATHER_PAIR_BYTES = 32
+
+
 def _check_enumeration(tables: _Tables) -> int:
     """Refuse, before any large allocation, a run whose state enumeration
     breaks the 2^20 cap or whose arrays, as the module docstring lists
@@ -472,17 +544,21 @@ def _check_enumeration(tables: _Tables) -> int:
     size = _codebook_size(config, tables.triplet.mi_uy)
     depth = -(-size // config.m)
     step = max(_ROW_PAIR_BYTES * states + GATHER_BYTES // 2, GATHER_BYTES,
-               _gather_score_bytes(tables.row_sums) * config.m)
+               (_gather_score_bytes(tables.row_sums) + _GATHER_PAIR_BYTES) * config.m)
     batch = _tap_table_bytes(tables, rows)
     need = (cells * (np.min_scalar_type(depth).itemsize + 4 * len(tables.groups))
             + 8 * config.m * (depth + 1) + 8 * config.trials
             + step + max(GATHER_BYTES, batch) + GATHER_BYTES)
     # the codebook's K sequences with their bins and subbins, and the
     # decoder's tables, one row per codeword; a codebook past its cap is
-    # refused when it is drawn
+    # refused when it is drawn.  The codebook is drawn before anything
+    # else is held: beside its arrays, a block of GATHER_BYTES and the
+    # permutation, or the permutation, its inverse and their index, 8
+    # bytes a codeword each (_build_codebook)
     if size <= MAX_CODEBOOK:
         decoder = _row_cut(config.n, tables.p_uy.shape[1], size, size * config.trials)
-        need += 8 * size * (config.n + 2 + decoder.entries)
+        need = 8 * size * (config.n + 2) + max(need + 8 * size * decoder.entries,
+                                               GATHER_BYTES + 8 * size, 24 * size)
     if need > BYTE_BUDGET:
         raise UsageError(
             f"{config.m} messages x {states} state sequences at n={config.n} "
@@ -596,11 +672,11 @@ def _first_typical(tables: _Tables, config: SimConfig, node: list[np.ndarray],
     (message, block) cell with at least a quarter of its pairs pending, and
     at least 16, is scored whole: one outer sum of the members' table rows,
     contiguous adds.  A thinner cell's pending pairs join a list scored by
-    gathers; once no cell is scored whole, the list takes as many ranks at
-    a time as fit, each pair its first hit.  Scores are numpy's row sums of
-    log p(u, v1), typical within _typical_sums' bounds, so the ranks are
-    encode's.  Its own function, so the loops' last arrays are freed on
-    return.
+    gathers (_gathered_step); once no cell is scored whole, the list takes
+    as many ranks at a time as fit, each pair its first hit.  Scores are
+    numpy's row sums of log p(u, v1), typical within _typical_sums'
+    bounds, so the ranks are encode's.  Its own function, so the loops'
+    last arrays are freed on return.
     """
     n, card, sums = config.n, tables.p_uv1.shape[1], tables.row_sums
     m, depth = members.shape[0], members.shape[1] - 1
@@ -646,31 +722,50 @@ def _first_typical(tables: _Tables, config: SimConfig, node: list[np.ndarray],
             cell -= np.multiply(hit, depth - rank, dtype=ranks.dtype)
             if not isinstance(rows, slice):
                 ranks[cells] = cell
-        window = 1 if whole.any() else min(depth - rank,
-                                           max(1, GATHER_BYTES // (score * loose.size)))
-        step = max(m, GATHER_BYTES // (score * window))     # one state's pairs at least
+        window = 1 if whole.any() else min(
+            depth - rank, max(1, (GATHER_BYTES // loose.size - _GATHER_PAIR_BYTES) // score))
+        # one state's pairs at least
+        step = max(m, GATHER_BYTES // (score * window + _GATHER_PAIR_BYTES))
         keep = np.ones(loose.size, dtype=bool)
         for lo in range(0, loose.size, step):
-            pair = loose[lo:lo + step]
-            message, place = np.divmod(pair, count)
-            picks = members[message[:, None], np.arange(rank, rank + window)]
-            total = sums.total(flat, lambda t: picks * sums.widths[t]
-                               + (place // sums.places[t] % sums.widths[t])[:, None])
-            hit = _within(total, bounds)
-            del total, message, place, picks
-            # the hits in pair-major order; a pair's first one is its rank
-            at = np.flatnonzero(hit)
-            hit_pair = at // window
-            first = np.ones(at.size, dtype=bool)
-            first[1:] = hit_pair[1:] != hit_pair[:-1]
-            got = hit_pair[first]
-            ranks.reshape(-1)[pair[got]] = rank + at[first] - got * window
-            keep[lo + got] = False
-            # no step's arrays outlive it, into the next rank's blocks
-            del pair, hit, at, hit_pair, first, got
+            keep[lo + _gathered_step(sums, flat, members, ranks, loose[lo:lo + step],
+                                     rank, window, bounds)] = False
         loose = loose[keep]
         rank += window
     return ranks
+
+
+def _gathered_step(sums: _NodeSums, flat: list[np.ndarray], members: np.ndarray,
+                   ranks: np.ndarray, pair: np.ndarray, rank: int, window: int,
+                   bounds: tuple[float, float]) -> np.ndarray:
+    """One gathered step of _first_typical: score the pairs `pair`, each
+    message * S + its place in the digit order, against their bins'
+    members at ranks rank .. rank + window - 1, write each hit pair's first
+    hit into `ranks` and return the hit pairs' indices into `pair`.
+
+    It holds _gather_score_bytes a score and _GATHER_PAIR_BYTES a pair.
+    The picks are one slice of the member table, not a broadcast index,
+    and each node's codes are built in place, so the buffer numpy's
+    broadcast add of the digits takes (8 bytes a score, 64 KiB at most)
+    fits where a second array would be.
+    """
+    count = ranks.shape[1]
+    message, place = np.divmod(pair, count)
+    picks = members[message, rank:rank + window]        # (pairs, window)
+    del message
+
+    def codes(t):
+        code = picks * sums.widths[t]
+        code += (place // sums.places[t] % sums.widths[t])[:, None]
+        return code
+
+    total = sums.total(flat, codes)
+    del place, picks
+    hit = _within(total, bounds)
+    del total
+    got = np.flatnonzero(hit.any(axis=1))
+    ranks.reshape(-1)[pair[got]] = rank + hit[got].argmax(axis=1)
+    return got
 
 
 def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
@@ -913,7 +1008,8 @@ def run_experiment(config: SimConfig) -> SimulationReport:
     """Monte Carlo over state/message/noise draws; deterministic per seed.
 
     Trial t draws from the stream of default_rng([seed, 1, t]); the
-    codebook uses default_rng([seed, 0]).  Within a trial the draw order
+    codebook is drawn as default_rng([seed, 0]) would draw it
+    (_build_codebook).  Within a trial the draw order
     is: state pair sequence (random(n)), message (integers(1, m + 1)),
     then encoder input, main and wiretap channel uniforms (random((3, n))).
     Those are 4n + 1 PCG64 outputs, because m is a power of two and numpy's

@@ -355,6 +355,40 @@ def test_one_stack_at_the_table_cap_holds_at_most_joint_bytes_an_entry():
     assert 8 * entries < peak <= discrete.JOINT_BYTES * entries
 
 
+@pytest.mark.parametrize("cards,u_card", [
+    ((2, 1, 2, 1, 1), 2),       # 8 joint entries a policy
+    ((2, 1, 1, 1, 1), 1),       # 2, the smallest joint with two inputs
+])
+def test_a_tiny_joint_stack_holds_no_more_than_it_is_charged(monkeypatch, cards, u_card):
+    # a full stack of tiny joints: the per-policy temporaries that do not
+    # shrink with the joint are charged beside its table and JOINT_BYTES an
+    # entry; _profiles also holds the stream's profile rows, 32 bytes a
+    # policy, which POLICY_BYTES charges.  A small table cap keeps the
+    # stack at 5,000 to 20,000 policies.
+    c_x, c_y, c_z, c_v1, c_v2 = cards
+    rng = np.random.default_rng(5)
+    model = DiscreteWiretapModel(
+        state_pmf=JointPmf((("v1", c_v1), ("v2", c_v2)), np.ones((c_v1, c_v2)) / (c_v1 * c_v2)),
+        main_kernel=TransitionKernel((("x", c_x), ("v1", c_v1)), (("y", c_y),),
+                                     rng.dirichlet(np.ones(c_y), size=(c_x, c_v1))),
+        wiretap_kernel=TransitionKernel((("x", c_x), ("v2", c_v2)), (("z", c_z),),
+                                        rng.dirichlet(np.ones(c_z), size=(c_x, c_v2))))
+    monkeypatch.setattr(probability, "MAX_TABLE_ENTRIES", 40_000)
+    entries = c_v1 * c_v2 * u_card * c_x
+    joint = entries * c_y * c_z
+    search = SearchConfig(u_card=u_card, n_random=40_000 // joint, seed=0)
+    assert discrete._stream_plan(model, search) == (0, search.n_random)
+    stack = search.n_random * (8 * entries + joint * discrete.JOINT_BYTES
+                               + discrete.STACK_POLICY_BYTES)
+    tracemalloc.start()
+    try:
+        _profiles(model, search)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= stack + 32 * search.n_random
+
+
 def test_chunked_sweep_gives_identical_artifacts(trend, tmp_path, monkeypatch):
     # 10 random draws after a 100-policy grid; 7 policies per chunk splits
     # the grid, the random block and the boundary between them
@@ -443,14 +477,15 @@ def test_region_max_r_u1_is_the_best_curve_rate(trend):
 def region_charge(model, search, policies):
     """The region budget's charge, spelled out: per policy a kept table and
     POLICY_BYTES, POINT_BYTES per point of the bound, one block of rows, and
-    one stack's tables with JOINT_BYTES per composed entry."""
+    one stack's tables with JOINT_BYTES per composed entry and
+    STACK_POLICY_BYTES per policy."""
     entries = model.card_v1 * model.card_v2 * search.u_card * model.card_x
     joint = entries * model.card_y * model.card_z
     stack = min(policies, probability.MAX_TABLE_ENTRIES // joint)
     return (policies * (8 * entries + discrete.POLICY_BYTES)
             + (1 + policies * search.curve_points) * discrete.POINT_BYTES
             + max(discrete.BLOCK_ROWS, search.curve_points) * discrete.ROW_BYTES
-            + stack * (8 * entries + joint * discrete.JOINT_BYTES))
+            + stack * (8 * entries + joint * discrete.JOINT_BYTES + discrete.STACK_POLICY_BYTES))
 
 
 def test_region_budget_is_checked_before_any_draw(monkeypatch):

@@ -1,5 +1,6 @@
 """What each entry point loads: the package's lazy public names and the
-modules each subcommand imports, checked in fresh interpreters."""
+modules each subcommand imports, numpy.random among them, checked in fresh
+interpreters."""
 
 import importlib
 import json
@@ -14,9 +15,12 @@ from wiretapsi.modelio import model_to_dict, policy_to_dict
 from wiretapsi.reference import degraded_bsc_pair, uniform_input_policy
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wiretapsi.__file__)))
+# the package's modules and numpy.random, which only the region search's
+# Dirichlet draws need
 PROBE = ("import sys\n"
          "def loaded():\n"
-         "    return ' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'wiretapsi'))\n"
+         "    return ' '.join(sorted(m for m in sys.modules\n"
+         "                           if m.split('.')[0] == 'wiretapsi' or m == 'numpy.random'))\n"
          "import wiretapsi.cli\n"
          "print(loaded())\n"
          "code = wiretapsi.cli.main(sys.argv[1:])\n"
@@ -26,8 +30,8 @@ LAYERS = {"clamp", "discrete", "gaussian", "nodesums", "probability", "reference
 
 
 def loaded_modules(tmp_path, argv):
-    """The package modules loaded after `import wiretapsi.cli` and after the
-    call, in a fresh interpreter."""
+    """The package modules, and numpy.random if it is, loaded after `import
+    wiretapsi.cli` and after the call, in a fresh interpreter."""
     out = subprocess.run([sys.executable, "-c", PROBE, *argv, "--out", str(tmp_path / "o")],
                          env=dict(os.environ, PYTHONPATH=SRC), cwd=tmp_path,
                          capture_output=True, text=True, check=True)
@@ -47,26 +51,42 @@ def write_inputs(tmp_path):
         "n": 4, "rate": 0.3, "epsilon_typ": 0.25, "trials": 5, "seed": 7}))
 
 
-GAUSSIAN_ABSENT = {"discrete", "probability", "simulator", "nodesums", "validate", "reference"}
+GAUSSIAN_ABSENT = {"discrete", "probability", "simulator", "nodesums", "validate", "reference",
+                   "numpy.random"}
 
 
-# subcommand argv and the layers the call must not load
-@pytest.mark.parametrize("argv,absent", [
-    pytest.param(["gaussian-scan", "--step", "0.5"], GAUSSIAN_ABSENT, id="gaussian-scan"),
-    pytest.param(["gaussian-region", "--grid", "8"], GAUSSIAN_ABSENT, id="gaussian-region-1"),
+# subcommand argv, the layers the call must not load and those it must.  The
+# simulator draws its codebook and trials through probability's PCG64
+# kernel, so only discrete-region, whose Dirichlet draws are numpy's
+# ziggurat exponentials, loads numpy.random.
+@pytest.mark.parametrize("argv,absent,present", [
+    pytest.param(["gaussian-scan", "--step", "0.5"], GAUSSIAN_ABSENT, {"gaussian"},
+                 id="gaussian-scan"),
+    pytest.param(["gaussian-region", "--grid", "8"], GAUSSIAN_ABSENT, {"gaussian"},
+                 id="gaussian-region-1"),
     pytest.param(["gaussian-region", "--case", "2", "--grid", "8"], GAUSSIAN_ABSENT,
-                 id="gaussian-region-2"),
+                 {"gaussian"}, id="gaussian-region-2"),
     pytest.param(["discrete-region", "--model", "model.json", "--random", "20"],
                  {"gaussian", "simulator", "nodesums", "validate", "reference"},
-                 id="discrete-region"),
+                 {"discrete", "probability", "numpy.random"}, id="discrete-region"),
     pytest.param(["simulate", "--sim-config", "sim.json"],
-                 {"gaussian", "validate", "reference"}, id="simulate"),
+                 {"gaussian", "validate", "reference", "numpy.random"},
+                 {"simulator", "probability", "nodesums"}, id="simulate"),
 ])
-def test_each_subcommand_loads_only_its_layers(tmp_path, argv, absent):
+def test_each_subcommand_loads_only_its_layers(tmp_path, argv, absent, present):
     write_inputs(tmp_path)
     after_import, after_call = loaded_modules(tmp_path, argv)
     assert after_import == {"wiretapsi", "cli", "errors", "modelio"}
     assert not after_call & absent
+    assert after_call >= present
+
+
+def test_a_codebook_dump_leaves_numpy_random_unloaded(tmp_path):
+    write_inputs(tmp_path)
+    _, after_call = loaded_modules(tmp_path, ["simulate", "--sim-config", "sim.json",
+                                              "--dump-codebook"])
+    assert "numpy.random" not in after_call
+    assert (tmp_path / "o" / "codebook.txt").exists()
 
 
 def test_validate_loads_every_layer(tmp_path):

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,7 +28,8 @@ from wiretapsi.cli import main
 from wiretapsi.discrete import AuxiliaryPolicy
 from wiretapsi.modelio import model_to_dict, policy_to_dict, write_json
 from wiretapsi.nodesums import _leaves, _NodeSums
-from wiretapsi.probability import JointPmf, TransitionKernel, _entropy_bits_batch
+from wiretapsi.probability import (JointPmf, TransitionKernel, _entropy_bits_batch,
+                                   _pcg64_stream)
 from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook,
                                  _check_enumeration, _decoder, _log_sum_exp,
                                  _posteriors, _row_cut, _selection_table, _Tables)
@@ -145,6 +147,80 @@ def test_codebook_deterministic(noiseless):
     np.testing.assert_array_equal(a.sequences, b.sequences)
     np.testing.assert_array_equal(a.bin_index, b.bin_index)
     np.testing.assert_array_equal(a.subbin_index, b.subbin_index)
+
+
+def numpy_codebook(p_u, size, n, m, seed, capacity):
+    """The codebook as numpy's own generator draws it: choice, then
+    permutation, from default_rng([seed, 0]), the permutation dealing the
+    codewords round-robin into the m bins and each bin's ranks into
+    subbins of `capacity`."""
+    rng = np.random.default_rng([seed, 0])
+    sequences = rng.choice(len(p_u), size=(size, n), p=p_u / p_u.sum())
+    order = rng.permutation(size)
+    bins = np.empty(size, dtype=np.int64)
+    bins[order] = np.arange(size) % m + 1
+    ranks = np.empty(size, dtype=np.int64)
+    ranks[order] = np.arange(size) // m
+    return sequences, bins, ranks // capacity + 1
+
+
+def drawn_codebook(p_u, size, n, m, seed, capacity):
+    """_build_codebook on a stand-in config and tables that give `size`
+    codewords of n symbols, m bins and subbins of `capacity`: at epsilon
+    0.5, I(u;y) = log2(size - 1/2) / n + 1/2 makes ceil(2^(n (I(u;y) -
+    epsilon))) = size."""
+    config = SimpleNamespace(n=n, epsilon_typ=0.5, m=m, seed=seed)
+    triplet = SimpleNamespace(mi_uy=math.log2(size - 0.5) / n + 0.5,
+                              mi_uz=math.log2(capacity) / n + 0.5)
+    book = _build_codebook(config, SimpleNamespace(p_u=p_u, triplet=triplet))
+    want_capacity = max(1, math.ceil(2.0 ** (n * (triplet.mi_uz - 0.5))))
+    return book, numpy_codebook(p_u, size, n, m, seed, want_capacity)
+
+
+def assert_codebook_is_numpys(book, want):
+    sequences, bins, subbins = want
+    assert book.sequences.dtype == sequences.dtype
+    np.testing.assert_array_equal(book.sequences, sequences)
+    np.testing.assert_array_equal(book.bin_index, bins)
+    np.testing.assert_array_equal(book.subbin_index, subbins)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(2 ** 32, 2 ** 64 - 1)),
+       k=st.integers(1, 10), off=st.sampled_from([-1, 0, 1]), n=st.integers(1, 16),
+       p_u=st.lists(st.sampled_from([0.0, 0.0, 1e-3, 0.2, 0.5, 1.0, 7.0]), min_size=1,
+                    max_size=5).filter(lambda p: sum(p) > 0),
+       bins=st.integers(1, 10), capacity=st.integers(1, 9))
+def test_codebook_is_numpys_choice_and_permutation_bit_for_bit(seed, k, off, n, p_u, bins,
+                                                               capacity):
+    # the codebook's sequences are numpy's choice(|u|, (K, n), p=p) and its
+    # bins and subbins come from numpy's permutation(K), both on
+    # default_rng([seed, 0]); the kernel draws them without numpy.random,
+    # through next_double uniforms, then numpy's Fisher-Yates on buffered
+    # 32-bit halves, low half first, under a mask of i's bit length
+    size = max(2, 2 ** k + off)
+    m = 2 ** min(bins, size.bit_length() - 1)
+    assert_codebook_is_numpys(*drawn_codebook(np.array(p_u), size, n, m, seed, capacity))
+
+
+def test_a_codebook_of_65536_is_numpys_bit_for_bit():
+    # 2^20 sequence words in 32 blocks of the kernel, then a shuffle of
+    # 65,536 places through every mask width
+    p_u = np.array([0.3, 0.0, 0.2, 0.4, 0.1])
+    assert_codebook_is_numpys(*drawn_codebook(p_u, 2 ** 16, 16, 2 ** 9, 2 ** 64 - 1, 3))
+
+
+@pytest.mark.parametrize("seed,index", [(0, 0), (7, 1), (2 ** 40 + 3, 0), (2 ** 64 - 1, 5)])
+def test_one_stream_kernel_is_pcg64s_raw_outputs(seed, index):
+    # outputs start .. start + count - 1 of default_rng([seed, index]):
+    # counts on both sides of a round of 8, of 4,096 (512 lanes of one
+    # round) and of 32,768, starts that put lane boundaries anywhere, and
+    # starts past 2^64
+    for start in (0, 1, 5, 4095, 2 ** 33 + 7, 2 ** 70 + 11):
+        for count in (1, 7, 8, 9, 4095, 4096, 4097, 12345, 32768, 32769):
+            bits = np.random.default_rng([seed, index]).bit_generator
+            want = bits.advance(start).random_raw(count)
+            np.testing.assert_array_equal(_pcg64_stream((seed,), index, start, count), want)
 
 
 def test_encode_matches_selection_replica(biased_encoder):
@@ -794,6 +870,40 @@ def test_selection_work_follows_the_pending_pairs(monkeypatch):
     selection = _selection_table(tables, book, config)
     _assert_selection(tables, book, config, selection, want_selection, want_found, v1_all)
     assert sum(tested) <= 3 * scan + depth * 64 < depth * book.bin_count * len(v1_all)
+
+
+@pytest.mark.parametrize("n,rate,eps", [
+    (16, 0.17, 0.45),                       # the benchmark's trend_n16: steps of up to 5 ranks
+    (12, 0.25, 0.1),                        # steps of one rank and a few hundred pairs
+])
+def test_a_gathered_selection_step_holds_no_more_than_it_is_charged(monkeypatch, n, rate, eps):
+    # each gathered step of the selection rises above what the selection
+    # held before it by no more than its charge, _gather_score_bytes a
+    # score and _GATHER_PAIR_BYTES a pair, beside a few array headers and
+    # ints; and the charge keeps to GATHER_BYTES, or to the m pairs of one
+    # state that a step takes at least
+    config, tables, book = _tables_and_book("trend", n, rate, eps, 0)
+    step = simulator._gathered_step
+    steps = []
+
+    def traced(sums, flat, members, ranks, pair, rank, window, bounds):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = step(sums, flat, members, ranks, pair, rank, window, bounds)
+        per_pair = window * simulator._gather_score_bytes(sums) + simulator._GATHER_PAIR_BYTES
+        steps.append((tracemalloc.get_traced_memory()[1] - before, len(pair), per_pair))
+        return got
+
+    monkeypatch.setattr(simulator, "_gathered_step", traced)
+    tracemalloc.start()
+    try:
+        _selection_table(tables, book, config)
+    finally:
+        tracemalloc.stop()
+    assert steps
+    for rise, pairs, per_pair in steps:
+        assert pairs * per_pair <= max(simulator.GATHER_BYTES, config.m * per_pair)
+        assert rise <= pairs * per_pair + 8192
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 3000, 2 ** 19])
