@@ -18,10 +18,11 @@ including an input file that cannot be read as JSON, an --out that cannot
 be written, and arithmetic that overflows on extreme finite inputs.
 
 Each handler imports the layers it runs and nothing else, so a call compiles
-only its own modules: discrete-region loads discrete and probability,
-gaussian-scan and gaussian-region load gaussian alone, simulate loads the
-simulator with discrete, probability and nodesums, and validate loads every
-layer.  Importing this module loads only errors and modelio.
+only its own modules: discrete-region loads discrete, probability and
+ziggurat, gaussian-scan and gaussian-region load gaussian alone, simulate
+loads the simulator with discrete, probability and nodesums, and validate
+loads every layer but ziggurat's tables.  None loads numpy.random.
+Importing this module loads only errors and modelio.
 
 Environment: WIRETAPSI_THREADS caps the BLAS thread pools; the package's
 __init__ exports it before numpy loads.

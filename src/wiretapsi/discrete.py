@@ -10,7 +10,10 @@ policy p(u,x|v1,v2) the operative quantities are
 and every pair (R, d) with r_u1 <= R <= r_u2, 0 <= d <= 1 and R*d = r_u1 is
 achievable, together with everything dominated by such a pair.  Policies are
 searched by seeded Dirichlet sampling over the conditional simplex plus an
-optional coarse deterministic grid.
+optional coarse deterministic grid.  Draw i is
+default_rng([seed, i]).dirichlet(ones) bit for bit, its exponentials numpy's
+ziggurat over the lane-wise PCG64 kernel of probability (ziggurat), so no
+subcommand loads numpy.random.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ JOINT_BYTES = 32           # a composed joint entry of one stack, draws included
 # the repeated stack, the checks' masks and the profile rows' temporaries,
 # which do not shrink with the joint (up to 57 B measured at 2 joint entries)
 STACK_POLICY_BYTES = 64
+# the simplex grid: an entry of its points, the float kept and the narrow
+# edges and gaps it is built from (9 to 14 B measured); a slot of its stars
+# and bars, an int in the pool itertools.combinations holds (40 B measured)
+GRID_ENTRY_BYTES = 16
+GRID_SLOT_BYTES = 48
 
 
 @dataclass(frozen=True)
@@ -268,11 +276,21 @@ def _joint_triplet(joint: JointPmf) -> RateTriplet:
 
 def _simplex_grid(steps: int, outcomes: int) -> np.ndarray:
     """Every pmf over `outcomes` with entries in multiples of 1/steps, in
-    lexicographic order: stars and bars, one bar position per row."""
-    bars = np.array(list(itertools.combinations(range(steps + outcomes - 1), outcomes - 1)),
-                    dtype=int, ndmin=2)
-    edges = np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, steps + outcomes - 1))
-    return (np.diff(edges, axis=1) - 1) / steps
+    lexicographic order: stars and bars, one bar position per row.  The
+    bars go straight from their combinations into one narrow array of each
+    row's edges, 1 + bars and the two ends, without a list of tuples."""
+    slots = steps + outcomes - 1
+    total = math.comb(slots, outcomes - 1)
+    dtype = np.min_scalar_type(slots + 1)
+    edges = np.empty((total, outcomes + 1), dtype=dtype)
+    edges[:, 0], edges[:, -1] = 0, slots + 1
+    edges[:, 1:-1] = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(1, slots + 1), outcomes - 1)),
+        dtype=dtype, count=total * (outcomes - 1)).reshape(total, outcomes - 1)
+    gaps = np.diff(edges, axis=1)
+    del edges
+    gaps -= 1
+    return gaps / steps
 
 
 def _dirichlet_draws(seed: int, first: int, count: int, n_cells: int,
@@ -281,10 +299,12 @@ def _dirichlet_draws(seed: int, first: int, count: int, n_cells: int,
     first .. first + count - 1, as one (count, n_cells, outcomes) array, bit
     for bit: dirichlet(ones) draws standard exponentials (standard_gamma(1))
     and multiplies each cell by the inverse of its left-to-right running sum.
-    The generators come from _seeded_generators, not one default_rng each."""
+    The exponentials are ziggurat's, over the lane-wise PCG64 kernel; no
+    Generator is built."""
+    from . import ziggurat      # its tables load with the region search alone
+
     draws = np.empty((count, n_cells, outcomes))
-    for draw, rng in zip(draws, probability._seeded_generators((seed,), first, count)):
-        rng.standard_exponential(out=draw)
+    ziggurat.standard_exponentials((seed,), first, draws.reshape(count, -1))
     draws *= 1.0 / draws.cumsum(axis=2)[:, :, -1:]
     return draws
 
@@ -339,6 +359,7 @@ def _policy_chunks(model: DiscreteWiretapModel,
             cells = np.unravel_index(np.arange(start, min(start + size, grid_total)),
                                      (len(points),) * n_cells)
             yield stack(points[np.stack(cells, axis=1)])
+        del points
 
     for start in range(0, search.n_random, size):
         yield stack(_dirichlet_draws(search.seed, start, min(size, search.n_random - start),
@@ -521,16 +542,29 @@ def _check_budget(model: DiscreteWiretapModel, search: SearchConfig) -> int:
     - POINT_BYTES of columns per point of the bound 1 + policies * curve_points;
     - one block of rows being laid out or written, max(BLOCK_ROWS,
       curve_points) rows of ROW_BYTES;
-    - the sweep's working set: one stack's tables, JOINT_BYTES per entry
-      of its composed joints and STACK_POLICY_BYTES per policy."""
+    - the sweep's working set: one stack's tables, and JOINT_BYTES per
+      entry of its composed joints and STACK_POLICY_BYTES per policy, or
+      the block of lanes its random draws hold before the stack is
+      composed (ziggurat.held_bytes), if more;
+    - the simplex grid, GRID_ENTRY_BYTES an entry of its points and
+      GRID_SLOT_BYTES a slot of its stars and bars."""
+    from . import ziggurat
+
     grid_total, size = _stream_plan(model, search)
     policies = grid_total + search.n_random
-    entries = model.card_v1 * model.card_v2 * search.u_card * model.card_x
+    outcomes = search.u_card * model.card_x
+    entries = model.card_v1 * model.card_v2 * outcomes
     points = 1 + policies * search.curve_points
     joint = entries * model.card_y * model.card_z
+    slots = search.grid_steps + outcomes - 1 if grid_total else 0
+    grid = math.comb(slots, outcomes - 1) if grid_total else 0
+    cells = model.card_v1 * (model.card_v2 if search.mode == "v1v2" else 1)
     need = (policies * (8 * entries + POLICY_BYTES) + points * POINT_BYTES
             + max(BLOCK_ROWS, search.curve_points) * ROW_BYTES
-            + min(policies, size) * (8 * entries + joint * JOINT_BYTES + STACK_POLICY_BYTES))
+            + min(policies, size) * 8 * entries
+            + max(min(policies, size) * (joint * JOINT_BYTES + STACK_POLICY_BYTES),
+                  ziggurat.held_bytes(min(search.n_random, size), cells * outcomes))
+            + grid * outcomes * GRID_ENTRY_BYTES + slots * GRID_SLOT_BYTES)
     if need > probability.BYTE_BUDGET:
         raise UsageError(
             f"{policies} policies at {search.curve_points} curve points need "

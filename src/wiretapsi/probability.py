@@ -4,6 +4,12 @@ A distribution is a nonnegative numpy array summing to one, axes carry
 names, and every information quantity is reported in bits with the
 convention 0*log(0) = 0.  All functions are pure: same inputs give
 bit-identical outputs.
+
+The module also holds the lane-wise PCG64 kernel: numpy's SeedSequence
+seeding and PCG64 stepping on uint64 halves, for many generators at once
+(_pcg64_outputs) or any run of one stream (_pcg64_stream).  Every seeded
+draw of the toolkit comes from it, bit for bit numpy's default_rng, so no
+subcommand loads numpy.random.
 """
 
 from __future__ import annotations
@@ -445,6 +451,7 @@ def _jumps(counts: range, steps: int = 1):
 _PCG_ROUND = 8              # steps a lane of _pcg64_lanes takes at once
 _PCG_JUMPS = _jumps(range(1, _PCG_ROUND + 1))
 _STREAM_LANES = 512         # lanes _pcg64_stream steps at once at most
+_SUBLANE = 128              # outputs of a generator _pcg64_outputs steps as one lane at most
 
 
 def _pcg64_seeded(prefix: Sequence[int], first: int, count: int):
@@ -497,25 +504,52 @@ def _pcg64_lanes(state, inc, out: np.ndarray) -> None:
         del high, low                               # before the next round's
 
 
+def _sublanes(k: int) -> tuple[int, int]:
+    """(sub-lanes, width): _pcg64_outputs steps a generator's k outputs as
+    one lane up to _SUBLANE outputs, and past that as sub-lanes of about
+    _SUBLANE consecutive outputs or more, _STREAM_LANES at most."""
+    if k <= _SUBLANE:
+        return 1, k
+    lanes = min(_STREAM_LANES, -(-k // _SUBLANE))
+    width = -(-k // (lanes * _PCG_ROUND)) * _PCG_ROUND
+    return -(-k // width), width
+
+
+@functools.lru_cache(maxsize=8)
+def _sublane_jumps(lanes: int, width: int):
+    """_jump(l * width) for l = 0 .. lanes - 1, as halves."""
+    return _jumps(range(lanes), width)
+
+
 def _pcg64_outputs(prefix: Sequence[int], first: int, count: int, k: int) -> np.ndarray:
     """(count, k) uint64: row i - first holds the first k outputs of
     np.random.default_rng([*prefix, i]), bit for bit its bit generator's
     random_raw(k).  Every generator is a lane of _pcg64_lanes, seeded a
-    batch of _seed_runs at a time.  The held words are _pcg64_words(k) per
-    generator.
+    batch of _seed_runs at a time.  A run longer than _SUBLANE is cut
+    into sub-lanes (_sublanes), each started by PCG64's jump-ahead as in
+    _pcg64_stream, so it takes about _SUBLANE / _PCG_ROUND rounds and
+    not k / _PCG_ROUND.  The held words are _pcg64_words(k) per generator.
     """
-    out = np.empty((count, k), dtype=np.uint64)
+    lanes, width = _sublanes(k)
+    out = np.empty((count, lanes * width), dtype=np.uint64)
     for index, stop in _seed_runs(first, count):
-        state, inc = _pcg64_seeded(prefix, index, stop - index)
-        _pcg64_lanes(tuple(half[:, None] for half in state),
-                     tuple(half[:, None] for half in inc), out[index - first:stop - first])
-    return out
+        state, inc = (tuple(half[:, None] for half in pair)
+                      for pair in _pcg64_seeded(prefix, index, stop - index))
+        if lanes > 1:
+            scales, shifts = _sublane_jumps(lanes, width)
+            state = tuple(half.reshape(-1, 1) for half in
+                          _add128(_mul128(scales, state), _mul128(shifts, inc)))
+            inc = tuple(np.repeat(half, lanes, axis=0) for half in inc)
+        _pcg64_lanes(state, inc, out[index - first:stop - first].reshape(-1, width))
+    return out[:, :k]
 
 
 def _pcg64_words(k: int) -> int:
-    """uint64s _pcg64_lanes holds per lane of k outputs at most: the
-    outputs, and eight for each step of a round."""
-    return k + 8 * _PCG_ROUND
+    """uint64s _pcg64_outputs holds per generator of k outputs at most: for
+    each sub-lane its outputs, eight for each step of a round and, when
+    there are several, eight for its start."""
+    lanes, width = _sublanes(k)
+    return lanes * (width + 8 * _PCG_ROUND + (8 if lanes > 1 else 0))
 
 
 @functools.lru_cache(maxsize=8)
@@ -558,25 +592,3 @@ def _pcg64_stream(prefix: Sequence[int], index: int, start: int, count: int) -> 
                  tuple(half[:, None] for half in inc_halves), out)
     return out.reshape(-1)[:count]
 
-
-def _seeded_generators(prefix: Sequence[int], first: int,
-                       count: int) -> Iterator[np.random.Generator]:
-    """For i in first .. first + count - 1, one reused Generator put at the
-    stream of np.random.default_rng([*prefix, i]), bit for bit.
-
-    The (state, increment) pairs come from _pcg64_seeded, a batch of
-    indices at a time; the state setter places the generator, and the
-    draws are numpy's own (the policy stream's standard_exponential is a
-    ziggurat that rejects, so it takes no fixed count of outputs).  A
-    caller uses each generator before the next.
-    """
-    generator = np.random.Generator(np.random.PCG64(0))
-    bits = generator.bit_generator
-    for index, stop in _seed_runs(first, count):
-        (state_high, state_low), (inc_high, inc_low) = _pcg64_seeded(prefix, index, stop - index)
-        for s_high, s_low, i_high, i_low in zip(state_high.tolist(), state_low.tolist(),
-                                                inc_high.tolist(), inc_low.tolist()):
-            bits.state = {"bit_generator": "PCG64",
-                          "state": {"state": s_high << 64 | s_low, "inc": i_high << 64 | i_low},
-                          "has_uint32": 0, "uinteger": 0}
-            yield generator

@@ -68,8 +68,8 @@ PCG64 kernel of probability gives each trial of a block its 4n + 1 outputs.
 The message takes one of them because m is a power of two: numpy's 32-bit
 Lemire draw then never rejects (see _trial_draws).  The codebook draws as
 default_rng([seed, 0])'s choice and then permutation would, from the
-kernel's one-stream entry (_build_codebook), so a run never loads
-numpy.random.
+kernel's one-stream entry (_build_codebook).  No subcommand loads
+numpy.random: the region search and validate draw from the same kernel.
 
 The public encode keeps its own per-bin scan; it is the second path that
 validate's brute-force posterior and the tests compare the kernel against.
@@ -452,19 +452,24 @@ def _encode(tables: _Tables, codebook: Codebook, config: SimConfig,
     if not 1 <= message <= codebook.bin_count:
         raise UsageError(f"message {message} outside [1, {codebook.bin_count}]")
     v1_seq = _symbols(v1_seq, config, config.model.card_v1, "v1")
+    chosen, fallback = _pick(tables, codebook, config, message, v1_seq)
+    u_seq = codebook.sequences[chosen]
+    x_seq = _sample(tables.x_dist[u_seq, v1_seq], rng.random(config.n))
+    return u_seq, x_seq, fallback
 
+
+def _pick(tables: _Tables, codebook: Codebook, config: SimConfig, message: int,
+          v1_seq: np.ndarray) -> tuple[int, bool]:
+    """The codeword encode sends for a message and a checked v1 sequence:
+    the first in the message's bin typical with it, else bin 1's first
+    codeword; and whether it fell back."""
     members = np.flatnonzero(codebook.bin_index == message)
     typical = _typical(tables.log_p_uv1[codebook.sequences[members], v1_seq].mean(axis=-1),
                        tables.h_uv1, config.epsilon_typ)
     hits = np.flatnonzero(typical)
     if hits.size:
-        chosen, fallback = int(members[hits[0]]), False
-    else:
-        chosen, fallback = _fallback_codeword(codebook), True
-
-    u_seq = codebook.sequences[chosen]
-    x_seq = _sample(tables.x_dist[u_seq, v1_seq], rng.random(config.n))
-    return u_seq, x_seq, fallback
+        return int(members[hits[0]]), False
+    return _fallback_codeword(codebook), True
 
 
 def decode(codebook: Codebook, config: SimConfig,

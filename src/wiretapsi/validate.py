@@ -4,6 +4,10 @@ Three families: the hand-derived Gaussian closed forms against the
 covariance kernel's mutual informations (disagreements become discrepancy
 records, never silent preferences), threshold arithmetic and ordering, and
 the simulator's posterior against a hand-rolled full enumeration.
+
+The suites' seeded draws are those of np.random.default_rng([seed, j]),
+bit for bit, read in turn from the lane-wise PCG64 kernel (_Stream), so a
+validate call never loads numpy.random.
 """
 
 from __future__ import annotations
@@ -17,9 +21,10 @@ import numpy as np
 from . import gaussian, reference
 from .discrete import rate_triplet
 from .errors import DegenerateGeometryError, UsageError
+from .probability import _pcg64_stream
 # build_codebook, encode and eavesdropper_posterior are not called here, but
 # bench/spans.py times them under this module's name as well
-from .simulator import (SimConfig, _build_codebook, _encode, _posteriors,  # noqa: F401
+from .simulator import (SimConfig, _build_codebook, _pick, _posteriors,  # noqa: F401
                         _selection_table, _Tables, build_codebook,
                         eavesdropper_posterior, encode, run_experiment)
 
@@ -27,6 +32,7 @@ MI_AGREEMENT_TOL = 1e-6
 ALPHA_AGREEMENT_TOL = 1e-3
 POSTERIOR_CODEBOOK_DRAWS = 8
 CODEBOOK_SEED_STRIDE = 1009
+_STREAM_BLOCK = 256         # outputs a _Stream takes from its stream at once
 
 
 @dataclass(frozen=True)
@@ -74,16 +80,67 @@ class ValidationReport:
         }
 
 
+class _Stream:
+    """The draws of np.random.default_rng([*prefix, index]) in turn, bit for
+    bit, from its stream's outputs, _STREAM_BLOCK at a time."""
+
+    def __init__(self, prefix: tuple[int, ...], index: int):
+        self._prefix, self._index = prefix, index
+        self._taken = 0
+        self._outputs: list[int] = []
+        self._half: int | None = None
+
+    def _output(self) -> int:
+        if not self._outputs:
+            block = _pcg64_stream(self._prefix, self._index, self._taken, _STREAM_BLOCK)
+            self._outputs = block.tolist()[::-1]
+            self._taken += _STREAM_BLOCK
+        return self._outputs.pop()
+
+    def uniform(self, low: float, high: float, size: int | None = None):
+        """Generator.uniform: low + (high - low) * next_double, next_double
+        an output's top 53 bits times 2^-53; a list of `size` in turn."""
+        if size is not None:
+            return [self.uniform(low, high) for _ in range(size)]
+        return low + (high - low) * ((self._output() >> 11) * 2.0 ** -53)
+
+    def _uint32(self) -> int:
+        """numpy's buffered next_uint32: an output's low half, then its high
+        half."""
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        out = self._output()
+        self._half = out >> 32
+        return out & 0xFFFF_FFFF
+
+    def integers(self, high: int, size: int) -> list[int]:
+        """Generator.integers(0, high, size) for 1 <= high < 2^32: numpy's
+        buffered 32-bit Lemire draw, (u * high) >> 32, drawn again while
+        its low 32 bits fall under (2^32 - high) mod high; high 1 takes no
+        draw."""
+        if high == 1:
+            return [0] * size
+        threshold = (2 ** 32 - high) % high
+        out = []
+        for _ in range(size):
+            scaled = self._uint32() * high
+            while scaled & 0xFFFF_FFFF < threshold:
+                scaled = self._uint32() * high
+            out.append(scaled >> 32)
+        return out
+
+
 def _param_grid(seed: int, count: int) -> list[gaussian.GaussianWiretapParams]:
-    rng = np.random.default_rng([seed, 17])
+    rng = _Stream((seed,), 17)
     out = []
     while len(out) < count:
-        p = float(rng.uniform(0.3, 3.0))
-        q1, q2 = (float(rng.uniform(0.0, 2.5)) for _ in range(2))
-        n1, n2 = (float(rng.uniform(0.2, 2.0)) for _ in range(2))
-        rho1 = float(rng.uniform(-0.8, 0.8)) if q1 > 0 else 0.0
-        rho2 = float(rng.uniform(-0.8, 0.8)) if q2 > 0 else 0.0
-        rho12 = float(rng.uniform(-0.8, 0.8)) if q1 > 0 and q2 > 0 else 0.0
+        p = rng.uniform(0.3, 3.0)
+        q1, q2 = rng.uniform(0.0, 2.5, size=2)
+        n1, n2 = rng.uniform(0.2, 2.0, size=2)
+        rho1 = rng.uniform(-0.8, 0.8) if q1 > 0 else 0.0
+        rho2 = rng.uniform(-0.8, 0.8) if q2 > 0 else 0.0
+        rho12 = rng.uniform(-0.8, 0.8) if q1 > 0 and q2 > 0 else 0.0
         det = 1.0 - rho1**2 - rho2**2 - rho12**2 + 2.0 * rho1 * rho2 * rho12
         if det > 1e-6:
             out.append(gaussian.GaussianWiretapParams(
@@ -169,11 +226,11 @@ def _check_gaussian_agreement(report: ValidationReport, seed: int) -> None:
 
 
 def _check_alpha_star_argmax(report: ValidationReport, seed: int) -> None:
-    rng = np.random.default_rng([seed, 23])
+    rng = _Stream((seed,), 23)
     worst = 0.0
     for _ in range(10):
-        p, q = float(rng.uniform(0.5, 3)), float(rng.uniform(0.2, 2))
-        n1, n2 = float(rng.uniform(0.2, 2)), float(rng.uniform(0.2, 2))
+        p, q = rng.uniform(0.5, 3), rng.uniform(0.2, 2)
+        n1, n2 = rng.uniform(0.2, 2), rng.uniform(0.2, 2)
         params = gaussian.case1_params(p, q, n1, n2)
         star = gaussian.alpha_star(params)
         worst = max(worst, abs(star - _grid_argmax_alpha(params, star)))
@@ -183,10 +240,10 @@ def _check_alpha_star_argmax(report: ValidationReport, seed: int) -> None:
 
 
 def _check_thresholds(report: ValidationReport, seed: int) -> None:
-    rng = np.random.default_rng([seed, 29])
+    rng = _Stream((seed,), 29)
     ordered = True
     for _ in range(200):
-        q, n1, n2 = (float(v) for v in rng.uniform(0.05, 3.0, size=3))
+        q, n1, n2 = rng.uniform(0.05, 3.0, size=3)
         p1, p2 = gaussian.case1_thresholds(q, n1, n2)
         ordered &= p1 < p2
         try:
@@ -206,13 +263,14 @@ def _check_thresholds(report: ValidationReport, seed: int) -> None:
 
 def brute_force_posterior(codebook, config: SimConfig, z_rows: np.ndarray) -> np.ndarray:
     """Message posteriors (Z, m) of the observations z_rows (Z, n) by full
-    enumeration over (v1, v2, x) sequence tuples through the public
-    encoder; exponential in n, usable only on tiny instances.
+    enumeration over (v1, v2, x) sequence tuples through the encoder's
+    pick; exponential in n, usable only on tiny instances.
 
-    The codeword choice in encode() is deterministic, so only its sampled x
-    output is discarded; the input law is enumerated explicitly instead.
-    The tables are built once and each (v1 sequence, message) pick made
-    once; every term is then taken for all observations at once.
+    The codeword choice in encode() is deterministic and its x is sampled,
+    so only the pick (_pick) is taken; the input law is enumerated
+    explicitly instead.  The tables are built once and each (v1 sequence,
+    message) pick made once; every term is then taken for all observations
+    at once.
     """
     model = config.model
     n = config.n
@@ -223,8 +281,7 @@ def brute_force_posterior(codebook, config: SimConfig, z_rows: np.ndarray) -> np
     for v1_tuple in product(range(model.card_v1), repeat=n):
         v1_seq = np.array(v1_tuple)
         for j in range(1, codebook.bin_count + 1):
-            u_seq, _, _ = _encode(tables, codebook, config, j, v1_seq,
-                                  np.random.default_rng(0))
+            u_seq = codebook.sequences[_pick(tables, codebook, config, j, v1_seq)[0]]
             for v2_tuple in product(range(model.card_v2), repeat=n):
                 prior = math.prod(state[v1_tuple[i], v2_tuple[i]] for i in range(n))
                 if prior == 0.0:
@@ -244,18 +301,20 @@ def _check_posterior_brute_force(report: ValidationReport, seed: int) -> None:
     A codebook whose bins all look alike to the eavesdropper gives a uniform
     posterior, and agreeing on that proves little.  Such a codebook is
     redrawn from a derived seed, up to POSTERIOR_CODEBOOK_DRAWS times; the
-    check fails if every draw is uniform.  Each draw builds its tables and
-    selection once and scores its four observations in one batch.
+    check fails if every draw is uniform.  The four observations are drawn
+    once; each codebook builds its tables and selection once and scores
+    them in one batch.
     """
     model, policy = reference.trend_instance()
+    n = 4
+    rng = _Stream((seed,), 31)
+    z_rows = np.array([rng.integers(model.card_z, n) for _ in range(4)])
     for redraws in range(POSTERIOR_CODEBOOK_DRAWS):
-        config = SimConfig(model=model, policy=policy, n=4, rate=0.3, epsilon_typ=0.25,
+        config = SimConfig(model=model, policy=policy, n=n, rate=0.3, epsilon_typ=0.25,
                            trials=1, seed=seed + 3 + CODEBOOK_SEED_STRIDE * redraws)
         tables = _Tables(config)
         codebook = _build_codebook(config, tables)
         selection = _selection_table(tables, codebook, config)
-        rng = np.random.default_rng([seed, 31])
-        z_rows = np.array([rng.integers(0, model.card_z, size=config.n) for _ in range(4)])
         posts = _posteriors(tables, selection, z_rows)
         spread = float(np.max(np.abs(posts - 1.0 / config.m)))
         if spread > 1e-3:

@@ -22,7 +22,7 @@ from wiretapsi import (
     secrecy_rate,
     secrecy_upper_bound,
 )
-from wiretapsi import discrete, probability
+from wiretapsi import discrete, probability, ziggurat
 from wiretapsi.cli import main
 from wiretapsi.discrete import (_policy_chunks, _profiles, _triplet_from_profile, _triplets,
                                 iter_policies)
@@ -362,9 +362,10 @@ def test_one_stack_at_the_table_cap_holds_at_most_joint_bytes_an_entry():
 def test_a_tiny_joint_stack_holds_no_more_than_it_is_charged(monkeypatch, cards, u_card):
     # a full stack of tiny joints: the per-policy temporaries that do not
     # shrink with the joint are charged beside its table and JOINT_BYTES an
-    # entry; _profiles also holds the stream's profile rows, 32 bytes a
-    # policy, which POLICY_BYTES charges.  A small table cap keeps the
-    # stack at 5,000 to 20,000 policies.
+    # entry, or the exponential kernel's block if more; _profiles also
+    # holds the stream's profile rows, 32 bytes a policy, which
+    # POLICY_BYTES charges.  A small table cap keeps the stack at 5,000 to
+    # 20,000 policies.
     c_x, c_y, c_z, c_v1, c_v2 = cards
     rng = np.random.default_rng(5)
     model = DiscreteWiretapModel(
@@ -378,8 +379,9 @@ def test_a_tiny_joint_stack_holds_no_more_than_it_is_charged(monkeypatch, cards,
     joint = entries * c_y * c_z
     search = SearchConfig(u_card=u_card, n_random=40_000 // joint, seed=0)
     assert discrete._stream_plan(model, search) == (0, search.n_random)
-    stack = search.n_random * (8 * entries + joint * discrete.JOINT_BYTES
-                               + discrete.STACK_POLICY_BYTES)
+    stack = search.n_random * 8 * entries + max(
+        search.n_random * (joint * discrete.JOINT_BYTES + discrete.STACK_POLICY_BYTES),
+        ziggurat.held_bytes(search.n_random, entries))
     tracemalloc.start()
     try:
         _profiles(model, search)
@@ -439,8 +441,8 @@ def test_v1v2_search_takes_the_v1_rows_from_its_own_draws(monkeypatch, card_v1, 
                                                           grid, per_stack):
     # the 'v1' rows a 'v1v2' sweep fills from its own random draws equal a
     # separate sweep of the 'v1' stream bit for bit, in whole and in small
-    # stacks; only the 'v1' grid block is enumerated again, and the random
-    # draws are placed once
+    # stacks; only the 'v1' grid block is enumerated again, and the
+    # exponential kernel draws each random lane once
     model = random_binary_model(np.random.default_rng(card_v1 * 10 + card_v2),
                                 card_v1=card_v1, card_v2=card_v2)
     search = SearchConfig(u_card=2, n_random=23, grid_steps=grid, seed=4)
@@ -452,17 +454,17 @@ def test_v1v2_search_takes_the_v1_rows_from_its_own_draws(monkeypatch, card_v1, 
     separate = _profiles(model, v1)
     whole = _profiles(model, search)
 
-    placed = []
-    generators = probability._seeded_generators
+    lanes = []
+    exponentials = ziggurat.standard_exponentials
 
-    def counted(prefix, first, count):
-        placed.append(count)
-        return generators(prefix, first, count)
+    def counted(prefix, first, out):
+        lanes.append(len(out))
+        exponentials(prefix, first, out)
 
-    monkeypatch.setattr(probability, "_seeded_generators", counted)
+    monkeypatch.setattr(ziggurat, "standard_exponentials", counted)
     v1_rows = np.empty((search.n_random, 4))
     np.testing.assert_array_equal(_profiles(model, search, v1_rows), whole)
-    assert sum(placed) == search.n_random
+    assert sum(lanes) == search.n_random
     np.testing.assert_array_equal(discrete._v1_stream(model, search, v1_rows), separate)
 
 
@@ -476,24 +478,37 @@ def test_region_max_r_u1_is_the_best_curve_rate(trend):
 
 def region_charge(model, search, policies):
     """The region budget's charge, spelled out: per policy a kept table and
-    POLICY_BYTES, POINT_BYTES per point of the bound, one block of rows, and
+    POLICY_BYTES, POINT_BYTES per point of the bound, one block of rows,
     one stack's tables with JOINT_BYTES per composed entry and
-    STACK_POLICY_BYTES per policy."""
-    entries = model.card_v1 * model.card_v2 * search.u_card * model.card_x
+    STACK_POLICY_BYTES per policy or the exponential kernel's block for its
+    random draws if more, and GRID_ENTRY_BYTES per entry of the simplex
+    grid's points with GRID_SLOT_BYTES per slot of its stars and bars."""
+    outcomes = search.u_card * model.card_x
+    entries = model.card_v1 * model.card_v2 * outcomes
     joint = entries * model.card_y * model.card_z
     stack = min(policies, probability.MAX_TABLE_ENTRIES // joint)
+    slots = search.grid_steps + outcomes - 1 if search.grid_steps else 0
+    grid = math.comb(slots, outcomes - 1) if search.grid_steps else 0
+    cells = model.card_v1 * (model.card_v2 if search.mode == "v1v2" else 1)
+    draws = min(search.n_random, probability.MAX_TABLE_ENTRIES // joint)
     return (policies * (8 * entries + discrete.POLICY_BYTES)
             + (1 + policies * search.curve_points) * discrete.POINT_BYTES
             + max(discrete.BLOCK_ROWS, search.curve_points) * discrete.ROW_BYTES
-            + stack * (8 * entries + joint * discrete.JOINT_BYTES + discrete.STACK_POLICY_BYTES))
+            + stack * 8 * entries
+            + max(stack * (joint * discrete.JOINT_BYTES + discrete.STACK_POLICY_BYTES),
+                  ziggurat.held_bytes(draws, cells * outcomes))
+            + grid * outcomes * discrete.GRID_ENTRY_BYTES + slots * discrete.GRID_SLOT_BYTES)
 
 
-def test_region_budget_is_checked_before_any_draw(monkeypatch):
+@pytest.mark.parametrize("n_random,grid_steps,policies", [(40, 1, 4 ** 4 + 40), (1, 0, 1)])
+def test_region_budget_is_checked_before_any_draw(monkeypatch, n_random, grid_steps, policies):
     # per policy of the stream: a kept table and the profile rows of both
-    # streams, every point its curve can add, a block of rows and one stack
+    # streams, every point its curve can add, a block of rows and one stack;
+    # a one-policy stack charges the exponential kernel's block instead of
+    # its joint's working set
     model = random_binary_model(np.random.default_rng(3))
-    search = SearchConfig(u_card=2, n_random=40, grid_steps=1, seed=1, curve_points=5)
-    policies = 4 ** 4 + 40
+    search = SearchConfig(u_card=2, n_random=n_random, grid_steps=grid_steps, seed=1,
+                          curve_points=5)
     need = region_charge(model, search, policies)
     monkeypatch.setattr(probability, "BYTE_BUDGET", need)
     achievable_points(model, search)                     # exactly at the budget
@@ -535,6 +550,37 @@ def test_region_budget_bounds_a_points_heavy_search(monkeypatch):
     # at 200 curve points each, the columns dominate the charge
     need, peak = traced_region_peak(monkeypatch, 200)
     assert need / 2 < peak <= need
+
+
+@pytest.mark.parametrize("steps,outcomes", [(40, 4), (70_000, 2)])
+def test_a_simplex_grid_holds_no_more_than_it_is_charged(steps, outcomes):
+    # no list of combination tuples: the points' entries and, over two
+    # outcomes, the combinations' pool of one int a slot
+    tracemalloc.start()
+    try:
+        points = discrete._simplex_grid(steps, outcomes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (math.comb(steps + outcomes - 1, outcomes - 1), outcomes)
+    assert peak <= (points.size * discrete.GRID_ENTRY_BYTES
+                    + (steps + outcomes - 1) * discrete.GRID_SLOT_BYTES)
+
+
+def test_a_grid_search_holds_no_more_than_it_is_charged(monkeypatch):
+    # one (v1, v2) cell over a binary x: the grid's 12,341 points are the
+    # policies, and small stacks leave the grid a large part of the peak
+    model = random_binary_model(np.random.default_rng(8), card_v1=1, card_v2=1)
+    search = SearchConfig(u_card=2, grid_steps=40, curve_points=2)
+    monkeypatch.setattr(probability, "MAX_TABLE_ENTRIES", 20_000)
+    tracemalloc.start()
+    try:
+        region = achievable_points(model, search)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(region.policies) <= math.comb(43, 3)
+    assert peak <= region_charge(model, search, math.comb(43, 3))
 
 
 def test_huge_random_budget_exits_two_before_drawing(trend, tmp_path, capsys):

@@ -15,8 +15,7 @@ from wiretapsi.modelio import model_to_dict, policy_to_dict
 from wiretapsi.reference import degraded_bsc_pair, uniform_input_policy
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(wiretapsi.__file__)))
-# the package's modules and numpy.random, which only the region search's
-# Dirichlet draws need
+# the package's modules and numpy.random, which no subcommand loads
 PROBE = ("import sys\n"
          "def loaded():\n"
          "    return ' '.join(sorted(m for m in sys.modules\n"
@@ -52,13 +51,14 @@ def write_inputs(tmp_path):
 
 
 GAUSSIAN_ABSENT = {"discrete", "probability", "simulator", "nodesums", "validate", "reference",
-                   "numpy.random"}
+                   "ziggurat", "numpy.random"}
 
 
-# subcommand argv, the layers the call must not load and those it must.  The
-# simulator draws its codebook and trials through probability's PCG64
-# kernel, so only discrete-region, whose Dirichlet draws are numpy's
-# ziggurat exponentials, loads numpy.random.
+# subcommand argv, the layers the call must not load and those it must.
+# Every seeded draw comes from probability's PCG64 kernel: the simulator's
+# codebook and trials, and discrete-region's Dirichlet exponentials, whose
+# ziggurat tables only discrete-region loads.  No subcommand loads
+# numpy.random.
 @pytest.mark.parametrize("argv,absent,present", [
     pytest.param(["gaussian-scan", "--step", "0.5"], GAUSSIAN_ABSENT, {"gaussian"},
                  id="gaussian-scan"),
@@ -67,10 +67,10 @@ GAUSSIAN_ABSENT = {"discrete", "probability", "simulator", "nodesums", "validate
     pytest.param(["gaussian-region", "--case", "2", "--grid", "8"], GAUSSIAN_ABSENT,
                  {"gaussian"}, id="gaussian-region-2"),
     pytest.param(["discrete-region", "--model", "model.json", "--random", "20"],
-                 {"gaussian", "simulator", "nodesums", "validate", "reference"},
-                 {"discrete", "probability", "numpy.random"}, id="discrete-region"),
+                 {"gaussian", "simulator", "nodesums", "validate", "reference", "numpy.random"},
+                 {"discrete", "probability", "ziggurat"}, id="discrete-region"),
     pytest.param(["simulate", "--sim-config", "sim.json"],
-                 {"gaussian", "validate", "reference", "numpy.random"},
+                 {"gaussian", "validate", "reference", "ziggurat", "numpy.random"},
                  {"simulator", "probability", "nodesums"}, id="simulate"),
 ])
 def test_each_subcommand_loads_only_its_layers(tmp_path, argv, absent, present):
@@ -90,8 +90,11 @@ def test_a_codebook_dump_leaves_numpy_random_unloaded(tmp_path):
 
 
 def test_validate_loads_every_layer(tmp_path):
+    # and draws its seeded checks from the PCG64 kernel, not numpy.random;
+    # it samples no policies, so the ziggurat tables stay unloaded
     _, after_call = loaded_modules(tmp_path, ["validate"])
     assert after_call >= LAYERS
+    assert not after_call & {"ziggurat", "numpy.random"}
 
 
 def test_every_public_name_is_its_home_modules_object():

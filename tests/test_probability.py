@@ -17,7 +17,7 @@ from wiretapsi import (
 )
 from wiretapsi.discrete import _dirichlet_draws
 from wiretapsi.probability import (_entropy_bits, _entropy_bits_batch, _ordered_sum,
-                                   _pcg64_outputs, _seeded_generators)
+                                   _pcg64_outputs)
 from wiretapsi.simulator import _trial_draws
 
 # independently derived: -0.25*log2(0.25) - 0.75*log2(0.75)
@@ -237,10 +237,10 @@ def test_compose_rejects_mismatched_axes(trend):
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 64, 2 ** 100])
-def test_seeded_generators_follow_default_rng(seed):
-    # _seeded_generators tabulates numpy's SeedSequence pool hash and PCG64
-    # seeding, and _dirichlet_draws stands in for dirichlet(ones); a numpy
-    # that changes any of them fails here.  The second index range crosses
+def test_dirichlet_draws_follow_default_rng(seed):
+    # _pcg64_outputs tabulates numpy's SeedSequence pool hash and PCG64
+    # seeding, ziggurat its exponentials, and _dirichlet_draws stands in
+    # for dirichlet(ones); a numpy that changes any of them fails here.  The second index range crosses
     # 2^32, and seeds of 3 and 4 words push the entropy past the 4-word
     # pool; from 8 outcomes on np.sum adds in blocked partial sums, which
     # can differ from dirichlet's running sum.
@@ -251,6 +251,16 @@ def test_seeded_generators_follow_default_rng(seed):
                         for i in range(first, first + 6)]
                 np.testing.assert_array_equal(
                     _dirichlet_draws(seed, first, 6, n_cells, outcomes), want)
+
+
+@pytest.mark.parametrize("k", [128, 129, 1000, 70_000])
+def test_long_runs_are_pcg64s_raw_outputs(k):
+    # past 128 outputs a generator's run is stepped as sub-lanes started by
+    # the jump-ahead: 2 of 72 at 129, 487 of 144 at 70,000
+    words = _pcg64_outputs((7,), 2 ** 32 - 1, 2, k)
+    for row, index in zip(words, (2 ** 32 - 1, 2 ** 32)):
+        np.testing.assert_array_equal(
+            row, np.random.default_rng([7, index]).bit_generator.random_raw(k))
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 64, 2 ** 100])
@@ -278,11 +288,3 @@ def test_trial_draws_follow_default_rng(seed):
                     assert np.array_equal(draws[t, 1:], rng.random((3, n))), (
                         "next_double changed")
 
-
-def test_seeded_generators_share_the_kernel_seeding():
-    # one seeding path: each placed generator's next outputs are the
-    # kernel's, across the 2^32 crossing and past a batch of 4096 indices
-    for first, count in ((2 ** 32 - 3, 8), (0, 4100)):
-        words = _pcg64_outputs((5,), first, count, 3)
-        for row, rng in zip(words, _seeded_generators((5,), first, count)):
-            assert np.array_equal(rng.bit_generator.random_raw(3), row)

@@ -1118,6 +1118,20 @@ def test_unbounded_trials_exit_two_before_allocating(tmp_path, capsys):
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("seed", [0, 2 ** 32, 2 ** 100])
+def test_validate_stream_follows_default_rng(seed):
+    # validate's seeded draws: uniform is low + (high - low) * next_double,
+    # integers numpy's buffered 32-bit Lemire draw with its rejections
+    # (2^31 + 1 rejects about half of its draws), and the buffered high
+    # half outlives a uniform between them; 300 draws span output blocks
+    for high in (1, 2, 3, 7, 2 ** 31 + 1, 2 ** 32 - 1):
+        stream, rng = validate._Stream((seed,), 31), np.random.default_rng([seed, 31])
+        for size in (1, 3, 300, 5):
+            assert stream.integers(high, size) == rng.integers(0, high, size=size).tolist()
+            assert stream.uniform(0.5, 3) == rng.uniform(0.5, 3)
+            assert stream.uniform(0.05, 3.0, size=size) == rng.uniform(0.05, 3.0, size=size).tolist()
+
+
 def test_brute_force_posterior_builds_its_tables_once(monkeypatch):
     # one table build and one encoder pick per (v1 sequence, message) serve
     # every observation, and each row is the one-observation enumeration's
@@ -1136,11 +1150,11 @@ def test_brute_force_posterior_builds_its_tables_once(monkeypatch):
 
     def counted(*args):
         picks.append(args[3])
-        return encode(*args)
+        return pick(*args)
 
-    encode = validate._encode
+    pick = validate._pick
     monkeypatch.setattr(validate, "_Tables", Counted)
-    monkeypatch.setattr(validate, "_encode", counted)
+    monkeypatch.setattr(validate, "_pick", counted)
     got = validate.brute_force_posterior(book, config, z_rows)
     assert len(built) == 1 and len(picks) == 2 ** 3 * book.bin_count
     np.testing.assert_array_equal(got, np.concatenate(want))
