@@ -14,21 +14,23 @@ enumeration |V1|^N * |V2|^N <= 2^20.  On top of the caps, one byte budget,
 probability.BYTE_BUDGET, which the region search shares, bounds what a run
 holds.  Held whole, for m messages and S = |V1|^N state sequences: each
 (message, v1 sequence) pair's rank in its bin, (m, S) in the narrowest
-unsigned dtype that also holds "none" (uint8 up to 255 members a bin), and
-one int32 (m, S) code array per posterior group, 9 bytes a pair at two
-groups; the bins' member table, the codebook, the decoder's tables and one
-equivocation per trial.  Beside them, one posterior step: its products, 8
-bytes a pair, and its gather buffer, which together fit GATHER_BYTES,
-unless a single message row outgrows it, when the step is that row and a
-buffer of half of GATHER_BYTES; and GATHER_BYTES each for a batch's tables
-(more only where one z row's tables take more) and for the rest of the
-trial block.  The codebook is drawn before any of that is held: beside
-it, a block of GATHER_BYTES of its stream, or the permutation, its inverse
-and their index, 8 bytes a codeword each, and the charge takes the larger
-phase.  It is checked before anything is allocated; a run over it is
-refused with a UsageError.  Every other step, trials included, works in
-about GATHER_BYTES, so none outgrows the posterior's; a selection step
-gathers one state's m pairs at least, and the charge covers that too.
+unsigned dtype that also holds "none" (uint8 up to 255 members a bin), one
+byte a pair; the bins' member table with each member's posterior row and
+the picked codewords, the codebook and one equivocation per trial.  The
+codebook is drawn before any of that is held: beside it, a block of
+GATHER_BYTES of its stream, or the permutation, its inverse and their
+index, 8 bytes a codeword each.  Then come two phases.  The selection
+holds its node tables, its lists of pending pairs scored by gathers, 8
+bytes a pair but never more pairs than leave a cell thin (_loose_bytes),
+and one step, or at its end a copy of the ranks in lexicographic order.
+The posterior holds the decoder's tables and GATHER_BYTES each for a
+batch's tables (more only where one z row's tables take more), a piece's
+buffers and the rest of the trial block.  The charge takes the largest
+phase and adds numpy's own ufunc buffers, which any step may hold; it is
+checked before anything is allocated, and a run over it is refused with
+a UsageError.  Every other step, trials included, works in about
+GATHER_BYTES, so none outgrows its phase's; a selection step gathers one
+state's m pairs at least, and the charge covers that too.
 
 Every typicality score is an exact sum of n per-coordinate
 log-probabilities, taken through the node tables of nodesums, bit for bit
@@ -45,8 +47,8 @@ callers:
   pair a rank at a time: the bins' r-th members against blocks of v1
   sequences taken in the tree's digit order, each pair stopping at its
   bin's first typical member.  That table of ranks is the encoder: each
-  trial sends its pair's member.  It also holds each pair's codes into
-  the posterior's tables.
+  trial sends its pair's member, and the posterior derives each pair's
+  codes into its tables from it.
 * _decoder builds codeword-row tables of log p(u, y) over the y symbols
   once per run and scores every codeword against the distinct y of a
   trial block through the y rows' codes.
@@ -54,13 +56,18 @@ callers:
 The eavesdropper's posterior works in the probability domain instead
 (_posteriors).  The coordinates are split into a few groups of consecutive
 ones (_groups: two on every benchmark config); for a batch of the block's
-distinct z, each group gets a table of exp(L_g), L_g the group's log
-weights log w(z_i | u_i, v1_i), each less its z symbol's largest, summed
-left to right, one row per picked codeword over the group's v1 symbols.
-A (message, v1 sequence) pair then costs one gather per group and the
-products between them, and each message's S products one contiguous sum.
-A z row whose largest message total falls below 2^-900 is rescored by
-log sums, so an extreme wiretap cannot underflow the posterior.
+distinct z and a block of messages, each group gets a table of exp(L_g),
+L_g the group's log weights log w(z_i | u_i, v1_i), each less its z
+symbol's largest, summed left to right, one row per codeword the block's
+messages pick over the group's v1 symbols.  The batch goes a piece of
+pairs at a time: each piece's codes, its pick's row times the group's
+width plus the sequence's digits, are derived from the ranks once and
+serve every z row, and a (message, v1 sequence) pair costs one gather per
+group and the products between them.  Each message's S products are
+summed in numpy's own pairwise runs (_pairwise), bit for bit the
+contiguous sum of the whole row.  A z row whose largest message total
+falls below 2^-900 is rescored by log sums, so an extreme wiretap cannot
+underflow the posterior.
 
 A trial draws its states, message and uniforms as its own generator
 default_rng([seed, 1, t]) would, but no generator is built: the lane-wise
@@ -102,9 +109,6 @@ GATHER_BYTES = 2 ** 19    # working set of one selection, decode, posterior or t
 # output and 256 KiB of lanes, the uniforms with their symbols 16 bytes an
 # output, GATHER_BYTES either way
 _CODEBOOK_WORDS = GATHER_BYTES // 16
-# a posterior message row per (message, v1 sequence) pair: its product; the
-# factors are gathered into a buffer of their own
-_ROW_PAIR_BYTES = 8
 # a z row whose largest message total falls below this is rescored by log sums
 _RESCORE_BELOW = 2.0 ** -900
 WILSON_Z = 1.959963984540054
@@ -533,37 +537,47 @@ def _check_enumeration(tables: _Tables) -> int:
         raise UsageError(
             f"state enumeration needs n*log2(|v1||v2|) <= {MAX_STATE_ENUM_BITS}, "
             f"got {config.n * math.log2(product):.3f}")
-    # a rank and one int32 code per group for each (message, v1 sequence)
-    # pair, (m, S); the (m, depth + 1) member table; one float equivocation
-    # per trial; and one posterior step: its products, 8 bytes a pair, and
-    # its gather buffer within GATHER_BYTES, or one message row that
-    # outgrows it and a buffer of half of it (_step_shape, _combined),
-    # beside GATHER_BYTES each for a batch's tables (or one z row's where
-    # they are larger) and for the rest of the trial block.  A selection
-    # step gathers one state's m pairs at least.  The selection's own
-    # whole arrays, the ranks in the digit order and each sequence's place
-    # in it, are freed before the codes are written.
     states = config.model.card_v1 ** config.n
     cells = config.m * states
-    rows, _ = _pick_rows(config, tables.triplet.mi_uy)
     size = _codebook_size(config, tables.triplet.mi_uy)
     depth = -(-size // config.m)
-    step = max(_ROW_PAIR_BYTES * states + GATHER_BYTES // 2, GATHER_BYTES,
-               (_gather_score_bytes(tables.row_sums) + _GATHER_PAIR_BYTES) * config.m)
-    batch = _tap_table_bytes(tables, rows)
-    need = (cells * (np.min_scalar_type(depth).itemsize + 4 * len(tables.groups))
-            + 8 * config.m * (depth + 1) + 8 * config.trials
-            + step + max(GATHER_BYTES, batch) + GATHER_BYTES)
-    # the codebook's K sequences with their bins and subbins, and the
-    # decoder's tables, one row per codeword; a codebook past its cap is
-    # refused when it is drawn.  The codebook is drawn before anything
-    # else is held: beside its arrays, a block of GATHER_BYTES and the
-    # permutation, or the permutation, its inverse and their index, 8
-    # bytes a codeword each (_build_codebook)
+    rank = np.min_scalar_type(depth).itemsize
+    # held whole: a rank for each (message, v1 sequence) pair, (m, S); the
+    # (m, depth + 1) member table, each member's row and the picked
+    # codewords; and one float equivocation per trial
+    held = cells * rank + 8 * config.m * (depth + 1) * (config.n + 2) + 8 * config.trials
+    # the selection: its per-cell arrays and pending-pair lists
+    # (_loose_bytes) beside one step, GATHER_BYTES or one state's m pairs
+    # gathered; at its end, the ranks' copy in lexicographic order and each
+    # sequence's place in the digit order, with the outer sums that build it
+    sums = tables.row_sums
+    step = max(GATHER_BYTES, (_gather_score_bytes(sums) + _GATHER_PAIR_BYTES) * config.m)
+    selection = max(_loose_bytes(config.m, config.model.card_v1, states) + step,
+                    cells * rank + 16 * states)
+    # the posterior: a batch's tables, GATHER_BYTES or one z row's over
+    # every picked codeword; one piece's buffers; and the rest of the trial
+    # block, GATHER_BYTES
+    rows, _ = _pick_rows(config, tables.triplet.mi_uy)
+    posterior = (max(GATHER_BYTES, _tap_table_bytes(tables, rows))
+                 + max(GATHER_BYTES, _PIECE_MIN * (_PIECE_PAIR_BYTES + _PIECE_ROW_BYTES))
+                 + GATHER_BYTES)
+    need = held + max(selection, posterior)
+    # the codebook's K sequences with their bins and subbins; the
+    # selection's node tables and, later, the decoder's, one row per
+    # codeword; a codebook past its cap is refused when it is drawn.  The
+    # codebook is drawn before anything else is held: beside its arrays, a
+    # block of GATHER_BYTES and the permutation, or the permutation, its
+    # inverse and their index, 8 bytes a codeword each (_build_codebook)
     if size <= MAX_CODEBOOK:
         decoder = _row_cut(config.n, tables.p_uy.shape[1], size, size * config.trials)
-        need = 8 * size * (config.n + 2) + max(need + 8 * size * decoder.entries,
-                                               GATHER_BYTES + 8 * size, 24 * size)
+        need = 8 * size * (config.n + 2) + max(
+            held + max(selection + 8 * size * sums.entries,
+                       posterior + 8 * size * decoder.entries),
+            GATHER_BYTES + 8 * size, 24 * size)
+    # and beside any step, numpy's own buffers: a buffered ufunc call holds
+    # up to np.getbufsize() entries of each of its three operands, 8 bytes
+    # each
+    need += 3 * 8 * np.getbufsize()
     if need > BYTE_BUDGET:
         raise UsageError(
             f"{config.m} messages x {states} state sequences at n={config.n} "
@@ -584,13 +598,15 @@ class _Selection:
     where no member is typical, in the narrowest unsigned dtype that holds
     depth; the pair sends members[message - 1, rank].  sequences: the
     picked codewords in codebook order, the rows of the posterior's
-    tables.  codes (G, m, S), int32: each pair's code in each group's table
-    (_Tables.groups), its pick's row times the group's width plus the
-    sequence's digits over the group's coordinates, lexicographic."""
+    tables.  rows (m, depth + 1): the row in sequences of members[j, r]
+    where message j picks rank r, -1 where it does not.  That is all the
+    posterior needs: a pair's code in a group's table is its pick's row
+    times the group's width plus the sequence's digits over the group's
+    coordinates, derived a piece at a time (_piece_values)."""
     members: np.ndarray
     ranks: np.ndarray
     sequences: np.ndarray
-    codes: np.ndarray
+    rows: np.ndarray
 
 
 def _bin_members(codebook: Codebook) -> np.ndarray:
@@ -623,8 +639,9 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     input.
 
     _first_typical finds the ranks in the tree's digit order; they are then
-    put in lexicographic order and the codes written GATHER_BYTES of pairs
-    at a time, which makes no whole-run temporary.
+    put in lexicographic order, and the (message, rank)s some pair takes
+    are marked GATHER_BYTES of pairs at a time, which makes no whole-run
+    temporary.
     """
     sequences = codebook.sequences
     card = tables.p_uv1.shape[1]
@@ -635,32 +652,70 @@ def _selection_table(tables: _Tables, codebook: Codebook, config: SimConfig
     ranks = _first_typical(tables, config, node, members)
     del node
     ranks = np.take(ranks, sums.digit_order(card), axis=1)
-    count = ranks.shape[1]
-    # a step of pairs' places in members, their table rows and one group's
-    # multiple of them, 8 bytes each, fit GATHER_BYTES; m pairs at least,
-    # as a selection step takes, so a tiny budget does not write a pair at
-    # a time
+    # a step of pairs' places in members and their temporaries, 8 bytes
+    # each, fit GATHER_BYTES; m pairs at least, as a selection step takes,
+    # so a tiny budget does not mark a pair at a time
     step = max(m, GATHER_BYTES // 24)
-    steps = range(0, ranks.size, step)
     used = np.zeros(members.size, dtype=bool)           # the members some pair takes
-    for lo in steps:
+    for lo in range(0, ranks.size, step):
         used[_member_places(ranks, members, lo, step)] = True
     picked = np.zeros(len(sequences), dtype=bool)
     picked[members.reshape(-1)[used]] = True
-    member_rows = (np.cumsum(picked) - 1)[members]      # a picked member's table row
-    groups = tables.groups
-    codes = np.empty((len(groups), m, count), dtype=np.int32)
-    for code, (first, last) in zip(codes, groups):
-        # each sequence's digits over the group, in the first message's
-        # row, then copied to the others
-        code[0].reshape(card ** first, card ** (last - first), -1)[...] = (
-            np.arange(card ** (last - first))[:, None])
-        code[1:] = code[0]
-    for lo in steps:
-        picks = np.take(member_rows, _member_places(ranks, members, lo, step))
-        for code, (first, last) in zip(codes.reshape(len(groups), -1), groups):
-            code[lo:lo + step] += picks * card ** (last - first)
-    return _Selection(members, ranks, sequences[picked], codes)
+    rows = np.where(used.reshape(members.shape), (np.cumsum(picked) - 1)[members], -1)
+    return _Selection(members, ranks, sequences[picked], rows)
+
+
+def _cell_width(m: int, card: int, count: int) -> int:
+    """Sequences in a cell of _first_typical: the largest power of card, up
+    to count, whose m cells' whole scoring fits GATHER_BYTES.  A whole
+    cell's pair holds its sum, the outer sum's last factor, a copy of its
+    rank and three masks."""
+    width = 1
+    while width < count and m * width * card * (2 * 8 + 4) <= GATHER_BYTES:
+        width *= card
+    return width
+
+
+def _loose_bytes(m: int, card: int, count: int) -> int:
+    """The most bytes _first_typical holds beside its ranks: the lists of
+    pending pairs, 8 bytes a pair, where a cell joins once with at most as
+    many pending pairs as leave it thin (_thin_most), and per cell its
+    count of pending pairs, its flag, two masks and, while it turns thin,
+    its index and a copy of its count."""
+    width = _cell_width(m, card, count)
+    cells = m * (count // width)
+    return cells * (8 * _thin_most(width) + 2 * np.min_scalar_type(width).itemsize + 10)
+
+
+def _thin_most(width: int) -> int:
+    """The most pending pairs a thin cell of `width` sequences has: fewer
+    than a quarter of its pairs or of 64."""
+    return min(width, -(-max(width, 64) // 4) - 1)
+
+
+def _pending_pairs(ranks: np.ndarray, thin: np.ndarray, left: np.ndarray, depth: int
+                   ) -> np.ndarray:
+    """The pending pairs, rank depth, of _first_typical's cells where
+    `thin` holds, message * S + place, in order: an array of exactly their
+    count, which `left` holds, filled a step of cells at a time (per pair
+    its copy of its rank and its mask, and per pending pair its place,
+    quotient and remainder).  A step takes a quarter of GATHER_BYTES: the
+    lists are at their longest here, and a full budget on top of them
+    would set the selection's peak."""
+    width = ranks.size // left.size
+    cells = np.flatnonzero(thin)
+    pairs = np.empty(int(left.reshape(-1)[cells].sum(dtype=np.intp)), dtype=np.intp)
+    flat = ranks.reshape(-1, width)
+    step, at = max(1, GATHER_BYTES // 4 // (2 * width + 24 * _thin_most(width))), 0
+    for lo in range(0, len(cells), step):
+        part = cells[lo:lo + step]
+        block, place = np.divmod(np.flatnonzero(flat[part] == depth), width)
+        out = pairs[at:at + len(block)]
+        np.take(part, block, out=out)
+        out *= width
+        out += place
+        at += len(block)
+    return pairs
 
 
 def _first_typical(tables: _Tables, config: SimConfig, node: list[np.ndarray],
@@ -673,12 +728,15 @@ def _first_typical(tables: _Tables, config: SimConfig, node: list[np.ndarray],
     Rank r scores every bin's r-th member against the pairs still pending,
     those at depth, so a pair stops at its bin's first typical member, as
     encode does.  The v1 sequences are taken in the tree's digit order, in
-    blocks of `width` that fit GATHER_BYTES for all m messages.  A
-    (message, block) cell with at least a quarter of its pairs pending, and
-    at least 16, is scored whole: one outer sum of the members' table rows,
-    contiguous adds.  A thinner cell's pending pairs join a list scored by
-    gathers (_gathered_step); once no cell is scored whole, the list takes
-    as many ranks at a time as fit, each pair its first hit.  Scores are
+    blocks of `width` that fit GATHER_BYTES for all m messages
+    (_cell_width).  A (message, block) cell with at least a quarter of its
+    pairs pending, and at least 16, is scored whole: one outer sum of the
+    members' table rows, contiguous adds.  A thinner cell's pending pairs
+    join the lists scored by gathers (_gathered_step), one array per rank
+    at which cells turned thin, each filled at its exact length and
+    compacted in place as its pairs hit, so the lists never hold more than
+    _loose_bytes; once no cell is scored whole, they take as many ranks at
+    a time as fit, each pair its first hit.  Scores are
     numpy's row sums of log p(u, v1), typical within _typical_sums'
     bounds, so the ranks are encode's.  Its own function, so the loops'
     last arrays are freed on return.
@@ -691,23 +749,23 @@ def _first_typical(tables: _Tables, config: SimConfig, node: list[np.ndarray],
 
     ranks = np.full((m, count), depth, dtype=np.min_scalar_type(depth))
     score = _gather_score_bytes(sums)
-    # a whole cell's pair holds its sum, the outer sum's last factor, a copy
-    # of its rank and three masks
-    width = 1
-    while width < count and m * width * card * (2 * 8 + 4) <= GATHER_BYTES:
-        width *= card
-    left = np.full((m, count // width), width)               # pending pairs per cell
+    width = _cell_width(m, card, count)
+    # pending pairs per cell
+    left = np.full((m, count // width), width, dtype=np.min_scalar_type(width))
     whole = np.ones(left.shape, dtype=bool)
-    loose = np.empty(0, dtype=np.intp)                       # message * S + place
+    # the pending pairs of the cells scored by gathers, message * S + place,
+    # one array per rank at which cells joined them
+    loose: list[np.ndarray] = []
     rank = 0
     while rank < depth:
-        thin = whole & (4 * left < max(width, 64))
+        thin = left <= _thin_most(width)
+        thin &= whole
         if thin.any():
             whole &= ~thin
-            ids = np.flatnonzero(thin)                   # message * blocks + block
-            at = np.flatnonzero(ranks.reshape(-1, width)[ids] == depth)
-            loose = np.concatenate([loose, ids[at // width] * width + at % width])
-        if not (loose.size or whole.any()):
+            loose.append(_pending_pairs(ranks, thin, left, depth))
+        del thin
+        pending = sum(part.size for part in loose)
+        if not (pending or whole.any()):
             break
         for block in np.flatnonzero(whole.any(axis=0)):
             rows = np.flatnonzero(whole[:, block])
@@ -722,20 +780,29 @@ def _first_typical(tables: _Tables, config: SimConfig, node: list[np.ndarray],
             cell = ranks[cells]
             if rank:
                 hit &= cell == depth
-            left[rows, block] -= np.count_nonzero(hit, axis=1)
+            left[rows, block] -= hit.sum(axis=1, dtype=left.dtype)
             # a hit takes its pair from depth down to rank
             cell -= np.multiply(hit, depth - rank, dtype=ranks.dtype)
             if not isinstance(rows, slice):
                 ranks[cells] = cell
         window = 1 if whole.any() else min(
-            depth - rank, max(1, (GATHER_BYTES // loose.size - _GATHER_PAIR_BYTES) // score))
+            depth - rank, max(1, (GATHER_BYTES // pending - _GATHER_PAIR_BYTES) // score))
         # one state's pairs at least
         step = max(m, GATHER_BYTES // (score * window + _GATHER_PAIR_BYTES))
-        keep = np.ones(loose.size, dtype=bool)
-        for lo in range(0, loose.size, step):
-            keep[lo + _gathered_step(sums, flat, members, ranks, loose[lo:lo + step],
-                                     rank, window, bounds)] = False
-        loose = loose[keep]
+        for i, part in enumerate(loose):
+            kept = 0
+            for lo in range(0, part.size, step):
+                pair = part[lo:lo + step]
+                keep = np.ones(pair.size, dtype=bool)
+                keep[_gathered_step(sums, flat, members, ranks, pair, rank, window,
+                                    bounds)] = False
+                # the pairs still pending move down within the array, which
+                # then never grows
+                pair = pair[keep]
+                part[kept:kept + pair.size] = pair
+                kept += pair.size
+            loose[i] = part[:kept]
+        loose = [part for part in loose if part.size]
         rank += window
     return ranks
 
@@ -788,30 +855,78 @@ def eavesdropper_posterior(codebook: Codebook, config: SimConfig,
     return Pmf("message", _posteriors(tables, selection, z_seq[None])[0])
 
 
-def _log_sum_exp(rows: np.ndarray) -> np.ndarray:
-    """log(sum(exp(row))) per row of finite or -inf entries; -inf for a
-    row with no finite entry.
+# a posterior piece holds per (message, v1 sequence) pair its place in
+# the (message, rank) table, its code, an arange and a digit temporary, 8
+# bytes each, and per z row its value and a gathered entry, 8 bytes each,
+# and when rescored its mask of peak entries
+_PIECE_PAIR_BYTES = 32
+_PIECE_ROW_BYTES = 17
+_PIECE_MIN = 2 ** 8           # pairs a piece may take at least, whatever GATHER_BYTES
+_PAIRWISE_BLOCK = 128         # terms numpy sums without splitting them
 
-    Each row is shifted by its maximum; the entries at the maximum are
-    counted and the rest enter through log1p, which keeps precision when
-    one entry dominates.  The rows themselves hold the shift, its
-    exponential and, with the peaks zeroed, the terms of the sum: they are
-    overwritten, and every caller passes an array it discards.
-    """
-    peak = rows.max(axis=1, keepdims=True)
-    live = np.isfinite(peak[:, 0])
-    if not live.all():
-        out = np.full(len(rows), -np.inf)
-        if live.any():
-            out[live] = _log_sum_exp(rows[live])
-        return out
-    rows -= peak
-    at_peak = rows == 0.0               # exactly the entries equal to the peak
-    np.exp(rows, out=rows)
-    np.copyto(rows, 0.0, where=at_peak)
-    total = rows.sum(axis=1, keepdims=True)
-    count = at_peak.sum(axis=1, keepdims=True)
-    return (np.log1p(total / count) + np.log(count) + peak)[:, 0]
+
+def _pairwise(leaf, lo: int, count: int, chunk: int, combine=np.add):
+    """numpy's pairwise sum of the `count` terms from lo, bit for bit, with
+    leaf(lo, hi) summing the terms lo .. hi - 1 by numpy, at most
+    max(chunk, _PAIRWISE_BLOCK) at a time, and combine adding two sums.
+
+    numpy sums a contiguous row of up to _PAIRWISE_BLOCK terms in one
+    unrolled loop and splits a longer one at half its length, rounded down
+    to a multiple of 8, summing each half the same way; every run this
+    recursion hands leaf is one of those halves, so leaf's sum is numpy's
+    for it, and the halves' sums are added as numpy adds them.  A numpy
+    that sums otherwise fails the guard in tests/test_simulator.py.  Any
+    combine that ignores order serves too (np.maximum)."""
+    if count <= max(chunk, _PAIRWISE_BLOCK):
+        return leaf(lo, lo + count)
+    half = count // 2 - count // 2 % 8
+    return combine(_pairwise(leaf, lo, half, chunk, combine),
+                   _pairwise(leaf, lo + half, count - half, chunk, combine))
+
+
+def _over_rows(leaf, messages: int, states: int, chunk: int, combine=np.add) -> np.ndarray:
+    """(Z, messages): each message row of `states` pairs reduced, from
+    leaf(a, b, lo, hi), the (Z, b - a) reductions of the pairs lo .. hi - 1
+    of message rows a .. b - 1.  Rows that fit `chunk` go whole, as many
+    at once as fit; a longer row goes in _pairwise's runs, its sums
+    combined as numpy would add them."""
+    if states <= chunk:
+        step = chunk // states
+        return np.concatenate([leaf(a, min(a + step, messages), 0, states)
+                               for a in range(0, messages, step)], axis=1)
+    return np.stack([_pairwise(lambda lo, hi: leaf(a, a + 1, lo, hi)[:, 0], 0, states,
+                               chunk, combine) for a in range(messages)], axis=1)
+
+
+def _log_sums(values, messages: int, states: int, chunk: int) -> np.ndarray:
+    """(Z, messages): log(sum(exp(v))) over each message row of `states`
+    finite or -inf values, -inf for a row with no finite value; values(a,
+    b, lo, hi) gives the (Z, b - a, hi - lo) values of pairs lo .. hi - 1
+    of rows a .. b - 1, _over_rows' pieces, an array this overwrites.
+
+    Each row is shifted by its maximum, found in a first pass; the entries
+    at the maximum are counted and the rest enter through log1p, which
+    keeps precision when one entry dominates.  The shifted terms are summed
+    by _pairwise, as numpy sums a whole row."""
+    peak = _over_rows(lambda *piece: values(*piece).max(axis=2), messages, states, chunk,
+                      np.maximum)
+    live = np.isfinite(peak)
+    shift = np.where(live, peak, 0.0)
+    count = np.zeros(peak.shape)
+
+    def terms(a, b, lo, hi):
+        part = values(a, b, lo, hi)
+        part -= shift[:, a:b, None]
+        at_peak = part == 0.0               # exactly the entries equal to the peak
+        np.exp(part, out=part)
+        np.copyto(part, 0.0, where=at_peak)
+        count[:, a:b] += at_peak.sum(axis=2)
+        return part.sum(axis=2)
+
+    total = _over_rows(terms, messages, states, chunk)
+    out = np.full(peak.shape, -np.inf)
+    out[live] = np.log1p(total[live] / count[live]) + np.log(count[live]) + peak[live]
+    return out
 
 
 def _tap_table_bytes(tables: _Tables, rows: int) -> int:
@@ -850,125 +965,178 @@ def _tap_tables(tables: _Tables, sequences: np.ndarray, z_rows: np.ndarray
     return out
 
 
-def _step_shape(m: int, states: int) -> tuple[int, int]:
-    """(z rows, message rows) of a posterior step over m message rows of
-    `states` pairs each.  A pair holds its product, _ROW_PAIR_BYTES, and
-    while gathered, 8 bytes a z row of factor and 8 of code copied to intp
-    (_combined): as many z rows with all their message rows as fit
-    GATHER_BYTES so, else one z row and as many of its message rows as
-    fit, one at least."""
-    rows = (GATHER_BYTES // (_ROW_PAIR_BYTES * m * states) - 1) // 2
-    if rows >= 1:
-        return rows, m
-    return 1, min(m, max(1, GATHER_BYTES // (3 * _ROW_PAIR_BYTES * states)))
-
-
-def _combined(tables: list[np.ndarray], codes: np.ndarray, combine) -> np.ndarray:
-    """(Z, P): each of P pairs' entries in the groups' tables (Z, entries)
-    at its codes (G, P), combined left to right, combine(combine(t_0, t_1),
-    t_2) and so on.
-
-    The result is the only whole array.  The first group's entries are
-    gathered into it and each later group's into one reused buffer, a block
-    at a time: the buffer and the block's codes, copied to intp as np.take
-    does with int32 codes, fit the room the result leaves in GATHER_BYTES,
-    half of it at least.  A block is whole z rows while one row's pairs fit
-    so, else one z row's pairs in chunks (256 at least).  A block is
-    contiguous, so combining in place makes no temporary."""
-    rows, pairs = len(tables[0]), codes.shape[1]
-    room = max(GATHER_BYTES // 8 - rows * pairs, GATHER_BYTES // 16)   # 8-byte entries
-    if 2 * pairs <= room:
-        block, chunk = min(rows, room // pairs - 1), pairs
+def _add_digits(code: np.ndarray, lo: int, place: int, width: int, base: np.ndarray) -> None:
+    """code[i] += (lo + i) // place % width: the digits over a group of the
+    sequences lo .. lo + len(code) - 1, or of whole message rows (lo = 0),
+    place the group's place value and width its symbol count, base an
+    arange at least as long as code.  A broadcast add where the run lines
+    up with the digits, as on every run of a binary or quaternary v1."""
+    count, period = len(code), place * width
+    if lo // place == (lo + count - 1) // place:             # one digit throughout
+        code += lo // place % width
+    elif lo % period == 0 and count % period == 0:           # whole periods
+        view = code.reshape(-1, width, place)
+        view += base[:width, None]
+    elif lo % place == 0 and count % place == 0 and lo // place % width + count // place <= width:
+        view = code.reshape(-1, place)                      # one run of rising digits
+        view += (base[:count // place] + lo // place % width)[:, None]
     else:
-        block, chunk = 1, min(pairs, max(room // 2, 2 ** 8))
-    out = np.empty((rows, pairs))
-    buffer = np.empty(block * chunk)
-    for at in range(0, rows, block):
-        for lo in range(0, pairs, chunk):
-            part = out[at:at + block, lo:lo + chunk]
-            gathered = buffer[:part.size].reshape(part.shape)
-            for t, table in enumerate(tables):
-                np.take(table[at:at + block], codes[t, lo:lo + chunk], axis=1,
-                        out=gathered if t else part, mode="clip")
-                if t:
-                    combine(part, gathered, out=part)
-    return out
+        digits = np.arange(lo, lo + count)
+        digits //= place
+        digits %= width
+        code += digits
 
 
-def _pair_totals(factors: list[np.ndarray], codes: np.ndarray) -> np.ndarray:
-    """(Z, M) message totals from the groups' tables of exp(L_g), (Z,
-    entries), and the codes (G, M, S) of M message rows: each pair's
-    entries multiplied left to right (_combined), and each message's S
-    products summed as one contiguous row in lexicographic v1 order."""
-    rows, (count, messages, states) = len(factors[0]), codes.shape
-    product = _combined(factors, codes.reshape(count, -1), np.multiply)
-    return product.reshape(rows, messages, states).sum(axis=2)
+def _message_blocks(m: int, states: int) -> list[tuple[int, int]]:
+    """Runs a .. b - 1 of messages whose posterior tables are built
+    together: as many as have GATHER_BYTES // 64 pairs, one at least.  A
+    long message row gets tables over its own picks alone, fewer rows, so
+    that a batch takes more z rows and a piece's codes serve all of them."""
+    step = max(1, min(m, GATHER_BYTES // 64 // states))
+    return [(a, min(a + step, m)) for a in range(0, m, step)]
+
+
+def _batch_rows(tables: _Tables, rows: int, pairs: int) -> int:
+    """z rows a posterior batch takes over tables of `rows` picked
+    codewords, for a message block of `pairs` pairs: as many as whose
+    tables fit GATHER_BYTES, and whose share of a piece of _PIECE_MIN
+    pairs, or of the whole block if fewer, fits it too; one at least."""
+    piece = min(_PIECE_MIN, pairs)
+    return max(1, min(GATHER_BYTES // _tap_table_bytes(tables, rows),
+                      (GATHER_BYTES // piece - _PIECE_PAIR_BYTES) // _PIECE_ROW_BYTES))
+
+
+def _piece_pairs(z_rows: int) -> int:
+    """Pairs a posterior piece over `z_rows` z rows takes: as many as fit
+    GATHER_BYTES, _PIECE_MIN at least."""
+    return max(_PIECE_MIN, GATHER_BYTES // (_PIECE_PAIR_BYTES + _PIECE_ROW_BYTES * z_rows))
+
+
+def _block_picks(selection: _Selection, first: int, last: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(picks, local) of messages first .. last - 1: the rows of
+    selection.sequences they pick, in codebook order, the rows of their
+    posterior tables, and each (message, rank)'s place among them,
+    (last - first, depth + 1), -1 where the message does not pick it."""
+    rows = selection.rows[first:last]
+    taken = rows >= 0
+    picks, place = np.unique(rows[taken], return_inverse=True)
+    local = np.full(rows.shape, -1)
+    local[taken] = place
+    return picks, local
+
+
+def _piece_values(tables: _Tables, ranks: np.ndarray, local: np.ndarray,
+                  group_tables: list[np.ndarray], chunk: int, combine):
+    """values(a, b, lo, hi): the (Z, b - a, hi - lo) entries of pairs lo ..
+    hi - 1 of message rows a .. b - 1 of `ranks` in the groups' tables (Z,
+    R * width) over a message block's picks, combined left to right,
+    combine(combine(t_0, t_1), t_2) and so on, for at most `chunk` pairs;
+    `local` is _block_picks' place of each (message, rank).
+
+    Each piece's codes are derived from the ranks into one reused intp
+    buffer, a group at a time: the pick's row in the tables times the
+    group's width, looked up by (message, rank) in a small table built
+    once from `local`, plus the sequences' digits over the group
+    (_add_digits); each is gathered for every z row at once.  The values
+    are one reused buffer, which the next call overwrites."""
+    n, card = tables.config.n, tables.p_uv1.shape[1]
+    messages, depth = local.shape
+    digits = [(card ** (n - hi), card ** (hi - lo)) for lo, hi in tables.groups]
+    row_codes = [local.reshape(-1) * width for _, width in digits]
+    rows = len(group_tables[0])
+    chunk = min(chunk, ranks.size)                      # a piece's most pairs
+    base = np.arange(chunk)
+    places, code = np.empty(chunk, dtype=np.intp), np.empty(chunk, dtype=np.intp)
+    out = np.empty(rows * chunk)
+    gathered = np.empty(rows * chunk) if len(digits) > 1 else None
+    offsets = np.arange(messages)[:, None] * depth      # each message's place in `local`
+
+    def values(a, b, lo, hi):
+        size = (b - a) * (hi - lo)
+        place, codes = places[:size], code[:size]
+        np.add(ranks[a:b, lo:hi], offsets[a:b], out=place.reshape(b - a, hi - lo))
+        part = out[:rows * size].reshape(rows, size)
+        for t, (table, row_code, (step, width)) in enumerate(
+                zip(group_tables, row_codes, digits)):
+            np.take(row_code, place, out=codes, mode="clip")
+            _add_digits(codes, lo, step, width, base)
+            into = gathered[:rows * size].reshape(rows, size) if t else part
+            np.take(table, codes, axis=1, out=into, mode="clip")
+            if t:
+                combine(part, into, out=part)
+        return part.reshape(rows, b - a, hi - lo)
+
+    return values
 
 
 def _rescored(tables: _Tables, selection: _Selection, z_rows: np.ndarray) -> np.ndarray:
     """exp(log P(z, message) less its largest) for each z row (Z, n), by
-    log sums: each pair's gathered group sums L_g added left to right
-    (_combined), and each message row reduced by _log_sum_exp.  It takes a
-    z row at a time and its message rows as a posterior step would
-    (_step_shape), and raises a UsageError for a z row no message can
+    log sums: each pair's group sums L_g added left to right
+    (_piece_values), and each message row reduced by _log_sums.  It takes
+    a z row at a time, in the message blocks and pieces a posterior batch
+    of one z row would, and raises a UsageError for a z row no message can
     give."""
-    count, m, states = selection.codes.shape
-    messages = _step_shape(m, states)[1]
+    m, states = selection.ranks.shape
+    chunk = _piece_pairs(1)
     log_posts = np.empty((len(z_rows), m))
-    for z, row in enumerate(z_rows):
-        sums = _tap_tables(tables, selection.sequences, row[None])
-        for first in range(0, m, messages):
-            step = selection.codes[:, first:first + messages].reshape(count, -1)
-            loglik = _combined(sums, step, np.add)[0]
-            log_posts[z, first:first + messages] = _log_sum_exp(loglik.reshape(-1, states))
+    for first, last in _message_blocks(m, states):
+        picks, local = _block_picks(selection, first, last)
+        for z, row in enumerate(z_rows):
+            sums = _tap_tables(tables, selection.sequences[picks], row[None])
+            values = _piece_values(tables, selection.ranks[first:last], local, sums, chunk,
+                                   np.add)
+            log_posts[z:z + 1, first:last] = _log_sums(values, last - first, states, chunk)
+            del sums, values                            # before the next row's
     if not np.isfinite(log_posts).any(axis=1).all():
         raise UsageError("observed z sequence has zero probability under the model")
     return np.exp(log_posts - log_posts.max(axis=1, keepdims=True))
 
 
 def _posteriors(tables: _Tables, selection: _Selection, z_rows: np.ndarray) -> np.ndarray:
-    """Message posteriors (Z, m) of the z rows (Z, n), from the codes and
-    picked codewords of _selection_table, in the probability domain.
+    """Message posteriors (Z, m) of the z rows (Z, n), from the ranks and
+    picks of _selection_table, in the probability domain.
 
-    A batch of z rows gets, per group of _Tables.groups, its table of
-    exp(L_g) (_tap_tables), one per z row.  Each log weight was reduced by
-    its z symbol's largest, so every entry lies in [0, 1] and the factor
-    dropped is one every message shares.  A step takes a block of (z row,
-    message) rows, each one message's S (message, v1 sequence) pairs: a
-    pair costs one gather per group and the products between them, and each
-    row one contiguous .sum of its S products (_pair_totals); rows never
-    mix, so the shape of a batch or a step does not change a bit of the
-    result.  Each z row is divided by its largest message total, then by
-    its sum.
+    The messages go in blocks (_message_blocks), and a block's z rows in
+    batches (_batch_rows); a batch gets, per group of _Tables.groups, its
+    table of exp(L_g) over the block's picks (_tap_tables).  Each log
+    weight was reduced by its z symbol's largest, so every entry lies in
+    [0, 1] and the factor dropped is one every message shares.  The batch
+    then goes a piece at a time: whole message rows while they fit
+    _piece_pairs, else runs of one row.  A pair costs one gather per group
+    and the products between them (_piece_values), whose codes are derived
+    once for every z row of the batch; each (z row, message) row's S
+    products are summed as numpy sums the whole row, by _pairwise over the
+    runs.  Rows never mix, so no shape of a block, batch or piece changes
+    a bit of the result.  Each z row is divided by its largest message
+    total, then by its sum.
 
     A z row whose largest total falls below 2^-900, which takes normalized
     weights spread over more than about 2^(900/n), may have lost terms to
     underflow; it is rescored by log sums (_rescored).  An observation no
     message can give ends there with a UsageError.
 
-    A batch takes as many z rows as their tables, _tap_table_bytes a z row,
-    fit in GATHER_BYTES, one at least.  A step holds _ROW_PAIR_BYTES, 8
-    bytes, a pair (its product) beside _combined's gather buffer, sized by
-    _step_shape so that both fit GATHER_BYTES.  Only a message row whose
-    products, factors and codes outgrow GATHER_BYTES goes past it: the
-    step is that row and a buffer of half of GATHER_BYTES, which
-    _check_enumeration charges beside a batch's tables.
+    A batch holds its tables, _tap_table_bytes a z row, within
+    GATHER_BYTES, one z row's at least, and a piece its buffers,
+    _PIECE_PAIR_BYTES a pair and _PIECE_ROW_BYTES more per z row, within
+    GATHER_BYTES too; _check_enumeration charges both.
     """
-    count, m, states = selection.codes.shape
-    batch = max(1, GATHER_BYTES // _tap_table_bytes(tables, len(selection.sequences)))
-    rows, messages = _step_shape(m, states)
+    m, states = selection.ranks.shape
     totals = np.empty((len(z_rows), m))
-    for lo in range(0, len(z_rows), batch):
-        factors = _tap_tables(tables, selection.sequences, z_rows[lo:lo + batch])
-        for table in factors:
-            np.exp(table, out=table)
-        for at in range(0, len(factors[0]), rows):
-            part = [table[at:at + rows] for table in factors]
-            out = totals[lo + at:lo + at + len(part[0])]
-            for first in range(0, m, messages):
-                out[:, first:first + messages] = _pair_totals(
-                    part, selection.codes[:, first:first + messages])
-        del factors, part, out                          # before the next batch's
+    for first, last in _message_blocks(m, states):
+        picks, local = _block_picks(selection, first, last)
+        sequences = selection.sequences[picks]
+        batch = _batch_rows(tables, len(picks), (last - first) * states)
+        for lo in range(0, len(z_rows), batch):
+            factors = _tap_tables(tables, sequences, z_rows[lo:lo + batch])
+            for table in factors:
+                np.exp(table, out=table)
+            chunk = _piece_pairs(len(factors[0]))
+            values = _piece_values(tables, selection.ranks[first:last], local, factors, chunk,
+                                   np.multiply)
+            totals[lo:lo + batch, first:last] = _over_rows(
+                lambda *piece: values(*piece).sum(axis=2), last - first, states, chunk)
+            del factors, values                         # before the next batch's
     peak = totals.max(axis=1, keepdims=True)
     low = np.flatnonzero(peak[:, 0] < _RESCORE_BELOW)
     if low.size:

@@ -31,8 +31,7 @@ from wiretapsi.nodesums import _leaves, _NodeSums
 from wiretapsi.probability import (JointPmf, TransitionKernel, _entropy_bits_batch,
                                    _pcg64_stream)
 from wiretapsi.simulator import (MAX_BLOCK_LENGTH, _build_codebook,
-                                 _check_enumeration, _decoder, _log_sum_exp,
-                                 _posteriors, _row_cut, _selection_table, _Tables)
+                                 _check_enumeration, _decoder, _posteriors, _row_cut, _selection_table, _Tables)
 from wiretapsi.reference import (
     bsc,
     constant_wiretap_instance,
@@ -360,6 +359,13 @@ def test_posterior_rejects_impossible_observation(noiseless):
             eavesdropper_posterior(book, config, np.array(missing))
 
 
+def _log_sum_exp(rows):
+    """simulator._log_sums with each row of rows (R, n) one message row,
+    taken whole; it overwrites the rows."""
+    return simulator._log_sums(lambda a, b, lo, hi: rows[:, None, lo:hi], 1,
+                               rows.shape[1], rows.shape[1])[:, 0]
+
+
 def test_log_sum_exp_rows():
     rows = np.log(np.random.default_rng(4).dirichlet(np.ones(6), size=5)) - 700.0
     rows[1, 2:] = -np.inf
@@ -609,29 +615,31 @@ def _reference_selection(tables, book, config):
             np.concatenate([p[1] for p in parts], axis=1))
 
 
-def _assert_codes(tables, book, config, got, selection, v1_all):
+def _assert_picks(tables, book, config, got, selection, v1_all):
     # the groups split the coordinates into consecutive runs, and the
-    # tables' rows are the picked codewords in codebook order; a pick's code
-    # in a group's table, int32, is its row times the group's width plus
-    # the group's digits of the v1 sequence, lexicographic
+    # tables' rows are the picked codewords in codebook order; a pair's
+    # row holds the reference's pick, and a (message, rank) no pair takes
+    # has none.  A pair's code in a group's table, its row times the
+    # group's width plus the group's digits of the v1 sequence, is derived
+    # a piece at a time (test_add_digits_follows_the_lexicographic_digits)
     groups = tables.groups
     assert [first for first, _ in groups] == [0] + [last for _, last in groups[:-1]]
     assert groups[-1][1] == config.n and all(first < last for first, last in groups)
     picked = np.unique(selection)
     np.testing.assert_array_equal(got.sequences, book.sequences[picked])
-    rows, card = np.searchsorted(picked, selection), config.model.card_v1
-    want = [rows * card ** (last - first)
-            + sum(v1_all[:, i] * card ** (last - 1 - i) for i in range(first, last))
-            for first, last in groups]
-    assert got.codes.dtype == np.int32
-    np.testing.assert_array_equal(got.codes, want)
+    m = book.bin_count
+    taken = np.zeros(got.members.shape, dtype=bool)
+    taken[np.arange(m)[:, None], got.ranks] = True
+    assert got.rows.dtype == np.intp and (got.rows[~taken] == -1).all()
+    np.testing.assert_array_equal(got.rows[np.arange(m)[:, None], got.ranks],
+                                  np.searchsorted(picked, selection))
 
 
 def _assert_selection(tables, book, config, got, selection, found, v1_all):
     # each pair's rank is the encoder's own scan's, the largest bin's size
     # standing for none, in uint8 while that size fits; the pair's member
     # is the reference's pick, bin 1's first codeword exactly where no
-    # member is typical, and the codes are the picks'
+    # member is typical, and the posterior's rows are the picks'
     depth = int(np.bincount(book.bin_index)[1:].max())
     assert got.ranks.dtype == (np.uint8 if depth <= 255 else np.uint16)
     want = np.concatenate([reference_ranks(tables, book, config, v1_all[lo:lo + 4096])
@@ -641,7 +649,7 @@ def _assert_selection(tables, book, config, got, selection, found, v1_all):
     np.testing.assert_array_equal(
         got.members[np.arange(book.bin_count)[:, None], got.ranks], selection)
     np.testing.assert_array_equal(got.ranks != depth, found)
-    _assert_codes(tables, book, config, got, selection, v1_all)
+    _assert_picks(tables, book, config, got, selection, v1_all)
 
 
 @pytest.mark.parametrize("chunk_bytes", [1, 300, 5000])
@@ -770,52 +778,55 @@ def test_underflowing_rows_are_rescored_by_log_sums(monkeypatch, chunk_bytes):
             _posteriors(tables, selection, impossible)
 
 
-# GATHER_BYTES and the posterior steps it gives for five z rows, as (z rows,
-# groups, messages, pairs) a step; a step's r z rows take 8 bytes a pair
-# each for the products and for the gathered factors, and 8 more for the
-# codes.  |v1| = 3 at n = 9: 19,683 pairs a message row, 472 KB at 24 bytes
-# a pair, so a step is one message row of one z row; by default the two
-# groups' tables, 130 KB a z row, are built four z rows at a time, and at
-# 2^12 bytes, five groups, one at a time.
-# At n = 10, 8 messages of 1,024 pairs: by default a step takes three z
-# rows with all their message rows ((2 * 3 + 1) * 8,192 pairs * 8 bytes
-# fit) and one batch builds all five z rows' tables; at 2^14 bytes a step
-# is one message row and a batch one z row (14 KB of tables); at 2^10
-# bytes the same, over five groups.
-@pytest.mark.parametrize("name,n,rate,eps,seed,chunk_bytes,groups,batches,rows,messages", [
-    ("three", 9, 0.23, 0.2, 1, 2 ** 19, 2, [4, 1], 1, 1),
-    ("three", 9, 0.23, 0.2, 1, 2 ** 12, 5, [1] * 5, 1, 1),
-    ("trend", 10, 0.3, 0.45, 3, 2 ** 19, 2, [5], 3, 8),
-    ("trend", 10, 0.3, 0.45, 3, 2 ** 14, 2, [1] * 5, 1, 1),
-    ("trend", 10, 0.3, 0.45, 3, 2 ** 10, 5, [1] * 5, 1, 1),
+# GATHER_BYTES and the posterior batches and pieces it gives for five z
+# rows: the z rows of each table build, the shape of the first piece as
+# (z rows, messages, pairs), and the pieces in all.  A piece holds 32 bytes
+# a pair and 17 more per z row.  |v1| = 3 at n = 9: 4 messages of 19,683
+# pairs, each its own block, whose tables over its 6 to 8 picks fit all
+# five z rows; by default a piece takes 4,481 pairs at most, so a row goes
+# in eight of numpy's pairwise runs of about 2,460, and at 2^12 bytes, one
+# z row at a time over five groups, in 128 runs of 152 to 156.
+# At n = 10, 8 messages of 1,024 pairs: by default one block of all eight,
+# one batch of five z rows and pieces of four whole message rows; at 2^15
+# bytes a block per message, one batch of five z rows and runs of 256
+# pairs; at 2^10 bytes one z row at a time over five groups.
+@pytest.mark.parametrize("name,n,rate,eps,seed,chunk_bytes,groups,batches,piece,pieces", [
+    ("three", 9, 0.23, 0.2, 1, 2 ** 19, 2, [5] * 4, (5, 1, 2456), 32),
+    ("three", 9, 0.23, 0.2, 1, 2 ** 12, 5, [1] * 20, (1, 1, 152), 4 * 5 * 128),
+    ("trend", 10, 0.3, 0.45, 3, 2 ** 19, 2, [5], (5, 4, 1024), 2),
+    ("trend", 10, 0.3, 0.45, 3, 2 ** 15, 2, [5] * 8, (5, 1, 256), 8 * 4),
+    ("trend", 10, 0.3, 0.45, 3, 2 ** 10, 5, [1] * 40, (1, 1, 256), 8 * 5 * 4),
 ])
 def test_posterior_steps_follow_the_reference_bit_for_bit(
-        monkeypatch, name, n, rate, eps, seed, chunk_bytes, groups, batches, rows, messages):
-    # a step sums whole message rows, each alone, so neither the z rows a
-    # batch or a step takes nor the message rows of a step move a bit
+        monkeypatch, name, n, rate, eps, seed, chunk_bytes, groups, batches, piece, pieces):
+    # each message row is summed alone, whole or in numpy's pairwise runs,
+    # so neither the blocks, the batches nor the pieces move a bit
     config, tables, book = _tables_and_book(name, n, rate, eps, seed)
     v1_all, want_selection, _ = _reference_selection(tables, book, config)
     monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
     selection = _selection_table(tables, book, config)
-    built, steps = [], []
+    built, shapes = [], []
 
     def build(tables, sequences, z_rows):
         built.append(len(z_rows))
         return tap_tables(tables, sequences, z_rows)
 
-    def step(node, codes):
-        steps.append((len(node[0]),) + codes.shape)
-        return pair_totals(node, codes)
+    def piece_values(*args):
+        values = make_values(*args)
 
-    tap_tables, pair_totals = simulator._tap_tables, simulator._pair_totals
+        def traced(*at):
+            out = values(*at)
+            shapes.append(out.shape)
+            return out
+        return traced
+
+    tap_tables, make_values = simulator._tap_tables, simulator._piece_values
     monkeypatch.setattr(simulator, "_tap_tables", build)
-    monkeypatch.setattr(simulator, "_pair_totals", step)
+    monkeypatch.setattr(simulator, "_piece_values", piece_values)
     z_rows = np.random.default_rng(seed).integers(0, config.model.card_z, size=(5, n))
     got = simulator._posteriors(tables, selection, z_rows)
-    states = len(v1_all)
     assert len(tables.groups) == groups and built == batches
-    assert steps[0] == (rows, groups, messages, states)
-    assert len(steps) == sum(-(-b // rows) for b in batches) * -(-config.m // messages)
+    assert shapes[0] == piece and len(shapes) == pieces
     for z_seq, row in zip(z_rows, got):
         want = reference_posterior(tables, config, v1_all, book.sequences[want_selection], z_seq)
         np.testing.assert_array_equal(row, want.probs)
@@ -826,10 +837,10 @@ def test_posterior_steps_follow_the_reference_bit_for_bit(
     (16, 0.25, 0.2, 2),                     # 16 messages, 1,048,576 pairs
 ])
 def test_run_holds_no_more_than_it_is_charged(n, rate, eps, trials):
-    # the budget charges the whole-run arrays and one posterior step, whose
-    # message row of 65,536 pairs alone breaks GATHER_BYTES; the run's
-    # traced peak stays within that charge, and the charge within four
-    # gather budgets of the peak
+    # the budget charges the whole-run arrays and the larger of the
+    # selection's and the posterior's working sets, where a message row of
+    # 65,536 pairs goes in pieces; the run's traced peak stays within that
+    # charge, and the charge within four gather budgets of the peak
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=n, rate=rate,
                        epsilon_typ=eps, trials=trials, seed=0)
@@ -841,6 +852,75 @@ def test_run_holds_no_more_than_it_is_charged(n, rate, eps, trials):
     finally:
         tracemalloc.stop()
     assert peak <= need < peak + 4 * simulator.GATHER_BYTES
+
+
+def _charged_configs(seed, count):
+    """`count` in-budget configs drawn from `seed`: the trend, three-state
+    and bsc fixtures, n from 3 to 16, 2 to 64 messages, each at
+    GATHER_BYTES' default or at 2^12, with at most 2^13 pairs at the
+    smaller budget, whose steps are tiny, and 2^18 at the default."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    while len(configs) < count:
+        name = ["trend", "three", "bsc"][rng.integers(3)]
+        model, policy = _fixture(name)
+        n = int(rng.integers(3, (12 if name == "three" else 16) + 1))
+        bits = int(rng.integers(1, 7))
+        chunk_bytes = [2 ** 19, 2 ** 12][rng.integers(2)]
+        if 2 ** bits * model.card_v1 ** n > (2 ** 13 if chunk_bytes < 2 ** 19 else 2 ** 18):
+            continue
+        config = SimConfig(model=model, policy=policy, n=n, rate=(bits + 0.5) / n,
+                           epsilon_typ=float(rng.choice([0.05, 0.1, 0.2, 0.3, 0.45])),
+                           trials=int(rng.integers(1, 21)), seed=int(rng.integers(100)))
+        tables = _Tables(config)
+        size = simulator._codebook_size(config, tables.triplet.mi_uy)
+        if tables.triplet.mi_uy <= config.epsilon_typ or not config.m <= size <= 2 ** 12:
+            continue
+        configs.append((config, chunk_bytes))
+    return configs
+
+
+def _traced_run(monkeypatch, config, chunk_bytes):
+    """(peak, charge) of one run at GATHER_BYTES = chunk_bytes."""
+    monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
+    need = _check_enumeration(_Tables(config))
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, need
+
+
+def test_runs_hold_no_more_than_they_are_charged(monkeypatch):
+    # a seeded sweep of small and mid-size runs at both gather budgets: at
+    # 2^12 bytes the steps are tiny and what does not shrink with them,
+    # numpy's buffers and the selection's per-cell arrays, shows
+    for config, chunk_bytes in _charged_configs(24, 24):
+        peak, need = _traced_run(monkeypatch, config, chunk_bytes)
+        assert peak <= need, (config.n, config.m, config.model.card_v1, chunk_bytes)
+
+
+def test_the_longest_pending_list_is_charged(monkeypatch):
+    # 64 messages over 1,024 state sequences at 2^12 bytes: cells of two
+    # sequences, all thin at once, so every one of the 65,536 pairs joins
+    # the gathered list at rank 0, longer than any list of the sweep's
+    # configs (a quarter of 2^18 pairs at most by default, 2^13 at 2^12)
+    model, policy = trend_instance()
+    config = SimConfig(model=model, policy=policy, n=10, rate=0.65,
+                       epsilon_typ=0.05, trials=3, seed=0)
+    lists = []
+    pending = simulator._pending_pairs
+
+    def traced(*args):
+        lists.append(len(pending(*args)))
+        return pending(*args)
+
+    monkeypatch.setattr(simulator, "_pending_pairs", traced)
+    peak, need = _traced_run(monkeypatch, config, 2 ** 12)
+    assert config.m == 64 and lists[0] == 64 * 2 ** 10
+    assert peak <= need
 
 
 def test_selection_work_follows_the_pending_pairs(monkeypatch):
@@ -1003,36 +1083,37 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
     model, policy = trend_instance()
     config = SimConfig(model=model, policy=policy, n=8, rate=0.25,
                        epsilon_typ=0.45, trials=3, seed=0)
-    # a uint8 rank and one int32 code per posterior group for each
-    # (message, v1 sequence), the 4 bins' members, two deep, and the
-    # fallback, one equivocation per trial, the 8 codewords of 8 symbols
+    # a uint8 rank for each (message, v1 sequence), the 4 bins' members,
+    # two deep, and the fallback, with each member's row and the picked
+    # codewords of 8 symbols, one equivocation per trial, the 8 codewords
     # with their bins and subbins, the decoder's eight 2-entry tables per
-    # codeword, and one posterior step: a gather budget for its products
-    # (four message rows of 256 pairs at 8 bytes fit half of it) and its
-    # gather buffer (the other half), one for its batch of tables (5,120
-    # bytes a z row for 8 codewords over two groups of 16 entries) and one
-    # for the rest of the trial block; at n=8 with 1,024 pairs and 8
-    # codewords the groups are the two halves
+    # codeword, and the posterior's working set, which outgrows the
+    # selection's: a gather budget for a batch of tables (5,120 bytes a z
+    # row for 8 codewords over two groups of 16 entries),
+    # one for a piece's buffers and one for the rest of the trial block;
+    # and numpy's buffers, 8,192 entries of three operands.  At n=8 with
+    # 1,024 pairs and 8 codewords the groups are the two halves
     tables = _Tables(config)
     assert tables.groups == ((0, 4), (4, 8))
     assert simulator._codebook_size(config, tables.triplet.mi_uy) == 8
     assert simulator._tap_table_bytes(tables, 8) == 8 * 8 * (2 * 8 + 2 * 2 * 16)
     assert _row_cut(8, 2, 8, 8 * config.trials).entries == 8 * 2
-    need = (config.m * 2 ** 8 * (1 + 4 * 2) + 8 * config.m * (2 + 1) + 8 * config.trials
-            + 8 * 8 * (8 + 2 + 8 * 2) + 3 * simulator.GATHER_BYTES)
+    need = (config.m * 2 ** 8 + 8 * config.m * (2 + 1) * (8 + 2) + 8 * config.trials
+            + 8 * 8 * (8 + 2 + 8 * 2) + 3 * simulator.GATHER_BYTES + 3 * 8 * 8192)
     assert _check_enumeration(tables) == need
-    # trend_n16: one message row of 65,536 pairs, 512 KiB of products at 8
-    # bytes a pair, outgrows the step's half of the gather budget, so the
-    # step is that row and the buffer's half; 52 codewords, bins 13 deep
+    # trend_n16: 52 codewords, bins 13 deep; the posterior's working set is
+    # the same three gather budgets, and the selection's, the pending-pair
+    # lists of at most 1,023 pairs in each of 64 cells of 4,096 beside a
+    # gather budget, is smaller
     n16 = dataclasses.replace(config, n=16, rate=0.17, trials=6)
     tables16 = _Tables(n16)
     assert tables16.groups == ((0, 8), (8, 16))
     assert simulator._codebook_size(n16, tables16.triplet.mi_uy) == 52
+    assert simulator._loose_bytes(4, 2, 2 ** 16) == 64 * (8 * 1023 + 2 * 2 + 10)
     decoder = _row_cut(16, 2, 52, 52 * 6).entries
     assert _check_enumeration(tables16) == (
-        4 * 2 ** 16 * (1 + 4 * 2) + 8 * 4 * (13 + 1) + 8 * 6
-        + 8 * 52 * (16 + 2 + decoder)
-        + (8 * 2 ** 16 + simulator.GATHER_BYTES // 2) + 2 * simulator.GATHER_BYTES)
+        4 * 2 ** 16 + 8 * 4 * (13 + 1) * (16 + 2) + 8 * 6
+        + 8 * 52 * (16 + 2 + decoder) + 3 * simulator.GATHER_BYTES + 3 * 8 * 8192)
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need)
     run_experiment(config)                               # exactly at the budget
     monkeypatch.setattr(simulator, "BYTE_BUDGET", need - 1)
@@ -1049,7 +1130,8 @@ def test_byte_budget_is_checked_before_the_codebook(monkeypatch):
 
 def test_over_budget_simulation_exits_two_before_allocating(tmp_path, capsys):
     # n=16 at rate 0.75 gives 4096 messages over 65,536 state sequences:
-    # 256 MiB of uint8 ranks and 8 GiB of int32 codes, eight groups of two
+    # 256 MiB of uint8 ranks and 2.75 GiB of pending-pair lists and
+    # per-cell arrays, cells of four sequences
     model, policy = trend_instance()
     (tmp_path / "model.json").write_text(json.dumps(model_to_dict(model)))
     (tmp_path / "policy.json").write_text(json.dumps(policy_to_dict(policy)))
@@ -1067,6 +1149,65 @@ def test_over_budget_simulation_exits_two_before_allocating(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "budget" in err
     assert peak < 16 * 2 ** 20
+
+
+def test_a_thousand_messages_at_n16_fit_the_budget():
+    # 1,024 messages over 65,536 state sequences, 4,359 codewords in eight
+    # posterior groups: 64 MiB of uint8 ranks, and pending-pair lists of at
+    # most 15 pairs in each cell of 16, 480 MiB, with 12 bytes a cell for
+    # its count, flag and masks, 48 MiB, beside a few MiB of tables and
+    # steps, well inside the budget; the charge alone decides, nothing is
+    # run
+    model, policy = trend_instance()
+    config = SimConfig(model=model, policy=policy, n=16, rate=0.625,
+                       epsilon_typ=0.05, trials=1, seed=0)
+    tables = _Tables(config)
+    assert config.m == 1024 and len(tables.groups) == 8
+    assert simulator._codebook_size(config, tables.triplet.mi_uy) == 4359
+    assert simulator._loose_bytes(1024, 2, 2 ** 16) == 2 ** 22 * (8 * 15 + 2 * 1 + 10)
+    need = _check_enumeration(tables)
+    held = 2 ** 26 + 480 * 2 ** 20 + 48 * 2 ** 20
+    assert held < need < held + 4 * 2 ** 20
+    assert need <= simulator.BYTE_BUDGET
+
+
+@given(length=st.one_of(st.integers(1, 70_000), st.sampled_from([3 ** k for k in range(1, 11)]),
+                        st.integers(8_188, 8_196), st.integers(16_380, 16_388)),
+       chunk=st.one_of(st.integers(1, 70_000), st.sampled_from([128, 256, 4096, 8192])),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_pairwise_runs_sum_a_row_as_numpy_does(length, chunk, seed):
+    # The posterior sums a message row in runs of a piece each, and
+    # combines the runs' sums as numpy's pairwise .sum of the whole row
+    # would; terms of both signs and wide magnitudes make any other order
+    # show, and a numpy that sums otherwise fails here.
+    rng = np.random.default_rng(seed)
+    row = rng.random(length) * np.exp2(rng.integers(-60, 60, length))
+    row *= rng.choice([-1.0, 1.0], size=length)
+    got = simulator._pairwise(lambda lo, hi: row[lo:hi].sum(), 0, length, chunk)
+    assert np.float64(got).tobytes() == row.sum().tobytes()
+
+
+@given(card=st.integers(1, 4), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_add_digits_follows_the_lexicographic_digits(card, data):
+    # the digits over a group of coordinates of a run of sequences, or of
+    # whole message rows, as a piece derives them, for every range the
+    # broadcast adds take and the arithmetic they fall back to
+    n = data.draw(st.integers(1, 9 if card < 4 else 7))
+    count = card ** n
+    first = data.draw(st.integers(0, n - 1))
+    last = data.draw(st.integers(first + 1, n))
+    if data.draw(st.booleans()):
+        lo, hi = 0, count * data.draw(st.integers(1, 3))            # whole rows
+    else:
+        lo = data.draw(st.integers(0, count - 1))
+        hi = data.draw(st.integers(lo + 1, count))
+    place, width = card ** (n - last), card ** (last - first)
+    code = np.arange(hi - lo) * 5
+    want = code + np.arange(lo, hi) % count // place % width
+    simulator._add_digits(code, lo, place, width, np.arange(hi - lo))
+    np.testing.assert_array_equal(code, want)
 
 
 @pytest.mark.parametrize("n", range(1, MAX_BLOCK_LENGTH + 1))
@@ -1257,24 +1398,31 @@ def test_public_functions_refuse_symbols_off_the_alphabet(posterior_model, bad):
 
 @pytest.mark.parametrize("chunk_bytes", [2 ** 19, 2 ** 12])
 def test_a_posterior_step_holds_its_products_and_one_gather_buffer(monkeypatch, chunk_bytes):
-    # one message row of trend_n16, 65,536 pairs: the step allocates its
-    # 8-byte products and a gather buffer of at most half of GATHER_BYTES
-    # (the factors and their codes copied to intp), and its totals are the
-    # plain whole-row gathers', bit for bit
+    # one message row of trend_n16, 65,536 pairs, from its own block's
+    # tables: its pieces' buffers, the codes derived into them included,
+    # stay within 8 bytes a pair of the row and half of GATHER_BYTES, and
+    # its total is the plain whole-row gathers', bit for bit
     config, tables, book = _tables_and_book("trend", 16, 0.17, 0.45, 0)
     selection = _selection_table(tables, book, config)
-    factors = simulator._tap_tables(tables, selection.sequences, np.array([[0, 1] * 8]))
+    assert simulator._message_blocks(config.m, 2 ** 16)[0] == (0, 1)
+    picks, local = simulator._block_picks(selection, 0, 1)
+    factors = simulator._tap_tables(tables, selection.sequences[picks], np.array([[0, 1] * 8]))
     for table in factors:
         np.exp(table, out=table)
-    codes = selection.codes[:, :1]
     monkeypatch.setattr(simulator, "GATHER_BYTES", chunk_bytes)
+    chunk = simulator._piece_pairs(1)
     tracemalloc.start()
     try:
-        got = simulator._pair_totals(factors, codes)
+        values = simulator._piece_values(tables, selection.ranks[:1], local, factors, chunk,
+                                         np.multiply)
+        got = simulator._over_rows(lambda *piece: values(*piece).sum(axis=2), 1, 2 ** 16, chunk)
+        del values
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2 ** 16 + chunk_bytes // 2 + 4096
-    flat = codes.reshape(2, -1).astype(np.intp)
-    want = (factors[0][:, flat[0]] * factors[1][:, flat[1]]).sum(axis=1)
+    rows = local[0, selection.ranks[0]]
+    place = np.arange(2 ** 16)
+    want = (factors[0][:, rows * 2 ** 8 + place // 2 ** 8]
+            * factors[1][:, rows * 2 ** 8 + place % 2 ** 8]).sum(axis=1)
     np.testing.assert_array_equal(got[:, 0], want)
