@@ -31,10 +31,10 @@ The leakage roots and the rate inversion are plain bisections, and one
 walk, _walk, serves both.  Each crossing it seeks, I(u; first) -
 I(u; second) = goal, is var(u | second) = 4^goal * var(u | first): the
 root of one quadratic the kernel already holds (_crossings).  Each round
-values, in one stack, the midpoints bisection would visit if every side
-were that root's, and keeps each value only while its point is the plain
-walk's next midpoint.  The root only steers: every root, knee and rate is
-the plain walk's, bit for bit, in a stack or two.
+values, in one stack, the midpoints bisection would visit down to its own
+stops if every side were that root's, and keeps each value only while its
+point is the plain walk's next midpoint.  The root only steers: every
+root, knee and rate is the plain walk's, bit for bit, in a stack or two.
 
 The mi_uy/mi_uv12/mi_uz/alpha_star_closed_form functions carry the
 hand-derived closed forms exactly as written; they are the validation
@@ -490,8 +490,7 @@ class _Bracket:
 
     def __init__(self, lo: float, hi: float, goal: float = 0.0):
         self.lo, self.hi, self.goal = lo, hi, goal
-        self.levels = 0
-        self.found: Optional[float] = None
+        self.levels, self.found = 0, None
 
 
 def _crossings(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
@@ -519,44 +518,6 @@ def _crossings(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
     return crossing.tolist()
 
 
-def _reaches(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
-             brackets: list[_Bracket], crossings: list[float], hit_tol: float) -> list[float]:
-    """Per bracket, a distance from its crossing within which every alpha
-    gives |I(u; first) - I(u; second) - goal| <= hit_tol by the kernel's
-    quadratics, with the kernel's rounding added; -inf where there is none.
-
-    With F = var(u | first), S = var(u | second) and the crossing quadratic
-    q = S - 4^goal F, the gap is log1p(q / (4^goal F)) / (2 ln 2), at most
-    |q| / (4^goal F ln 2) while that ratio is at most 1/2.  Within the
-    distance F keeps at least half its value at the crossing c, and |q|,
-    bounded by |q(c)| + |q'(c)| d + |q''/2| d^2 with q(c)'s rounding, keeps
-    within what leaves hit_tol for twice the rounding the kernel carries
-    at c (CANCEL_REL, relative to F and to S).  Only a wasted or a missing
-    point turns on the distance: the walk decides on the values alone.  A
-    walk that never hits, hit_tol -inf, has no reach to take."""
-    if not hit_tol > 0.0:
-        return [-math.inf] * len(brackets)
-    f, s = (np.array(kernel.conditional[tuple(group)])[:, np.newaxis]
-            for group in (first, second))
-    goal = np.array([b.goal for b in brackets])
-    c = np.array(crossings)
-    with np.errstate(all="ignore"):
-        scale = np.exp2(2.0 * goal)
-        c0, c1, c2 = s[:3] - scale * f[:3]
-        big_f, big_s = (v[0] + c * v[1] + c * c * v[2] for v in (f, s))
-        noise_f, noise_s = (v[3] + c * c * v[4] for v in (f, s))
-        rounding = (noise_f / big_f + noise_s / big_s) / (2.0 * math.log(2.0))
-        room = (hit_tol - 2.0 * rounding) * math.log(2.0) * scale * big_f / 2.0
-        room -= np.abs(c0 + c * c1 + c * c * c2) + 2.0 ** -50 * (big_s + scale * big_f)
-        slope, bend = np.abs(c1 + 2.0 * c * c2), np.abs(c2)
-        reach = 2.0 * room / (slope + np.sqrt(slope * slope + 4.0 * bend * room))
-        f_slope, f_bend = np.abs(f[1] + 2.0 * c * f[2]), np.abs(f[2])
-        keep = big_f / (f_slope + np.sqrt(f_slope * f_slope + 2.0 * f_bend * big_f))
-        reach = np.minimum(reach, keep)
-        valid = (big_f > noise_f) & (big_s > noise_s) & (room > 0.0)
-    return np.where(valid, reach, -math.inf).tolist()
-
-
 def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
           second: Sequence[str], visit, *, rising: bool,
           width_tol: float = -math.inf, hit_tol: float = -math.inf,
@@ -568,22 +529,20 @@ def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
     |hi - lo| > width_tol, fewer than max_levels midpoints are behind it
     and mid is neither end (adjacent floats further apart than width_tol
     would otherwise halve forever).  It stops at mid when
-    |f(mid) - goal| <= hit_tol; otherwise mid
-    replaces lo when f(mid) lies on lo's side (f < goal if rising, else
-    f >= goal) and hi when it does not.  It returns the mid it stopped at,
-    or 0.5*(lo + hi).
+    |f(mid) - goal| <= hit_tol; otherwise mid replaces lo when f(mid) lies
+    on lo's side (f < goal if rising, else f >= goal) and hi when it does
+    not.  It returns the mid it stopped at, or 0.5*(lo + hi).
 
-    Each bracket steers toward its crossing (_crossings), taken once.  Each round lays
-    out, per open bracket, the midpoints the plain walk would visit if
-    every side were the crossing's, down to the walk's own stops or to the
-    first midpoint within the crossing's reach (_reaches), where the
-    quadratics say the walk hits its goal, and one _gaps stack values every
-    path of the round.  The walk then takes a
-    path's values in order, while each point is its exact next midpoint,
-    so the crossing only decides which points are valued: every decision,
-    stop and result is the plain walk's.  _gaps gives NaN where it cannot
-    value a point; visit(value, alpha) passes a visited value on and
-    revalues a NaN alone, raising where the plain walk raises.
+    Each bracket steers toward its crossing (_crossings), taken once.  Each
+    round lays out, per open bracket, the midpoints the plain walk would
+    visit if every side were the crossing's, down to the walk's own stops,
+    and one _gaps stack values every path of the round.  The walk then
+    takes a path's values in order, while each point is its exact next
+    midpoint and hit_tol has not stopped it, so the crossing only decides
+    which points are valued: every decision, stop and result is the plain
+    walk's.  _gaps gives NaN where it cannot value a point; visit(value,
+    alpha) passes a visited value on and revalues a NaN alone, raising
+    where the plain walk raises.
     """
     def halves(b) -> bool:
         mid = 0.5 * (b.lo + b.hi)
@@ -591,30 +550,23 @@ def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
                 and abs(b.hi - b.lo) > width_tol and b.lo != mid != b.hi)
 
     crossings = _crossings(kernel, first, second, brackets)
-    reaches = _reaches(kernel, first, second, brackets, crossings, hit_tol)
     while True:
-        live = [(b, crossing, reach) for b, crossing, reach
-                in zip(brackets, crossings, reaches) if halves(b)]
+        live = [(b, crossing) for b, crossing in zip(brackets, crossings) if halves(b)]
         if not live:
             break
         paths = []
-        for b, crossing, reach in live:
+        for b, crossing in live:
             path, lo, hi, room = [], b.lo, b.hi, max_levels - b.levels
             while len(path) < room and abs(hi - lo) > width_tol:
                 mid = 0.5 * (lo + hi)
                 if mid in (lo, hi):
                     break
                 path.append(mid)
-                if abs(mid - crossing) <= reach:
-                    break                   # the walk stops here by the quadratics
-                if (mid - crossing) * (lo - crossing) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
+                lo, hi = (mid, hi) if (mid - crossing) * (lo - crossing) > 0.0 else (lo, mid)
             paths.append(path)
         points = list(dict.fromkeys(mid for path in paths for mid in path))
         values = dict(zip(points, _gaps(kernel, points, first, second)))
-        for (b, _, _), path in zip(live, paths):
+        for (b, _), path in zip(live, paths):
             for mid in path:
                 if not (halves(b) and mid == 0.5 * (b.lo + b.hi)):
                     break
@@ -728,23 +680,31 @@ def _require_positive(**values: float) -> None:
             raise UsageError(f"{name} must be positive and finite, got {value}")
 
 
+def _finite(*thresholds: float) -> tuple[float, ...]:
+    if not all(map(math.isfinite, thresholds)):
+        raise OverflowError(f"power thresholds overflow: {thresholds}")
+    return thresholds
+
+
 def case1_thresholds(q: float, n1: float, n2: float) -> tuple[float, float]:
+    """P1 = -n1 - q/2 + sqrt(q^2 + 4 q n2)/2 and P2 = -q/2 + sqrt(q^2 + 4 q (n1 + n2))/2,
+    by -q/2 + sqrt(q^2 + 4 q n)/2 = n 2t/g = n - n (2 sqrt(n)/g)^2 with t = sqrt(q) and
+    g = t + hypot(t, 2 sqrt(n)): no cancellation (Press et al. 5.6) and no q^2."""
     _require_positive(q=q, n1=n1, n2=n2)
-    p1 = -n1 - q / 2.0 + math.sqrt(q * q + 4.0 * q * n2) / 2.0
-    p2 = -q / 2.0 + math.sqrt(q * q + 4.0 * q * (n1 + n2)) / 2.0
-    return p1, p2
+    t, r, s = math.sqrt(q), math.sqrt(n2), math.sqrt(n1 + n2)
+    return _finite((n2 - n1) - n2 * (2.0 * r / (t + math.hypot(t, 2.0 * r))) ** 2,
+                   (n1 + n2) * (2.0 * t / (t + math.hypot(t, 2.0 * s))))
 
 
 def case2_thresholds(q: float, n1: float, n2: float) -> tuple[float, float]:
+    """P3 = (q - 2 n1)/2 + sqrt(5 q^2 + 4 q (n2 - n1))/2 and P4 = q/2 + sqrt(5 q^2 + 4 q n2)/2,
+    each root taken as sqrt(q) sqrt(1.25 q + ...) so that no q^2 overflows."""
     _require_positive(q=q, n1=n1, n2=n2)
-    discriminant = 5.0 * q * q + 4.0 * q * (n2 - n1)
-    if discriminant < 0.0:
-        raise DegenerateGeometryError(
-            "threshold discriminant is negative",
-            expression="5*q^2 + 4*q*(n2 - n1)", value=discriminant)
-    p3 = ((q - 2.0 * n1) + math.sqrt(discriminant)) / 2.0
-    p4 = q / 2.0 + math.sqrt(5.0 * q * q + 4.0 * q * n2) / 2.0
-    return p3, p4
+    t, spread = math.sqrt(q), 1.25 * q + (n2 - n1)      # spread: the discriminant over 4q
+    if spread < 0.0:
+        raise DegenerateGeometryError("threshold discriminant is negative",
+                                      expression="5*q^2 + 4*q*(n2 - n1)", value=4.0 * q * spread)
+    return _finite(0.5 * q - n1 + t * math.sqrt(spread), 0.5 * q + t * math.sqrt(1.25 * q + n2))
 
 
 def _solve_alphas_for_rates(kernel: _Kernel, alpha_top: float,

@@ -458,6 +458,13 @@ def test_a_failed_artifact_replace_names_the_artifact(tmp_path, capsys, monkeypa
     ["gaussian-scan", "--alpha-min", "1e300", "--alpha-max", "1e300"],   # covariance overflow
     ["gaussian-region", "--n1", "1e-300", "--p", "1e9"],   # p / n1 overflows
     ["gaussian-region", "--case", "2", "--p", "1e50"],     # knee rate is inf - inf
+    # P1 and P2 are finite, so p = 1 lies in the mid regime, whose leakage
+    # root float64 cannot resolve against a state of variance 1e300
+    ["gaussian-region", "--q", "1e300"],
+    # n1 + n2 is past float64's range, so P2 overflows
+    ["gaussian-region", "--n1", "1e308", "--n2", "1e308"],
+    # 1.25 q is past float64's range, so P3 and P4 overflow
+    ["gaussian-region", "--case", "2", "--q", "1.5e308"],
     # high regime: I(u; y) at the knee alpha = 1 is past what float64
     # resolves, so the knee rate is indeterminate
     ["gaussian-region", "--p", "1e16", "--q", "1e6"],
@@ -475,6 +482,32 @@ def test_gaussian_bad_inputs_exit_two_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+# exact values from each root's series in 1/q, cut where its terms fall
+# below float64's resolution
+@pytest.mark.parametrize("argv,exact,regime", [
+    # -q/2 + sqrt(q^2 + 4 q n2)/2 - n1 as written cancelled P1 to -7.45e-9
+    (["--case", "1", "--q", "1e8"], {"P1": -1e-8 + 2e-16, "P2": 2.0 - 4e-8 + 1.6e-15}, "mid"),
+    # n1 != n2: P1 is led by n2 - n1
+    (["--case", "1", "--q", "1e8", "--n1", "0.5"],
+     {"P1": 0.5 - 1e-8 + 2e-16, "P2": 1.5 - 2.25e-8 + 6.75e-16}, "mid"),
+    # the roots' terms of order 1 survive beside q
+    (["--case", "2", "--q", "1e8"],
+     {"P3": GOLDEN * 1e8 - 1.0, "P4": GOLDEN * 1e8 + 1.0 / math.sqrt(5.0)}, "low"),
+    # q^2 overflowed to Infinity
+    (["--case", "2", "--q", "1e300"], {"P3": GOLDEN * 1e300, "P4": GOLDEN * 1e300}, "low"),
+])
+def test_region_thresholds_are_finite_and_exact_at_large_q(tmp_path, argv, exact, regime):
+    out = tmp_path / "o"
+    assert main(["gaussian-region", *argv, "--out", str(out)]) == 0
+    thresholds = load_strictly(str(out / "thresholds.json"))
+    assert {name: thresholds[name] for name in exact} == pytest.approx(exact, rel=1e-12)
+    assert thresholds["regime"] == regime
+    load_strictly(str(out / "boundary.csv"))
 
 
 @pytest.mark.parametrize("argv", [["gaussian-region", "--p", "1e308", "--case", "1"],
@@ -584,6 +617,23 @@ ADVERSARIAL = ("nan", "inf", "-inf", "0", "-0.0", "-1", "-2.5", "1e-300",
 SCAN_FIELDS = ("p", "q1", "q2", "n1", "n2", "rho_xv1", "rho_xv2", "rho_v1v2")
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def load_strictly(path):
+    """An artifact parsed with no NaN or infinity let through: JSON by a
+    parse_constant that raises, CSV with no nan or inf cell."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if path.endswith(".json"):
+        return json.loads(text, parse_constant=_refuse_constant)
+    cells = [cell for line in text.splitlines() for cell in line.split(",")]
+    bad = [cell for cell in cells if cell.lstrip("+-").lower() in ("nan", "inf", "infinity")]
+    assert not bad, (path, bad)
+    return cells
+
+
 def reference_exit(subcommand, flags, out):
     """Exit code of the one-alpha reference on these flags; on success it
     writes the artifacts the command writes, to out."""
@@ -644,6 +694,9 @@ def test_gaussian_flags_match_the_one_alpha_reference(case):
             with open(os.path.join(out, "o", name), "rb") as got, \
                     open(os.path.join(ref, name), "rb") as expected:
                 assert got.read() == expected.read(), name
+        if code == 0:
+            for name in os.listdir(os.path.join(out, "o")):
+                load_strictly(os.path.join(out, "o", name))
     # what a shell user sees: numpy's warnings, then the program's own lines
     stderr = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
                      for w in caught) + err.getvalue()

@@ -1,4 +1,6 @@
+import decimal
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -266,6 +268,68 @@ def test_threshold_worked_values():
 def test_case2_thresholds_can_degenerate():
     with pytest.raises(DegenerateGeometryError):
         case2_thresholds(1.0, 3.0, 0.5)   # n1 > n2 + 5q/4
+
+
+def _exact_thresholds(case, q, n1, n2):
+    """The paper's threshold formulas as written, in decimal arithmetic with
+    400 digits: at q = 1e300 against n = 1e-6 the cancellation of q/2
+    against the root costs about 306 of them, so 50 survive.  None where
+    the Case II discriminant is negative."""
+    with decimal.localcontext() as context:
+        context.prec = 400
+        q, n1, n2 = (decimal.Decimal(v) for v in (q, n1, n2))
+        if case == "1":
+            return (-n1 - q / 2 + (q * q + 4 * q * n2).sqrt() / 2,
+                    -q / 2 + (q * q + 4 * q * (n1 + n2)).sqrt() / 2)
+        discriminant = 5 * q * q + 4 * q * (n2 - n1)
+        if discriminant < 0:
+            return None
+        return ((q - 2 * n1 + discriminant.sqrt()) / 2,
+                q / 2 + (5 * q * q + 4 * q * n2).sqrt() / 2)
+
+
+def test_thresholds_match_a_decimal_evaluation_on_a_log_uniform_sweep():
+    # Each threshold is within 1e-13 * max(|P|, n1, n2) of the exact value,
+    # or refused: DegenerateGeometryError only where the exact discriminant
+    # is negative, OverflowError only where an exact threshold overflows.
+    rng = np.random.default_rng(41)
+    refused = 0
+    for q, n1, n2 in 10.0 ** rng.uniform([-12, -6, -6], [300, 6, 6], size=(400, 3)):
+        for case, thresholds in (("1", case1_thresholds), ("2", case2_thresholds)):
+            exact = _exact_thresholds(case, q, n1, n2)
+            try:
+                got = thresholds(q, n1, n2)
+            except DegenerateGeometryError:
+                assert exact is None, (case, q, n1, n2)
+                refused += 1
+                continue
+            except OverflowError:
+                assert max(abs(value) for value in exact) > sys.float_info.max
+                continue
+            assert exact is not None, (case, q, n1, n2)
+            for value, want in zip(got, exact):
+                scale = max(abs(want), decimal.Decimal(n1), decimal.Decimal(n2))
+                assert abs(decimal.Decimal(value) - want) <= decimal.Decimal(1e-13) * scale, \
+                    (case, q, n1, n2, value, want)
+    assert 0 < refused < 400
+
+
+def test_thresholds_neither_cancel_nor_overflow():
+    # -q/2 + sqrt(q^2 + 4 q n)/2 as written cancels to 0 by q = 1e17 and
+    # overflows past q ~ 1.3e154
+    p1, p2 = case1_thresholds(1e8, 1.0, 1.0)
+    assert p1 == pytest.approx(-1e-8, rel=1e-7) and p2 == pytest.approx(2.0, rel=1e-7)
+    p1, p2 = case1_thresholds(1e17, 1.0, 1.0)
+    assert p1 == pytest.approx(-1e-17, rel=1e-12) and p2 == pytest.approx(2.0, rel=1e-12)
+    assert p1 < 1.0 <= p2                   # p = 1 lies in the mid regime
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    assert case1_thresholds(1e300, 1.0, 1.0) == pytest.approx((-1e-300, 2.0), rel=1e-12)
+    assert case2_thresholds(1e300, 1.0, 1.0) == pytest.approx((golden * 1e300,) * 2, rel=1e-12)
+    # a threshold past float64's range raises instead of writing Infinity
+    for thresholds, args in ((case1_thresholds, (1.0, 1e308, 1e308)),
+                             (case2_thresholds, (1.5e308, 1.0, 1.0))):
+        with pytest.raises(OverflowError):
+            thresholds(*args)
 
 
 def test_costa_rate_recovery():
@@ -774,11 +838,13 @@ def test_walks_value_in_a_handful_of_stacks(monkeypatch):
 
 
 def test_rate_paths_end_where_the_quadratics_hit_the_goal(monkeypatch):
-    # A rate path is laid out no further than its first midpoint within the
-    # crossing's reach, so the bisection stack holds no more points than
-    # the walks visit (targets share their first midpoints); laid out down
-    # to float resolution it held 6,275 for these 3,914 visits.  No walk
-    # takes another round for it.
+    # A rate path is laid out toward its crossing down to the plain walk's
+    # own stops (float resolution, the 200-level cap), and the walk's
+    # hit_tol test ends it at the crossing.  Every count is deterministic:
+    # this mid region takes four _gaps stacks (the root ladder, one root
+    # round, one rate rung, one rate round), and the rate round values 6,275
+    # points for the walks' 3,914 visits, so a walk that takes another
+    # round, or lays out past its stops, fails.
     stacks, walks = [], []
     gaps, walk = gaussian._gaps, gaussian._walk
 
@@ -795,38 +861,7 @@ def test_rate_paths_end_where_the_quadratics_hit_the_goal(monkeypatch):
     monkeypatch.setattr(gaussian, "_walk", counted_walk)
     case1_region(0.5, 1.0, 1.0, 1.0, grid_size=128)
     assert len(stacks) == 4 and walks[-1] == 3914
-    assert stacks[-1] <= walks[-1]
-
-
-@pytest.mark.parametrize("case,p,q,n1,n2", _sweep_regions()[::3])
-def test_a_crossings_reach_is_within_the_rate_tolerance(monkeypatch, case, p, q, n1, n2):
-    # every rate bracket of these regions has a reach, and the alphas it
-    # covers, valued by the kernel, are within RATE_BISECT_TOL of the
-    # target: both ends of each reach and the crossing itself
-    seen = []
-    walk = gaussian._walk
-
-    def capture(brackets, kernel, first, second, *args, **kwargs):
-        if kwargs.get("hit_tol", -math.inf) > 0.0:
-            seen.append((kernel, first, second,
-                         [gaussian._Bracket(b.lo, b.hi, b.goal) for b in brackets]))
-        return walk(brackets, kernel, first, second, *args, **kwargs)
-
-    monkeypatch.setattr(gaussian, "_walk", capture)
-    (case1_region if case == "1" else case2_region)(p, q, n1, n2, grid_size=32)
-    covered = 0
-    for kernel, first, second, brackets in seen:
-        crossings = gaussian._crossings(kernel, first, second, brackets)
-        reaches = gaussian._reaches(kernel, first, second, brackets, crossings,
-                                    gaussian.RATE_BISECT_TOL)
-        for b, crossing, reach in zip(brackets, crossings, reaches):
-            if reach < 0.0:
-                continue
-            covered += 1
-            alphas = [crossing - reach, crossing, crossing + reach]
-            for value in gaussian._gaps(kernel, alphas, first, second):
-                assert abs(value - b.goal) <= gaussian.RATE_BISECT_TOL
-    assert covered == sum(len(brackets) for *_, brackets in seen) > 0
+    assert stacks[-1] == 6275
 
 
 @pytest.mark.parametrize("wrong", ["nan", "lo", "hi"])
