@@ -21,20 +21,21 @@ terms it cancels is +inf (u is determined by G, or the MI lies beyond what
 float64 resolves, about 22 bits where the cancellation is full), and a row
 whose var_u vanishes against its own terms is 0.  A leakage, rate or rate
 cap with an infinite term raises: the two cannot be told apart.  mi_stack
-feeds the scan rows, the region rate inversion, the leakage root walk,
+feeds the scan rows, the region rate inversion, the leakage roots,
 leakage_curve and the validation scan, and r_alpha, rz_alpha and leakage
 are one-alpha views of it.  oracle_mi is the general path for any two
 groups of one covariance, by determinant ratios with rank reduction, and
 the second path the kernel is tested against.
 
-The leakage roots and the rate inversion are plain bisections, and one
-walk, _walk, serves both.  Each crossing it seeks, I(u; first) -
-I(u; second) = goal, is var(u | second) = 4^goal * var(u | first): the
-root of one quadratic the kernel already holds (_crossings).  Each round
-values, in one stack, the midpoints bisection would visit down to its own
-stops if every side were that root's, and keeps each value only while its
-point is the plain walk's next midpoint.  The root only steers: every
-root, knee and rate is the plain walk's, bit for bit, in a stack or two.
+Each crossing I(u; first) - I(u; second) = goal is var(u | second) =
+4^goal * var(u | first): a root of one quadratic the kernel already
+holds, which _roots takes by the stable formula.  The leakage roots are
+those roots, in closed form.  The rate inversion is a plain bisection,
+_walk, which the roots only steer: each round values, in one stack, the
+midpoints bisection would visit down to its own stops if every side were
+the root's, and keeps each value only while its point is the plain walk's
+next midpoint, so every rate is the plain walk's, bit for bit, in a stack
+or two.
 
 The mi_uy/mi_uv12/mi_uz/alpha_star_closed_form functions carry the
 hand-derived closed forms exactly as written; they are the validation
@@ -61,7 +62,6 @@ EIG_REL_TOL = 1e-12
 DET_SAFE_REL = 1e-9      # oracle_mi's determinant-ratio path only when dets clear this
 CANCEL_REL = 2.0 ** -45    # 64 float64 steps of 2*(E00 + alpha^2*E11): var(u | G) noise
 ROOT_ALPHA_CAP = 1e3
-ROOT_ALPHA_TOL = 1e-12
 RATE_BISECT_TOL = 1e-10
 POINT_CAP = 100_000      # refuse scans and region grids with more alphas or rows
 
@@ -438,16 +438,25 @@ def alpha_star(params: GaussianWiretapParams) -> float:
     alpha whose minimum this returns; it drives roots and regions.  The
     hand-derived closed form is alpha_star_closed_form and differs on part
     of the domain, which the validation scan reports.
+
+    The minimum is -cov(x, v1 | z) / var(v1 | z).  Multiplied through by
+    var_z / q1, its denominator q1*var_z - (c_xv1 + c_v12)^2 is var(z | v1)
+    and its numerator is (p + c_xv2)*c_v12 - c_xv1*(q2 + n2 + c_xv2), each
+    with the terms that cancel taken out by hand, so no q^2 is lost to
+    rounding or overflows.  The leakage is flat where q1 = 0; var(z | v1)
+    within rounding of the terms it still subtracts is refused the same way.
     """
-    vz = params.var_z
-    e = params.p + params.c_xv2
-    f = params.c_xv1 + params.c_v12
-    denominator = params.q1 * vz - f * f
-    if abs(denominator) <= 1e-12 * max(1.0, params.q1 * vz, f * f):
+    tied = params.rho_xv1 * params.rho_v1v2 * _root_product(params.p, params.q2)
+    var_z_v1 = (params.p * (1.0 - params.rho_xv1 ** 2) + params.q2 * (1.0 - params.rho_v1v2 ** 2)
+                + params.n2 + 2.0 * (params.c_xv2 - tied))       # tied: c_xv1*c_v12/q1
+    if params.q1 == 0.0 or var_z_v1 <= 1e-12 * max(abs(2.0 * params.c_xv2), abs(2.0 * tied)):
         raise DegenerateGeometryError(
             "leakage has no interior maximizer (flat in alpha)",
-            expression="q1*var_z - (c_xv1 + c_v12)^2", value=denominator)
-    star = (e * f - params.c_xv1 * vz) / denominator
+            expression="q1*var_z - (c_xv1 + c_v12)^2", value=params.q1 * var_z_v1)
+    root_q1 = math.sqrt(params.q1)
+    star = (params.rho_v1v2 * (math.sqrt(params.q2) / root_q1) * (params.p + params.c_xv2)
+            - params.rho_xv1 * (math.sqrt(params.p) / root_q1)
+            * (params.q2 + params.n2 + params.c_xv2)) / var_z_v1
     if not math.isfinite(star):
         # only inputs so large that the products overflow get here
         raise DegenerateGeometryError(
@@ -493,23 +502,33 @@ class _Bracket:
         self.levels, self.found = 0, None
 
 
-def _crossings(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
-               brackets: list[_Bracket]) -> list[float]:
-    """Per bracket, where I(u; first) - I(u; second) meets its goal in exact
-    arithmetic: var(u | second) = 4^goal * var(u | first), the root of one
-    quadratic.  Of its real roots, by the stable formula, the one nearest
-    [lo, hi], clamped into it; a discriminant below 0 counts as 0 (rounding
-    turns a double root, a goal at the curve's peak, into none), and a
-    bracket whose quadratic has no finite root takes its midpoint.  It
-    never raises and never gives NaN."""
+def _roots(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
+           goals: Sequence[float]) -> np.ndarray:
+    """Where I(u; first) - I(u; second) meets each goal in exact arithmetic:
+    var(u | second) = 4^goal * var(u | first), two roots of one quadratic,
+    as a (2, len(goals)) array.  They are taken by the stable formula
+    (Press et al. 5.6) on the coefficients scaled by a power of 2, which is
+    exact and keeps the discriminant from overflowing; one below 0 counts
+    as 0 (rounding turns a double root, a goal at the curve's peak, into
+    none).  A quadratic with no finite root gives inf or NaN."""
     f, s = (np.array(kernel.conditional[tuple(group)][:3])[:, np.newaxis]
             for group in (first, second))
-    goal, low, high = np.array([(b.goal, min(b.lo, b.hi), max(b.lo, b.hi))
-                                for b in brackets]).reshape(-1, 3).T
     with np.errstate(all="ignore"):
-        c0, c1, c2 = s - np.exp2(2.0 * goal) * f
+        c = s - np.exp2(2.0 * np.asarray(goals, dtype=float)) * f
+        c0, c1, c2 = np.ldexp(c, -np.frexp(np.abs(c).max(axis=0))[1])
         q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(c1 * c1 - 4.0 * c0 * c2, 0.0)), c1))
-        roots = np.array([q / c2, c0 / q])
+        return np.array([q / c2, c0 / q])
+
+
+def _crossings(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
+               brackets: list[_Bracket]) -> list[float]:
+    """Per bracket, the root (_roots) of its goal nearest [lo, hi], clamped
+    into it; a bracket whose quadratic has no finite root takes its
+    midpoint.  It never raises and never gives NaN."""
+    roots = _roots(kernel, first, second, [b.goal for b in brackets])
+    low, high = np.array([(min(b.lo, b.hi), max(b.lo, b.hi))
+                          for b in brackets]).reshape(-1, 2).T
+    with np.errstate(all="ignore"):
         miss = np.maximum(np.maximum(low - roots, roots - high), 0.0)
     miss[~np.isfinite(roots)] = np.inf
     nearest = roots[np.argmin(miss, axis=0), np.arange(len(brackets))]
@@ -519,19 +538,15 @@ def _crossings(kernel: _Kernel, first: Sequence[str], second: Sequence[str],
 
 
 def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
-          second: Sequence[str], visit, *, rising: bool,
-          width_tol: float = -math.inf, hit_tol: float = -math.inf,
-          max_levels: float = math.inf) -> list[float]:
+          second: Sequence[str], visit, *, hit_tol: float, max_levels: int) -> list[float]:
     """Bisect every bracket the plain way, with its values
     I(u; first) - I(u; second) taken in stacks.
 
-    The plain walk halves [lo, hi] at mid = 0.5*(lo + hi) while
-    |hi - lo| > width_tol, fewer than max_levels midpoints are behind it
-    and mid is neither end (adjacent floats further apart than width_tol
-    would otherwise halve forever).  It stops at mid when
-    |f(mid) - goal| <= hit_tol; otherwise mid replaces lo when f(mid) lies
-    on lo's side (f < goal if rising, else f >= goal) and hi when it does
-    not.  It returns the mid it stopped at, or 0.5*(lo + hi).
+    The plain walk halves [lo, hi] at mid = 0.5*(lo + hi) while fewer than
+    max_levels midpoints are behind it and mid is neither end.  It stops at
+    mid when |f(mid) - goal| <= hit_tol; otherwise mid replaces lo when
+    f(mid) < goal and hi when it does not.  It returns the mid it stopped
+    at, or 0.5*(lo + hi).
 
     Each bracket steers toward its crossing (_crossings), taken once.  Each
     round lays out, per open bracket, the midpoints the plain walk would
@@ -546,8 +561,7 @@ def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
     """
     def halves(b) -> bool:
         mid = 0.5 * (b.lo + b.hi)
-        return (b.found is None and b.levels < max_levels
-                and abs(b.hi - b.lo) > width_tol and b.lo != mid != b.hi)
+        return b.found is None and b.levels < max_levels and b.lo != mid != b.hi
 
     crossings = _crossings(kernel, first, second, brackets)
     while True:
@@ -557,7 +571,7 @@ def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
         paths = []
         for b, crossing in live:
             path, lo, hi, room = [], b.lo, b.hi, max_levels - b.levels
-            while len(path) < room and abs(hi - lo) > width_tol:
+            while len(path) < room:
                 mid = 0.5 * (lo + hi)
                 if mid in (lo, hi):
                     break
@@ -574,7 +588,7 @@ def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
                 b.levels += 1
                 if abs(value - b.goal) <= hit_tol:
                     b.found = mid
-                elif (value < b.goal) == rising:
+                elif value < b.goal:
                     b.lo = mid
                 else:
                     b.hi = mid
@@ -584,16 +598,14 @@ def _walk(brackets: list[_Bracket], kernel: _Kernel, first: Sequence[str],
 def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optional[float]]:
     """Zero crossings of the leakage on each side of its maximizer.
 
-    Brackets expand geometrically up to |alpha| = 1e3; a side with no sign
-    change (leakage stays positive, e.g. it saturates above zero) reports
-    None.  A flat leakage (q1 = 0) has no roots at all.
-
-    The walk is the plain one, a doubling ladder and then bisection to
-    ROOT_ALPHA_TOL, keeping the end where the leakage is >= 0 as lo.  The
-    whole ladder of both sides is valued in one stack, and both sides then
-    bisect in _walk, a path per side per stack.  Only a point the walk
-    visits is revalued alone when its stack reads NaN, so only a visited
-    point raises.  Every stack shares one _Kernel.
+    The leakage has the sign of var(u | v1, v2) - var(u | z), a quadratic
+    whose two roots (_roots) straddle alpha_star when the leakage there is
+    positive; otherwise, and for a flat leakage (q1 = 0), there are none.
+    A side reports its root only where it lies between alpha_star and that
+    side's reach, the farthest rung alpha_star +- max(1, |alpha_star|) * 2^k
+    within |alpha| <= ROOT_ALPHA_CAP; a side with no such rung, or a root
+    past it, reports None.  One stack values the leakage at alpha_star and
+    at the kept roots, and this raises where leakage would at one of them.
     """
     try:
         star = alpha_star(params)
@@ -601,40 +613,17 @@ def leakage_roots(params: GaussianWiretapParams) -> tuple[Optional[float], Optio
         return None, None
     groups = (("z",), ("v1", "v2"))
     kernel = _Kernel(params, groups)
-
-    def visit(value: float, alpha: float) -> float:
-        return leakage(kernel, alpha) if math.isnan(value) else value
-
-    ladders = []
-    for direction in (-1.0, 1.0):
-        rungs, step = [], max(1.0, abs(star))
+    roots: list[Optional[float]] = []
+    for direction, root in zip((-1.0, 1.0), np.sort(_roots(kernel, *groups, [0.0])[:, 0])):
+        reach, step = star, max(1.0, abs(star))
         while abs(star + direction * step) <= ROOT_ALPHA_CAP:
-            rungs.append(star + direction * step)
-            step *= 2.0
-        ladders.append(rungs)
-    first = _gaps(kernel, [star] + ladders[0] + ladders[1], *groups)
-    at_star = visit(first[0], star)
-    if not at_star > 0.0:
+            reach, step = star + direction * step, 2.0 * step
+        inside = 0.0 < direction * (root - star) <= direction * (reach - star)
+        roots.append(float(root) if inside else None)
+    uz, uv = mi_stack(kernel, [star] + [root for root in roots if root is not None], *groups)
+    if not _gap(uz[0], uv[0], "leakage", "mi_uz - mi_uv12") > 0.0:
         return None, None
-
-    roots: list[Optional[float]] = [None, None]
-    sides, brackets = [], []
-    ladder_values = (first[1:1 + len(ladders[0])], first[1 + len(ladders[0]):])
-    for side, (rungs, rung_values) in enumerate(zip(ladders, ladder_values)):
-        inner = star
-        for outer, value in zip(rungs, rung_values):
-            value = visit(value, outer)
-            if value < 0.0:
-                sides.append(side)
-                brackets.append(_Bracket(inner, outer))
-                break
-            if value == 0.0:
-                roots[side] = outer
-                break
-            inner = outer
-    for side, root in zip(sides, _walk(brackets, kernel, *groups, visit, rising=False,
-                                       width_tol=ROOT_ALPHA_TOL)):
-        roots[side] = root
+    _gap(uz, uv, "leakage", "mi_uz - mi_uv12")
     return roots[0], roots[1]
 
 
@@ -738,8 +727,7 @@ def _solve_alphas_for_rates(kernel: _Kernel, alpha_top: float,
         step *= 2.0
 
     brackets = [_Bracket(alpha, alpha_top, target) for alpha, target in zip(lo, goal)]
-    return _walk(brackets, kernel, *groups, visit, rising=True,
-                 hit_tol=RATE_BISECT_TOL, max_levels=200)
+    return _walk(brackets, kernel, *groups, visit, hit_tol=RATE_BISECT_TOL, max_levels=200)
 
 
 def _region(case_id: str, params: GaussianWiretapParams, p: float, n1: float,

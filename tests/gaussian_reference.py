@@ -4,14 +4,19 @@ reference_covariance_scalar and reference_oracle_mi are the determinant
 oracle with scalar arithmetic, one covariance per alpha; the tests hold the
 kernel's values to it at a stated tolerance.
 
-The walks below (roots, rate inversion, scan, region) are the plain ones,
-one alpha per value.  They take each value from the kernel at that one
-alpha, so the tests require the stacked walks to reproduce them bit for
-bit, errors included: they raise OverflowError where var_u overflows, and
+The rate inversion, scan and region below are the plain walks, one alpha
+per value.  They take each value from the kernel at that one alpha, so the
+tests require the stacked rate walk to reproduce them bit for bit, errors
+included: they raise OverflowError where var_u overflows, and
 DegenerateGeometryError where a leakage, rate or rate cap is indeterminate
-because one of its terms is infinite.
+because one of its terms is infinite.  The leakage roots are taken in
+closed form, so the scan and the region take theirs from
+gaussian.leakage_roots; reference_leakage_roots, the plain doubling ladder
+and bisection, and exact_leakage_roots, the quadratic in decimal
+arithmetic, are what the tests hold those roots to, at a stated tolerance.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -26,7 +31,8 @@ from wiretapsi import (
     case2_thresholds,
     main_capacity,
 )
-from wiretapsi.gaussian import POINT_CAP, _gap, case1_params, case2_params, mi_stack
+from wiretapsi.gaussian import (POINT_CAP, _gap, case1_params, case2_params, leakage_roots,
+                                mi_stack)
 
 AXES = ("u", "v1", "v2", "y", "z")
 
@@ -176,6 +182,35 @@ def reference_leakage_roots(params):
     return find(-1.0), find(+1.0)
 
 
+def exact_leakage_roots(params):
+    """Both roots of the leakage, var(u | v1, v2) = var(u | z), as Decimals
+    with 80 digits, in increasing order; None where the leakage is nowhere
+    positive.  Multiplied through by var_z the equation is the quadratic
+    (q1 var_z - f^2) a^2 + 2 (c_xv1 var_z - e f) a + (p - var(x | v1, v2)) var_z - e^2
+    with e = p + c_xv2 and f = c_xv1 + c_v12, whose a^2 coefficient
+    (var_z times the curvature of var(u | z)) is positive."""
+    with decimal.localcontext() as context:
+        context.prec = 80
+        p, q1, q2, n2, r1, r2, r12 = (decimal.Decimal(getattr(params, name)) for name in (
+            "p", "q1", "q2", "n2", "rho_xv1", "rho_xv2", "rho_v1v2"))
+        c1, c2, c12 = r1 * (p * q1).sqrt(), r2 * (p * q2).sqrt(), r12 * (q1 * q2).sqrt()
+        if q1 == 0:
+            given_states = p * (1 - r2 * r2)
+        elif q2 == 0 or abs(r12) == 1:            # v2 is 0 or a copy of v1
+            given_states = p * (1 - r1 * r1)
+        else:
+            given_states = p * (1 - r1 * r1 - r2 * r2 - r12 * r12 + 2 * r1 * r2 * r12) / (
+                1 - r12 * r12)
+        var_z, e, f = p + q2 + n2 + 2 * c2, p + c2, c1 + c12
+        a = q1 * var_z - f * f
+        b = 2 * (c1 * var_z - e * f)
+        c = (p - given_states) * var_z - e * e
+        discriminant = b * b - 4 * a * c
+        if not (a > 0 and discriminant > 0):
+            return None
+        return tuple((-b + sign * discriminant.sqrt()) / (2 * a) for sign in (-1, 1))
+
+
 def reference_scan(params, alphas):
     """The gaussian-scan rows and roots, one alpha at a time."""
     rows = []
@@ -185,7 +220,7 @@ def reference_scan(params, alphas):
                      _gap(uz, uv, "leakage", "mi_uz - mi_uv12"),
                      _gap(uy, uv, "rate", "mi_uy - mi_uv12"),
                      _gap(uy, uz, "rate cap", "mi_uy - mi_uz")))
-    neg, pos = reference_leakage_roots(params)
+    neg, pos = leakage_roots(params)
     try:
         star = alpha_star(params)
     except ToolkitError:
@@ -211,7 +246,7 @@ def reference_region(case, p, q, n1, n2, grid_size):
     boundary = []
     if regime != "low":
         if regime == "mid":
-            knee_alpha = reference_leakage_roots(params)[1]
+            knee_alpha = leakage_roots(params)[1]
             if knee_alpha is None:
                 raise DegenerateGeometryError("no positive-side leakage root")
         else:

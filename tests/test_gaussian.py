@@ -1,4 +1,5 @@
 import decimal
+import fractions
 import math
 import sys
 import warnings
@@ -44,6 +45,7 @@ from wiretapsi.gaussian import (
 )
 import gaussian_reference
 from gaussian_reference import (
+    exact_leakage_roots,
     reference_covariance_scalar,
     reference_leakage_roots,
     reference_oracle_mi,
@@ -189,6 +191,22 @@ def test_alpha_star_degenerate_without_v1_weight():
     with pytest.raises(DegenerateGeometryError):
         alpha_star(stateless)
     assert leakage_roots(stateless) == (None, None)
+
+
+def test_alpha_star_neither_cancels_nor_overflows_on_a_log_uniform_sweep():
+    # Case I's maximizer is p / (p + n2) and Case II's is 0 at every q: the
+    # q^2 terms of q1*var_z - (c_xv1 + c_v12)^2 must cancel by hand, not in
+    # rounding, and no q1*var_z may overflow at q = 1e300.  1.4 ulp is the
+    # worst error on this sweep.
+    rng = np.random.default_rng(47)
+    for q, p, n2 in 10.0 ** rng.uniform([-12, -6, -6], [300, 6, 6], size=(1000, 3)):
+        q, p, n2 = float(q), float(p), float(n2)
+        exact = fractions.Fraction(p) / (fractions.Fraction(p) + fractions.Fraction(n2))
+        star = alpha_star(case1_params(p, q, 1.0, n2))
+        assert abs(fractions.Fraction(star) - exact) <= 2 * fractions.Fraction(
+            math.ulp(float(exact))), (p, q, n2, star)
+        assert alpha_star(case2_params(p, q, 1.0, n2)) == 0.0
+    assert alpha_star(case1_params(1.0, 1e12, 1.0, 1.0)) == 0.5
 
 
 def test_case1_peak_leakage_value():
@@ -617,50 +635,60 @@ def test_lockstep_region_matches_per_target_bisection(case, p, q, n1, n2):
     assert region.regime != "low"
 
 
-def test_batched_roots_match_sequential_walk():
+# The reference walk bisects each root to a bracket 1e-12 wide.  Its roots
+# lie within 4.5e-13 * max(1, |root|) of the closed form's on the inputs of
+# the two tests below, and on 2,700 seeded sets with variances log-uniform in
+# [1e-3, 1e3]; the closed form is the nearer to a decimal evaluation
+# (test_roots_match_a_decimal_evaluation_on_a_seeded_sweep).
+WALK_TOL = 1e-12
+
+
+def assert_roots_match_the_walk(params):
+    """leakage_roots reports a root on the sides the walk does, each within
+    WALK_TOL * max(1, |root|) of the walk's; returns the roots."""
+    got, want = leakage_roots(params), reference_leakage_roots(params)
+    assert [root is None for root in got] == [root is None for root in want], (params, got, want)
+    for root, walked in zip(got, want):
+        if root is not None:
+            assert abs(root - walked) <= WALK_TOL * max(1.0, abs(walked)), (params, got, want)
+    return got
+
+
+def test_roots_match_the_sequential_walk():
     rng = np.random.default_rng(11)
-    cases = list(STACK_PARAMS.values())
+    # the walk's far rungs overflow the determinant test on the last set
+    cases = list(STACK_PARAMS.values()) + [GaussianWiretapParams(1e-300, 1e107, 1e100, 1.0, 1.0)]
     for _ in range(12):
         p, q, n1, n2 = (float(v) for v in rng.uniform(0.2, 3.0, size=4))
         cases += [case1_params(p, q, n1, n2), case2_params(p, q, n1, n2)]
-    with_roots = 0
-    for params in cases:
-        got = leakage_roots(params)
-        assert got == reference_leakage_roots(params)
-        with_roots += got[1] is not None
+    with_roots = sum(assert_roots_match_the_walk(params)[1] is not None for params in cases)
     assert with_roots > 10
+    assert leakage_roots(cases[len(STACK_PARAMS)]) == (None, None)
 
 
-def test_roots_survive_overflow_on_rungs_the_walk_never_visits():
-    # the determinant test overflows on the far rungs of the ladder, which
-    # the walk never reaches (it stops at alpha_star); the stack must not raise
-    params = GaussianWiretapParams(1e-300, 1e107, 1e100, 1.0, 1.0)
-    assert leakage_roots(params) == reference_leakage_roots(params) == (None, None)
-
-
-def test_roots_ignore_points_the_walk_never_visits(monkeypatch):
-    # Make both mutual informations diverge beyond the first negative rung:
-    # the sequential walk never goes there, so the stacks must not raise.
+def test_roots_value_only_alpha_star_and_the_kept_roots(monkeypatch):
+    # The roots are taken in closed form: a leakage that diverges on the
+    # rungs the walk would value goes unseen, and one that diverges at
+    # alpha_star or at a kept root raises, as leakage does there.
     params = case1_params(2.0, 1.0, 0.25, 1.0)
-    expected = leakage_roots(params)
-    fence = 2.0 * max(abs(a) for a in expected) + 4.0
+    star, expected = alpha_star(params), leakage_roots(params)
     real = gaussian.mi_stack
+    poisoned = []
 
     def diverging(params, alphas, *groups):
         out = real(params, alphas, *groups)
-        far = np.abs(np.asarray(alphas, dtype=float)) > fence
+        hit = np.isin(np.asarray(alphas, dtype=float), poisoned)
         for values in out:
-            values[far] = math.inf
+            values[hit] = math.inf
         return out
 
     monkeypatch.setattr(gaussian, "mi_stack", diverging)
+    poisoned[:] = [star + sign * 2.0 ** k for sign in (-1.0, 1.0) for k in range(10)]
     assert leakage_roots(params) == expected
-    with pytest.raises(DegenerateGeometryError):
-        leakage(params, fence + 1.0)
-    # a visited point that cannot be valued still raises, as the walk did
-    fence = 0.0
-    with pytest.raises(DegenerateGeometryError):
-        leakage_roots(params)
+    for point in (star, *expected):
+        poisoned[:] = [point]
+        with pytest.raises(DegenerateGeometryError, match="indeterminate"):
+            leakage_roots(params)
 
 
 def _sweep_regions():
@@ -715,24 +743,28 @@ def test_roots_match_sequential_walk_on_singular_families(family):
     for _ in range(8):
         p, q1, q2, n1, n2 = (float(v) for v in rng.uniform(0.2, 3.0, size=5))
         params = SINGULAR_FAMILIES[family](p, q1, q2, n1, n2, float(rng.uniform(-0.6, 0.6)))
-        got = leakage_roots(params)
-        assert got == reference_leakage_roots(params)
-        with_roots += got[1] is not None
+        with_roots += assert_roots_match_the_walk(params)[1] is not None
     # a flat leakage (q1 = 0) has no roots; the other families do
     assert with_roots == 0 if family == "q1_zero" else with_roots > 0
 
 
 def _reference_visits(monkeypatch, case, args, grid_size):
-    """reference_region's result and every alpha it values, in order."""
+    """reference_region's result and every alpha it values, in order, those
+    of the leakage_roots call that takes its knee among them."""
     visits = []
-    real = gaussian_reference.reference_mis
+    real, real_stack = gaussian_reference.reference_mis, gaussian.mi_stack
 
     def recording(params, alpha, *groups):
         visits.append(alpha)
         return real(params, alpha, *groups)
 
+    def recording_stack(params, alphas, *groups):
+        visits.extend(alphas)
+        return real_stack(params, alphas, *groups)
+
     with monkeypatch.context() as patch:
         patch.setattr(gaussian_reference, "reference_mis", recording)
+        patch.setattr(gaussian, "mi_stack", recording_stack)
         expected = reference_region(case, *args, grid_size)
     return expected, visits
 
@@ -813,12 +845,12 @@ def test_region_walk_raises_at_a_visited_point_as_the_reference_does(monkeypatch
 
 
 def test_walks_value_in_a_handful_of_stacks(monkeypatch):
-    # A level-by-level walk takes 15 stacks for the roots and 50 for this
-    # mid region.  Steered by the kernel's crossing, the roots take the
-    # ladder's stack and one for the bisection, and the region adds the knee
-    # rate, one rung, one bisection stack and the caps.  The counts are
-    # deterministic, so a walk that steers badly, or falls back to one
-    # level per stack, fails.
+    # A level-by-level walk takes 50 stacks for this mid region.  The roots
+    # take one stack, alpha_star's and the kept roots' values, or none where
+    # alpha_star is refused; the region adds the knee rate, one rung, one
+    # bisection stack steered by the kernel's crossing, and the caps.  The
+    # counts are deterministic, so a walk that steers badly, or falls back
+    # to one level per stack, fails.
     real = gaussian.mi_stack
     stacks = []
 
@@ -827,24 +859,24 @@ def test_walks_value_in_a_handful_of_stacks(monkeypatch):
         return real(params, alphas, *groups)
 
     monkeypatch.setattr(gaussian, "mi_stack", counting)
-    for params in STACK_PARAMS.values():
+    for name, params in STACK_PARAMS.items():
         stacks.clear()
         leakage_roots(params)
-        assert len(stacks) <= 2
+        assert len(stacks) == (0 if name == "q1_zero" else 1)
     stacks.clear()
     region = case1_region(0.5, 1.0, 1.0, 1.0, grid_size=128)
     assert region.regime == "mid"
-    assert len(stacks) <= 6
+    assert len(stacks) == 5 and stacks[0] == 3
 
 
 def test_rate_paths_end_where_the_quadratics_hit_the_goal(monkeypatch):
     # A rate path is laid out toward its crossing down to the plain walk's
     # own stops (float resolution, the 200-level cap), and the walk's
     # hit_tol test ends it at the crossing.  Every count is deterministic:
-    # this mid region takes four _gaps stacks (the root ladder, one root
-    # round, one rate rung, one rate round), and the rate round values 6,275
-    # points for the walks' 3,914 visits, so a walk that takes another
-    # round, or lays out past its stops, fails.
+    # this mid region takes two _gaps stacks (one rate rung, one rate
+    # round), and the rate round values 6,275 points for the walks' 3,914
+    # visits, so a walk that takes another round, or lays out past its
+    # stops, fails.
     stacks, walks = [], []
     gaps, walk = gaussian._gaps, gaussian._walk
 
@@ -860,20 +892,18 @@ def test_rate_paths_end_where_the_quadratics_hit_the_goal(monkeypatch):
     monkeypatch.setattr(gaussian, "_gaps", counted_gaps)
     monkeypatch.setattr(gaussian, "_walk", counted_walk)
     case1_region(0.5, 1.0, 1.0, 1.0, grid_size=128)
-    assert len(stacks) == 4 and walks[-1] == 3914
+    assert len(stacks) == 2 and walks == [3914]
     assert stacks[-1] == 6275
 
 
 @pytest.mark.parametrize("wrong", ["nan", "lo", "hi"])
 def test_a_wrong_crossing_only_costs_stacks(monkeypatch, wrong):
     # The crossing only picks which points a round values: steered to NaN
-    # or to either end, every walk still takes the plain walk's values.
+    # or to either end, every rate walk still takes the plain walk's values.
     def steer(kernel, first, second, brackets):
         return [{"nan": math.nan, "lo": b.lo, "hi": b.hi}[wrong] for b in brackets]
 
     monkeypatch.setattr(gaussian, "_crossings", steer)
-    for params in STACK_PARAMS.values():
-        assert leakage_roots(params) == reference_leakage_roots(params)
     for case, args in REGION_WALKS:
         region = (case1_region if case == "1" else case2_region)(*args, grid_size=64)
         assert (region.thresholds, region.regime, region.boundary,
@@ -950,18 +980,60 @@ def test_an_overflowing_covariance_raises_without_a_warning():
             joint_covariance(params, 1e300)
 
 
-# alpha_star is about 1.08e5, where adjacent floats lie 1.5e-11 apart, wider
-# than ROOT_ALPHA_TOL: a bisection that stops only on the bracket's width
-# meets a midpoint equal to one of its ends and halves forever
+# alpha_star is about 1.08e5, where adjacent floats lie 1.5e-11 apart: a
+# bisection that stopped only on a bracket 1e-12 wide met a midpoint equal to
+# one of its ends and halved forever, and the walk, stopped there, misses the
+# negative root by 1.6e-11 of its size
 ADJACENT_END_PARAMS = dict(
     p=131471215493677.7, q1=32.70193648451678, q2=6.724286444891935e+19,
     n1=3.6144640311851116e+37, n2=1.115792232233379e+22,
     rho_xv1=-0.05374584955939521, rho_xv2=-0.05374584955939521, rho_v1v2=1.0)
 
+# Measured against exact_leakage_roots: the closed-form roots lie within
+# 2.2e-14 of the exact ones, relatively, on the 862 roots of the sweep below
+# (the walk's within 7.1e-11), and within 4.8e-12 on ADJACENT_END_PARAMS,
+# where var_z ~ 1e22 meets a root ~ 1e5 (the walk's within 1.6e-11).
+EXACT_ROOT_REL_TOL = 1e-11
+
+
+def test_roots_match_a_decimal_evaluation_on_a_seeded_sweep():
+    # Where the leakage is positive somewhere, every side reports its exact
+    # root within EXACT_ROOT_REL_TOL, but for ADJACENT_END_PARAMS' positive
+    # one, which lies past its side's reach: alpha_star + alpha_star is
+    # already past ROOT_ALPHA_CAP.  The roots do not depend on the variances'
+    # scale, so each regular set also runs with all five times 1e200 and
+    # 1e-200, where the quadratic's coefficients square past float64's range.
+    rng = np.random.default_rng(43)
+    cases = [GaussianWiretapParams(**ADJACENT_END_PARAMS)]
+    for _ in range(100):
+        p, q1, q2, n1, n2 = (float(v) for v in rng.uniform(0.2, 3.0, size=5))
+        rho = [float(v) for v in rng.uniform(-0.6, 0.6, size=3)]
+        for scale in (1.0, 1e200, 1e-200):
+            try:
+                cases.append(GaussianWiretapParams(
+                    *(scale * v for v in (p, q1, q2, n1, n2)), *rho))
+            except ValidationError:
+                break
+        cases += [case1_params(p, q1, n1, n2), case2_params(p, q1, n1, n2)]
+    checked = 0
+    tol = decimal.Decimal(EXACT_ROOT_REL_TOL)
+    for params in cases:
+        exact, got = exact_leakage_roots(params), leakage_roots(params)
+        if exact is None:                   # the leakage is nowhere positive
+            assert got == (None, None), params
+            continue
+        if params is cases[0]:
+            assert got[1] is None and 2.0 * alpha_star(params) > gaussian.ROOT_ALPHA_CAP
+            got, exact = got[:1], exact[:1]
+        for root, want in zip(got, exact):
+            assert abs(decimal.Decimal(root) - want) <= tol * abs(want), (params, root, want)
+            checked += 1
+    assert checked > 700
+
 
 def _bounded(argv):
     """argv in a child with a 60 s limit and 2 GiB of address space, so a
-    walk that never ends fails the test instead of holding the suite or
+    command that never ends fails the test instead of holding the suite or
     the machine's memory."""
     import os
     import resource
@@ -976,19 +1048,6 @@ def _bounded(argv):
         [os.path.join(root, "src"), os.path.join(root, "tests")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
                           timeout=60, preexec_fn=limit, env=env)
-
-
-def test_roots_stop_where_the_bracket_ends_are_adjacent_floats():
-    run = _bounded(["-c", (
-        "from wiretapsi.gaussian import GaussianWiretapParams, leakage_roots\n"
-        "from gaussian_reference import reference_leakage_roots\n"
-        f"params = GaussianWiretapParams(**{ADJACENT_END_PARAMS!r})\n"
-        "print(repr(leakage_roots(params)))\n"
-        "print(repr(reference_leakage_roots(params)))\n")])
-    assert run.returncode == 0, run.stderr
-    got, want = run.stdout.splitlines()
-    assert got == want
-    assert eval(got)[0] is not None
 
 
 def test_gaussian_scan_returns_where_the_bracket_ends_are_adjacent_floats(tmp_path):
